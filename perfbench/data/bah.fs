@@ -1,0 +1,2 @@
+# Bill appointed Hillary.
+f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary']]
