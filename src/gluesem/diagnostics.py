@@ -1,11 +1,12 @@
 """Classify degenerate derivations: completeness and coherence come for free
 from exact resource usage, so a failed derivation is diagnosed by what broke.
 
+`diagnose` runs one proof search and classifies its `SearchResult`.
 Incompleteness evidence: atoms some premise (or the goal) demands that nothing
 can supply. Incoherence evidence: premises left unconsumed by the maximal
 partial derivations (greatest premise consumption; ties pool their leftovers).
-Static demand/supply polarity gives the first cut; the prover's failure
-bookkeeping covers cases polarity cannot see (e.g. circular dependencies).
+Static demand/supply polarity gives the first cut; the search result's failure
+frontier covers cases polarity cannot see (e.g. circular dependencies).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import UninstantiableEntryError
 from .formulas import Atom, Forall, GlueFormula, Limp, Tensor
 from .fstruct import FStructure, SemStructure, sigma
 from .lexicon import Lexicon, PremiseSet, premises
-from .prover import Goal, Reading, SearchStats, derive
+from .prover import Goal, Reading, SearchResult, search
 
 OK = "ok"
 INCOMPLETE = "incomplete"
@@ -102,21 +103,24 @@ def diagnose(
     goal: Goal | None = None,
     all_traces: bool = False,
 ) -> Diagnosis:
-    """Derive and classify: ok with readings, or a failure diagnosis naming
-    the offending resources. Missing lexicon entries propagate as errors."""
+    """Search once and classify: ok with readings, or a failure diagnosis
+    naming the offending resources. Missing lexicon entries propagate as
+    errors."""
     try:
         premise_set = premises(root, lexicon)
     except UninstantiableEntryError as exc:
         return Diagnosis(UNINSTANTIABLE, note=str(exc))
     if goal is None:
         goal = Goal(sigma(root))
-    readings = derive(premise_set, goal, all_traces=all_traces)
-    if readings:
-        return Diagnosis(OK, readings=readings)
-    return _classify_failure(premise_set, goal)
+    result = search(premise_set, goal, all_traces=all_traces)
+    if result.readings:
+        return Diagnosis(OK, readings=result.readings)
+    return _classify_failure(premise_set, goal, result)
 
 
-def _classify_failure(premise_set: PremiseSet, goal: Goal) -> Diagnosis:
+def _classify_failure(
+    premise_set: PremiseSet, goal: Goal, result: SearchResult
+) -> Diagnosis:
     demands: list[tuple[tuple, str]] = [((goal.sem.label, str(goal.ty)), "goal")]
     supplies: list[tuple[tuple, object]] = []
     for premise in premise_set:
@@ -135,14 +139,11 @@ def _classify_failure(premise_set: PremiseSet, goal: Goal) -> Diagnosis:
         if not any(_keys_match(d_key, key) for d_key, _ in demands):
             unused.setdefault(premise.index, premise)
 
-    stats = SearchStats([p.index for p in premise_set])
-    _, partials = derive(premise_set, goal, require_all=False, stats=stats)
-
-    if partials:
+    if result.partials:
         # The goal is reachable but only by leaving resources unused.
-        best = min(len(leftover) for leftover, _ in partials)
+        best = min(len(leftover) for leftover in result.partials)
         pooled: set[int] = set()
-        for leftover, _ in partials:
+        for leftover in result.partials:
             if len(leftover) == best:
                 pooled |= leftover
         by_index = {p.index: p for p in premise_set}
@@ -157,9 +158,9 @@ def _classify_failure(premise_set: PremiseSet, goal: Goal) -> Diagnosis:
         )
 
     # No partial derivation reaches the goal at all: incomplete.
-    if not unsat and stats.failed_atoms:
-        deepest = max(stats.failed_atoms.values())
-        for (sem, ty), consumed in sorted(stats.failed_atoms.items()):
+    if not unsat and result.frontier:
+        deepest = max(consumed for _, _, consumed in result.frontier)
+        for sem, ty, consumed in result.frontier:
             if consumed == deepest:
                 unsat.setdefault((sem, ty), [])
     leftovers = tuple(

@@ -35,12 +35,11 @@ class SemStructure:
 
 class FStructure:
     """One f-structure node. Nodes are identity-bearing: the sigma projection
-    and parent links live on the node itself."""
+    and the link to the node whose set contains it live on the node itself."""
 
     def __init__(self, label: str):
         self.label = label
         self.attrs: dict[str, object] = {}
-        self.parent: FStructure | None = None
         self.mod_container: FStructure | None = None
         self._sigma: SemStructure | None = None
 
@@ -123,20 +122,29 @@ class _Deferred:
         self.tok = tok
 
 
+# Nodes nested deeper than this are rejected as a syntax error rather than
+# left to exhaust the interpreter's stack in the recursive walkers.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, ts: TokenStream):
         self.ts = ts
+        self.depth = 0
         self.labels: dict[str, FStructure] = {}
         self.deferred: list[tuple[FStructure, str, int | None, _Deferred]] = []
 
     def parse_node(self) -> FStructure:
         tok = self.ts.expect("IDENT", "an f-structure label")
+        if self.depth == MAX_NESTING:
+            self.ts.fail(f"f-structures nest deeper than {MAX_NESTING} levels", tok)
         self.ts.expect(":")
         if tok.text in self.labels:
             self.ts.fail(f"duplicate label '{tok.text}'", tok)
         node = FStructure(tok.text)
         self.labels[tok.text] = node
         self.ts.expect("[")
+        self.depth += 1
         if not self.ts.accept("]"):
             self.parse_attr(node)
             while self.ts.accept(";"):
@@ -144,6 +152,7 @@ class _Parser:
                     break
                 self.parse_attr(node)
             self.ts.expect("]")
+        self.depth -= 1
         return node
 
     def parse_attr(self, node: FStructure):
@@ -162,9 +171,7 @@ class _Parser:
             return self.parse_set(container, attribute)
         if tok.kind == "IDENT":
             if self.ts.peek(1).kind == ":":
-                child = self.parse_node()
-                child.parent = container
-                return child
+                return self.parse_node()
             self.ts.next()
             deferred = _Deferred(tok.text, tok)
             self.deferred.append((container, attribute, None, deferred))
@@ -187,7 +194,6 @@ class _Parser:
         tok = self.ts.peek()
         if tok.kind == "IDENT" and self.ts.peek(1).kind == ":":
             member = self.parse_node()
-            member.parent = container
             member.mod_container = container
             return member
         if tok.kind == "IDENT":

@@ -29,7 +29,7 @@ from .errors import (
     UninstantiableEntryError,
 )
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, PathRef, SemVar, Tensor
-from .fstruct import FStructure, sigma
+from .fstruct import FStructure, resolve_path, sigma
 from .lexer import Token, TokenStream, tokenize
 from .semtypes import SemType
 from .terms import Const, subterms, typecheck
@@ -268,33 +268,21 @@ def instantiate(entry: LexicalEntry, node: FStructure) -> GlueFormula:
             if container is None:
                 raise UninstantiableEntryError(entry.headword, node.label, "(mod ^)")
             return sigma(container)
-        target = node
-        if ref.path:
-            try:
-                target = _resolve_path_to_node(node, ref.path)
-            except MissingAttributeError as exc:
-                raise UninstantiableEntryError(
-                    entry.headword, node.label, exc.attribute
-                ) from exc
+        if not ref.path:
+            return sigma(node)
+        try:
+            target = resolve_path(node, ref.path)
+        except MissingAttributeError as exc:
+            raise UninstantiableEntryError(
+                entry.headword, node.label, exc.attribute
+            ) from exc
+        if not isinstance(target, FStructure):
+            raise UninstantiableEntryError(entry.headword, node.label, ref.path[-1])
         return sigma(target)
 
     instantiated = resolve(entry.template)
     assert instantiated.is_closed(), "instantiation must produce a closed formula"
     return instantiated
-
-
-def _resolve_path_to_node(node: FStructure, path) -> FStructure:
-    current: object = node
-    for attribute in path:
-        if not isinstance(current, FStructure):
-            raise MissingAttributeError(attribute, str(current))
-        value = current.get(attribute)
-        if value is None:
-            raise MissingAttributeError(attribute, current.label)
-        current = value
-    if not isinstance(current, FStructure):
-        raise MissingAttributeError(path[-1], node.label)
-    return current
 
 
 @dataclass(frozen=True)

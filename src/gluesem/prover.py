@@ -183,27 +183,25 @@ class _Resource:
         self.word = word
 
 
-class SearchStats:
-    """Failure bookkeeping for diagnostics: which atomic goals found no
-    supplier, at the deepest premise consumption reached."""
-
-    def __init__(self, premise_ids):
-        self.premise_ids = frozenset(premise_ids)
-        self.failed_atoms: dict[tuple[str, str], int] = {}
-
-    def note_failure(self, atom: Atom, avail):
-        consumed = len(self.premise_ids) - len(self.premise_ids & avail)
-        key = (atom.sem.label, str(atom.ty))
-        self.failed_atoms[key] = max(consumed, self.failed_atoms.get(key, -1))
-
-
 class _Search:
-    def __init__(self, resources, universe, bound, all_orders=False, stats=None):
-        self.registry: dict[int | str, _Resource] = {r.rid: r for r in resources}
-        self.universe = universe
-        self.bound = bound
+    """One search for `goal` over `premise_list`. Structure variables range
+    over every structure the premises or the goal mention. Each atomic goal
+    no resource could supply is kept in `frontier` with the most premises
+    consumed when it failed."""
+
+    def __init__(self, premise_list, goal, all_orders=False, depth_bound=None):
+        self.registry: dict[int | str, _Resource] = {
+            p.index: _Resource(p.index, p.formula, p.word) for p in premise_list
+        }
+        self.premise_ids = frozenset(p.index for p in premise_list)
+        formulas = [goal] + [p.formula for p in premise_list]
+        sems = {a.sem for f in formulas for a in f.atoms() if isinstance(a.sem, SemStructure)}
+        self.universe = sorted(sems, key=lambda s: s.label)
+        if depth_bound is None:
+            depth_bound = sum(p.formula.connectives() + 1 for p in premise_list) + 2
+        self.bound = depth_bound
         self.all_orders = all_orders
-        self.stats = stats
+        self.frontier: dict[tuple[str, str], int] = {}
         self.hyp_counter = itertools.count(1)
         self.name_counts: dict[str, int] = {}
 
@@ -306,8 +304,10 @@ class _Search:
                     ):
                         produced = True
                         yield out
-        if not produced and self.stats is not None:
-            self.stats.note_failure(goal, avail)
+        if not produced:
+            consumed = len(self.premise_ids - avail)
+            key = (goal.sem.label, str(goal.ty))
+            self.frontier[key] = max(consumed, self.frontier.get(key, -1))
 
     def _finish_focus(
         self, goal, resource, antecedents, head, rest, displays,
@@ -387,61 +387,43 @@ def _as_premises(premise_set) -> list[Premise]:
     return out
 
 
-def _structure_universe(premise_list, goal_sem=None):
-    sems = {
-        atom.sem
-        for premise in premise_list
-        for atom in premise.formula.atoms()
-        if isinstance(atom.sem, SemStructure)
-    }
-    if goal_sem is not None:
-        sems.add(goal_sem)
-    return sorted(sems, key=lambda s: s.label)
+@dataclass(frozen=True)
+class SearchResult:
+    """What one proof search found. `readings` use every premise exactly
+    once; `partials` holds the unused premise ids of each goal-reaching
+    derivation that left some over; `frontier` lists, as (structure label,
+    type, premises consumed), each atomic goal nothing could supply, with the
+    most premises consumed when it failed."""
+
+    readings: tuple[Reading, ...]
+    partials: frozenset[frozenset[int]]
+    frontier: tuple[tuple[str, str, int], ...]
 
 
-def _default_bound(premise_list) -> int:
-    return sum(p.formula.connectives() for p in premise_list) + len(premise_list) + 2
-
-
-def derive(
+def search(
     premise_set,
     goal: Goal,
     all_traces: bool = False,
     depth_bound: int | None = None,
-    stats: SearchStats | None = None,
-    require_all: bool = True,
-):
-    """All readings of `goal` derivable from the premises, each premise used
-    exactly once, deduplicated up to alpha-beta-eta equivalence and sorted by
-    their printed form.
-
-    With `require_all=False`, partial derivations are admitted and each
-    reading's leftover premise indices are preserved on the side; diagnostics
-    uses this to find maximal partial derivations.
-    """
+) -> SearchResult:
+    """One proof search for `goal` from the premises; `derive` and
+    `diagnose` read what they need from its result."""
     premise_list = _as_premises(premise_set)
     for premise in premise_list:
         if not premise.formula.is_closed():
             raise GlueError(f"premise {premise.tag()} is not closed")
-    universe = _structure_universe(premise_list, goal.sem)
-    bound = depth_bound if depth_bound is not None else _default_bound(premise_list)
-    resources = [_Resource(p.index, p.formula, p.word) for p in premise_list]
-    search = _Search(resources, universe, bound, all_orders=all_traces, stats=stats)
     goal_var = fresh_var("%goal", goal.ty)
     goal_atom = Atom(goal.sem, goal.ty, goal_var)
-    premise_ids = frozenset(p.index for p in premise_list)
+    engine = _Search(premise_list, goal_atom, all_traces, depth_bound)
 
     found: dict[MeaningTerm, dict] = {}
-    partials: list[tuple[frozenset, MeaningTerm]] = []
-    for subst, avail, events in search.prove(
-        goal_atom, premise_ids, {}, 0, ()
-    ):
+    partials: set[frozenset] = set()
+    for subst, avail, events in engine.prove(goal_atom, engine.premise_ids, {}, 0, ()):
         meaning = normalize(substitute(goal_var, subst))
         if free_vars(meaning) or hyp_consts(meaning):
             continue
         if avail:
-            if not require_all:
-                partials.append((frozenset(avail) & premise_ids, meaning))
+            partials.add(avail & engine.premise_ids)
             continue
         key = canonical_form(meaning)
         entry = found.setdefault(key, {"meaning": _tidy_hints(meaning), "traces": []})
@@ -457,9 +439,20 @@ def derive(
             key=lambda r: format_term(r.meaning),
         )
     )
-    if require_all:
-        return readings
-    return readings, partials
+    frontier = tuple(sorted((sem, ty, n) for (sem, ty), n in engine.frontier.items()))
+    return SearchResult(readings, frozenset(partials), frontier)
+
+
+def derive(
+    premise_set,
+    goal: Goal,
+    all_traces: bool = False,
+    depth_bound: int | None = None,
+) -> tuple[Reading, ...]:
+    """All readings of `goal` derivable from the premises, each premise used
+    exactly once, deduplicated up to alpha-beta-eta equivalence and sorted by
+    their printed form."""
+    return search(premise_set, goal, all_traces, depth_bound).readings
 
 
 def _tidy_hints(term: MeaningTerm) -> MeaningTerm:
@@ -502,20 +495,13 @@ def _render_value(value, subst) -> str:
 def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     """Linear entailment with exact resource usage for propositional
     tensor-fragment formulas."""
-    premise_list = [
-        Premise(i, f, f"p{i}", "")
-        for i, f in enumerate(flatten_tensor(antecedent), start=1)
-    ]
-    universe = _structure_universe(
-        premise_list + [Premise(0, consequent, "goal", "")]
+    engine = _Search(_as_premises(flatten_tensor(antecedent)), consequent)
+    return any(
+        not avail
+        for _subst, avail, _events in engine.prove(
+            consequent, engine.premise_ids, {}, 0, ()
+        )
     )
-    resources = [_Resource(p.index, p.formula, p.word) for p in premise_list]
-    search = _Search(resources, universe, _default_bound(premise_list))
-    premise_ids = frozenset(p.index for p in premise_list)
-    for _subst, avail, _events in search.prove(consequent, premise_ids, {}, 0, ()):
-        if not avail:
-            return True
-    return False
 
 
 def prop(name: str) -> Atom:

@@ -6,6 +6,7 @@ import io
 import json
 
 from gluesem.cli import RunConfig, main, run
+from gluesem.fstruct import MAX_NESTING
 
 from conftest import FIXTURES
 
@@ -163,3 +164,31 @@ def test_run_accepts_config_and_streams():
     )
     assert run(config, out, err) == 0
     assert out.getvalue() == "appoint(Bill, Hillary)\n"
+
+
+def nested_adjuncts(depth: int) -> str:
+    """`arrive(John)` whose ADJ chain of empty nodes nests `depth` levels."""
+    chain = "".join(f"a{i}:[ADJ " for i in range(2, depth)) + f"a{depth}:[]"
+    return f"a1:[PRED 'arrive'; SUBJ g:[PRED 'John']; ADJ {chain}{']' * (depth - 1)}"
+
+
+def run_nested(tmp_path, depth: int):
+    path = tmp_path / "nested.fs"
+    path.write_text(nested_adjuncts(depth), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(RunConfig(str(path), str(FIXTURES / "core.lex")), out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_nesting_at_the_limit_parses_and_diagnoses(tmp_path):
+    code, out, err = run_nested(tmp_path, MAX_NESTING)
+    assert (code, out, err) == (0, "arrive(John)\n", "")
+
+
+def test_nesting_past_the_limit_is_an_input_error(tmp_path):
+    code, out, err = run_nested(tmp_path, 3000)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    column = nested_adjuncts(3000).index(f"a{MAX_NESTING + 1}:") + 1
+    assert f":1:{column}: f-structures nest deeper than {MAX_NESTING} levels" in err

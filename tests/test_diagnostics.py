@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from gluesem import prover
 from gluesem.errors import MissingEntryError
 from gluesem.diagnostics import (
     INCOHERENT,
@@ -16,6 +17,26 @@ from gluesem.diagnostics import (
 from gluesem.fstruct import parse_fstructure
 
 from conftest import load_fs
+
+UNRELATED_PREMISE = (
+    "f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary'];"
+    " ADJ i:[PRED 'sink']]"
+)
+EMPTY_OBJ = "f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[]]"
+EMPTY_OBJ_AND_EXTRA = (
+    "f:[PRED 'devour'; SUBJ g:[PRED 'John']; OBJ h:[]; ADJ i:[PRED 'sink']]"
+)
+FAILING = [
+    pytest.param("john_devoured.fs", id="incomplete"),
+    pytest.param("john_arrived_extras.fs", id="incoherent"),
+    pytest.param(UNRELATED_PREMISE, id="unrelated-premise"),
+    pytest.param(EMPTY_OBJ, id="empty-obj"),
+    pytest.param(EMPTY_OBJ_AND_EXTRA, id="incomplete+incoherent"),
+]
+
+
+def load_case(case: str):
+    return load_fs(case) if case.endswith(".fs") else parse_fstructure(case)
 
 
 def test_well_formed_is_ok_with_readings(lexicon, bah):
@@ -51,26 +72,21 @@ def test_extra_arguments_are_incoherent(lexicon):
 
 
 def test_adding_unrelated_premise_flips_ok_to_incoherent(lexicon):
-    fs = parse_fstructure(
-        "f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary'];"
-        " ADJ i:[PRED 'sink']]"
-    )
+    fs = parse_fstructure(UNRELATED_PREMISE)
     diagnosis = diagnose(fs, lexicon)
     assert diagnosis.status == INCOHERENT
     assert [l.word for l in diagnosis.leftover_resources] == ["sink"]
 
 
 def test_removing_consumed_premise_flips_ok_to_incomplete(lexicon):
-    fs = parse_fstructure("f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[]]")
+    fs = parse_fstructure(EMPTY_OBJ)
     diagnosis = diagnose(fs, lexicon)
     assert diagnosis.status == INCOMPLETE
     assert any(d.sem == "h" for d in diagnosis.unsatisfied_demands)
 
 
 def test_combined_status_both_kinds_of_evidence(lexicon):
-    fs = parse_fstructure(
-        "f:[PRED 'devour'; SUBJ g:[PRED 'John']; OBJ h:[]; ADJ i:[PRED 'sink']]"
-    )
+    fs = parse_fstructure(EMPTY_OBJ_AND_EXTRA)
     diagnosis = diagnose(fs, lexicon)
     assert diagnosis.status == INCOMPLETE_INCOHERENT
     assert any(d.sem == "h" for d in diagnosis.unsatisfied_demands)
@@ -92,3 +108,32 @@ def test_ok_carries_all_readings(lexicon, scope_fs):
     diagnosis = diagnose(scope_fs, lexicon)
     assert diagnosis.status == OK
     assert len(diagnosis.readings) == 2
+
+
+@pytest.mark.parametrize(
+    "case,status",
+    [
+        ("bah.fs", OK),
+        ("john_devoured.fs", INCOMPLETE),
+        ("john_arrived_extras.fs", INCOHERENT),
+        (EMPTY_OBJ_AND_EXTRA, INCOMPLETE_INCOHERENT),
+    ],
+    ids=[OK, INCOMPLETE, INCOHERENT, INCOMPLETE_INCOHERENT],
+)
+def test_diagnose_runs_one_proof_search(lexicon, monkeypatch, case, status):
+    searches = []
+
+    class CountingSearch(prover._Search):
+        def __init__(self, *args, **kwargs):
+            searches.append(case)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(prover, "_Search", CountingSearch)
+    assert diagnose(load_case(case), lexicon).status == status
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize("case", FAILING)
+def test_failure_evidence_same_from_all_orders_search(lexicon, case):
+    fs = load_case(case)
+    assert diagnose(fs, lexicon, all_traces=True) == diagnose(fs, lexicon)
