@@ -122,29 +122,21 @@ class _Deferred:
         self.tok = tok
 
 
-# Nodes nested deeper than this are rejected as a syntax error rather than
-# left to exhaust the interpreter's stack in the recursive walkers.
-MAX_NESTING = 100
-
-
 class _Parser:
     def __init__(self, ts: TokenStream):
         self.ts = ts
-        self.depth = 0
         self.labels: dict[str, FStructure] = {}
         self.deferred: list[tuple[FStructure, str, int | None, _Deferred]] = []
 
     def parse_node(self) -> FStructure:
         tok = self.ts.expect("IDENT", "an f-structure label")
-        if self.depth == MAX_NESTING:
-            self.ts.fail(f"f-structures nest deeper than {MAX_NESTING} levels", tok)
+        self.ts.descend("f-structures", tok)
         self.ts.expect(":")
         if tok.text in self.labels:
             self.ts.fail(f"duplicate label '{tok.text}'", tok)
         node = FStructure(tok.text)
         self.labels[tok.text] = node
         self.ts.expect("[")
-        self.depth += 1
         if not self.ts.accept("]"):
             self.parse_attr(node)
             while self.ts.accept(";"):
@@ -152,7 +144,7 @@ class _Parser:
                     break
                 self.parse_attr(node)
             self.ts.expect("]")
-        self.depth -= 1
+        self.ts.ascend()
         return node
 
     def parse_attr(self, node: FStructure):

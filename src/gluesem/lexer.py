@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 from .errors import SyntaxErrorAt
 
+# Input nested deeper than this is rejected as a syntax error rather than left
+# to exhaust the interpreter's stack in the recursive parsers and walkers.
+MAX_NESTING = 100
+
 _SYMBOLS = ("->", "-o", "~>", "(", ")", "[", "]", "{", "}", ";", ":", ",", ".", "\\", "*", "^", "_")
 
 
@@ -72,6 +76,7 @@ class TokenStream:
         self.tokens = tokens
         self.pos = 0
         self.source = source
+        self.depth = 0
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -98,6 +103,16 @@ class TokenStream:
 
     def at_end(self) -> bool:
         return self.peek().kind == "EOF"
+
+    def descend(self, what: str, tok: Token | None = None):
+        """Open one nesting level (a group, an operand, a binder); `what`
+        names the construct in the error raised past MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"{what} nest deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
+
+    def ascend(self, levels: int = 1):
+        self.depth -= levels
 
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()

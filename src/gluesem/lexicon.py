@@ -31,9 +31,9 @@ from .errors import (
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, PathRef, SemVar, Tensor
 from .fstruct import FStructure, resolve_path, sigma
 from .lexer import Token, TokenStream, tokenize
-from .semtypes import SemType
+from .semtypes import SemType, parse_type_at
 from .terms import Const, subterms, typecheck
-from .termsyntax import parse_term_at, parse_type_at
+from .termsyntax import parse_term_at
 
 _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
@@ -147,10 +147,12 @@ class _TemplateParser:
             else:
                 binders.append(SemVar(name))
                 self.sem_scope.add(name)
+            self.ts.descend("formulas", tok)
             if not self.ts.accept(","):
                 break
         self.ts.expect(".")
         body = self.parse_formula()
+        self.ts.ascend(len(binders))
         for binder in reversed(binders):
             body = Forall(binder, body)
             if isinstance(binder, MeaningVar):
@@ -161,14 +163,22 @@ class _TemplateParser:
 
     def parse_limp(self) -> GlueFormula:
         left = self.parse_tensor()
-        if self.ts.accept("-o"):
-            return Limp(left, self.parse_formula())
+        limp_tok = self.ts.accept("-o")
+        if limp_tok:
+            self.ts.descend("formulas", limp_tok)
+            right = self.parse_formula()
+            self.ts.ascend()
+            return Limp(left, right)
         return left
 
     def parse_tensor(self) -> GlueFormula:
         left = self.parse_unit()
-        if self.ts.accept("*"):
-            return Tensor(left, self.parse_tensor())
+        tensor_tok = self.ts.accept("*")
+        if tensor_tok:
+            self.ts.descend("formulas", tensor_tok)
+            right = self.parse_tensor()
+            self.ts.ascend()
+            return Tensor(left, right)
         return left
 
     def parse_unit(self) -> GlueFormula:
@@ -178,8 +188,9 @@ class _TemplateParser:
             and self.ts.peek(1).text == "mod"
             and self.ts.peek(2).kind == "^"
         ):
-            self.ts.next()
+            self.ts.descend("formulas", self.ts.next())
             inner = self.parse_formula()
+            self.ts.ascend()
             self.ts.expect(")")
             return inner
         return self.parse_atom()

@@ -9,6 +9,15 @@ solved by pattern unification; universal structure variables range over the
 finite structure universe of the analysis. Nested implication antecedents are
 proved hypothetically: assume a fresh tagged constant, prove the inner
 consequent consuming the assumption exactly once, discharge by abstraction.
+
+Each resource's focus table (its antecedents and head for every choice of
+structure variables, keyed by head structure and type) is built once per
+search, so an atomic goal only looks at entries whose head can match it.
+Premises with equal formulas and words (twins, such as k identical modifiers)
+are interchangeable: by default they are consumed in index order, so the k!
+derivations that differ only by swapping twins are explored once and the
+search pays per reading rather than per derivation. `all_traces` explores
+every order.
 """
 
 from __future__ import annotations
@@ -76,8 +85,10 @@ Trace = tuple[TraceStep, ...]
 
 @dataclass(frozen=True)
 class Reading:
-    """One derived meaning for the goal, with every derivation that produced
-    it (collapsed readings keep all traces; the first is canonical)."""
+    """One derived meaning for the goal. By default `traces` holds just the
+    canonical (first-found) derivation; with `all_traces` it holds every
+    distinct derivation that produced the meaning, canonical first,
+    including those that differ only by swapping twin premises."""
 
     meaning: MeaningTerm
     ty: SemType
@@ -187,7 +198,12 @@ class _Search:
     """One search for `goal` over `premise_list`. Structure variables range
     over every structure the premises or the goal mention. Each atomic goal
     no resource could supply is kept in `frontier` with the most premises
-    consumed when it failed."""
+    consumed when it failed.
+
+    Premises with equal formulas and words are *twins*. Unless `all_orders`
+    is set, a premise is focused only once every earlier twin is consumed, so
+    twins are used in index order and derivations that differ only by
+    swapping twins are explored once."""
 
     def __init__(self, premise_list, goal, all_orders=False, depth_bound=None):
         self.registry: dict[int | str, _Resource] = {
@@ -204,6 +220,17 @@ class _Search:
         self.frontier: dict[tuple[str, str], int] = {}
         self.hyp_counter = itertools.count(1)
         self.name_counts: dict[str, int] = {}
+        self.focus_tables: dict[int | str, dict] = {}
+        classes: dict[tuple, list[int]] = {}
+        if not all_orders:
+            for p in premise_list:
+                classes.setdefault((p.formula, p.word), []).append(p.index)
+        twins = [sorted(c) for c in classes.values() if len(c) > 1]
+        self.twin_classes = [frozenset(c) for c in twins]
+        # Twins are consumed in index order, so the available members of a
+        # class are always its highest indices: a premise waits exactly when
+        # its predecessor in the class is still available.
+        self.prior_twin = {later: earlier for c in twins for earlier, later in zip(c, c[1:])}
 
     # -- goal dispatch ------------------------------------------------------
 
@@ -289,25 +316,28 @@ class _Search:
             )
         assert isinstance(goal.sem, SemStructure), "goals must have concrete structures"
         produced = False
+        key = (goal.sem, goal.ty)
         for rid in sorted(avail, key=_rid_order):
+            if self.prior_twin.get(rid) in avail:
+                continue
             resource = self.registry[rid]
-            for antecedents, components, displays in self._focus(resource.formula):
-                for k, head in enumerate(components):
-                    if not isinstance(head, Atom):
-                        continue
-                    if head.sem != goal.sem or head.ty != goal.ty:
-                        continue
-                    rest = components[:k] + components[k + 1 :]
-                    for out in self._finish_focus(
-                        goal, resource, antecedents, head, rest, displays,
-                        avail - {rid}, subst, depth, events,
-                    ):
-                        produced = True
-                        yield out
+            for antecedents, head, rest, displays, metavars in self._focus_table(rid).get(key, ()):
+                if metavars:
+                    fresh = {v: fresh_var(v.name, v.ty) for v in metavars}
+                    antecedents = [a.substitute_meanings(fresh) for a in antecedents]
+                    head = head.substitute_meanings(fresh)
+                    rest = [r.substitute_meanings(fresh) for r in rest]
+                    displays = tuple((name, fresh.get(v, v)) for name, v in displays)
+                for out in self._finish_focus(
+                    goal, resource, antecedents, head, rest, displays,
+                    avail - {rid}, subst, depth, events,
+                ):
+                    produced = True
+                    yield out
         if not produced:
             consumed = len(self.premise_ids - avail)
-            key = (goal.sem.label, str(goal.ty))
-            self.frontier[key] = max(consumed, self.frontier.get(key, -1))
+            label = (goal.sem.label, str(goal.ty))
+            self.frontier[label] = max(consumed, self.frontier.get(label, -1))
 
     def _finish_focus(
         self, goal, resource, antecedents, head, rest, displays,
@@ -339,6 +369,25 @@ class _Search:
                 _Event("apply", resource.rid, resource.word, head, displays + solved),
             )
             yield s2, a2, e2
+
+    def _focus_table(self, rid):
+        """The focus entries of resource `rid`, built on its first use and
+        keyed by head (structure, type): (antecedents, head, other head
+        components, display bindings, placeholder metavariables), in universe
+        then component order. Callers swap in fresh metavariables."""
+        table = self.focus_tables.get(rid)
+        if table is None:
+            table = {}
+            for antecedents, components, displays in self._focus(self.registry[rid].formula):
+                metavars = tuple(v for _, v in displays if isinstance(v, Var))
+                for k, head in enumerate(components):
+                    if isinstance(head, Atom):
+                        rest = components[:k] + components[k + 1 :]
+                        table.setdefault((head.sem, head.ty), []).append(
+                            (antecedents, head, rest, displays, metavars)
+                        )
+            self.focus_tables[rid] = table
+        return table
 
     def _focus(self, formula, displays=()):
         """Strip quantifiers and implications: yield (antecedents, head
@@ -391,7 +440,8 @@ def _as_premises(premise_set) -> list[Premise]:
 class SearchResult:
     """What one proof search found. `readings` use every premise exactly
     once; `partials` holds the unused premise ids of each goal-reaching
-    derivation that left some over; `frontier` lists, as (structure label,
+    derivation that left some over, counting those skipped as twin swaps;
+    `frontier` lists, as (structure label,
     type, premises consumed), each atomic goal nothing could supply, with the
     most premises consumed when it failed."""
 
@@ -423,10 +473,14 @@ def search(
         if free_vars(meaning) or hyp_consts(meaning):
             continue
         if avail:
-            partials.add(avail & engine.premise_ids)
+            partials |= _twin_swaps(avail & engine.premise_ids, engine.twin_classes)
             continue
         key = canonical_form(meaning)
-        entry = found.setdefault(key, {"meaning": _tidy_hints(meaning), "traces": []})
+        entry = found.get(key)
+        if entry is None:
+            entry = found[key] = {"meaning": _tidy_hints(meaning), "traces": []}
+        elif not all_traces:
+            continue  # default mode keeps the canonical (first) trace only
         trace = _render_trace(events, subst)
         if trace not in entry["traces"]:
             entry["traces"].append(trace)
@@ -441,6 +495,20 @@ def search(
     )
     frontier = tuple(sorted((sem, ty, n) for (sem, ty), n in engine.frontier.items()))
     return SearchResult(readings, frozenset(partials), frontier)
+
+
+def _twin_swaps(leftover: frozenset, twin_classes) -> set[frozenset]:
+    """`leftover` and every premise-id set it becomes when some of its twins
+    trade places with consumed twins of the same class: the leftovers of the
+    derivations the search skipped as twin swaps."""
+    fixed = leftover
+    choices = []
+    for members in twin_classes:
+        n = len(leftover & members)
+        if 0 < n < len(members):
+            fixed -= members
+            choices.append([frozenset(c) for c in itertools.combinations(members, n)])
+    return {fixed.union(*chosen) for chosen in itertools.product(*choices)}
 
 
 def derive(

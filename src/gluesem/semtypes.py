@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SyntaxErrorAt
+from .lexer import TokenStream, tokenize
 
 
 @dataclass(frozen=True)
@@ -54,55 +54,32 @@ def arity(ty: SemType) -> int:
 
 def parse_type(text: str) -> SemType:
     """Parse `e`, `t`, `e -> t`, `(e -> t) -> t` (arrows right-associative)."""
-    tokens = _tokenize_type(text)
-    ty, pos = _parse_arrow(tokens, 0, text)
-    if pos != len(tokens):
-        tok = tokens[pos]
-        raise SyntaxErrorAt(f"unexpected '{tok[0]}' in type", 1, tok[1] + 1)
+    ts = TokenStream(tokenize(text))
+    ty = parse_type_at(ts)
+    if not ts.at_end():
+        ts.fail(f"unexpected {ts.peek().text!r} in type")
     return ty
 
 
-def _tokenize_type(text: str) -> list[tuple[str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        elif text.startswith("->", i):
-            tokens.append(("->", i))
-            i += 2
-        elif c.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-        else:
-            raise SyntaxErrorAt(f"bad character {c!r} in type", 1, i + 1)
-    return tokens
+def parse_type_at(ts: TokenStream) -> SemType:
+    """Parse a type at the current position (arrows right-associative)."""
+    left = _parse_type_atom(ts)
+    arrow_tok = ts.accept("->")
+    if arrow_tok:
+        ts.descend("types", arrow_tok)
+        right = parse_type_at(ts)
+        ts.ascend()
+        return ArrowType(left, right)
+    return left
 
 
-def _parse_arrow(tokens, pos, text) -> tuple[SemType, int]:
-    left, pos = _parse_type_atom(tokens, pos, text)
-    if pos < len(tokens) and tokens[pos][0] == "->":
-        right, pos = _parse_arrow(tokens, pos + 1, text)
-        return ArrowType(left, right), pos
-    return left, pos
-
-
-def _parse_type_atom(tokens, pos, text) -> tuple[SemType, int]:
-    if pos >= len(tokens):
-        raise SyntaxErrorAt("type ended unexpectedly", 1, len(text) + 1)
-    tok, col = tokens[pos]
-    if tok == "(":
-        ty, pos = _parse_arrow(tokens, pos + 1, text)
-        if pos >= len(tokens) or tokens[pos][0] != ")":
-            raise SyntaxErrorAt("unclosed '(' in type", 1, col + 1)
-        return ty, pos + 1
-    if tok in ("->", ")"):
-        raise SyntaxErrorAt(f"unexpected '{tok}' in type", 1, col + 1)
-    return BaseType(tok), pos + 1
+def _parse_type_atom(ts: TokenStream) -> SemType:
+    open_tok = ts.accept("(")
+    if open_tok:
+        ts.descend("types", open_tok)
+        ty = parse_type_at(ts)
+        ts.ascend()
+        ts.expect(")")
+        return ty
+    tok = ts.expect("IDENT", "a type")
+    return BaseType(tok.text)

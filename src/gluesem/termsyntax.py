@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import TermTypeError, UnboundVariableError
 from .lexer import TokenStream, tokenize
-from .semtypes import ArrowType, BaseType, SemType
+from .semtypes import ArrowType, SemType, parse_type_at
 from .terms import App, BoundVar, Const, Lam, MeaningTerm, Var
 
 
@@ -37,23 +37,6 @@ class _RLam:
         self.name = name
         self.annot = annot
         self.body = body
-
-
-def parse_type_at(ts: TokenStream) -> SemType:
-    """Parse a type at the current position (arrows right-associative)."""
-    left = _parse_type_atom(ts)
-    if ts.accept("->"):
-        return ArrowType(left, parse_type_at(ts))
-    return left
-
-
-def _parse_type_atom(ts: TokenStream) -> SemType:
-    if ts.accept("("):
-        ty = parse_type_at(ts)
-        ts.expect(")")
-        return ty
-    tok = ts.expect("IDENT", "a type")
-    return BaseType(tok.text)
 
 
 def parse_term(
@@ -83,31 +66,41 @@ def parse_term_at(
 
 
 def _parse_raw(ts: TokenStream):
-    if ts.accept("\\"):
+    lam_tok = ts.accept("\\")
+    if lam_tok:
         name = ts.expect("IDENT", "a variable name").text
         annot = None
         if ts.accept(":"):
             annot = parse_type_at(ts)
         ts.expect(".")
-        return _RLam(name, annot, _parse_raw(ts))
+        ts.descend("meaning terms", lam_tok)
+        body = _parse_raw(ts)
+        ts.ascend()
+        return _RLam(name, annot, body)
     return _parse_applied(ts)
 
 
 def _parse_applied(ts: TokenStream):
     term = _parse_atom(ts)
+    levels = 0  # each argument list nests the application one level deeper
     while ts.peek().kind == "(":
-        ts.next()
+        ts.descend("meaning terms", ts.next())
+        levels += 1
         args = [_parse_raw(ts)]
         while ts.accept(","):
             args.append(_parse_raw(ts))
         ts.expect(")")
         term = _RApp(term, args)
+    ts.ascend(levels)
     return term
 
 
 def _parse_atom(ts: TokenStream):
-    if ts.accept("("):
+    open_tok = ts.accept("(")
+    if open_tok:
+        ts.descend("meaning terms", open_tok)
         term = _parse_raw(ts)
+        ts.ascend()
         ts.expect(")")
         return term
     tok = ts.expect("IDENT", "a term")

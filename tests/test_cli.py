@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from gluesem.cli import RunConfig, main, run
-from gluesem.fstruct import MAX_NESTING
+from gluesem.lexer import MAX_NESTING
 
 from conftest import FIXTURES
 
@@ -192,3 +194,45 @@ def test_nesting_past_the_limit_is_an_input_error(tmp_path):
     assert err.startswith("error: ")
     column = nested_adjuncts(3000).index(f"a{MAX_NESTING + 1}:") + 1
     assert f":1:{column}: f-structures nest deeper than {MAX_NESTING} levels" in err
+
+
+def deep_lexicon_line(kind: str, depth: int) -> str:
+    """A lexicon line whose type, meaning term or formula nests `depth`
+    parentheses; at any depth the line would leave `bah.fs` unchanged."""
+    opened, closed = "(" * depth, ")" * depth
+    return {
+        "type": f"constant deep : {opened}e{closed}",
+        "term": f"deep: ^ ~>_e {opened}Bill{closed}",
+        "formula": f"deep: {opened}(^) ~>_e Bill{closed}",
+    }[kind]
+
+
+def run_deep_lexicon(tmp_path, kind: str, depth: int):
+    path = tmp_path / "deep.lex"
+    core = (FIXTURES / "core.lex").read_text(encoding="utf-8")
+    path.write_text(core + deep_lexicon_line(kind, depth) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(RunConfig(str(FIXTURES / "bah.fs"), str(path)), out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+LEXICON_KINDS = {"type": "types", "term": "meaning terms", "formula": "formulas"}
+
+
+@pytest.mark.parametrize("kind", LEXICON_KINDS)
+def test_lexicon_nesting_at_the_limit_parses(tmp_path, kind):
+    code, out, err = run_deep_lexicon(tmp_path, kind, MAX_NESTING)
+    assert (code, out, err) == (0, "appoint(Bill, Hillary)\n", "")
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+@pytest.mark.parametrize("kind", LEXICON_KINDS)
+def test_lexicon_nesting_past_the_limit_is_an_input_error(tmp_path, kind, depth):
+    code, out, err = run_deep_lexicon(tmp_path, kind, depth)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    line = len((FIXTURES / "core.lex").read_text(encoding="utf-8").splitlines()) + 1
+    # The parenthesis that opens level MAX_NESTING + 1.
+    column = deep_lexicon_line(kind, depth).index("(") + MAX_NESTING + 1
+    assert f":{line}:{column}: {LEXICON_KINDS[kind]} nest deeper than {MAX_NESTING} levels" in err

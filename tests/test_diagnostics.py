@@ -15,6 +15,7 @@ from gluesem.diagnostics import (
     diagnose,
 )
 from gluesem.fstruct import parse_fstructure
+from gluesem.lexicon import parse_lexicon
 
 from conftest import load_fs
 
@@ -137,3 +138,22 @@ def test_diagnose_runs_one_proof_search(lexicon, monkeypatch, case, status):
 def test_failure_evidence_same_from_all_orders_search(lexicon, case):
     fs = load_case(case)
     assert diagnose(fs, lexicon, all_traces=True) == diagnose(fs, lexicon)
+
+
+TWIN_LEXICON = """\
+constant c : e
+constant odd : e -> t
+odd: forall X:e. ^ ~>_e X -o ^ ~>_t odd(X)
+thing: (mod ^) ~>_e c
+"""
+TWIN_THINGS = "f:[PRED 'odd'; MODS { m:[PRED 'thing']; n:[PRED 'thing'] }]"
+
+
+@pytest.mark.parametrize("all_traces", [False, True], ids=["default", "all-orders"])
+def test_twin_leftovers_are_all_named(all_traces):
+    # Either `thing` can feed `odd`; the search focuses only the first of the
+    # two identical premises, yet both are leftovers of some derivation.
+    diagnosis = diagnose(
+        parse_fstructure(TWIN_THINGS), parse_lexicon(TWIN_LEXICON), all_traces=all_traces
+    )
+    assert str(diagnosis) == "incoherent\nleftover: thing[2], thing[3]"

@@ -1,0 +1,54 @@
+"""Reading sets over the scope grid: `give` with q quantified arguments and
+k `obviously` modifiers (q <= 3, k <= 3, q + k >= 2), compared with the
+reading strings recorded in `fixtures/grid_readings.json` from the engine
+that explored every derivation of every reading."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from gluesem.fstruct import parse_fstructure, sigma
+from gluesem.lexicon import premises
+from gluesem.prover import Goal, derive
+
+from conftest import FIXTURES
+
+GOLDEN = json.loads((FIXTURES / "grid_readings.json").read_text(encoding="utf-8"))
+
+_ARGUMENTS = (  # (function, quantified node attributes, named node attributes)
+    ("SUBJ", "SPEC every; PRED 'candidate'", "PRED 'Bill'"),
+    ("OBJ", "SPEC a; PRED 'manager'", "PRED 'Hillary'"),
+    ("OBJ2", "SPEC some; PRED 'brief'", "PRED 'John'"),
+)
+
+
+def grid_fstructure(q: int, k: int) -> str:
+    """`give` whose first q arguments are quantified, modified k times."""
+    parts = ["PRED 'give'"] + [
+        f"{fn} a{i}:[{quantified if i < q else named}]"
+        for i, (fn, quantified, named) in enumerate(_ARGUMENTS)
+    ]
+    if k:
+        mods = "; ".join(f"m{j}:[PRED 'obviously']" for j in range(k))
+        parts.append(f"MODS {{ {mods} }}")
+    return "f:[" + "; ".join(parts) + "]"
+
+
+def grid_cells():
+    return [(q, k) for q in range(4) for k in range(4) if q + k >= 2]
+
+
+def grid_readings(lexicon, q: int, k: int) -> list[str]:
+    root = parse_fstructure(grid_fstructure(q, k))
+    return [str(r) for r in derive(premises(root, lexicon), Goal(sigma(root)))]
+
+
+def test_golden_covers_every_cell():
+    assert sorted(GOLDEN) == sorted(f"q{q}k{k}" for q, k in grid_cells())
+
+
+@pytest.mark.parametrize("q,k", grid_cells())
+def test_grid_readings_match_golden(lexicon, q, k):
+    assert grid_readings(lexicon, q, k) == GOLDEN[f"q{q}k{k}"]

@@ -5,13 +5,15 @@ currying invariance, oracle agreement)."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
+from gluesem import prover
 from gluesem.errors import SearchBoundError
 from gluesem.formulas import Atom, Limp, Tensor
-from gluesem.fstruct import SemStructure, sigma
+from gluesem.fstruct import SemStructure, parse_fstructure, sigma
 from gluesem.lexicon import Premise, parse_lexicon, premises
 from gluesem.prover import Goal, derive, entails, prop, unify
 from gluesem.semtypes import E, T, arrow
@@ -401,3 +403,56 @@ def test_unify_consistent_with_derived_scope(lexicon, everyone_fs):
     c = HypConst("z", E, fresh_stamp())
     subst = unify(apply(s, c), normalize(apply(scope, c)))
     assert equivalent(subst[s], scope)
+
+
+# --- cost: one derivation per reading -----------------------------------------
+
+
+def obviously_appoint(k: int):
+    mods = "; ".join(f"m{i}:[PRED 'obviously']" for i in range(k))
+    return parse_fstructure(
+        f"f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary']; MODS {{ {mods} }}]"
+    )
+
+
+def test_twin_modifiers_cost_grows_linearly(lexicon, monkeypatch):
+    # k identical `obviously` premises have k! derivations of one reading;
+    # the default search explores one of them.
+    calls = []
+    prove_atom = prover._Search.prove_atom
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return prove_atom(self, *args, **kwargs)
+
+    monkeypatch.setattr(prover._Search, "prove_atom", counting)
+    counts = []
+    for k in range(1, 7):
+        calls.clear()
+        (reading,) = readings_of(obviously_appoint(k), lexicon)
+        assert len(reading.traces) == 1
+        counts.append(len(calls))
+    assert counts == [3 * k + 3 for k in range(1, 7)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_all_traces_keeps_every_twin_order(lexicon, k):
+    (reading,) = readings_of(obviously_appoint(k), lexicon, all_traces=True)
+    # Each of the k! orders of the modifiers, times both argument orders.
+    assert len(set(reading.traces)) == len(reading.traces) == 2 * math.factorial(k)
+    modifier_orders = {
+        tuple(s.resource for s in trace if s.kind == "apply" and s.word == "obviously")
+        for trace in reading.traces
+    }
+    assert len(modifier_orders) == math.factorial(k)
+
+
+def test_default_mode_keeps_only_the_canonical_trace():
+    # Two equal formulas under different words are not twins: both orders
+    # are derived, but only the first-found derivation is rendered.
+    A, B = prop("A"), prop("B")
+    premise_set = [A, A, Limp(A, Limp(A, B))]
+    (reading,) = derive(premise_set, Goal(B.sem))
+    (every,) = derive(premise_set, Goal(B.sem), all_traces=True)
+    assert len(every.traces) == 2
+    assert reading.traces == every.traces[:1]
