@@ -316,12 +316,12 @@ class _Search:
             )
         assert isinstance(goal.sem, SemStructure), "goals must have concrete structures"
         produced = False
-        key = (goal.sem, goal.ty)
+        head_key = (goal.sem, goal.ty)
         for rid in sorted(avail, key=_rid_order):
             if self.prior_twin.get(rid) in avail:
                 continue
             resource = self.registry[rid]
-            for antecedents, head, rest, displays, metavars in self._focus_table(rid).get(key, ()):
+            for antecedents, head, rest, displays, metavars in self._focus_table(rid).get(head_key, ()):
                 if metavars:
                     fresh = {v: fresh_var(v.name, v.ty) for v in metavars}
                     antecedents = [a.substitute_meanings(fresh) for a in antecedents]
@@ -336,8 +336,8 @@ class _Search:
                     yield out
         if not produced:
             consumed = len(self.premise_ids - avail)
-            label = (goal.sem.label, str(goal.ty))
-            self.frontier[label] = max(consumed, self.frontier.get(label, -1))
+            key = (goal.sem.label, str(goal.ty))
+            self.frontier[key] = max(consumed, self.frontier.get(key, -1))
 
     def _finish_focus(
         self, goal, resource, antecedents, head, rest, displays,
@@ -441,9 +441,9 @@ class SearchResult:
     """What one proof search found. `readings` use every premise exactly
     once; `partials` holds the unused premise ids of each goal-reaching
     derivation that left some over, counting those skipped as twin swaps;
-    `frontier` lists, as (structure label,
-    type, premises consumed), each atomic goal nothing could supply, with the
-    most premises consumed when it failed."""
+    `frontier` lists, as (structure label, type, premises consumed), each
+    atomic goal nothing could supply, with the most premises consumed when it
+    failed."""
 
     readings: tuple[Reading, ...]
     partials: frozenset[frozenset[int]]
