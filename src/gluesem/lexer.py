@@ -21,9 +21,9 @@ class Token:
     column: int
 
 
-def tokenize(text: str, source: str | None = None) -> list[Token]:
+def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) -> list[Token]:
+    """Tokens of `text`, positioned as if it began at `line`:`col` of `source`."""
     tokens: list[Token] = []
-    line, col = 1, 1
     i = 0
     n = len(text)
     while i < n:

@@ -19,7 +19,7 @@ path from it, `(mod ^)` the node whose MODS set contains it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     MissingAttributeError,
@@ -30,9 +30,9 @@ from .errors import (
 )
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, PathRef, SemVar, Tensor
 from .fstruct import FStructure, resolve_path, sigma
-from .lexer import Token, TokenStream, tokenize
+from .lexer import TokenStream, tokenize
 from .semtypes import SemType, parse_type_at
-from .terms import Const, subterms, typecheck
+from .terms import typecheck
 from .termsyntax import parse_term_at
 
 _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
@@ -43,7 +43,6 @@ class LexicalEntry:
     headword: str
     aliases: tuple[str, ...]
     template: GlueFormula
-    constants: dict[str, SemType] = field(compare=False)
 
     def __str__(self) -> str:
         return f"{self.headword}: {self.template}"
@@ -78,15 +77,8 @@ def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
         # Constants may be declared anywhere in the file; parse templates after.
         entries_pending.append((words, template_part, lineno, len(head_part) + 1))
     for words, template_part, lineno, offset in entries_pending:
-        template, constants = _parse_template(
-            template_part, lineno, offset, lexicon.signature, source
-        )
-        entry = LexicalEntry(
-            headword=words[0],
-            aliases=tuple(words),
-            template=template,
-            constants=constants,
-        )
+        template = _parse_template(template_part, lineno, offset, lexicon.signature, source)
+        entry = LexicalEntry(headword=words[0], aliases=tuple(words), template=template)
         for word in words:
             key = word.casefold()
             if key in lexicon:
@@ -105,19 +97,12 @@ def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, source):
         raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, 1, source)
     if name in lexicon.signature:
         raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, 1, source)
-    ts = _tokens_for(type_part, lineno, len(line) - len(type_part), source)
+    column = len(line) - len(type_part) + 1
+    ts = TokenStream(tokenize(type_part, source, lineno, column), source)
     ty = parse_type_at(ts)
     if not ts.at_end():
         ts.fail("trailing input after type")
     lexicon.signature[name] = ty
-
-
-def _tokens_for(text: str, lineno: int, column_offset: int, source) -> TokenStream:
-    padded = " " * column_offset + text
-    tokens = [
-        Token(t.kind, t.text, lineno, t.column) for t in tokenize(padded, source)
-    ]
-    return TokenStream(tokens, source)
 
 
 class _TemplateParser:
@@ -237,7 +222,7 @@ class _TemplateParser:
 
 
 def _parse_template(text, lineno, column_offset, signature, source):
-    ts = _tokens_for(text, lineno, column_offset, source)
+    ts = TokenStream(tokenize(text, source, lineno, column_offset + 1), source)
     parser = _TemplateParser(ts, signature)
     template = parser.parse_formula()
     if not ts.at_end():
@@ -246,13 +231,7 @@ def _parse_template(text, lineno, column_offset, signature, source):
     if unbound:
         names = ", ".join(sorted(v.name for v in unbound))
         raise SyntaxErrorAt(f"unbound template variable(s) {names}", lineno, 1, source)
-    constants = {
-        t.name: t.ty
-        for atom in template.atoms()
-        for t in subterms(atom.meaning)
-        if isinstance(t, Const)
-    }
-    return template, constants
+    return template
 
 
 def instantiate(entry: LexicalEntry, node: FStructure) -> GlueFormula:

@@ -3,12 +3,15 @@
 Backward natural-deduction search with explicit resource threading: an atomic
 goal is proved by focusing one available resource, proving the antecedents
 collected along its implication spine (lazy tensor splitting falls out of
-threading the availability set through those subproofs), and finally matching
-the head against the goal. Universal meaning variables become metavariables
-solved by pattern unification; universal structure variables range over the
-finite structure universe of the analysis. Nested implication antecedents are
-proved hypothetically: assume a fresh tagged constant, prove the inner
-consequent consuming the assumption exactly once, discharge by abstraction.
+threading the availability set through those subproofs), and handing the
+head's meaning back to the caller, which unifies its pattern with it.
+Universal meaning variables become metavariables solved by pattern
+unification; each premise is consumed once, so a focus's metavariables are
+its own, solved in a substitution of its own, and its head meaning comes back
+closed. Universal structure variables range over the finite structure
+universe of the analysis. Nested implication antecedents are proved
+hypothetically: assume a fresh tagged constant, prove the inner consequent
+consuming the assumption exactly once, discharge by abstraction.
 
 Each resource's focus table (its antecedents and head for every choice of
 structure variables, keyed by head structure and type) is built once per
@@ -23,7 +26,7 @@ every order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import GlueError, NonPatternError, SearchBoundError
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, Tensor, flatten_tensor
@@ -42,8 +45,6 @@ from .terms import (
     canonical_form,
     format_term,
     free_vars,
-    fresh_stamp,
-    fresh_var,
     hyp_consts,
     normalize,
     spine,
@@ -112,7 +113,8 @@ def unify(pattern: MeaningTerm, term: MeaningTerm, subst: dict | None = None):
     Metavariables live in the pattern only; a higher-order metavariable must
     be applied to distinct hypothesis constants (the pattern restriction) and
     is solved by abstracting them out of `term`. Anything outside that
-    fragment raises NonPatternError rather than guessing.
+    fragment raises NonPatternError rather than guessing. Bindings passed in
+    `subst` must be closed terms.
     """
     subst = dict(subst) if subst else {}
     closed = normalize(substitute(term, subst))
@@ -151,15 +153,14 @@ def _unify(pattern, term, subst):
 
 
 def _bind(subst, var: Var, term: MeaningTerm):
+    # The term side is closed, so no existing binding mentions `var`.
     if not _locally_closed(term):
         raise NonPatternError("binding would capture a bound variable")
     if var in free_vars(term):
         return None
     if typecheck(term) != var.ty:
         return None
-    replaced = {v: substitute(t, {var: term}) for v, t in subst.items()}
-    replaced[var] = term
-    return replaced
+    return {**subst, var: term}
 
 
 def _locally_closed(term, depth=0) -> bool:
@@ -195,30 +196,34 @@ class _Resource:
 
 
 class _Search:
-    """One search for `goal` over `premise_list`. Structure variables range
-    over every structure the premises or the goal mention. Each atomic goal
-    no resource could supply is kept in `frontier` with the most premises
-    consumed when it failed.
+    """One search over `premise_list`. Structure variables range over every
+    structure the premises or `goal_sems` mention. Hypothesis and
+    metavariable stamps are numbered by this search alone, so no result
+    depends on what ran earlier in the process. Each atomic goal whose
+    pattern no supplied meaning matched is kept in `frontier` with the most
+    premises consumed when it failed.
 
     Premises with equal formulas and words are *twins*. Unless `all_orders`
     is set, a premise is focused only once every earlier twin is consumed, so
     twins are used in index order and derivations that differ only by
     swapping twins are explored once."""
 
-    def __init__(self, premise_list, goal, all_orders=False, depth_bound=None):
+    def __init__(self, premise_list, goal_sems, all_orders=False, depth_bound=None):
         self.registry: dict[int | str, _Resource] = {
             p.index: _Resource(p.index, p.formula, p.word) for p in premise_list
         }
         self.premise_ids = frozenset(p.index for p in premise_list)
-        formulas = [goal] + [p.formula for p in premise_list]
-        sems = {a.sem for f in formulas for a in f.atoms() if isinstance(a.sem, SemStructure)}
-        self.universe = sorted(sems, key=lambda s: s.label)
+        sems = {a.sem for p in premise_list for a in p.formula.atoms()} | set(goal_sems)
+        self.universe = sorted(
+            (s for s in sems if isinstance(s, SemStructure)), key=lambda s: s.label
+        )
         if depth_bound is None:
             depth_bound = sum(p.formula.connectives() + 1 for p in premise_list) + 2
         self.bound = depth_bound
         self.all_orders = all_orders
         self.frontier: dict[tuple[str, str], int] = {}
         self.hyp_counter = itertools.count(1)
+        self.stamps = itertools.count(1)
         self.name_counts: dict[str, int] = {}
         self.focus_tables: dict[int | str, dict] = {}
         classes: dict[tuple, list[int]] = {}
@@ -237,7 +242,22 @@ class _Search:
     def prove(self, goal: GlueFormula, avail: frozenset, subst, depth, events):
         match goal:
             case Atom():
-                yield from self.prove_atom(goal, avail, subst, depth, events)
+                matched = False
+                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail, depth, events):
+                    s2 = _unify(goal.meaning, meaning, subst)
+                    if s2 is None:
+                        continue
+                    matched = True
+                    solved = sorted(
+                        ((v.name, t) for v, t in s2.items() if v not in subst),
+                        key=lambda b: b[0],
+                    )
+                    applied = e2[-1]
+                    yield s2, a2, e2[:-1] + (
+                        replace(applied, displays=applied.displays + tuple(solved)),
+                    )
+                if not matched:
+                    self.record_failure(goal.sem, goal.ty, avail)
             case Tensor():
                 yield from self.prove_all(flatten_tensor(goal), avail, subst, depth, events)
             case Limp():
@@ -246,6 +266,11 @@ class _Search:
                 yield from self.prove_forall(goal, avail, subst, depth, events)
             case _:
                 raise GlueError(f"unsupported goal form: {goal}")
+
+    def record_failure(self, sem, ty, avail):
+        key = (sem.label, str(ty))
+        consumed = len(self.premise_ids - avail)
+        self.frontier[key] = max(consumed, self.frontier.get(key, -1))
 
     def prove_all(self, goals, avail, subst, depth, events):
         if self.all_orders and len(goals) > 1:
@@ -289,7 +314,9 @@ class _Search:
         hyp = self._fresh_hyp(var.name, var.ty)
         body = goal.body.substitute_meanings({Var(var.name, var.ty): hyp})
         for s2, a2, e2 in self.prove(body, avail, subst, depth, events):
-            if self._leaks(hyp, s2):
+            # The owning focus's bindings are visible outside the
+            # hypothesis's scope, so none of them may mention it.
+            if any(hyp in hyp_consts(term) for term in s2.values()):
                 continue
             yield s2, a2, e2 + (_Event("discharge", None, hyp.name, None),)
 
@@ -297,94 +324,66 @@ class _Search:
         n = self.name_counts.get(base, 0) + 1
         self.name_counts[base] = n
         name = base if n == 1 else f"{base}{n}"
-        return HypConst(name, ty, fresh_stamp())
-
-    def _leaks(self, hyp: HypConst, subst) -> bool:
-        # A metavariable older than the hypothesis must not have absorbed it:
-        # its solution is visible outside the hypothesis's scope.
-        return any(
-            var.stamp < hyp.stamp and hyp in hyp_consts(term)
-            for var, term in subst.items()
-        )
+        return HypConst(name, ty, next(self.stamps))
 
     # -- atomic goals: focus a resource --------------------------------------
 
-    def prove_atom(self, goal: Atom, avail, subst, depth, events):
+    def prove_atom(self, sem, ty, avail, depth, events):
+        """Focus each available resource whose head can be `sem ~>_ty`, proving
+        its antecedents in a substitution that starts empty: yield (closed
+        meaning, remaining resources, events), the last event being the
+        focus's `apply`."""
         if depth > self.bound:
             raise SearchBoundError(
                 f"derivation depth exceeded the bound of {self.bound}"
             )
-        assert isinstance(goal.sem, SemStructure), "goals must have concrete structures"
-        produced = False
-        head_key = (goal.sem, goal.ty)
+        assert isinstance(sem, SemStructure), "goals must have concrete structures"
         for rid in sorted(avail, key=_rid_order):
             if self.prior_twin.get(rid) in avail:
                 continue
             resource = self.registry[rid]
-            for antecedents, head, rest, displays, metavars in self._focus_table(rid).get(head_key, ()):
-                if metavars:
-                    fresh = {v: fresh_var(v.name, v.ty) for v in metavars}
-                    antecedents = [a.substitute_meanings(fresh) for a in antecedents]
-                    head = head.substitute_meanings(fresh)
-                    rest = [r.substitute_meanings(fresh) for r in rest]
-                    displays = tuple((name, fresh.get(v, v)) for name, v in displays)
-                for out in self._finish_focus(
-                    goal, resource, antecedents, head, rest, displays,
-                    avail - {rid}, subst, depth, events,
-                ):
-                    produced = True
-                    yield out
-        if not produced:
-            consumed = len(self.premise_ids - avail)
-            key = (goal.sem.label, str(goal.ty))
-            self.frontier[key] = max(consumed, self.frontier.get(key, -1))
+            for antecedents, head, rest, displays in self._focus_table(rid).get((sem, ty), ()):
+                yield from self._finish_focus(
+                    resource, antecedents, head, rest, displays,
+                    avail - {rid}, depth, events,
+                )
 
-    def _finish_focus(
-        self, goal, resource, antecedents, head, rest, displays,
-        avail, subst, depth, events,
-    ):
-        for s1, a1, e1 in self.prove_all(antecedents, avail, subst, depth + 1, events):
-            head_meaning = normalize(substitute(head.meaning, s1))
-            if free_vars(head_meaning):
-                names = ", ".join(sorted(v.name for v in free_vars(head_meaning)))
+    def _finish_focus(self, resource, antecedents, head, rest, displays, avail, depth, events):
+        for s1, a1, e1 in self.prove_all(antecedents, avail, {}, depth + 1, events):
+            meaning = normalize(substitute(head.meaning, s1))
+            if free_vars(meaning):
+                names = ", ".join(sorted(v.name for v in free_vars(meaning)))
                 raise NonPatternError(
                     f"head of '{resource.word}' still contains metavariable(s) "
                     f"{names} after its antecedents were proved"
                 )
-            s2 = _unify(goal.meaning, head_meaning, s1)
-            if s2 is None:
-                continue
-            solved = tuple(
-                (v.name, v) for v in (set(s2) - set(s1)) if not v.name.startswith("%")
-            )
-            a2 = a1
-            e2 = e1
             for extra in rest:
-                extra = extra.substitute_meanings(s2)
+                extra = extra.substitute_meanings(s1)
                 rid2 = f"d{next(self.hyp_counter)}"
                 self.registry[rid2] = _Resource(rid2, extra, resource.word)
-                a2 = a2 | {rid2}
-                e2 = e2 + (_Event("derive", rid2, resource.word, extra),)
-            e2 = e2 + (
-                _Event("apply", resource.rid, resource.word, head, displays + solved),
+                a1 = a1 | {rid2}
+                e1 = e1 + (_Event("derive", rid2, resource.word, extra),)
+            shown = tuple(
+                (name, substitute(v, s1) if isinstance(v, Var) else v) for name, v in displays
             )
-            yield s2, a2, e2
+            applied = Atom(head.sem, head.ty, meaning)
+            yield meaning, a1, e1 + (
+                _Event("apply", resource.rid, resource.word, applied, shown),
+            )
 
     def _focus_table(self, rid):
         """The focus entries of resource `rid`, built on its first use and
         keyed by head (structure, type): (antecedents, head, other head
-        components, display bindings, placeholder metavariables), in universe
-        then component order. Callers swap in fresh metavariables."""
+        components, display bindings), in universe then component order."""
         table = self.focus_tables.get(rid)
         if table is None:
             table = {}
             for antecedents, components, displays in self._focus(self.registry[rid].formula):
-                metavars = tuple(v for _, v in displays if isinstance(v, Var))
                 for k, head in enumerate(components):
                     if isinstance(head, Atom):
                         rest = components[:k] + components[k + 1 :]
                         table.setdefault((head.sem, head.ty), []).append(
-                            (antecedents, head, rest, displays, metavars)
+                            (antecedents, head, rest, displays)
                         )
             self.focus_tables[rid] = table
         return table
@@ -396,7 +395,7 @@ class _Search:
         match formula:
             case Forall(var, body):
                 if isinstance(var, MeaningVar):
-                    fresh = fresh_var(var.name, var.ty)
+                    fresh = Var(var.name, var.ty, next(self.stamps))
                     instantiated = body.substitute_meanings(
                         {Var(var.name, var.ty): fresh}
                     )
@@ -442,8 +441,9 @@ class SearchResult:
     once; `partials` holds the unused premise ids of each goal-reaching
     derivation that left some over, counting those skipped as twin swaps;
     `frontier` lists, as (structure label, type, premises consumed), each
-    atomic goal nothing could supply, with the most premises consumed when it
-    failed."""
+    atomic goal for which no resource supplied a meaning its pattern matches
+    (the sentence goal: no meaning at all), with the most premises consumed
+    when it failed."""
 
     readings: tuple[Reading, ...]
     partials: frozenset[frozenset[int]]
@@ -462,15 +462,14 @@ def search(
     for premise in premise_list:
         if not premise.formula.is_closed():
             raise GlueError(f"premise {premise.tag()} is not closed")
-    goal_var = fresh_var("%goal", goal.ty)
-    goal_atom = Atom(goal.sem, goal.ty, goal_var)
-    engine = _Search(premise_list, goal_atom, all_traces, depth_bound)
+    engine = _Search(premise_list, [goal.sem], all_traces, depth_bound)
 
     found: dict[MeaningTerm, dict] = {}
     partials: set[frozenset] = set()
-    for subst, avail, events in engine.prove(goal_atom, engine.premise_ids, {}, 0, ()):
-        meaning = normalize(substitute(goal_var, subst))
-        if free_vars(meaning) or hyp_consts(meaning):
+    supplied = False
+    for meaning, avail, events in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids, 0, ()):
+        supplied = True
+        if hyp_consts(meaning):
             continue
         if avail:
             partials |= _twin_swaps(avail & engine.premise_ids, engine.twin_classes)
@@ -481,9 +480,11 @@ def search(
             entry = found[key] = {"meaning": _tidy_hints(meaning), "traces": []}
         elif not all_traces:
             continue  # default mode keeps the canonical (first) trace only
-        trace = _render_trace(events, subst)
+        trace = _render_trace(events)
         if trace not in entry["traces"]:
             entry["traces"].append(trace)
+    if not supplied:
+        engine.record_failure(goal.sem, goal.ty, engine.premise_ids)
     readings = tuple(
         sorted(
             (
@@ -536,34 +537,33 @@ def _tidy_hints(term: MeaningTerm) -> MeaningTerm:
             return term
 
 
-def _render_trace(events, subst) -> Trace:
+def _render_trace(events) -> Trace:
     steps = []
     for ev in events:
-        detail = _render_formula(ev.atom, subst) if ev.atom is not None else ""
-        bindings = tuple((name, _render_value(value, subst)) for name, value in ev.displays)
+        detail = _render_formula(ev.atom) if ev.atom is not None else ""
+        bindings = tuple((name, _render_value(value)) for name, value in ev.displays)
         steps.append(TraceStep(ev.kind, ev.ref, ev.word, detail, bindings))
     return tuple(steps)
 
 
-def _render_formula(formula: GlueFormula, subst) -> str:
-    rendered = formula.substitute_meanings(subst)
-    if isinstance(rendered, Atom):
-        return str(Atom(rendered.sem, rendered.ty, normalize(rendered.meaning)))
-    return str(rendered)
+def _render_formula(formula: GlueFormula) -> str:
+    if isinstance(formula, Atom):
+        return str(Atom(formula.sem, formula.ty, normalize(formula.meaning)))
+    return str(formula)
 
 
-def _render_value(value, subst) -> str:
-    if isinstance(value, SemStructure):
-        return str(value)
+def _render_value(value) -> str:
     if isinstance(value, MeaningTerm):
-        return format_term(normalize(substitute(value, subst)))
+        return format_term(normalize(value))
     return str(value)
 
 
 def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     """Linear entailment with exact resource usage for propositional
     tensor-fragment formulas."""
-    engine = _Search(_as_premises(flatten_tensor(antecedent)), consequent)
+    engine = _Search(
+        _as_premises(flatten_tensor(antecedent)), [a.sem for a in consequent.atoms()]
+    )
     return any(
         not avail
         for _subst, avail, _events in engine.prove(

@@ -74,11 +74,9 @@ _fresh = itertools.count(1)
 
 
 def fresh_stamp() -> int:
+    """A process-wide unique stamp for hand-built hypothesis constants; the
+    prover numbers its own per search."""
     return next(_fresh)
-
-
-def fresh_var(base: str, ty: SemType) -> Var:
-    return Var(base, ty, fresh_stamp())
 
 
 def apply(fun: MeaningTerm, *args: MeaningTerm) -> MeaningTerm:

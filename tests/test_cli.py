@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import gluesem
 from gluesem.cli import RunConfig, main, run
 from gluesem.lexer import MAX_NESTING
 
@@ -236,3 +241,93 @@ def test_lexicon_nesting_past_the_limit_is_an_input_error(tmp_path, kind, depth)
     # The parenthesis that opens level MAX_NESTING + 1.
     column = deep_lexicon_line(kind, depth).index("(") + MAX_NESTING + 1
     assert f":{line}:{column}: {LEXICON_KINDS[kind]} nest deeper than {MAX_NESTING} levels" in err
+
+
+@pytest.mark.parametrize(
+    "line,where",
+    [
+        ("constant bad : e -> @", ":{n}:21: unexpected character '@'"),
+        ("bad: ^ ~> f($)", ":{n}:13: unexpected character '$'"),
+        ("bad: ^ ~> 'Bill", ":{n}:11: unterminated quoted symbol"),
+    ],
+    ids=["type", "template", "quote"],
+)
+def test_lexicon_token_error_reports_its_line(tmp_path, line, where):
+    path = tmp_path / "bad.lex"
+    core = (FIXTURES / "core.lex").read_text(encoding="utf-8")
+    path.write_text(core + line + "\n", encoding="utf-8")
+    code, out, err = run_cli("derive", "--fstructure", str(FIXTURES / "bah.fs"), "--lexicon", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}{where.format(n=len(core.splitlines()) + 1)}\n"
+
+
+PAIR_LEXICON = """\
+constant pair : e -> e -> e
+constant Bill : e
+constant Hillary : e
+constant meet : e -> t
+both: ^ ~> pair(Bill, Hillary)
+meet: forall X:e, Y:e. (^ SUBJ) ~> {pattern} -o ^ ~> meet(pair(Y, X))
+"""
+
+
+@pytest.mark.parametrize(
+    "pattern,bindings",
+    [("pair(X, Y)", "X ↦ Bill, Y ↦ Hillary"), ("pair(Y, X)", "X ↦ Hillary, Y ↦ Bill")],
+)
+def test_trace_bindings_do_not_depend_on_the_hash_seed(tmp_path, pattern, bindings):
+    # One unification solves X and Y together; the trace lists them by name
+    # whatever order the interpreter's string hashing or the pattern gives.
+    lexicon = tmp_path / "pair.lex"
+    lexicon.write_text(PAIR_LEXICON.format(pattern=pattern), encoding="utf-8")
+    fs = tmp_path / "pair.fs"
+    fs.write_text("f:[PRED 'meet'; SUBJ g:[PRED 'both']]", encoding="utf-8")
+    src = pathlib.Path(gluesem.__file__).resolve().parent.parent
+    argv = [sys.executable, "-m", "gluesem", "derive", "--fstructure", str(fs),
+            "--lexicon", str(lexicon), "--json", "--trace"]
+    documents = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        documents.add(done.stdout)
+    assert len(documents) == 1
+    (trace,) = (r["trace"] for r in json.loads(documents.pop())["readings"])
+    assert trace[0] == f"apply [2] both: g_σ ~>_e pair(Bill, Hillary)  {bindings}"
+
+
+GREET_LEXICON = """\
+constant Bill : e
+constant Hillary : e
+constant greet : e -> t
+bill: ^ ~> Bill
+hillary: ^ ~> Hillary
+greetbill: (^ OBJ) ~> Bill -o ^ ~> greet(Bill)
+"""
+
+
+@pytest.mark.parametrize(
+    "fstructure,code,stderr",
+    [
+        (
+            "f:[PRED 'greetbill'; OBJ g:[PRED 'hillary']]",
+            2,
+            "incomplete\nunsatisfied: g : e\n",
+        ),
+        (
+            "f:[PRED 'greetbill'; OBJ g:[PRED 'hillary']; OBJ2 h:[PRED 'bill']]",
+            4,
+            "incomplete+incoherent\nunsatisfied: g : e\nleftover: bill[3]\n",
+        ),
+    ],
+    ids=["incomplete", "incomplete+incoherent"],
+)
+def test_constant_pattern_mismatch_is_the_unsatisfied_demand(tmp_path, fstructure, code, stderr):
+    # `g` supplies Hillary where the verb's pattern wants Bill: the demand
+    # that fails is the object's, not the sentence's.
+    lexicon = tmp_path / "greet.lex"
+    lexicon.write_text(GREET_LEXICON, encoding="utf-8")
+    fs = tmp_path / "greet.fs"
+    fs.write_text(fstructure, encoding="utf-8")
+    assert run_cli("derive", "--fstructure", str(fs), "--lexicon", str(lexicon)) == (
+        code, "", stderr,
+    )

@@ -50,7 +50,6 @@ def test_parse_transitive_verb_entry(lexicon):
 def test_parse_atomic_entry(lexicon):
     entry = lexicon["bill"]
     assert entry.template == Atom(PathRef("up"), E, Const("Bill", E))
-    assert entry.constants == {"Bill": E}
 
 
 def test_parse_quantifier_entry_nests_an_implication(lexicon):

@@ -12,12 +12,22 @@ import pytest
 
 from gluesem import prover
 from gluesem.errors import SearchBoundError
-from gluesem.formulas import Atom, Limp, Tensor
+from gluesem.formulas import Atom, Forall, Limp, MeaningVar, Tensor
 from gluesem.fstruct import SemStructure, parse_fstructure, sigma
 from gluesem.lexicon import Premise, parse_lexicon, premises
 from gluesem.prover import Goal, derive, entails, prop, unify
 from gluesem.semtypes import E, T, arrow
-from gluesem.terms import Const, Var, apply, canonical_form, equivalent, format_term
+from gluesem.terms import (
+    App,
+    Const,
+    Var,
+    apply,
+    canonical_form,
+    equivalent,
+    format_term,
+    free_vars,
+    hyp_consts,
+)
 
 from conftest import FIXTURES
 from oracles import enumerate_readings
@@ -456,3 +466,39 @@ def test_default_mode_keeps_only_the_canonical_trace():
     (every,) = derive(premise_set, Goal(B.sem), all_traces=True)
     assert len(every.traces) == 2
     assert reading.traces == every.traces[:1]
+
+
+# --- atomic subproofs hand back closed meanings -------------------------------
+
+
+def test_prove_atom_yields_closed_meanings_equal_to_readings(lexicon, scope_fs):
+    # A focus solves its own metavariables, so what an atomic goal yields is
+    # a closed meaning the caller unifies with its pattern.
+    premise_list = list(premises(scope_fs, lexicon))
+    goal = sigma(scope_fs)
+    engine = prover._Search(premise_list, [goal])
+    complete = []
+    for meaning, avail, _events in engine.prove_atom(goal, T, engine.premise_ids, 0, ()):
+        assert not free_vars(meaning) and not hyp_consts(meaning)
+        if not avail:
+            complete.append(canonical_form(meaning))
+    assert set(complete) == meanings(derive(premise_list, Goal(goal)))
+    assert len(set(complete)) == 2
+
+
+def test_hypothesis_must_not_leak_into_its_focus_bindings():
+    # P is bound outside `forall x`, so it may not absorb x: the only proof
+    # of f ~> P under g ~> x gives P = arrive(x), and there is no reading.
+    g, f = SemStructure("g"), SemStructure("f")
+    X, P, x = Var("X", E), Var("P", T), Var("x", E)
+    arrive = Forall(
+        MeaningVar("X", E), Limp(Atom(g, E, X), Atom(f, T, App(Const("arrive", arrow(E, T)), X)))
+    )
+    ignore = Forall(
+        MeaningVar("P", T),
+        Limp(
+            Forall(MeaningVar("x", E), Limp(Atom(g, E, x), Atom(f, T, P))),
+            Atom(f, T, Const("done", T)),
+        ),
+    )
+    assert derive([arrive, ignore], Goal(f)) == ()
