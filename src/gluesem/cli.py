@@ -22,7 +22,7 @@ from .diagnostics import (
     Diagnosis,
     diagnose,
 )
-from .errors import GlueError, MissingEntryError, SyntaxErrorAt
+from .errors import GlueError, MissingEntryError
 from .fstruct import parse_fstructure, sigma
 from .lexicon import parse_lexicon
 from .prover import Goal, Reading
@@ -111,13 +111,7 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     try:
         root, lexicon, goal = _load_inputs(config)
-    except (OSError, SyntaxErrorAt, ValueError) as exc:
-        print(f"error: {exc}", file=stderr)
-        return 1
-    try:
-        diagnosis = diagnose(
-            root, lexicon, goal, all_traces=config.all_traces
-        )
+        diagnosis = diagnose(root, lexicon, goal, all_traces=config.all_traces)
     except MissingEntryError as exc:
         if config.json_output:
             payload = {
@@ -128,7 +122,7 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         else:
             print(f"error: {exc}", file=stderr)
         return 5
-    except GlueError as exc:
+    except (OSError, ValueError, GlueError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
     if config.json_output:

@@ -1,7 +1,15 @@
-"""Tokenizer shared by the term, lexicon, and f-structure parsers."""
+"""Tokenizer shared by the term, lexicon, and f-structure parsers.
+
+One regular expression reads the text: spaces, newlines, `#` comments to the
+end of the line, `'quoted symbols'`, the symbols `->`, `-o`, `~>` and single
+punctuation marks, and identifiers (a letter, then letters, digits and `_`).
+Anything else is an error at its line and column. Symbols are tried before
+identifiers, so `_a` is `_`, `a`.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import SyntaxErrorAt
@@ -10,7 +18,12 @@ from .errors import SyntaxErrorAt
 # to exhaust the interpreter's stack in the recursive parsers and walkers.
 MAX_NESTING = 100
 
-_SYMBOLS = ("->", "-o", "~>", "(", ")", "[", "]", "{", "}", ";", ":", ",", ".", "\\", "*", "^", "_")
+_TOKEN = re.compile(
+    r"(?P<space>[^\S\n]+)|(?P<newline>\n)|(?P<comment>#[^\n]*)"
+    r"|'(?P<QUOTED>[^'\n]*)'|(?P<symbol>->|-o|~>|[()\[\]{};:,.\\*^_])"
+    r"|(?P<IDENT>\w+)|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -24,50 +37,25 @@ class Token:
 def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) -> list[Token]:
     """Tokens of `text`, positioned as if it began at `line`:`col` of `source`."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line_start = 1 - col  # offset of the current line's column 1
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "space" or kind == "comment":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = match.end()
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and text[j] not in "'\n":
-                j += 1
-            if j >= n or text[j] != "'":
-                raise SyntaxErrorAt("unterminated quoted symbol", line, col, source)
-            tokens.append(Token("QUOTED", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise SyntaxErrorAt(f"unexpected character {c!r}", line, col, source)
-    tokens.append(Token("EOF", "", line, col))
+        column = match.start() - line_start + 1
+        if kind == "symbol":
+            tokens.append(Token(match.group(), match.group(), line, column))
+        elif kind == "QUOTED" or kind == "IDENT" and match.group()[0].isalpha():
+            tokens.append(Token(kind, match.group(kind), line, column))
+        elif match.group() == "'":
+            raise SyntaxErrorAt("unterminated quoted symbol", line, column, source)
+        else:  # a stray character, or a word that starts with a digit
+            raise SyntaxErrorAt(f"unexpected character {match.group()[0]!r}", line, column, source)
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -25,14 +25,12 @@ from .errors import (
     MissingAttributeError,
     MissingEntryError,
     SyntaxErrorAt,
-    TermTypeError,
     UninstantiableEntryError,
 )
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, PathRef, SemVar, Tensor
 from .fstruct import FStructure, resolve_path, sigma
 from .lexer import TokenStream, tokenize
 from .semtypes import SemType, parse_type_at
-from .terms import typecheck
 from .termsyntax import parse_term_at
 
 _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
@@ -186,11 +184,7 @@ class _TemplateParser:
         explicit: SemType | None = None
         if self.ts.accept("_"):
             explicit = parse_type_at(self.ts)
-        meaning = parse_term_at(self.ts, self.signature, self.meaning_scope)
-        try:
-            meaning_ty = typecheck(meaning)
-        except TermTypeError as exc:
-            self.ts.fail(f"ill-typed meaning side: {exc}")
+        meaning, meaning_ty = parse_term_at(self.ts, self.signature, self.meaning_scope)
         if explicit is not None and explicit != meaning_ty:
             self.ts.fail(
                 f"type index {explicit} conflicts with meaning type {meaning_ty}"
@@ -227,10 +221,6 @@ def _parse_template(text, lineno, column_offset, signature, source):
     template = parser.parse_formula()
     if not ts.at_end():
         ts.fail(f"unexpected {ts.peek().text!r} after template")
-    unbound = template.free_meaning_vars()
-    if unbound:
-        names = ", ".join(sorted(v.name for v in unbound))
-        raise SyntaxErrorAt(f"unbound template variable(s) {names}", lineno, 1, source)
     return template
 
 

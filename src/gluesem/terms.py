@@ -234,19 +234,6 @@ def _occurs_index(term, target) -> bool:
             return False
 
 
-def _strip_binder(term, depth=0):
-    # Remove one enclosing binder: indices past `depth` shift down by one.
-    match term:
-        case BoundVar(index):
-            return BoundVar(index - 1) if index > depth else term
-        case App(fun, arg):
-            return App(_strip_binder(fun, depth), _strip_binder(arg, depth))
-        case Lam(ty, body, hint):
-            return Lam(ty, _strip_binder(body, depth + 1), hint)
-        case _:
-            return term
-
-
 def _beta(term):
     match term:
         case App(fun, arg):
@@ -272,7 +259,9 @@ def _eta(term):
                 and body.arg == BoundVar(0)
                 and not _occurs_index(body.fun, 0)
             ):
-                return _strip_binder(body.fun)
+                # Index 0 does not occur in body.fun, so opening the binder
+                # only shifts the outer indices down: the contraction.
+                return open_binder(body.fun, body.arg)
             return Lam(ty, body, hint)
         case _:
             return term

@@ -1,8 +1,14 @@
 """Concrete syntax for meaning terms.
 
 Application is written `f(a, b)` (sugar for curried application), abstraction
-`\\x. body` with an optional annotation `\\x:e. body`. Unannotated binder types
-are inferred by unification; constants take their types from a signature.
+`\\x. body` with an optional annotation `\\x:e. body`. Constants take their
+types from a signature.
+
+One recursive descent reads, resolves and types a term: each identifier is
+resolved at its token (binders, then `env`, then the signature), an
+unannotated binder gets a type variable, and each argument is unified with
+its function's type as soon as it is read. Once the whole term is read, the
+solved type variables are substituted into the binders (zonking).
 """
 
 from __future__ import annotations
@@ -20,25 +26,6 @@ class _TypeMeta(SemType):
     ident: int
 
 
-class _RVar:
-    def __init__(self, name, tok):
-        self.name = name
-        self.tok = tok
-
-
-class _RApp:
-    def __init__(self, fun, args):
-        self.fun = fun
-        self.args = args
-
-
-class _RLam:
-    def __init__(self, name, annot, body):
-        self.name = name
-        self.annot = annot
-        self.body = body
-
-
 def parse_term(
     text: str,
     signature: dict[str, SemType],
@@ -48,7 +35,7 @@ def parse_term(
     """Parse and type a term; free names resolve via env (variables) then
     signature (constants)."""
     ts = TokenStream(tokenize(text, source), source)
-    term = parse_term_at(ts, signature, env)
+    term, _ = parse_term_at(ts, signature, env)
     if not ts.at_end():
         ts.fail(f"unexpected {ts.peek().text!r} after term")
     return term
@@ -58,61 +45,90 @@ def parse_term_at(
     ts: TokenStream,
     signature: dict[str, SemType],
     env: dict[str, SemType] | None = None,
-) -> MeaningTerm:
-    raw = _parse_raw(ts)
-    inference = _Inference(signature, env or {})
-    term, _ = inference.elaborate(raw, [])
-    return inference.zonk_term(term, ts)
+) -> tuple[MeaningTerm, SemType]:
+    """The term at the current position and its type."""
+    parser = _TermParser(ts, signature, env or {})
+    term, ty = parser.parse()
+    if parser.unannotated:  # annotated binders already hold their final types
+        term = parser.zonk_term(term)
+    return term, parser.zonk_type(ty)
 
 
-def _parse_raw(ts: TokenStream):
-    lam_tok = ts.accept("\\")
-    if lam_tok:
-        name = ts.expect("IDENT", "a variable name").text
-        annot = None
-        if ts.accept(":"):
-            annot = parse_type_at(ts)
-        ts.expect(".")
-        ts.descend("meaning terms", lam_tok)
-        body = _parse_raw(ts)
-        ts.ascend()
-        return _RLam(name, annot, body)
-    return _parse_applied(ts)
-
-
-def _parse_applied(ts: TokenStream):
-    term = _parse_atom(ts)
-    levels = 0  # each argument list nests the application one level deeper
-    while ts.peek().kind == "(":
-        ts.descend("meaning terms", ts.next())
-        levels += 1
-        args = [_parse_raw(ts)]
-        while ts.accept(","):
-            args.append(_parse_raw(ts))
-        ts.expect(")")
-        term = _RApp(term, args)
-    ts.ascend(levels)
-    return term
-
-
-def _parse_atom(ts: TokenStream):
-    open_tok = ts.accept("(")
-    if open_tok:
-        ts.descend("meaning terms", open_tok)
-        term = _parse_raw(ts)
-        ts.ascend()
-        ts.expect(")")
-        return term
-    tok = ts.expect("IDENT", "a term")
-    return _RVar(tok.text, tok)
-
-
-class _Inference:
-    def __init__(self, signature, env):
+class _TermParser:
+    def __init__(self, ts: TokenStream, signature, env):
+        self.ts = ts
         self.signature = signature
         self.env = env
+        self.binders: list[tuple[str, SemType]] = []  # innermost last
         self.bindings: dict[int, SemType] = {}
         self.counter = 0
+        self.unannotated = False  # some binder's type is a type variable
+
+    def parse(self) -> tuple[MeaningTerm, SemType]:
+        ts = self.ts
+        lam_tok = ts.accept("\\")
+        if not lam_tok:
+            return self._parse_applied()
+        name = ts.expect("IDENT", "a variable name").text
+        if ts.accept(":"):
+            var_ty = parse_type_at(ts)
+        else:
+            var_ty = self.fresh()
+            self.unannotated = True
+        ts.expect(".")
+        ts.descend("meaning terms", lam_tok)
+        self.binders.append((name, var_ty))
+        body, body_ty = self.parse()
+        self.binders.pop()
+        ts.ascend()
+        return Lam(var_ty, body, name), ArrowType(var_ty, body_ty)
+
+    def _parse_applied(self) -> tuple[MeaningTerm, SemType]:
+        ts = self.ts
+        fun, fun_ty = self._parse_atom()
+        levels = 0  # each argument list nests the application one level deeper
+        while ts.peek().kind == "(":
+            open_tok = ts.next()
+            ts.descend("meaning terms", open_tok)
+            levels += 1
+            while True:
+                arg, arg_ty = self.parse()
+                result = self.fresh()
+                try:
+                    self.unify(fun_ty, ArrowType(arg_ty, result))
+                except TermTypeError as exc:
+                    raise TermTypeError(
+                        f"ill-typed application at line {open_tok.line}, "
+                        f"column {open_tok.column}: {exc}"
+                    ) from exc
+                fun, fun_ty = App(fun, arg), result
+                if not ts.accept(","):
+                    break
+            ts.expect(")")
+        ts.ascend(levels)
+        return fun, fun_ty
+
+    def _parse_atom(self) -> tuple[MeaningTerm, SemType]:
+        ts = self.ts
+        open_tok = ts.accept("(")
+        if open_tok:
+            ts.descend("meaning terms", open_tok)
+            inner = self.parse()
+            ts.ascend()
+            ts.expect(")")
+            return inner
+        tok = ts.expect("IDENT", "a term")
+        name = tok.text
+        for index, (bound, ty) in enumerate(reversed(self.binders)):
+            if bound == name:
+                return BoundVar(index), ty
+        if name in self.env:
+            return Var(name, self.env[name]), self.env[name]
+        if name in self.signature:
+            return Const(name, self.signature[name]), self.signature[name]
+        raise UnboundVariableError(
+            f"unknown name '{name}' at line {tok.line}, column {tok.column}"
+        )
 
     def fresh(self) -> _TypeMeta:
         self.counter += 1
@@ -149,61 +165,28 @@ class _Inference:
             return self._occurs(meta, ty.arg) or self._occurs(meta, ty.result)
         return False
 
-    def elaborate(self, raw, stack) -> tuple[MeaningTerm, SemType]:
-        if isinstance(raw, _RVar):
-            for index, (name, ty) in enumerate(stack):
-                if name == raw.name:
-                    return BoundVar(index), ty
-            if raw.name in self.env:
-                return Var(raw.name, self.env[raw.name]), self.env[raw.name]
-            if raw.name in self.signature:
-                return Const(raw.name, self.signature[raw.name]), self.signature[raw.name]
-            raise UnboundVariableError(
-                f"unknown name '{raw.name}' at line {raw.tok.line}, column {raw.tok.column}"
-            )
-        if isinstance(raw, _RApp):
-            fun, fun_ty = self.elaborate(raw.fun, stack)
-            for arg in raw.args:
-                arg_term, arg_ty = self.elaborate(arg, stack)
-                result = self.fresh()
-                try:
-                    self.unify(fun_ty, ArrowType(arg_ty, result))
-                except TermTypeError as exc:
-                    raise TermTypeError(f"ill-typed application: {exc}") from exc
-                fun = App(fun, arg_term)
-                fun_ty = result
-            return fun, fun_ty
-        if isinstance(raw, _RLam):
-            var_ty = raw.annot if raw.annot is not None else self.fresh()
-            body, body_ty = self.elaborate(raw.body, [(raw.name, var_ty)] + stack)
-            return Lam(var_ty, body, raw.name), ArrowType(var_ty, body_ty)
-        raise AssertionError(f"bad raw term {raw!r}")
-
     def zonk_type(self, ty: SemType) -> SemType:
         ty = self.resolve(ty)
         if isinstance(ty, ArrowType):
             return ArrowType(self.zonk_type(ty.arg), self.zonk_type(ty.result))
         return ty
 
-    def zonk_term(self, term: MeaningTerm, ts: TokenStream) -> MeaningTerm:
+    def zonk_term(self, term: MeaningTerm) -> MeaningTerm:
         match term:
             case App(fun, arg):
-                return App(self.zonk_term(fun, ts), self.zonk_term(arg, ts))
+                return App(self.zonk_term(fun), self.zonk_term(arg))
             case Lam(var_ty, body, hint):
                 ty = self.zonk_type(var_ty)
-                if isinstance(ty, _TypeMeta) or any(
-                    isinstance(part, _TypeMeta) for part in _type_parts(ty)
-                ):
+                if _has_meta(ty):
                     raise TermTypeError(
                         f"cannot infer the type of binder '{hint}'; annotate it"
                     )
-                return Lam(ty, self.zonk_term(body, ts), hint)
+                return Lam(ty, self.zonk_term(body), hint)
             case _:
                 return term
 
 
-def _type_parts(ty: SemType):
-    yield ty
+def _has_meta(ty: SemType) -> bool:
     if isinstance(ty, ArrowType):
-        yield from _type_parts(ty.arg)
-        yield from _type_parts(ty.result)
+        return _has_meta(ty.arg) or _has_meta(ty.result)
+    return isinstance(ty, _TypeMeta)

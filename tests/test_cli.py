@@ -331,3 +331,28 @@ def test_constant_pattern_mismatch_is_the_unsatisfied_demand(tmp_path, fstructur
     assert run_cli("derive", "--fstructure", str(fs), "--lexicon", str(lexicon)) == (
         code, "", stderr,
     )
+
+
+MEANING_ERROR_LEXICON = """\
+constant Bill : e
+constant f : e -> t
+x: ^ ~>_t {meaning}
+"""
+
+
+@pytest.mark.parametrize(
+    "meaning,error",
+    [
+        ("f(g)", "unknown name 'g' at line 3, column 13"),
+        ("f(f(Bill))", "ill-typed application at line 3, column 12: type mismatch: e vs t"),
+    ],
+    ids=["undeclared-name", "ill-typed"],
+)
+def test_lexicon_meaning_term_error_is_an_input_error(tmp_path, meaning, error):
+    lexicon = tmp_path / "x.lex"
+    lexicon.write_text(MEANING_ERROR_LEXICON.format(meaning=meaning), encoding="utf-8")
+    fs = tmp_path / "x.fs"
+    fs.write_text("f:[PRED 'x']", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(RunConfig(str(fs), str(lexicon)), out, err)
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {error}\n")
