@@ -3,9 +3,10 @@ from exact resource usage, so a failed derivation is diagnosed by what broke.
 
 `diagnose` runs one proof search and classifies its `SearchResult`.
 Incompleteness evidence: atoms some premise (or the goal) demands that nothing
-can supply. Incoherence evidence: premises left unconsumed by the maximal
-partial derivations (greatest premise consumption; ties pool their leftovers).
-Static demand/supply polarity gives the first cut; the search result's failure
+can supply. Incoherence evidence: the search result's `leftover`, the
+premises left unconsumed by the maximal partial derivations (greatest premise
+consumption; ties and twin swaps pooled by the search). Static
+demand/supply polarity gives the first cut; the search result's failure
 frontier covers cases polarity cannot see (e.g. circular dependencies).
 """
 
@@ -139,16 +140,11 @@ def _classify_failure(
         if not any(_keys_match(d_key, key) for d_key, _ in demands):
             unused.setdefault(premise.index, premise)
 
-    if result.partials:
+    if result.leftover is not None:
         # The goal is reachable but only by leaving resources unused.
-        best = min(len(leftover) for leftover in result.partials)
-        pooled: set[int] = set()
-        for leftover in result.partials:
-            if len(leftover) == best:
-                pooled |= leftover
         by_index = {p.index: p for p in premise_set}
         leftovers = tuple(
-            Leftover(i, by_index[i].word) for i in sorted(pooled)
+            Leftover(i, by_index[i].word) for i in sorted(result.leftover)
         )
         status = INCOMPLETE_INCOHERENT if unsat else INCOHERENT
         return Diagnosis(

@@ -183,15 +183,6 @@ class Forall(GlueFormula):
     body: GlueFormula
 
 
-def tensor(*parts: GlueFormula) -> GlueFormula:
-    if not parts:
-        raise ValueError("tensor() needs at least one formula")
-    result = parts[-1]
-    for part in reversed(parts[:-1]):
-        result = Tensor(part, result)
-    return result
-
-
 def flatten_tensor(formula: GlueFormula) -> list[GlueFormula]:
     if isinstance(formula, Tensor):
         return flatten_tensor(formula.left) + flatten_tensor(formula.right)
@@ -239,5 +230,4 @@ __all__ = [
     "Tensor",
     "flatten_tensor",
     "format_formula",
-    "tensor",
 ]

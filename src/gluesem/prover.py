@@ -28,14 +28,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .errors import GlueError, NonPatternError, SearchBoundError
+from .errors import GlueError, NonPatternError, SearchBoundError, UnboundVariableError
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, Tensor, flatten_tensor
 from .fstruct import SemStructure
 from .lexicon import Premise, PremiseSet
 from .semtypes import SemType, T
 from .terms import (
     App,
-    BoundVar,
     Const,
     HypConst,
     Lam,
@@ -153,26 +152,15 @@ def _unify(pattern, term, subst):
 
 
 def _bind(subst, var: Var, term: MeaningTerm):
-    # The term side is closed, so no existing binding mentions `var`.
-    if not _locally_closed(term):
-        raise NonPatternError("binding would capture a bound variable")
-    if var in free_vars(term):
-        return None
-    if typecheck(term) != var.ty:
+    # The term side is closed, so `var` occurs neither in it nor in any
+    # existing binding; a dangling index means the binding would capture.
+    try:
+        ty = typecheck(term)
+    except UnboundVariableError:
+        raise NonPatternError("binding would capture a bound variable") from None
+    if ty != var.ty:
         return None
     return {**subst, var: term}
-
-
-def _locally_closed(term, depth=0) -> bool:
-    match term:
-        case BoundVar(index):
-            return index < depth
-        case App(fun, arg):
-            return _locally_closed(fun, depth) and _locally_closed(arg, depth)
-        case Lam(_, body):
-            return _locally_closed(body, depth + 1)
-        case _:
-            return True
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +185,10 @@ class _Resource:
 
 class _Search:
     """One search over `premise_list`. Structure variables range over every
-    structure the premises or `goal_sems` mention. Hypothesis and
-    metavariable stamps are numbered by this search alone, so no result
-    depends on what ran earlier in the process. Each atomic goal whose
+    structure the premises or `goal_sems` mention. Hypothesis stamps are
+    numbered by this search alone, so no result depends on what ran earlier
+    in the process; metavariables keep their declared names, since each
+    focus solves its own in a substitution of its own. Each atomic goal whose
     pattern no supplied meaning matched is kept in `frontier` with the most
     premises consumed when it failed.
 
@@ -395,13 +384,13 @@ class _Search:
         match formula:
             case Forall(var, body):
                 if isinstance(var, MeaningVar):
-                    fresh = Var(var.name, var.ty, next(self.stamps))
-                    instantiated = body.substitute_meanings(
-                        {Var(var.name, var.ty): fresh}
-                    )
-                    yield from self._focus(
-                        instantiated, displays + ((var.name, fresh),)
-                    )
+                    # A focus solves its metavariables in a substitution of
+                    # its own, so the declared variable serves as one as is,
+                    # provided no inner quantifier shadows it.
+                    meta = Var(var.name, var.ty)
+                    if any(v == meta for _, v in displays):
+                        raise GlueError(f"a premise rebinds the meaning variable {var}")
+                    yield from self._focus(body, displays + ((var.name, meta),))
                 else:
                     for sem in self.universe:
                         yield from self._focus(
@@ -438,15 +427,16 @@ def _as_premises(premise_set) -> list[Premise]:
 @dataclass(frozen=True)
 class SearchResult:
     """What one proof search found. `readings` use every premise exactly
-    once; `partials` holds the unused premise ids of each goal-reaching
-    derivation that left some over, counting those skipped as twin swaps;
-    `frontier` lists, as (structure label, type, premises consumed), each
-    atomic goal for which no resource supplied a meaning its pattern matches
-    (the sentence goal: no meaning at all), with the most premises consumed
-    when it failed."""
+    once. `leftover` is None when no derivation reached the goal; otherwise
+    it pools the unused premise ids of the goal-reaching derivations that
+    left the fewest over, widened by every twin class it meets, since the
+    search skipped the derivations that swap twins. `frontier` lists, as
+    (structure label, type, premises consumed), each atomic goal for which no
+    resource supplied a meaning its pattern matches (the sentence goal: no
+    meaning at all), with the most premises consumed when it failed."""
 
     readings: tuple[Reading, ...]
-    partials: frozenset[frozenset[int]]
+    leftover: frozenset[int] | None
     frontier: tuple[tuple[str, str, int], ...]
 
 
@@ -465,14 +455,19 @@ def search(
     engine = _Search(premise_list, [goal.sem], all_traces, depth_bound)
 
     found: dict[MeaningTerm, dict] = {}
-    partials: set[frozenset] = set()
+    fewest: int | None = None  # the fewest premises a goal-reaching derivation left
+    pooled: set[int] = set()
     supplied = False
     for meaning, avail, events in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids, 0, ()):
         supplied = True
         if hyp_consts(meaning):
             continue
         if avail:
-            partials |= _twin_swaps(avail & engine.premise_ids, engine.twin_classes)
+            unused = avail & engine.premise_ids
+            if fewest is None or len(unused) < fewest:
+                fewest, pooled = len(unused), set(unused)
+            elif len(unused) == fewest:
+                pooled |= unused
             continue
         key = canonical_form(meaning)
         entry = found.get(key)
@@ -495,21 +490,13 @@ def search(
         )
     )
     frontier = tuple(sorted((sem, ty, n) for (sem, ty), n in engine.frontier.items()))
-    return SearchResult(readings, frozenset(partials), frontier)
-
-
-def _twin_swaps(leftover: frozenset, twin_classes) -> set[frozenset]:
-    """`leftover` and every premise-id set it becomes when some of its twins
-    trade places with consumed twins of the same class: the leftovers of the
-    derivations the search skipped as twin swaps."""
-    fixed = leftover
-    choices = []
-    for members in twin_classes:
-        n = len(leftover & members)
-        if 0 < n < len(members):
-            fixed -= members
-            choices.append([frozenset(c) for c in itertools.combinations(members, n)])
-    return {fixed.union(*chosen) for chosen in itertools.product(*choices)}
+    leftover = None
+    if fewest is not None:
+        for members in engine.twin_classes:
+            if pooled & members:
+                pooled |= members
+        leftover = frozenset(pooled)
+    return SearchResult(readings, leftover, frontier)
 
 
 def derive(
@@ -553,8 +540,10 @@ def _render_formula(formula: GlueFormula) -> str:
 
 
 def _render_value(value) -> str:
+    # Bindings are already beta-normal: subterms of normal closed meanings,
+    # or abstractions of them that create no redex.
     if isinstance(value, MeaningTerm):
-        return format_term(normalize(value))
+        return format_term(value)
     return str(value)
 
 

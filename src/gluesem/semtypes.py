@@ -44,14 +44,6 @@ def arrow(*types: SemType) -> SemType:
     return result
 
 
-def arity(ty: SemType) -> int:
-    n = 0
-    while isinstance(ty, ArrowType):
-        n += 1
-        ty = ty.result
-    return n
-
-
 def parse_type(text: str) -> SemType:
     """Parse `e`, `t`, `e -> t`, `(e -> t) -> t` (arrows right-associative)."""
     ts = TokenStream(tokenize(text))

@@ -41,15 +41,11 @@ class HypConst(MeaningTerm):
 
 @dataclass(frozen=True)
 class Var(MeaningTerm):
-    """Named variable: a template variable or a prover metavariable.
-
-    Declared variables have stamp 0; freshened copies get a unique stamp and
-    keep the declared name for display.
-    """
+    """Named variable: a template variable, which the prover also uses as the
+    metavariable of a focus (each focus solves its own, so no renaming)."""
 
     name: str
     ty: SemType
-    stamp: int = 0
 
 
 @dataclass(frozen=True)
@@ -141,7 +137,7 @@ def _typecheck(term, env, stack) -> SemType:
     match term:
         case Const(_, ty) | HypConst(_, ty, _):
             return ty
-        case Var(name, ty, _):
+        case Var(name, ty):
             if env is not None:
                 if name not in env:
                     raise UnboundVariableError(f"unbound variable {name}")
@@ -309,7 +305,7 @@ def _pick_name(hint: str, taken) -> str:
 
 def _fmt(term, stack, used) -> str:
     match term:
-        case Const(name, _) | Var(name, _, _) | HypConst(name, _, _):
+        case Const(name, _) | Var(name, _) | HypConst(name, _, _):
             return name
         case BoundVar(index):
             if index < len(stack):

@@ -25,6 +25,9 @@ from .terms import App, BoundVar, Const, Lam, MeaningTerm, Var
 class _TypeMeta(SemType):
     ident: int
 
+    def __str__(self) -> str:
+        return f"?{self.ident}"
+
 
 def parse_term(
     text: str,
@@ -49,7 +52,7 @@ def parse_term_at(
     """The term at the current position and its type."""
     parser = _TermParser(ts, signature, env or {})
     term, ty = parser.parse()
-    if parser.unannotated:  # annotated binders already hold their final types
+    if parser.binder_tokens:  # annotated binders already hold their final types
         term = parser.zonk_term(term)
     return term, parser.zonk_type(ty)
 
@@ -62,19 +65,20 @@ class _TermParser:
         self.binders: list[tuple[str, SemType]] = []  # innermost last
         self.bindings: dict[int, SemType] = {}
         self.counter = 0
-        self.unannotated = False  # some binder's type is a type variable
+        self.binder_tokens = {}  # type-variable ident -> its unannotated binder's token
 
     def parse(self) -> tuple[MeaningTerm, SemType]:
         ts = self.ts
         lam_tok = ts.accept("\\")
         if not lam_tok:
             return self._parse_applied()
-        name = ts.expect("IDENT", "a variable name").text
+        name_tok = ts.expect("IDENT", "a variable name")
+        name = name_tok.text
         if ts.accept(":"):
             var_ty = parse_type_at(ts)
         else:
             var_ty = self.fresh()
-            self.unannotated = True
+            self.binder_tokens[var_ty.ident] = name_tok
         ts.expect(".")
         ts.descend("meaning terms", lam_tok)
         self.binders.append((name, var_ty))
@@ -178,8 +182,10 @@ class _TermParser:
             case Lam(var_ty, body, hint):
                 ty = self.zonk_type(var_ty)
                 if _has_meta(ty):
+                    tok = self.binder_tokens[var_ty.ident]  # only these get type variables
                     raise TermTypeError(
-                        f"cannot infer the type of binder '{hint}'; annotate it"
+                        f"cannot infer the type of binder '{hint}' at line {tok.line}, "
+                        f"column {tok.column}; annotate it"
                     )
                 return Lam(ty, self.zonk_term(body), hint)
             case _:

@@ -115,6 +115,23 @@ def test_json_byte_identical_across_runs():
         assert first == second
 
 
+GOLDEN = FIXTURES / "golden"
+GOLDEN_CODES = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_CODES))
+def test_json_all_traces_matches_the_recorded_output(stem):
+    """`derive --json --all-traces` on each fixture reproduces, byte for
+    byte, the exit code and stdout recorded in `fixtures/golden/`."""
+    code, out, _err = run_cli(*derive_args(f"{stem}.fs", "--json", "--all-traces"))
+    assert code == GOLDEN_CODES[stem]
+    assert out.encode("utf-8") == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+def test_golden_covers_every_fixture():
+    assert sorted(GOLDEN_CODES) == sorted(p.stem for p in FIXTURES.glob("*.fs"))
+
+
 def test_goal_override():
     code, out, _err = run_cli(
         "derive",
@@ -345,8 +362,9 @@ x: ^ ~>_t {meaning}
     [
         ("f(g)", "unknown name 'g' at line 3, column 13"),
         ("f(f(Bill))", "ill-typed application at line 3, column 12: type mismatch: e vs t"),
+        ("\\x. Bill", "cannot infer the type of binder 'x' at line 3, column 12; annotate it"),
     ],
-    ids=["undeclared-name", "ill-typed"],
+    ids=["undeclared-name", "ill-typed", "untyped-binder"],
 )
 def test_lexicon_meaning_term_error_is_an_input_error(tmp_path, meaning, error):
     lexicon = tmp_path / "x.lex"

@@ -140,20 +140,41 @@ def test_failure_evidence_same_from_all_orders_search(lexicon, case):
     assert diagnose(fs, lexicon, all_traces=True) == diagnose(fs, lexicon)
 
 
-TWIN_LEXICON = """\
-constant c : e
-constant odd : e -> t
-odd: forall X:e. ^ ~>_e X -o ^ ~>_t odd(X)
-thing: (mod ^) ~>_e c
-"""
-TWIN_THINGS = "f:[PRED 'odd'; MODS { m:[PRED 'thing']; n:[PRED 'thing'] }]"
-
-
-@pytest.mark.parametrize("all_traces", [False, True], ids=["default", "all-orders"])
-def test_twin_leftovers_are_all_named(all_traces):
-    # Either `thing` can feed `odd`; the search focuses only the first of the
-    # two identical premises, yet both are leftovers of some derivation.
-    diagnosis = diagnose(
-        parse_fstructure(TWIN_THINGS), parse_lexicon(TWIN_LEXICON), all_traces=all_traces
+def twin_case(twins: int, taken: int):
+    """`take` consumes `taken` of `twins` identical `thing` premises, which
+    are premises 2 to twins + 1; every one is a leftover of some derivation."""
+    names = [f"X{i}" for i in range(taken)]
+    lexicon = (
+        "constant c : e\n"
+        f"constant take : {' -> '.join(['e'] * taken)} -> t\n"
+        f"take: forall {', '.join(f'{x}:e' for x in names)}. "
+        + " -o ".join(f"^ ~>_e {x}" for x in names)
+        + f" -o ^ ~>_t take({', '.join(names)})\n"
+        "thing: (mod ^) ~>_e c\n"
     )
-    assert str(diagnosis) == "incoherent\nleftover: thing[2], thing[3]"
+    mods = "; ".join(f"m{i}:[PRED 'thing']" for i in range(twins))
+    fstructure = f"f:[PRED 'take'; MODS {{ {mods} }}]"
+    leftovers = ", ".join(f"thing[{i}]" for i in range(2, twins + 2))
+    return fstructure, lexicon, f"incoherent\nleftover: {leftovers}"
+
+
+@pytest.mark.parametrize(
+    "twins,taken,all_traces",
+    [
+        (2, 1, False),
+        (2, 1, True),
+        (20, 10, False),
+        # All-orders search explores all 20!/10! ways to feed `take` from 20
+        # twins, so it runs the same shape at a size it can finish.
+        (6, 3, True),
+    ],
+    ids=["default", "all-orders", "20-take-10-default", "6-take-3-all-orders"],
+)
+def test_twin_leftovers_are_all_named(twins, taken, all_traces):
+    # The default search focuses twins in index order only, yet every twin is
+    # a leftover of some derivation; 20 take 10 leaves C(20, 10) such sets.
+    fstructure, lexicon, expected = twin_case(twins, taken)
+    diagnosis = diagnose(
+        parse_fstructure(fstructure), parse_lexicon(lexicon), all_traces=all_traces
+    )
+    assert str(diagnosis) == expected

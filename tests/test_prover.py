@@ -11,7 +11,7 @@ import random
 import pytest
 
 from gluesem import prover
-from gluesem.errors import SearchBoundError
+from gluesem.errors import GlueError, SearchBoundError
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, Tensor
 from gluesem.fstruct import SemStructure, parse_fstructure, sigma
 from gluesem.lexicon import Premise, parse_lexicon, premises
@@ -502,3 +502,21 @@ def test_hypothesis_must_not_leak_into_its_focus_bindings():
         ),
     )
     assert derive([arrive, ignore], Goal(f)) == ()
+
+
+def test_premise_rebinding_a_meaning_variable_is_an_explicit_error():
+    # A focus solves its metavariables under their declared names, so a
+    # quantifier that shadows one along the premise's spine is refused
+    # rather than merged with it.
+    g, h, f = SemStructure("g"), SemStructure("h"), SemStructure("f")
+    X = Var("X", E)
+    shadowing = Forall(
+        MeaningVar("X", E),
+        Limp(
+            Atom(g, E, X),
+            Forall(MeaningVar("X", E), Limp(Atom(h, E, X), Atom(f, T, App(Const("arrive", arrow(E, T)), X)))),
+        ),
+    )
+    names = [Atom(g, E, Const("Bill", E)), Atom(h, E, Const("John", E))]
+    with pytest.raises(GlueError, match="rebinds the meaning variable X:e"):
+        derive([shadowing, *names], Goal(f))

@@ -209,8 +209,19 @@ def test_parser_accepts_explicit_annotations():
 
 
 def test_parser_needs_annotation_when_type_undetermined():
-    with pytest.raises(TermTypeError):
+    with pytest.raises(TermTypeError) as err:
         p("\\x. x")
+    assert str(err.value) == (
+        "cannot infer the type of binder 'x' at line 1, column 2; annotate it"
+    )
+
+
+def test_parser_type_mismatch_prints_type_variables():
+    with pytest.raises(TermTypeError) as err:
+        parse_term("\\x. Bill(x)", {"Bill": E})
+    assert str(err.value) == (
+        "ill-typed application at line 1, column 9: type mismatch: e vs ?1 -> ?2"
+    )
 
 
 def test_apply_builds_curried_applications():

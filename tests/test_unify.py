@@ -6,7 +6,18 @@ import pytest
 
 from gluesem.errors import NonPatternError
 from gluesem.semtypes import E, T, arrow
-from gluesem.terms import Const, HypConst, Var, apply, equivalent, fresh_stamp, normalize, substitute
+from gluesem.terms import (
+    BoundVar,
+    Const,
+    HypConst,
+    Lam,
+    Var,
+    apply,
+    equivalent,
+    fresh_stamp,
+    normalize,
+    substitute,
+)
 from gluesem.prover import unify
 
 BILL = Const("Bill", E)
@@ -74,6 +85,12 @@ def test_repeated_pattern_arguments_are_an_explicit_error():
 def test_metavariables_on_closed_side_are_an_explicit_error():
     with pytest.raises(NonPatternError):
         unify(Var("X", E), Var("Y", E))
+
+
+def test_binding_that_would_capture_a_bound_variable_is_an_explicit_error():
+    # Unifying under the binders leaves X facing the dangling index #0.
+    with pytest.raises(NonPatternError, match="capture a bound variable"):
+        unify(Lam(E, Var("X", E)), Lam(E, BoundVar(0)))
 
 
 def test_occurs_through_substitution():
