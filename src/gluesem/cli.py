@@ -174,11 +174,12 @@ def _reading_payload(reading: Reading, config: RunConfig) -> dict:
         "meaning": format_term(reading.meaning),
         "type": str(reading.ty),
     }
-    if config.all_traces:
-        out["trace"] = [step.line() for step in reading.trace]
-        out["traces"] = [[step.line() for step in t] for t in reading.traces]
-    elif config.trace:
-        out["trace"] = [step.line() for step in reading.trace]
+    if config.all_traces or config.trace:
+        shown = reading.traces if config.all_traces else reading.traces[:1]
+        traces = [[step.line() for step in trace] for trace in shown]
+        out["trace"] = traces[0]
+        if config.all_traces:
+            out["traces"] = traces
     return out
 
 

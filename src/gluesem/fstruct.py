@@ -14,7 +14,7 @@ that node; re-entrancy is carried through but nothing in scope exploits it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MissingAttributeError, SyntaxErrorAt
 from .lexer import Token, TokenStream, tokenize
@@ -27,7 +27,6 @@ class SemStructure:
     """The sigma projection of one f-structure node; compared by label."""
 
     label: str
-    fstruct: "FStructure | None" = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return f"{self.label}_σ"
@@ -45,7 +44,7 @@ class FStructure:
 
     def sigma(self) -> SemStructure:
         if self._sigma is None:
-            self._sigma = SemStructure(self.label, self)
+            self._sigma = SemStructure(self.label)
         return self._sigma
 
     def get(self, attribute: str):

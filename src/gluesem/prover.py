@@ -21,6 +21,11 @@ are interchangeable: by default they are consumed in index order, so the k!
 derivations that differ only by swapping twins are explored once and the
 search pays per reading rather than per derivation. `all_traces` explores
 every order.
+
+A derivation's trace is a by-product of the search: each inference is
+recorded as a `TraceStep` holding its formula and binding values, and is
+formatted only when its `line()` is called. The search itself formats
+nothing unless `all_traces` asks it to tell derivations apart.
 """
 
 from __future__ import annotations
@@ -65,18 +70,33 @@ class Goal:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One inference of a derivation, as the search records it: the glue
+    atom assumed, derived or applied (None for a discharge) and the values
+    (meaning terms or structures) bound to the focused premise's variables.
+    Nothing is formatted until `line()` is called."""
+
     kind: str  # assume | apply | derive | discharge
     resource: int | str | None  # premise index or hypothesis id
     word: str  # premise headword or hypothesis constant name
-    detail: str
-    bindings: tuple[tuple[str, str], ...] = ()
+    atom: GlueFormula | None = None
+    bindings: tuple[tuple[str, object], ...] = ()
 
     def line(self) -> str:
         ref = f"[{self.resource}]" if self.resource is not None else ""
-        head = " ".join(p for p in (self.kind, ref, self.word) if p)
-        text = f"{head}: {self.detail}" if self.detail else head
+        text = " ".join(p for p in (self.kind, ref, self.word) if p)
+        if self.atom is not None:
+            atom = self.atom
+            if isinstance(atom, Atom):
+                # The atoms of `assume` and `derive` steps can hold redexes.
+                atom = Atom(atom.sem, atom.ty, normalize(atom.meaning))
+            text += f": {atom}"
         if self.bindings:
-            text += "  " + ", ".join(f"{n} ↦ {v}" for n, v in self.bindings)
+            # Bindings are already beta-normal: subterms of normal closed
+            # meanings, or abstractions of them that create no redex.
+            text += "  " + ", ".join(
+                f"{n} ↦ {format_term(v) if isinstance(v, MeaningTerm) else v}"
+                for n, v in self.bindings
+            )
         return text
 
 
@@ -87,8 +107,10 @@ Trace = tuple[TraceStep, ...]
 class Reading:
     """One derived meaning for the goal. By default `traces` holds just the
     canonical (first-found) derivation; with `all_traces` it holds every
-    distinct derivation that produced the meaning, canonical first,
-    including those that differ only by swapping twin premises."""
+    derivation that produced the meaning with distinct rendered lines,
+    canonical first, including those that differ only by swapping twin
+    premises. Each trace is the steps as the search recorded them; reading
+    it formats nothing until a step's `line()` is called."""
 
     meaning: MeaningTerm
     ty: SemType
@@ -167,22 +189,6 @@ def _bind(subst, var: Var, term: MeaningTerm):
 # The search engine.
 
 
-@dataclass(frozen=True)
-class _Event:
-    kind: str
-    ref: int | str | None
-    word: str
-    atom: GlueFormula | None
-    displays: tuple[tuple[str, object], ...] = ()
-
-
-class _Resource:
-    def __init__(self, rid, formula, word):
-        self.rid = rid
-        self.formula = formula
-        self.word = word
-
-
 class _Search:
     """One search over `premise_list`. Structure variables range over every
     structure the premises or `goal_sems` mention. Hypothesis stamps are
@@ -198,8 +204,9 @@ class _Search:
     swapping twins are explored once."""
 
     def __init__(self, premise_list, goal_sems, all_orders=False, depth_bound=None):
-        self.registry: dict[int | str, _Resource] = {
-            p.index: _Resource(p.index, p.formula, p.word) for p in premise_list
+        # resource id (premise index or hypothesis id) -> (formula, word)
+        self.registry: dict[int | str, tuple[GlueFormula, str]] = {
+            p.index: (p.formula, p.word) for p in premise_list
         }
         self.premise_ids = frozenset(p.index for p in premise_list)
         sems = {a.sem for p in premise_list for a in p.formula.atoms()} | set(goal_sems)
@@ -228,11 +235,11 @@ class _Search:
 
     # -- goal dispatch ------------------------------------------------------
 
-    def prove(self, goal: GlueFormula, avail: frozenset, subst, depth, events):
+    def prove(self, goal: GlueFormula, avail: frozenset, subst, depth, steps):
         match goal:
             case Atom():
                 matched = False
-                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail, depth, events):
+                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail, depth, steps):
                     s2 = _unify(goal.meaning, meaning, subst)
                     if s2 is None:
                         continue
@@ -243,16 +250,16 @@ class _Search:
                     )
                     applied = e2[-1]
                     yield s2, a2, e2[:-1] + (
-                        replace(applied, displays=applied.displays + tuple(solved)),
+                        replace(applied, bindings=applied.bindings + tuple(solved)),
                     )
                 if not matched:
                     self.record_failure(goal.sem, goal.ty, avail)
             case Tensor():
-                yield from self.prove_all(flatten_tensor(goal), avail, subst, depth, events)
+                yield from self.prove_all(flatten_tensor(goal), avail, subst, depth, steps)
             case Limp():
-                yield from self.prove_limp(goal, avail, subst, depth, events)
+                yield from self.prove_limp(goal, avail, subst, depth, steps)
             case Forall(var, _) if isinstance(var, MeaningVar):
-                yield from self.prove_forall(goal, avail, subst, depth, events)
+                yield from self.prove_forall(goal, avail, subst, depth, steps)
             case _:
                 raise GlueError(f"unsupported goal form: {goal}")
 
@@ -261,32 +268,32 @@ class _Search:
         consumed = len(self.premise_ids - avail)
         self.frontier[key] = max(consumed, self.frontier.get(key, -1))
 
-    def prove_all(self, goals, avail, subst, depth, events):
+    def prove_all(self, goals, avail, subst, depth, steps):
         if self.all_orders and len(goals) > 1:
             orders = itertools.permutations(range(len(goals)))
         else:
             orders = [tuple(range(len(goals)))]
         for order in orders:
-            yield from self._seq(goals, order, 0, avail, subst, depth, events)
+            yield from self._seq(goals, order, 0, avail, subst, depth, steps)
 
-    def _seq(self, goals, order, i, avail, subst, depth, events):
+    def _seq(self, goals, order, i, avail, subst, depth, steps):
         if i == len(order):
-            yield subst, avail, events
+            yield subst, avail, steps
             return
-        for s2, a2, e2 in self.prove(goals[order[i]], avail, subst, depth, events):
+        for s2, a2, e2 in self.prove(goals[order[i]], avail, subst, depth, steps):
             yield from self._seq(goals, order, i + 1, a2, s2, depth, e2)
 
-    def prove_limp(self, goal: Limp, avail, subst, depth, events):
+    def prove_limp(self, goal: Limp, avail, subst, depth, steps):
         new_ids = []
         for part in flatten_tensor(goal.antecedent):
             part = part.substitute_meanings(subst)
             rid = f"h{next(self.hyp_counter)}"
             word = self._hyp_word(part)
-            self.registry[rid] = _Resource(rid, part, word)
+            self.registry[rid] = (part, word)
             new_ids.append(rid)
-            events = events + (_Event("assume", rid, word, part),)
+            steps = steps + (TraceStep("assume", rid, word, part),)
         avail = avail | frozenset(new_ids)
-        for s2, a2, e2 in self.prove(goal.consequent, avail, subst, depth, events):
+        for s2, a2, e2 in self.prove(goal.consequent, avail, subst, depth, steps):
             if any(rid in a2 for rid in new_ids):
                 continue  # the hypothesis must be consumed exactly once
             yield s2, a2, e2
@@ -298,16 +305,16 @@ class _Search:
                 return consts[-1].name
         return "hyp"
 
-    def prove_forall(self, goal: Forall, avail, subst, depth, events):
+    def prove_forall(self, goal: Forall, avail, subst, depth, steps):
         var: MeaningVar = goal.var
         hyp = self._fresh_hyp(var.name, var.ty)
         body = goal.body.substitute_meanings({Var(var.name, var.ty): hyp})
-        for s2, a2, e2 in self.prove(body, avail, subst, depth, events):
+        for s2, a2, e2 in self.prove(body, avail, subst, depth, steps):
             # The owning focus's bindings are visible outside the
             # hypothesis's scope, so none of them may mention it.
             if any(hyp in hyp_consts(term) for term in s2.values()):
                 continue
-            yield s2, a2, e2 + (_Event("discharge", None, hyp.name, None),)
+            yield s2, a2, e2 + (TraceStep("discharge", None, hyp.name),)
 
     def _fresh_hyp(self, base, ty) -> HypConst:
         n = self.name_counts.get(base, 0) + 1
@@ -317,10 +324,10 @@ class _Search:
 
     # -- atomic goals: focus a resource --------------------------------------
 
-    def prove_atom(self, sem, ty, avail, depth, events):
+    def prove_atom(self, sem, ty, avail, depth, steps):
         """Focus each available resource whose head can be `sem ~>_ty`, proving
         its antecedents in a substitution that starts empty: yield (closed
-        meaning, remaining resources, events), the last event being the
+        meaning, remaining resources, steps), the last step being the
         focus's `apply`."""
         if depth > self.bound:
             raise SearchBoundError(
@@ -330,35 +337,33 @@ class _Search:
         for rid in sorted(avail, key=_rid_order):
             if self.prior_twin.get(rid) in avail:
                 continue
-            resource = self.registry[rid]
+            word = self.registry[rid][1]
             for antecedents, head, rest, displays in self._focus_table(rid).get((sem, ty), ()):
                 yield from self._finish_focus(
-                    resource, antecedents, head, rest, displays,
-                    avail - {rid}, depth, events,
+                    rid, word, antecedents, head, rest, displays,
+                    avail - {rid}, depth, steps,
                 )
 
-    def _finish_focus(self, resource, antecedents, head, rest, displays, avail, depth, events):
-        for s1, a1, e1 in self.prove_all(antecedents, avail, {}, depth + 1, events):
+    def _finish_focus(self, rid, word, antecedents, head, rest, displays, avail, depth, steps):
+        for s1, a1, e1 in self.prove_all(antecedents, avail, {}, depth + 1, steps):
             meaning = normalize(substitute(head.meaning, s1))
             if free_vars(meaning):
                 names = ", ".join(sorted(v.name for v in free_vars(meaning)))
                 raise NonPatternError(
-                    f"head of '{resource.word}' still contains metavariable(s) "
+                    f"head of '{word}' still contains metavariable(s) "
                     f"{names} after its antecedents were proved"
                 )
             for extra in rest:
                 extra = extra.substitute_meanings(s1)
                 rid2 = f"d{next(self.hyp_counter)}"
-                self.registry[rid2] = _Resource(rid2, extra, resource.word)
+                self.registry[rid2] = (extra, word)
                 a1 = a1 | {rid2}
-                e1 = e1 + (_Event("derive", rid2, resource.word, extra),)
+                e1 = e1 + (TraceStep("derive", rid2, word, extra),)
             shown = tuple(
                 (name, substitute(v, s1) if isinstance(v, Var) else v) for name, v in displays
             )
             applied = Atom(head.sem, head.ty, meaning)
-            yield meaning, a1, e1 + (
-                _Event("apply", resource.rid, resource.word, applied, shown),
-            )
+            yield meaning, a1, e1 + (TraceStep("apply", rid, word, applied, shown),)
 
     def _focus_table(self, rid):
         """The focus entries of resource `rid`, built on its first use and
@@ -367,7 +372,7 @@ class _Search:
         table = self.focus_tables.get(rid)
         if table is None:
             table = {}
-            for antecedents, components, displays in self._focus(self.registry[rid].formula):
+            for antecedents, components, displays in self._focus(self.registry[rid][0]):
                 for k, head in enumerate(components):
                     if isinstance(head, Atom):
                         rest = components[:k] + components[k + 1 :]
@@ -454,11 +459,12 @@ def search(
             raise GlueError(f"premise {premise.tag()} is not closed")
     engine = _Search(premise_list, [goal.sem], all_traces, depth_bound)
 
-    found: dict[MeaningTerm, dict] = {}
+    # canonical meaning -> (meaning, {trace's rendered lines, or (): trace})
+    found: dict[MeaningTerm, tuple[MeaningTerm, dict]] = {}
     fewest: int | None = None  # the fewest premises a goal-reaching derivation left
     pooled: set[int] = set()
     supplied = False
-    for meaning, avail, events in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids, 0, ()):
+    for meaning, avail, steps in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids, 0, ()):
         supplied = True
         if hyp_consts(meaning):
             continue
@@ -472,19 +478,19 @@ def search(
         key = canonical_form(meaning)
         entry = found.get(key)
         if entry is None:
-            entry = found[key] = {"meaning": _tidy_hints(meaning), "traces": []}
+            entry = found[key] = (_tidy_hints(meaning), {})
         elif not all_traces:
             continue  # default mode keeps the canonical (first) trace only
-        trace = _render_trace(events)
-        if trace not in entry["traces"]:
-            entry["traces"].append(trace)
+        # Distinct derivations are those whose rendered lines differ.
+        lines = tuple(step.line() for step in steps) if all_traces else ()
+        entry[1].setdefault(lines, steps)
     if not supplied:
         engine.record_failure(goal.sem, goal.ty, engine.premise_ids)
     readings = tuple(
         sorted(
             (
-                Reading(entry["meaning"], goal.ty, tuple(entry["traces"]))
-                for entry in found.values()
+                Reading(meaning, goal.ty, tuple(traces.values()))
+                for meaning, traces in found.values()
             ),
             key=lambda r: format_term(r.meaning),
         )
@@ -524,29 +530,6 @@ def _tidy_hints(term: MeaningTerm) -> MeaningTerm:
             return term
 
 
-def _render_trace(events) -> Trace:
-    steps = []
-    for ev in events:
-        detail = _render_formula(ev.atom) if ev.atom is not None else ""
-        bindings = tuple((name, _render_value(value)) for name, value in ev.displays)
-        steps.append(TraceStep(ev.kind, ev.ref, ev.word, detail, bindings))
-    return tuple(steps)
-
-
-def _render_formula(formula: GlueFormula) -> str:
-    if isinstance(formula, Atom):
-        return str(Atom(formula.sem, formula.ty, normalize(formula.meaning)))
-    return str(formula)
-
-
-def _render_value(value) -> str:
-    # Bindings are already beta-normal: subterms of normal closed meanings,
-    # or abstractions of them that create no redex.
-    if isinstance(value, MeaningTerm):
-        return format_term(value)
-    return str(value)
-
-
 def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     """Linear entailment with exact resource usage for propositional
     tensor-fragment formulas."""
@@ -555,7 +538,7 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     )
     return any(
         not avail
-        for _subst, avail, _events in engine.prove(
+        for _subst, avail, _steps in engine.prove(
             consequent, engine.premise_ids, {}, 0, ()
         )
     )

@@ -468,6 +468,28 @@ def test_default_mode_keeps_only_the_canonical_trace():
     assert reading.traces == every.traces[:1]
 
 
+def test_default_mode_formats_no_formula_until_a_trace_is_read(lexicon, scope_fs, monkeypatch):
+    # The search records trace steps; only `line()` formats them.
+    from gluesem import formulas
+    from test_grid_golden import grid_fstructure
+
+    calls = []
+    format_formula = formulas.format_formula
+
+    def counting(formula):
+        calls.append(formula)
+        return format_formula(formula)
+
+    monkeypatch.setattr(formulas, "format_formula", counting)
+    for fs in (scope_fs, parse_fstructure(grid_fstructure(2, 2))):
+        premise_set = premises(fs, lexicon)
+        calls.clear()
+        readings = derive(premise_set, Goal(sigma(fs)))
+        assert readings and calls == []
+        lines = [step.line() for step in readings[0].trace]
+        assert lines and calls
+
+
 # --- atomic subproofs hand back closed meanings -------------------------------
 
 
