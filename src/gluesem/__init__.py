@@ -41,7 +41,6 @@ from .lexicon import (
     LexicalEntry,
     Lexicon,
     Premise,
-    PremiseSet,
     instantiate,
     parse_lexicon,
     premises,

@@ -2,13 +2,15 @@
 print them (optionally with derivation traces) as text or stable JSON.
 
 Exit status: 0 at least one reading; 2 incomplete; 3 incoherent; 4 both;
-5 uninstantiable entry or missing lexicon entry; 1 bad input.
+5 uninstantiable entry or missing lexicon entry; 1 bad input or a closed
+output pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,7 +100,17 @@ def main(argv: list[str] | None = None) -> int:
         all_traces=args.all_traces,
         json_output=args.json,
     )
-    return run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`gluesem derive ... | head -1`): point stdout
+        # at devnull so the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 def _parse_goal_option(text: str) -> tuple[str, str | None]:

@@ -5,9 +5,10 @@ from exact resource usage, so a failed derivation is diagnosed by what broke.
 Incompleteness evidence: atoms some premise (or the goal) demands that nothing
 can supply. Incoherence evidence: the search result's `leftover`, the
 premises left unconsumed by the maximal partial derivations (greatest premise
-consumption; ties and twin swaps pooled by the search). Static
-demand/supply polarity gives the first cut; the search result's failure
-frontier covers cases polarity cannot see (e.g. circular dependencies).
+consumption; ties and twin swaps pooled by the search). Static polarity gives
+the first cut: one table keys every demanded and supplied atom by (structure,
+type), and a demand counts as met when some supply matches it, not by count.
+The failure frontier covers cases polarity cannot see (e.g. circularity).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from .errors import UninstantiableEntryError
 from .formulas import Atom, Forall, GlueFormula, Limp, Tensor
 from .fstruct import FStructure, SemStructure, sigma
-from .lexicon import Lexicon, PremiseSet, premises
+from .lexicon import Lexicon, Premise, premises
 from .prover import Goal, Reading, SearchResult, search
 
 OK = "ok"
@@ -86,18 +87,6 @@ def _polarized_atoms(formula: GlueFormula, positive: bool = True):
             yield from _polarized_atoms(body, positive)
 
 
-def _atom_key(atom: Atom):
-    sem = atom.sem.label if isinstance(atom.sem, SemStructure) else None  # None: any
-    return sem, str(atom.ty)
-
-
-def _keys_match(demand_key, supply_key) -> bool:
-    (d_sem, d_ty), (s_sem, s_ty) = demand_key, supply_key
-    if d_ty != s_ty:
-        return False
-    return d_sem is None or s_sem is None or d_sem == s_sem
-
-
 def diagnose(
     root: FStructure,
     lexicon: Lexicon,
@@ -108,66 +97,62 @@ def diagnose(
     naming the offending resources. Missing lexicon entries propagate as
     errors."""
     try:
-        premise_set = premises(root, lexicon)
+        premise_list = premises(root, lexicon)
     except UninstantiableEntryError as exc:
         return Diagnosis(UNINSTANTIABLE, note=str(exc))
     if goal is None:
         goal = Goal(sigma(root))
-    result = search(premise_set, goal, all_traces=all_traces)
+    result = search(premise_list, goal, all_traces=all_traces)
     if result.readings:
         return Diagnosis(OK, readings=result.readings)
-    return _classify_failure(premise_set, goal, result)
+    return _classify_failure(premise_list, goal, result)
 
 
 def _classify_failure(
-    premise_set: PremiseSet, goal: Goal, result: SearchResult
+    premise_list: tuple[Premise, ...], goal: Goal, result: SearchResult
 ) -> Diagnosis:
-    demands: list[tuple[tuple, str]] = [((goal.sem.label, str(goal.ty)), "goal")]
-    supplies: list[tuple[tuple, object]] = []
-    for premise in premise_set:
+    # Keyed by (structure label, or None for a structure variable, type):
+    # the demanding premises' tags ("goal" first), the supplying premises' ids.
+    demands: dict[tuple, list] = {(goal.sem.label, str(goal.ty)): ["goal"]}
+    supplies: dict[tuple, list] = {}
+    for premise in premise_list:
         for atom, positive in _polarized_atoms(premise.formula):
-            if positive:
-                supplies.append((_atom_key(atom), premise))
-            else:
-                demands.append((_atom_key(atom), premise.tag()))
+            sem = atom.sem.label if isinstance(atom.sem, SemStructure) else None
+            table, who = (supplies, premise.index) if positive else (demands, premise.tag())
+            table.setdefault((sem, str(atom.ty)), []).append(who)
+    demand_types = {ty for _, ty in demands}
+    supply_types = {ty for _, ty in supplies}
 
-    unsat: dict[tuple, list[str]] = {}
-    for key, tag in demands:
-        if not any(_keys_match(key, s_key) for s_key, _ in supplies):
-            unsat.setdefault(key, []).append(tag)
-    unused: dict[int, object] = {}
-    for key, premise in supplies:
-        if not any(_keys_match(d_key, key) for d_key, _ in demands):
-            unused.setdefault(premise.index, premise)
-
-    if result.leftover is not None:
-        # The goal is reachable but only by leaving resources unused.
-        by_index = {p.index: p for p in premise_set}
-        leftovers = tuple(
-            Leftover(i, by_index[i].word) for i in sorted(result.leftover)
-        )
-        status = INCOMPLETE_INCOHERENT if unsat else INCOHERENT
-        return Diagnosis(
-            status,
-            unsatisfied_demands=_demand_list(unsat),
-            leftover_resources=leftovers,
-        )
-
-    # No partial derivation reaches the goal at all: incomplete.
-    if not unsat and result.frontier:
-        deepest = max(consumed for _, _, consumed in result.frontier)
-        for sem, ty, consumed in result.frontier:
-            if consumed == deepest:
-                unsat.setdefault((sem, ty), [])
-    leftovers = tuple(
-        Leftover(i, p.word) for i, p in sorted(unused.items())
+    unsat = {k: tags for k, tags in demands.items() if not _met(k, supplies, supply_types)}
+    reached = result.leftover is not None  # but only by leaving resources unused
+    if reached:
+        unused = result.leftover
+    else:
+        unused = {
+            i for k, ids in supplies.items() if not _met(k, demands, demand_types) for i in ids
+        }
+        if not unsat and result.frontier:
+            deepest = max(consumed for _, _, consumed in result.frontier)
+            unsat = {(sem, ty): [] for sem, ty, n in result.frontier if n == deepest}
+    words = {p.index: p.word for p in premise_list}
+    leftovers = tuple(Leftover(i, words[i]) for i in sorted(unused))
+    incomplete = bool(unsat) or not reached
+    incoherent = reached or bool(leftovers)
+    status = INCOMPLETE_INCOHERENT if incomplete and incoherent else (
+        INCOMPLETE if incomplete else INCOHERENT
     )
-    status = INCOMPLETE_INCOHERENT if leftovers else INCOMPLETE
     return Diagnosis(
         status,
         unsatisfied_demands=_demand_list(unsat),
         leftover_resources=leftovers,
     )
+
+
+def _met(key: tuple, table: dict, types: set[str]) -> bool:
+    """Whether some key of `table` (whose types are `types`) matches `key`;
+    a None label matches any label of the same type."""
+    sem, ty = key
+    return ty in types if sem is None else key in table or (None, ty) in table
 
 
 def _demand_list(unsat: dict) -> tuple[Demand, ...]:

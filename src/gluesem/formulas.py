@@ -128,34 +128,20 @@ class GlueFormula:
                 return Forall(var, body.substitute_meanings(mapping))
         return self
 
-    def free_sem_vars(self, bound: frozenset[str] = frozenset()) -> frozenset[str]:
+    def is_closed(self, bound: frozenset = frozenset()) -> bool:
+        """No free structure or meaning variable; `bound` holds the binders
+        in scope (`SemVar`s and meaning `Var`s)."""
         match self:
-            case Atom(sem, _, _):
-                if isinstance(sem, SemVar) and sem.name not in bound:
-                    return frozenset({sem.name})
-                return frozenset()
+            case Atom(sem, _, meaning):
+                if isinstance(sem, SemVar) and sem not in bound:
+                    return False
+                return terms.free_vars(meaning) <= bound
             case Tensor(left, right) | Limp(left, right):
-                return left.free_sem_vars(bound) | right.free_sem_vars(bound)
+                return left.is_closed(bound) and right.is_closed(bound)
             case Forall(var, body):
-                if isinstance(var, SemVar):
-                    bound = bound | {var.name}
-                return body.free_sem_vars(bound)
-        return frozenset()
-
-    def free_meaning_vars(self, bound: frozenset[Var] = frozenset()) -> frozenset[Var]:
-        match self:
-            case Atom(_, _, meaning):
-                return terms.free_vars(meaning) - bound
-            case Tensor(left, right) | Limp(left, right):
-                return left.free_meaning_vars(bound) | right.free_meaning_vars(bound)
-            case Forall(var, body):
-                if isinstance(var, MeaningVar):
-                    bound = bound | {Var(var.name, var.ty)}
-                return body.free_meaning_vars(bound)
-        return frozenset()
-
-    def is_closed(self) -> bool:
-        return not self.free_sem_vars() and not self.free_meaning_vars()
+                binder = var if isinstance(var, SemVar) else Var(var.name, var.ty)
+                return body.is_closed(bound | {binder})
+        return True
 
 
 @dataclass(frozen=True)

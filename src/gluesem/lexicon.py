@@ -7,7 +7,7 @@ Lexicon file format, one declaration per line::
     appointed, appoint: forall X:e, Y:e. (^ SUBJ) ~> X * (^ OBJ) ~> Y -o ^ ~> appoint(X, Y)
 
 `constant` lines build the signature that types the meaning side. An entry
-line names one or more headwords (aliases for the same constructor, covering
+line names one or more headwords (names for the same constructor, covering
 word-form vs semantic-form naming like appointed/appoint), then a template:
 `~>` relates a structure expression to a meaning, `~>_t` forces the type
 index, `*` is multiplicative conjunction, `-o` linear implication
@@ -39,7 +39,6 @@ _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 @dataclass(frozen=True)
 class LexicalEntry:
     headword: str
-    aliases: tuple[str, ...]
     template: GlueFormula
 
     def __str__(self) -> str:
@@ -47,8 +46,8 @@ class LexicalEntry:
 
 
 class Lexicon(dict):
-    """Map from headword (and aliases) to LexicalEntry, plus the constant
-    signature used to type meaning terms."""
+    """Map from each headword of an entry line to its LexicalEntry, plus the
+    constant signature used to type meaning terms."""
 
     def __init__(self, signature: dict[str, SemType] | None = None):
         super().__init__()
@@ -76,7 +75,7 @@ def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
         entries_pending.append((words, template_part, lineno, len(head_part) + 1))
     for words, template_part, lineno, offset in entries_pending:
         template = _parse_template(template_part, lineno, offset, lexicon.signature, source)
-        entry = LexicalEntry(headword=words[0], aliases=tuple(words), template=template)
+        entry = LexicalEntry(headword=words[0], template=template)
         for word in words:
             key = word.casefold()
             if key in lexicon:
@@ -279,20 +278,6 @@ class Premise:
         return f"[{self.index}] {self.word}: {self.formula}"
 
 
-@dataclass(frozen=True)
-class PremiseSet:
-    premises: tuple[Premise, ...]
-
-    def __iter__(self):
-        return iter(self.premises)
-
-    def __len__(self) -> int:
-        return len(self.premises)
-
-    def __str__(self) -> str:
-        return "\n".join(str(p) for p in self.premises)
-
-
 def entry_key(node: FStructure) -> str | None:
     """Lookup key for the word heading `node`: its PRED, prefixed by SPEC for
     pre-combined quantified nominals (every-candidate, a-manager)."""
@@ -305,7 +290,7 @@ def entry_key(node: FStructure) -> str | None:
     return pred.casefold()
 
 
-def premises(root: FStructure, lexicon: Lexicon) -> PremiseSet:
+def premises(root: FStructure, lexicon: Lexicon) -> tuple[Premise, ...]:
     """One instantiated premise per word occurrence (PRED-bearing node,
     including each MODS member), in document order."""
     out: list[Premise] = []
@@ -318,4 +303,4 @@ def premises(root: FStructure, lexicon: Lexicon) -> PremiseSet:
             raise MissingEntryError(key, node.label)
         formula = instantiate(entry, node)
         out.append(Premise(len(out) + 1, formula, entry.headword, node.label))
-    return PremiseSet(tuple(out))
+    return tuple(out)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from .errors import GlueError, NonPatternError, SearchBoundError, UnboundVariableError
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, Tensor, flatten_tensor
 from .fstruct import SemStructure
-from .lexicon import Premise, PremiseSet
+from .lexicon import Premise
 from .semtypes import SemType, T
 from .terms import (
     App,
@@ -417,16 +417,11 @@ def _rid_order(rid):
 # Public operations.
 
 
-def _as_premises(premise_set) -> list[Premise]:
-    if isinstance(premise_set, PremiseSet):
-        return list(premise_set)
-    out = []
-    for i, item in enumerate(premise_set, start=1):
-        if isinstance(item, Premise):
-            out.append(item)
-        else:
-            out.append(Premise(i, item, f"p{i}", ""))
-    return out
+def _as_premises(items) -> list[Premise]:
+    return [
+        item if isinstance(item, Premise) else Premise(i, item, f"p{i}", "")
+        for i, item in enumerate(items, start=1)
+    ]
 
 
 @dataclass(frozen=True)

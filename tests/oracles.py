@@ -1,15 +1,16 @@
 """Independent oracles the test suite checks the package against.
 
-Two deliberately naive implementations live here so the real code never
+Three deliberately naive implementations live here so the real code never
 checks itself: a named-variable lambda evaluator (explicit capture-avoiding
-substitution, one redex at a time) and, further down, a forward-chaining
-enumerator for linear deductions that replaces unification with exhaustive
-matching.
+substitution, one redex at a time), a forward-chaining enumerator for linear
+deductions that replaces unification with exhaustive matching and, last, the
+scope-grid readings in closed form, built from strings alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -336,3 +337,39 @@ def _sublists(indices):
     indices = list(indices)
     for mask in range(1 << len(indices)):
         yield {indices[k] for k in range(len(indices)) if mask >> k & 1}
+
+
+# ---------------------------------------------------------------------------
+# The scope grid in closed form: `give` whose first q arguments are the
+# quantified nominals below (the rest are names), modified k times by
+# `obviously`. Every reading is one interleaving, outermost first, of the q
+# quantifiers in some order with the k identical modifiers, so there are
+# (q+k)!/k! of them. Nothing here touches gluesem.
+
+GRID_QUANTIFIERS = (("every", "candidate", "u"), ("a", "manager", "v"), ("some", "brief", "w"))
+GRID_NAMES = ("Bill", "Hillary", "John")
+
+
+def grid_readings_closed_form(q: int, k: int) -> list[str]:
+    """The sorted reading strings of grid cell (q, k)."""
+    args = [
+        quant[2] if i < q else name
+        for i, (quant, name) in enumerate(zip(GRID_QUANTIFIERS, GRID_NAMES))
+    ]
+    core = f"give({', '.join(args)})"
+    out = set()
+    for order in itertools.permutations(GRID_QUANTIFIERS[:q]):
+        for modifier_slots in itertools.combinations(range(q + k), k):
+            scopes = iter(order)
+            operators = [None if i in modifier_slots else next(scopes) for i in range(q + k)]
+            body = core
+            for operator in reversed(operators):
+                if operator is None:
+                    body = f"obviously({body})"
+                else:
+                    det, noun, binder = operator
+                    body = f"{det}({noun}, \\{binder}. {body})"
+            out.add(body)
+    expected = math.factorial(q + k) // math.factorial(k)
+    assert len(out) == expected, f"enumerated {len(out)} readings, expected {expected}"
+    return sorted(out)

@@ -374,3 +374,44 @@ def test_lexicon_meaning_term_error_is_an_input_error(tmp_path, meaning, error):
     out, err = io.StringIO(), io.StringIO()
     code = run(RunConfig(str(fs), str(lexicon)), out, err)
     assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {error}\n")
+
+
+def test_reentrant_object_is_incomplete_at_the_frontier(tmp_path):
+    # SUBJ and OBJ are one node, whose one supply meets both of the verb's
+    # demands: a demand is met when some supply matches it, so the search
+    # frontier names what is missing. A count of demands against supplies
+    # would blame `appointed[1]` instead.
+    fs = tmp_path / "reentrant.fs"
+    fs.write_text("f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ g]", encoding="utf-8")
+    code, out, err = run_cli(
+        "derive", "--fstructure", str(fs), "--lexicon", str(FIXTURES / "core.lex")
+    )
+    assert (code, out, err) == (2, "", "incomplete\nunsatisfied: g : e\n")
+
+
+def test_json_missing_entry_exits_5_with_an_empty_reading_list(tmp_path):
+    fs = tmp_path / "x.fs"
+    fs.write_text("f:[PRED 'vanish'; SUBJ g:[PRED 'Bill']]", encoding="utf-8")
+    code, out, err = run_cli(
+        "derive", "--fstructure", str(fs), "--lexicon", str(FIXTURES / "core.lex"), "--json"
+    )
+    assert (code, err) == (5, "")
+    document = json.loads(out)
+    assert document["readings"] == []
+    assert document["diagnosis"]["status"] == "missing-entry"
+    assert "vanish" in document["diagnosis"]["note"]
+
+
+@pytest.mark.parametrize("fs_name", ["scope.fs", "ditransitive_scope.fs"])
+def test_closed_output_pipe_exits_1_without_a_traceback(fs_name):
+    # Like `gluesem derive ... | head -1`: the reader is gone before the
+    # readings are written.
+    src = pathlib.Path(gluesem.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "gluesem", *derive_args(fs_name, "--all-traces")]
+    with subprocess.Popen(
+        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

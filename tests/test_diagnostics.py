@@ -178,3 +178,33 @@ def test_twin_leftovers_are_all_named(twins, taken, all_traces):
         parse_fstructure(fstructure), parse_lexicon(lexicon), all_traces=all_traces
     )
     assert str(diagnosis) == expected
+
+
+WILDCARD_LEXICON = """\
+constant Bill : e
+constant c : t
+constant p : e -> t
+bill: ^ ~> Bill
+c: forall H. H ~>_t c
+any: forall H, X:e. H ~> X -o ^ ~> p(X)
+"""
+
+
+@pytest.mark.parametrize(
+    "fstructure,expected",
+    [
+        # `c` supplies `H ~>_t`, a structure variable, which meets the goal's
+        # demand for `f ~>_t`.
+        ("f:[PRED 'c'; SUBJ g:[PRED 'bill']]", "incoherent\nleftover: bill[2]"),
+        # `any` demands `H ~>_e`, which the labelled `g ~>_e` and `h ~>_e` meet.
+        (
+            "f:[PRED 'any'; SUBJ g:[PRED 'bill']; OBJ h:[PRED 'bill']]",
+            "incoherent\nleftover: bill[2], bill[3]",
+        ),
+    ],
+    ids=["variable-supply", "variable-demand"],
+)
+def test_a_structure_variable_matches_any_label_of_its_type(fstructure, expected):
+    diagnosis = diagnose(parse_fstructure(fstructure), parse_lexicon(WILDCARD_LEXICON))
+    assert str(diagnosis) == expected
+

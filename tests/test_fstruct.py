@@ -87,6 +87,19 @@ def test_parse_empty_mods_set():
     assert root.attrs["MODS"] == ()
 
 
+def test_set_member_label_reference_resolves_to_its_node():
+    root = parse_fstructure("f:[PRED 'arrive'; XADJ m:[PRED 'obviously']; MODS { m }]")
+    member = root.attrs["XADJ"]
+    assert root.attrs["MODS"] == (member,) and root.attrs["MODS"][0] is member
+    assert member.mod_container is root
+
+
+def test_undefined_set_member_is_reported_at_its_position():
+    with pytest.raises(SyntaxErrorAt) as err:
+        parse_fstructure("f:[PRED 'x'; MODS { nowhere }]")
+    assert str(err.value) == "1:21: set member 'nowhere' is not a defined label"
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(SyntaxErrorAt) as err:
         parse_fstructure("f:[PRED 'appoint'; SUBJ [PRED 'Bill']]")

@@ -175,6 +175,21 @@ def test_missing_entry_is_reported(lexicon):
     assert err.value.key == "vanish"
 
 
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        ("constant Bill e", "1:1: expected 'constant name : type'"),
+        ("constant 9Bill : e", "1:1: bad constant name '9Bill'"),
+        ("constant Bill : e\nconstant Bill : t", "2:1: duplicate constant 'Bill'"),
+    ],
+    ids=["no-colon", "bad-name", "duplicate"],
+)
+def test_constant_line_errors(line, error):
+    with pytest.raises(SyntaxErrorAt) as err:
+        parse_lexicon(line)
+    assert str(err.value) == error
+
+
 def test_duplicate_entry_rejected():
     with pytest.raises(SyntaxErrorAt):
         parse_lexicon("constant Bill : e\nbill: ^ ~> Bill\nbill: ^ ~> Bill")

@@ -11,8 +11,8 @@ import random
 import pytest
 
 from gluesem import prover
-from gluesem.errors import GlueError, SearchBoundError
-from gluesem.formulas import Atom, Forall, Limp, MeaningVar, Tensor
+from gluesem.errors import GlueError, NonPatternError, SearchBoundError
+from gluesem.formulas import Atom, Forall, Limp, MeaningVar, SemVar, Tensor
 from gluesem.fstruct import SemStructure, parse_fstructure, sigma
 from gluesem.lexicon import Premise, parse_lexicon, premises
 from gluesem.prover import Goal, derive, entails, prop, unify
@@ -159,6 +159,9 @@ def test_entailment_table():
     assert entails(Tensor(A, B), A) is False
     assert entails(Tensor(A, a_imp_b), Tensor(A, B)) is False
     assert entails(Tensor(A, a_imp_b), Tensor(a_imp_b, B)) is False
+    C = prop("C")  # a tensor head yields both of its components
+    assert entails(Tensor(A, Limp(A, Tensor(B, C))), Tensor(B, C)) is True
+    assert entails(Tensor(A, Limp(A, Tensor(B, C))), B) is False
 
 
 def test_entailment_identity():
@@ -177,6 +180,33 @@ def test_entailment_nested_consequent():
     A, B = prop("A"), prop("B")
     assert entails(Limp(A, B), Limp(A, B)) is True
     assert entails(Tensor(A, Limp(A, Limp(A, B))), Limp(A, B)) is True
+
+
+def test_tensor_head_splits_into_a_derived_resource():
+    # The middle premise's head is a tensor: applying it yields `l` for the
+    # focus at hand and leaves `r` over as the derived resource d1.
+    a, l, r, f = (SemStructure(name) for name in "alrf")
+    X, P, Q = Var("X", E), Var("P", E), Var("Q", E)
+    lf, rf = Const("lf", arrow(E, E)), Const("rf", arrow(E, E))
+    split = Forall(
+        MeaningVar("X", E),
+        Limp(Atom(a, E, X), Tensor(Atom(l, E, App(lf, X)), Atom(r, E, App(rf, X)))),
+    )
+    join = Forall(MeaningVar("P", E), Forall(MeaningVar("Q", E), Limp(
+        Tensor(Atom(l, E, P), Atom(r, E, Q)),
+        Atom(f, T, apply(Const("j", arrow(E, E, T)), P, Q)),
+    )))
+    (reading,) = derive([Atom(a, E, Const("c", E)), split, join], Goal(f))
+    assert format_term(reading.meaning) == "j(lf(c), rf(c))"
+    assert "derive [d1] p2: r_σ ~>_e rf(c)" in [s.line() for s in reading.trace]
+    audit_linearity(reading, [1, 2, 3])
+
+
+def test_head_variable_no_antecedent_binds_is_a_non_pattern_error():
+    f = SemStructure("f")
+    unbound = Forall(MeaningVar("X", E), Atom(f, T, App(Const("p", arrow(E, T)), Var("X", E))))
+    with pytest.raises(NonPatternError, match="metavariable\\(s\\) X after"):
+        derive([unbound], Goal(f))
 
 
 # --- search properties -------------------------------------------------------
@@ -277,6 +307,15 @@ def test_open_premises_are_rejected():
     open_premise = Premise(1, Atom(sem, E, Var("X", E)), "bad", "f")
     with pytest.raises(GlueError):
         derive([open_premise], Goal(sem, E))
+
+
+def test_is_closed_sees_free_structure_and_meaning_variables():
+    f = SemStructure("f")
+    H, X = SemVar("H"), Var("X", E)
+    assert not Atom(H, E, Const("c", E)).is_closed()
+    assert not Atom(f, E, X).is_closed()
+    assert Forall(H, Atom(H, E, Const("c", E))).is_closed()
+    assert Forall(MeaningVar("X", E), Atom(f, E, X)).is_closed()
 
 
 def test_derive_is_deterministic(lexicon, scope_fs):
