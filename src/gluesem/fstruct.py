@@ -14,12 +14,14 @@ that node; re-entrancy is carried through but nothing in scope exploits it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .errors import MissingAttributeError, SyntaxErrorAt
+from .errors import MissingAttributeError
 from .lexer import Token, TokenStream, tokenize
 
 Value = "FStructure | str | tuple[FStructure, ...]"
+_WORD = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -106,121 +108,99 @@ def resolve_path(root: FStructure, path) -> object:
 def parse_fstructure(text: str, source: str | None = None) -> FStructure:
     ts = TokenStream(tokenize(text, source), source)
     parser = _Parser(ts)
-    root = parser.parse_node()
+    root = parser.parse_node(ts.expect("IDENT", "an f-structure label"))
     if not ts.at_end():
         ts.fail(f"unexpected {ts.peek().text!r} after f-structure")
     parser.resolve_references()
     return root
 
 
-class _Deferred:
-    """A bare identifier awaiting label resolution."""
-
-    def __init__(self, name: str, tok: Token):
-        self.name = name
-        self.tok = tok
-
-
 class _Parser:
     def __init__(self, ts: TokenStream):
         self.ts = ts
         self.labels: dict[str, FStructure] = {}
-        self.deferred: list[tuple[FStructure, str, int | None, _Deferred]] = []
+        # (container, attribute, set index or None, identifier) for each bare
+        # identifier, which stands in its slot until every label is known
+        self.deferred: list[tuple[FStructure, str, int | None, Token]] = []
 
-    def parse_node(self) -> FStructure:
-        tok = self.ts.expect("IDENT", "an f-structure label")
-        self.ts.descend("f-structures", tok)
-        self.ts.expect(":")
+    def items(self, close: str):
+        """Yield the index of each `;`-separated item of a list ending in
+        `close` (a trailing `;` is allowed); the caller parses the item."""
+        ts = self.ts
+        index = 0
+        while not ts.accept(close):
+            yield index
+            if not ts.accept(";"):
+                ts.expect(close)
+                return
+            index += 1
+
+    def parse_node(self, tok: Token) -> FStructure:
+        """The node labelled `tok`, read from the `:` that follows it."""
+        ts = self.ts
+        ts.descend("f-structures", tok)
+        ts.expect(":")
         if tok.text in self.labels:
-            self.ts.fail(f"duplicate label '{tok.text}'", tok)
-        node = FStructure(tok.text)
-        self.labels[tok.text] = node
-        self.ts.expect("[")
-        if not self.ts.accept("]"):
+            ts.fail(f"duplicate label '{tok.text}'", tok)
+        node = self.labels[tok.text] = FStructure(tok.text)
+        ts.expect("[")
+        for _ in self.items("]"):
             self.parse_attr(node)
-            while self.ts.accept(";"):
-                if self.ts.peek().kind == "]":
-                    break
-                self.parse_attr(node)
-            self.ts.expect("]")
-        self.ts.ascend()
+        ts.ascend()
         return node
 
     def parse_attr(self, node: FStructure):
-        tok = self.ts.expect("IDENT", "an attribute name")
+        ts = self.ts
+        tok = ts.expect("IDENT", "an attribute name")
         attribute = tok.text.upper()
         if attribute in node.attrs:
-            self.ts.fail(f"duplicate attribute {attribute} in '{node.label}'", tok)
-        node.attrs[attribute] = self.parse_value(node, attribute)
+            ts.fail(f"duplicate attribute {attribute} in '{node.label}'", tok)
+        if tok := ts.accept("QUOTED"):
+            value = tok.text
+        elif ts.accept("{"):
+            members = []
+            for index in self.items("}"):
+                tok = ts.accept("IDENT") or ts.fail(
+                    "set members must be f-structures or label references"
+                )
+                members.append(self.parse_ident(tok, node, attribute, index))
+            value = tuple(members)
+        else:
+            tok = ts.accept("IDENT") or ts.fail(f"expected a value for attribute {attribute}")
+            value = self.parse_ident(tok, node, attribute, None)
+        node.attrs[attribute] = value
 
-    def parse_value(self, container: FStructure, attribute: str):
-        tok = self.ts.peek()
-        if tok.kind == "QUOTED":
-            self.ts.next()
-            return tok.text
-        if tok.kind == "{":
-            return self.parse_set(container, attribute)
-        if tok.kind == "IDENT":
-            if self.ts.peek(1).kind == ":":
-                return self.parse_node()
-            self.ts.next()
-            deferred = _Deferred(tok.text, tok)
-            self.deferred.append((container, attribute, None, deferred))
-            return deferred
-        self.ts.fail(f"expected a value for attribute {attribute}")
-
-    def parse_set(self, container: FStructure, attribute: str):
-        self.ts.expect("{")
-        members: list[object] = []
-        if not self.ts.accept("}"):
-            members.append(self.parse_set_member(container, attribute, len(members)))
-            while self.ts.accept(";"):
-                if self.ts.peek().kind == "}":
-                    break
-                members.append(self.parse_set_member(container, attribute, len(members)))
-            self.ts.expect("}")
-        return tuple(members)
-
-    def parse_set_member(self, container: FStructure, attribute: str, index: int):
-        tok = self.ts.peek()
-        if tok.kind == "IDENT" and self.ts.peek(1).kind == ":":
-            member = self.parse_node()
-            member.mod_container = container
-            return member
-        if tok.kind == "IDENT":
-            self.ts.next()
-            deferred = _Deferred(tok.text, tok)
-            self.deferred.append((container, attribute, index, deferred))
-            return deferred
-        self.ts.fail("set members must be f-structures or label references")
+    def parse_ident(self, tok: Token, container: FStructure, attribute: str, index: int | None):
+        """A node if `:` follows the identifier `tok`, else a deferred
+        reference; `index` places a set member in its set."""
+        if self.ts.peek().kind == ":":
+            node = self.parse_node(tok)
+            if index is not None:
+                node.mod_container = container
+            return node
+        self.deferred.append((container, attribute, index, tok))
+        return tok
 
     def resolve_references(self):
-        for container, attribute, index, deferred in self.deferred:
-            target = self.labels.get(deferred.name)
+        for container, attribute, index, tok in self.deferred:
             if index is None:
                 # Attribute position: a known label is a re-entrant reference,
                 # anything else is an atomic symbol (e.g. SPEC every).
-                if target is not None:
-                    container.attrs[attribute] = target
-                else:
-                    container.attrs[attribute] = deferred.name
-            else:
-                if target is None:
-                    raise SyntaxErrorAt(
-                        f"set member '{deferred.name}' is not a defined label",
-                        deferred.tok.line,
-                        deferred.tok.column,
-                        self.ts.source,
-                    )
-                members = list(container.attrs[attribute])
-                members[index] = target
-                if target.mod_container is None:
-                    target.mod_container = container
-                container.attrs[attribute] = tuple(members)
+                container.attrs[attribute] = self.labels.get(tok.text, tok.text)
+                continue
+            target = self.labels.get(tok.text)
+            if target is None:
+                self.ts.fail(f"set member '{tok.text}' is not a defined label", tok)
+            members = list(container.attrs[attribute])
+            members[index] = target
+            if target.mod_container is None:
+                target.mod_container = container
+            container.attrs[attribute] = tuple(members)
 
 
 def format_fstructure(root: FStructure) -> str:
     printed: set[int] = set()
+    labels = {node.label for node in root.nodes()}
 
     def fmt_node(node: FStructure) -> str:
         if id(node) in printed:
@@ -236,8 +216,9 @@ def format_fstructure(root: FStructure) -> str:
             return fmt_node(value)
         if isinstance(value, tuple):
             return "{ " + "; ".join(fmt_node(m) for m in value) + " }" if value else "{ }"
-        if attribute == "PRED":
-            return f"'{value}'"
-        return str(value)
+        # A symbol is printed bare only where it reads back as itself: an
+        # identifier (as the tokenizer reads one) that names no node.
+        bare = value[:1].isalpha() and _WORD.fullmatch(value) and value not in labels
+        return value if bare and attribute != "PRED" else f"'{value}'"
 
     return fmt_node(root)

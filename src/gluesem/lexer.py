@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import SyntaxErrorAt
 
@@ -60,6 +61,10 @@ def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) 
 
 
 class TokenStream:
+    """A cursor over a token list that ends in its EOF token. The parsers
+    look past the current token only when it is not EOF and advance only
+    past tokens they have matched, so every index stays in bounds."""
+
     def __init__(self, tokens: list[Token], source: str | None = None):
         self.tokens = tokens
         self.pos = 0
@@ -67,30 +72,29 @@ class TokenStream:
         self.depth = 0
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def accept(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            return None
+        self.pos += 1
+        return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
-            want = what or f"'{kind}'"
-            got = tok.text if tok.kind != "EOF" else "end of input"
-            self.fail(f"expected {want}, found {got!r}" if tok.kind != "EOF"
-                      else f"expected {want}, found end of input", tok)
-        return self.next()
+            found = "end of input" if tok.kind == "EOF" else repr(tok.text)
+            self.fail(f"expected {what or repr(kind)}, found {found}", tok)
+        self.pos += 1
+        return tok
 
     def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
+        return self.tokens[self.pos].kind == "EOF"
 
     def descend(self, what: str, tok: Token | None = None):
         """Open one nesting level (a group, an operand, a binder); `what`
@@ -102,6 +106,6 @@ class TokenStream:
     def ascend(self, levels: int = 1):
         self.depth -= levels
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
+    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
+        tok = tok or self.tokens[self.pos]
         raise SyntaxErrorAt(message, tok.line, tok.column, self.source)

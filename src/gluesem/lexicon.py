@@ -56,7 +56,7 @@ class Lexicon(dict):
 
 def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
     lexicon = Lexicon()
-    entries_pending: list[tuple[list[str], str, int, int]] = []
+    entries_pending: list[tuple[list[tuple[str, int]], str, int, int]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -67,35 +67,44 @@ def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
         if ":" not in line:
             raise SyntaxErrorAt("expected 'headword: template'", lineno, 1, source)
         head_part, template_part = line.split(":", 1)
-        words = [w.strip() for w in head_part.split(",")]
-        for word in words:
+        words = []  # (headword, column)
+        start = 0
+        for part in head_part.split(","):
+            word, column = part.strip(), _column(head_part, start)
             if not _HEADWORD.match(word):
-                raise SyntaxErrorAt(f"bad headword {word!r}", lineno, 1, source)
+                raise SyntaxErrorAt(f"bad headword {word!r}", lineno, column, source)
+            words.append((word, column))
+            start += len(part) + 1
         # Constants may be declared anywhere in the file; parse templates after.
         entries_pending.append((words, template_part, lineno, len(head_part) + 1))
     for words, template_part, lineno, offset in entries_pending:
         template = _parse_template(template_part, lineno, offset, lexicon.signature, source)
-        entry = LexicalEntry(headword=words[0], template=template)
-        for word in words:
+        entry = LexicalEntry(headword=words[0][0], template=template)
+        for word, column in words:
             key = word.casefold()
             if key in lexicon:
-                raise SyntaxErrorAt(f"duplicate entry for '{word}'", lineno, 1, source)
+                raise SyntaxErrorAt(f"duplicate entry for '{word}'", lineno, column, source)
             lexicon[key] = entry
     return lexicon
 
 
+def _column(line: str, start: int) -> int:
+    """The column of the first non-blank character of `line` from `start`."""
+    return len(line) - len(line[start:].lstrip()) + 1
+
+
 def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, source):
-    body = line.strip()[len("constant") :]
-    if ":" not in body:
-        raise SyntaxErrorAt("expected 'constant name : type'", lineno, 1, source)
-    name_part, type_part = body.split(":", 1)
+    after = line.index("constant") + len("constant")
+    column = _column(line, after)  # the name's
+    if ":" not in line:
+        raise SyntaxErrorAt("expected 'constant name : type'", lineno, column, source)
+    name_part, type_part = line[after:].split(":", 1)
     name = name_part.strip()
     if not re.match(r"^[A-Za-z][A-Za-z0-9_]*$", name):
-        raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, 1, source)
+        raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, column, source)
     if name in lexicon.signature:
-        raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, 1, source)
-    column = len(line) - len(type_part) + 1
-    ts = TokenStream(tokenize(type_part, source, lineno, column), source)
+        raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, column, source)
+    ts = TokenStream(tokenize(type_part, source, lineno, len(line) - len(type_part) + 1), source)
     ty = parse_type_at(ts)
     if not ts.at_end():
         ts.fail("trailing input after type")
@@ -110,12 +119,13 @@ class _TemplateParser:
         self.sem_scope: set[str] = set()
 
     def parse_formula(self) -> GlueFormula:
-        if self.ts.peek().kind == "IDENT" and self.ts.peek().text == "forall":
+        tok = self.ts.peek()
+        if tok.kind == "IDENT" and tok.text == "forall":
             return self.parse_forall()
         return self.parse_limp()
 
     def parse_forall(self) -> GlueFormula:
-        self.ts.expect("IDENT")  # 'forall'
+        self.ts.next()  # 'forall'
         binders: list[object] = []
         while True:
             tok = self.ts.expect("IDENT", "a quantifier variable")
@@ -164,21 +174,32 @@ class _TemplateParser:
         return left
 
     def parse_unit(self) -> GlueFormula:
-        tok = self.ts.peek()
-        if tok.kind == "(" and self.ts.peek(1).kind not in ("^",) and not (
-            self.ts.peek(1).kind == "IDENT"
-            and self.ts.peek(1).text == "mod"
-            and self.ts.peek(2).kind == "^"
-        ):
-            self.ts.descend("formulas", self.ts.next())
-            inner = self.parse_formula()
-            self.ts.ascend()
-            self.ts.expect(")")
-            return inner
-        return self.parse_atom()
+        """An atom, or a formula in parentheses; a `(` opens `(^ PATH)`,
+        `(mod ^)` or a group, told apart by the tokens after it."""
+        ts = self.ts
+        open_tok = ts.accept("(")
+        if open_tok is None:
+            return self.parse_atom(self.parse_sem_expr())
+        if ts.accept("^"):
+            path = []
+            while tok := ts.accept("IDENT"):
+                path.append(tok.text.upper())
+            ts.expect(")")
+            return self.parse_atom(PathRef("up", tuple(path)))
+        tok = ts.peek()
+        if tok.kind == "IDENT" and tok.text == "mod" and ts.peek(1).kind == "^":
+            ts.next()  # 'mod'
+            ts.next()  # '^'
+            ts.expect(")")
+            return self.parse_atom(PathRef("mod"))
+        ts.descend("formulas", open_tok)
+        inner = self.parse_formula()
+        ts.ascend()
+        ts.expect(")")
+        return inner
 
-    def parse_atom(self) -> Atom:
-        sem = self.parse_sem_expr()
+    def parse_atom(self, sem) -> Atom:
+        """The rest of an atom whose structure expression `sem` is read."""
         self.ts.expect("~>")
         explicit: SemType | None = None
         if self.ts.accept("_"):
@@ -191,23 +212,9 @@ class _TemplateParser:
         return Atom(sem, explicit if explicit is not None else meaning_ty, meaning)
 
     def parse_sem_expr(self):
+        """`^` or a bound structure variable."""
         if self.ts.accept("^"):
             return PathRef("up")
-        if self.ts.peek().kind == "(":
-            self.ts.next()
-            if self.ts.peek().kind == "IDENT" and self.ts.peek().text == "mod":
-                self.ts.next()
-                self.ts.expect("^")
-                self.ts.expect(")")
-                return PathRef("mod")
-            self.ts.expect("^")
-            path = []
-            while self.ts.peek().kind == "IDENT":
-                path.append(self.ts.next().text.upper())
-            self.ts.expect(")")
-            if not path:
-                return PathRef("up")
-            return PathRef("up", tuple(path))
         tok = self.ts.expect("IDENT", "a structure expression")
         if tok.text not in self.sem_scope:
             self.ts.fail(f"unbound structure variable '{tok.text}'", tok)

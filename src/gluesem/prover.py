@@ -24,8 +24,8 @@ every order.
 
 A derivation's trace is a by-product of the search: each inference is
 recorded as a `TraceStep` holding its formula and binding values, and is
-formatted only when its `line()` is called. The search itself formats
-nothing unless `all_traces` asks it to tell derivations apart.
+formatted only when its `line()` is called. The search formats nothing: it
+tells derivations apart by their recorded steps.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ Trace = tuple[TraceStep, ...]
 class Reading:
     """One derived meaning for the goal. By default `traces` holds just the
     canonical (first-found) derivation; with `all_traces` it holds every
-    derivation that produced the meaning with distinct rendered lines,
+    derivation that produced the meaning with distinct recorded steps,
     canonical first, including those that differ only by swapping twin
     premises. Each trace is the steps as the search recorded them; reading
     it formats nothing until a step's `line()` is called."""
@@ -454,7 +454,7 @@ def search(
             raise GlueError(f"premise {premise.tag()} is not closed")
     engine = _Search(premise_list, [goal.sem], all_traces, depth_bound)
 
-    # canonical meaning -> (meaning, {trace's rendered lines, or (): trace})
+    # canonical meaning -> (meaning, {trace, or () by default: trace})
     found: dict[MeaningTerm, tuple[MeaningTerm, dict]] = {}
     fewest: int | None = None  # the fewest premises a goal-reaching derivation left
     pooled: set[int] = set()
@@ -476,9 +476,8 @@ def search(
             entry = found[key] = (_tidy_hints(meaning), {})
         elif not all_traces:
             continue  # default mode keeps the canonical (first) trace only
-        # Distinct derivations are those whose rendered lines differ.
-        lines = tuple(step.line() for step in steps) if all_traces else ()
-        entry[1].setdefault(lines, steps)
+        # Distinct derivations are those whose recorded steps differ.
+        entry[1].setdefault(steps if all_traces else (), steps)
     if not supplied:
         engine.record_failure(goal.sem, goal.ty, engine.premise_ids)
     readings = tuple(

@@ -9,6 +9,17 @@ from gluesem.lexicon import parse_lexicon
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
+# The acceptance criteria's PASS/FAIL lines, printed after the run whatever
+# the capture mode.
+ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance criteria")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
+
 
 @pytest.fixture(scope="session")
 def lexicon():

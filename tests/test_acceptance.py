@@ -11,7 +11,6 @@ import io
 import itertools
 import json
 import random
-import sys
 import time
 
 from gluesem.formulas import Limp, Tensor
@@ -23,7 +22,7 @@ from gluesem.terms import Const, canonical_form, equivalent, normalize, typechec
 from gluesem.termsyntax import parse_term
 from gluesem.cli import main as cli_main
 
-from conftest import FIXTURES, load_fs
+from conftest import ACCEPTANCE_LINES, FIXTURES, load_fs
 from oracles import named_to_core, oracle_beta_normal, oracle_canonical, random_named_term
 from test_prover import _random_premise_set, audit_linearity, meanings, oracle_meanings
 
@@ -42,18 +41,19 @@ SIG = {
 
 
 def _report(number: int, title: str):
+    """Record the criterion's PASS/FAIL line, which the run prints in its
+    summary (see conftest.py)."""
+
     @contextlib.contextmanager
     def ctx():
         start = time.perf_counter()
         try:
             yield
         except BaseException:
-            print(f"criterion {number}: FAIL  {title}", file=sys.__stdout__)
+            ACCEPTANCE_LINES.append(f"criterion {number}: FAIL  {title}")
             raise
         elapsed = time.perf_counter() - start
-        print(
-            f"criterion {number}: PASS  {title} ({elapsed:.3f}s)", file=sys.__stdout__
-        )
+        ACCEPTANCE_LINES.append(f"criterion {number}: PASS  {title} ({elapsed:.3f}s)")
 
     return ctx()
 

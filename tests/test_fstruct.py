@@ -190,3 +190,27 @@ def test_multiline_input_reports_line_numbers():
 def test_nodes_document_order():
     root = parse_fstructure(BAH)
     assert [n.label for n in root.nodes()] == ["f", "g", "h"]
+
+
+def test_trailing_semicolon_is_allowed_before_a_closing_bracket_or_brace():
+    root = parse_fstructure("f:[PRED 'arrive'; MODS { m:[PRED 'obviously']; }; ]")
+    assert format_fstructure(root) == "f:[PRED 'arrive'; MODS { m:[PRED 'obviously'] }]"
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("f:[PRED 'x'; pred 'y']", "1:14: duplicate attribute PRED in 'f'"),
+        ("f:[MODS { 'x' }]", "1:11: set members must be f-structures or label references"),
+        ("f:[MODS { m:[PRED 'y']; ; }]", "1:25: set members must be f-structures or label references"),
+        ("f:[PRED 'x';;]", "1:13: expected an attribute name, found ';'"),
+        ("f:[PRED ]", "1:9: expected a value for attribute PRED"),
+        ("f:[PRED 'x'] g", "1:14: unexpected 'g' after f-structure"),
+    ],
+    ids=["duplicate-attribute", "quoted-member", "empty-member", "empty-attribute",
+         "missing-value", "trailing-input"],
+)
+def test_parse_errors_name_the_offending_token(text, error):
+    with pytest.raises(SyntaxErrorAt) as err:
+        parse_fstructure(text)
+    assert str(err.value) == error

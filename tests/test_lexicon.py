@@ -178,15 +178,31 @@ def test_missing_entry_is_reported(lexicon):
 @pytest.mark.parametrize(
     "line,error",
     [
-        ("constant Bill e", "1:1: expected 'constant name : type'"),
-        ("constant 9Bill : e", "1:1: bad constant name '9Bill'"),
-        ("constant Bill : e\nconstant Bill : t", "2:1: duplicate constant 'Bill'"),
+        ("constant Bill e", "1:10: expected 'constant name : type'"),
+        ("constant 9Bill : e", "1:10: bad constant name '9Bill'"),
+        ("constant Bill : e\nconstant Bill : t", "2:10: duplicate constant 'Bill'"),
+        ("constant Bill : e\nbill, b c: ^ ~> Bill", "2:7: bad headword 'b c'"),
+        ("constant Bill : e\nbill: ^ ~> Bill\nx, bill: ^ ~> Bill", "3:4: duplicate entry for 'bill'"),
     ],
-    ids=["no-colon", "bad-name", "duplicate"],
+    ids=["no-colon", "bad-name", "duplicate", "bad-headword", "duplicate-entry"],
 )
 def test_constant_line_errors(line, error):
     with pytest.raises(SyntaxErrorAt) as err:
         parse_lexicon(line)
+    assert str(err.value) == error
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("constant Bill : e\nbill: ^ ~> Bill Bill", "2:17: unexpected 'Bill' after template"),
+        ("constant Bill : e t", "1:19: trailing input after type"),
+    ],
+    ids=["template", "constant-type"],
+)
+def test_trailing_input_is_reported_where_it_starts(text, error):
+    with pytest.raises(SyntaxErrorAt) as err:
+        parse_lexicon(text)
     assert str(err.value) == error
 
 

@@ -318,6 +318,21 @@ def test_is_closed_sees_free_structure_and_meaning_variables():
     assert Forall(MeaningVar("X", E), Atom(f, E, X)).is_closed()
 
 
+def test_substitute_meanings_crosses_tensors_and_respects_rebinding():
+    f, H = SemStructure("f"), SemVar("H")
+    X, Y, bill = Var("X", E), Var("Y", E), Const("Bill", E)
+    pair = Tensor(Atom(f, E, X), Atom(f, E, Y))
+    assert pair.substitute_meanings({X: bill}) == Tensor(Atom(f, E, bill), Atom(f, E, Y))
+    rebound = Forall(MeaningVar("X", E), Atom(f, E, X))
+    assert rebound.substitute_meanings({X: bill}) is rebound
+    assert Forall(MeaningVar("X", E), pair).substitute_meanings({X: bill, Y: bill}) == Forall(
+        MeaningVar("X", E), Tensor(Atom(f, E, X), Atom(f, E, bill))
+    )
+    assert Forall(H, Forall(MeaningVar("Y", E), pair)).substitute_meanings({X: bill}) == Forall(
+        H, Forall(MeaningVar("Y", E), Tensor(Atom(f, E, bill), Atom(f, E, Y)))
+    )
+
+
 def test_derive_is_deterministic(lexicon, scope_fs):
     first = readings_of(scope_fs, lexicon, all_traces=True)
     second = readings_of(scope_fs, lexicon, all_traces=True)
@@ -508,7 +523,8 @@ def test_default_mode_keeps_only_the_canonical_trace():
 
 
 def test_default_mode_formats_no_formula_until_a_trace_is_read(lexicon, scope_fs, monkeypatch):
-    # The search records trace steps; only `line()` formats them.
+    # The search records trace steps; only `line()` formats them. With
+    # `all_traces` too: derivations are told apart by their steps.
     from gluesem import formulas
     from test_grid_golden import grid_fstructure
 
@@ -522,11 +538,12 @@ def test_default_mode_formats_no_formula_until_a_trace_is_read(lexicon, scope_fs
     monkeypatch.setattr(formulas, "format_formula", counting)
     for fs in (scope_fs, parse_fstructure(grid_fstructure(2, 2))):
         premise_set = premises(fs, lexicon)
-        calls.clear()
-        readings = derive(premise_set, Goal(sigma(fs)))
-        assert readings and calls == []
-        lines = [step.line() for step in readings[0].trace]
-        assert lines and calls
+        for all_traces in (False, True):
+            calls.clear()
+            readings = derive(premise_set, Goal(sigma(fs)), all_traces=all_traces)
+            assert readings and calls == []
+            lines = [step.line() for step in readings[0].trace]
+            assert lines and calls
 
 
 # --- atomic subproofs hand back closed meanings -------------------------------

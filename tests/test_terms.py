@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from gluesem.errors import TermTypeError, UnboundVariableError
+from gluesem.errors import SyntaxErrorAt, TermTypeError, UnboundVariableError
 from gluesem.semtypes import ArrowType, E, T, arrow, parse_type
 from gluesem import terms
 from gluesem.terms import App, BoundVar, Const, Lam, Var, apply
@@ -45,6 +45,15 @@ def test_parse_type_right_associative():
     assert parse_type("e -> e -> t") == arrow(E, E, T)
     assert parse_type("(e -> t) -> t") == ArrowType(ArrowType(E, T), T)
     assert str(parse_type("(e -> t) -> e -> t")) == "(e -> t) -> e -> t"
+
+
+@pytest.mark.parametrize(
+    "text,error", [("e -> t t", "1:8: unexpected 't' in type"), ("e )", "1:3: unexpected ')' in type")]
+)
+def test_parse_type_rejects_trailing_input(text, error):
+    with pytest.raises(SyntaxErrorAt) as err:
+        parse_type(text)
+    assert str(err.value) == error
 
 
 # --- typecheck -------------------------------------------------------------
@@ -222,6 +231,15 @@ def test_parser_type_mismatch_prints_type_variables():
     assert str(err.value) == (
         "ill-typed application at line 1, column 9: type mismatch: e vs ?1 -> ?2"
     )
+
+
+def test_substitute_reaches_under_a_binder_and_keeps_its_hint():
+    x = Var("X", E)
+    appoint = Const("appoint", arrow(E, E, T))
+    lam = Lam(E, apply(appoint, x, BoundVar(0)), "v")
+    out = terms.substitute(lam, {x: Const("Bill", E)})
+    assert out == Lam(E, apply(appoint, Const("Bill", E), BoundVar(0)))
+    assert out.hint == "v"
 
 
 def test_apply_builds_curried_applications():

@@ -23,6 +23,7 @@ from gluesem.prover import unify
 BILL = Const("Bill", E)
 CONVINCE = Const("convince", arrow(E, E, T))
 APPOINT = Const("appoint", arrow(E, E, T))
+HILLARY = Const("Hillary", E)
 
 
 def hyp(name="x"):
@@ -97,3 +98,15 @@ def test_occurs_through_substitution():
     x, y = Var("X", E), BILL
     subst = unify(x, y)
     assert substitute(x, subst) == BILL
+
+
+def test_rigid_application_pattern_unifies_argument_by_argument():
+    x = Var("X", E)
+    assert unify(apply(APPOINT, x, BILL), apply(APPOINT, HILLARY, BILL)) == {x: HILLARY}
+    assert unify(apply(APPOINT, x, BILL), apply(APPOINT, HILLARY, HILLARY)) is None
+    assert unify(apply(APPOINT, x, BILL), apply(CONVINCE, HILLARY, BILL)) is None
+
+
+def test_binder_type_clash_under_an_abstraction_fails():
+    assert unify(Lam(E, Var("Q", T)), Lam(T, Const("rain", T))) is None
+    assert unify(Lam(E, Var("Q", T)), Lam(E, Const("rain", T))) == {Var("Q", T): Const("rain", T)}
