@@ -126,11 +126,8 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         diagnosis = diagnose(root, lexicon, goal, all_traces=config.all_traces)
     except MissingEntryError as exc:
         if config.json_output:
-            payload = {
-                "readings": [],
-                "diagnosis": {"status": "missing-entry", "note": str(exc)},
-            }
-            print(_stable_json(payload), file=stdout)
+            missing = Diagnosis("missing-entry", note=str(exc))
+            print(_stable_json(_payload(missing, config)), file=stdout)
         else:
             print(f"error: {exc}", file=stderr)
         return 5

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UninstantiableEntryError
-from .formulas import Atom, Forall, GlueFormula, Limp, Tensor
 from .fstruct import FStructure, SemStructure, sigma
 from .lexicon import Lexicon, Premise, premises
 from .prover import Goal, Reading, SearchResult, search
@@ -73,20 +72,6 @@ class Diagnosis:
         return "\n".join(parts)
 
 
-def _polarized_atoms(formula: GlueFormula, positive: bool = True):
-    match formula:
-        case Atom():
-            yield formula, positive
-        case Tensor(left, right):
-            yield from _polarized_atoms(left, positive)
-            yield from _polarized_atoms(right, positive)
-        case Limp(antecedent, consequent):
-            yield from _polarized_atoms(antecedent, not positive)
-            yield from _polarized_atoms(consequent, positive)
-        case Forall(_, body):
-            yield from _polarized_atoms(body, positive)
-
-
 def diagnose(
     root: FStructure,
     lexicon: Lexicon,
@@ -116,7 +101,7 @@ def _classify_failure(
     demands: dict[tuple, list] = {(goal.sem.label, str(goal.ty)): ["goal"]}
     supplies: dict[tuple, list] = {}
     for premise in premise_list:
-        for atom, positive in _polarized_atoms(premise.formula):
+        for atom, positive in premise.formula.atoms():
             sem = atom.sem.label if isinstance(atom.sem, SemStructure) else None
             table, who = (supplies, premise.index) if positive else (demands, premise.tag())
             table.setdefault((sem, str(atom.ty)), []).append(who)

@@ -61,17 +61,21 @@ class GlueFormula:
     # --- structural helpers -------------------------------------------------
 
     def atoms(self):
-        match self:
-            case Atom():
-                yield self
-            case Tensor(left, right):
-                yield from left.atoms()
-                yield from right.atoms()
-            case Limp(antecedent, consequent):
-                yield from antecedent.atoms()
-                yield from consequent.atoms()
-            case Forall(_, body):
-                yield from body.atoms()
+        """Yield (atom, positive) for every atom, left to right: an atom is
+        positive (a supply) unless it sits in an odd number of implication
+        antecedents (a demand)."""
+        stack = [(self, True)]
+        while stack:
+            formula, positive = stack.pop()
+            match formula:
+                case Atom():
+                    yield formula, positive
+                case Tensor(left, right):
+                    stack += ((right, positive), (left, positive))
+                case Limp(antecedent, consequent):
+                    stack += ((consequent, positive), (antecedent, not positive))
+                case Forall(_, body):
+                    stack.append((body, positive))
 
     def connectives(self) -> int:
         match self:

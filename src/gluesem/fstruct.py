@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import MissingAttributeError
 from .lexer import Token, TokenStream, tokenize
 
-Value = "FStructure | str | tuple[FStructure, ...]"
 _WORD = re.compile(r"\w+")
 
 

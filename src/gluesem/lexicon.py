@@ -49,9 +49,9 @@ class Lexicon(dict):
     """Map from each headword of an entry line to its LexicalEntry, plus the
     constant signature used to type meaning terms."""
 
-    def __init__(self, signature: dict[str, SemType] | None = None):
+    def __init__(self):
         super().__init__()
-        self.signature: dict[str, SemType] = dict(signature or {})
+        self.signature: dict[str, SemType] = {}
 
 
 def parse_lexicon(text: str, source: str | None = None) -> Lexicon:

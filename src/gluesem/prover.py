@@ -20,7 +20,7 @@ Premises with equal formulas and words (twins, such as k identical modifiers)
 are interchangeable: by default they are consumed in index order, so the k!
 derivations that differ only by swapping twins are explored once and the
 search pays per reading rather than per derivation. `all_traces` explores
-every order.
+every order once the canonical order has found a reading.
 
 A derivation's trace is a by-product of the search: each inference is
 recorded as a `TraceStep` holding its formula and binding values, and is
@@ -63,9 +63,6 @@ class Goal:
 
     sem: SemStructure
     ty: SemType = T
-
-    def __str__(self) -> str:
-        return f"{self.sem} ~>_{self.ty} ?"
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ class _Search:
             p.index: (p.formula, p.word) for p in premise_list
         }
         self.premise_ids = frozenset(p.index for p in premise_list)
-        sems = {a.sem for p in premise_list for a in p.formula.atoms()} | set(goal_sems)
+        sems = {a.sem for p in premise_list for a, _ in p.formula.atoms()} | set(goal_sems)
         self.universe = sorted(
             (s for s in sems if isinstance(s, SemStructure)), key=lambda s: s.label
         )
@@ -222,6 +219,8 @@ class _Search:
         self.stamps = itertools.count(1)
         self.name_counts: dict[str, int] = {}
         self.focus_tables: dict[int | str, dict] = {}
+        # derived resource id -> the premise or hypothesis it comes from
+        self.origin: dict[str, int | str] = {}
         classes: dict[tuple, list[int]] = {}
         if not all_orders:
             for p in premise_list:
@@ -235,11 +234,13 @@ class _Search:
 
     # -- goal dispatch ------------------------------------------------------
 
-    def prove(self, goal: GlueFormula, avail: frozenset, subst, depth, steps):
+    def prove(self, goal: GlueFormula, avail: frozenset, subst, depth):
+        """Yield (substitution, remaining resources, steps) for each proof of
+        `goal`; the steps are this subproof's own, in derivation order."""
         match goal:
             case Atom():
                 matched = False
-                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail, depth, steps):
+                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail, depth):
                     s2 = _unify(goal.meaning, meaning, subst)
                     if s2 is None:
                         continue
@@ -255,11 +256,11 @@ class _Search:
                 if not matched:
                     self.record_failure(goal.sem, goal.ty, avail)
             case Tensor():
-                yield from self.prove_all(flatten_tensor(goal), avail, subst, depth, steps)
+                yield from self.prove_all(flatten_tensor(goal), avail, subst, depth)
             case Limp():
-                yield from self.prove_limp(goal, avail, subst, depth, steps)
+                yield from self.prove_limp(goal, avail, subst, depth)
             case Forall(var, _) if isinstance(var, MeaningVar):
-                yield from self.prove_forall(goal, avail, subst, depth, steps)
+                yield from self.prove_forall(goal, avail, subst, depth)
             case _:
                 raise GlueError(f"unsupported goal form: {goal}")
 
@@ -268,35 +269,41 @@ class _Search:
         consumed = len(self.premise_ids - avail)
         self.frontier[key] = max(consumed, self.frontier.get(key, -1))
 
-    def prove_all(self, goals, avail, subst, depth, steps):
+    def prove_all(self, goals, avail, subst, depth):
         if self.all_orders and len(goals) > 1:
             orders = itertools.permutations(range(len(goals)))
         else:
             orders = [tuple(range(len(goals)))]
         for order in orders:
-            yield from self._seq(goals, order, 0, avail, subst, depth, steps)
+            yield from self._seq(goals, order, 0, avail, subst, depth)
 
-    def _seq(self, goals, order, i, avail, subst, depth, steps):
+    def _seq(self, goals, order, i, avail, subst, depth):
         if i == len(order):
-            yield subst, avail, steps
+            yield subst, avail, ()
             return
-        for s2, a2, e2 in self.prove(goals[order[i]], avail, subst, depth, steps):
-            yield from self._seq(goals, order, i + 1, a2, s2, depth, e2)
+        proofs = self.prove(goals[order[i]], avail, subst, depth)
+        if i + 1 == len(order):  # the last goal's steps end the sequence's
+            yield from proofs
+            return
+        for s2, a2, e2 in proofs:
+            for s3, a3, e3 in self._seq(goals, order, i + 1, a2, s2, depth):
+                yield s3, a3, e2 + e3
 
-    def prove_limp(self, goal: Limp, avail, subst, depth, steps):
+    def prove_limp(self, goal: Limp, avail, subst, depth):
         new_ids = []
+        assumed = ()
         for part in flatten_tensor(goal.antecedent):
             part = part.substitute_meanings(subst)
             rid = f"h{next(self.hyp_counter)}"
             word = self._hyp_word(part)
             self.registry[rid] = (part, word)
             new_ids.append(rid)
-            steps = steps + (TraceStep("assume", rid, word, part),)
+            assumed += (TraceStep("assume", rid, word, part),)
         avail = avail | frozenset(new_ids)
-        for s2, a2, e2 in self.prove(goal.consequent, avail, subst, depth, steps):
+        for s2, a2, e2 in self.prove(goal.consequent, avail, subst, depth):
             if any(rid in a2 for rid in new_ids):
                 continue  # the hypothesis must be consumed exactly once
-            yield s2, a2, e2
+            yield s2, a2, assumed + e2
 
     def _hyp_word(self, formula) -> str:
         if isinstance(formula, Atom):
@@ -305,11 +312,11 @@ class _Search:
                 return consts[-1].name
         return "hyp"
 
-    def prove_forall(self, goal: Forall, avail, subst, depth, steps):
+    def prove_forall(self, goal: Forall, avail, subst, depth):
         var: MeaningVar = goal.var
         hyp = self._fresh_hyp(var.name, var.ty)
         body = goal.body.substitute_meanings({Var(var.name, var.ty): hyp})
-        for s2, a2, e2 in self.prove(body, avail, subst, depth, steps):
+        for s2, a2, e2 in self.prove(body, avail, subst, depth):
             # The owning focus's bindings are visible outside the
             # hypothesis's scope, so none of them may mention it.
             if any(hyp in hyp_consts(term) for term in s2.values()):
@@ -324,7 +331,7 @@ class _Search:
 
     # -- atomic goals: focus a resource --------------------------------------
 
-    def prove_atom(self, sem, ty, avail, depth, steps):
+    def prove_atom(self, sem, ty, avail, depth):
         """Focus each available resource whose head can be `sem ~>_ty`, proving
         its antecedents in a substitution that starts empty: yield (closed
         meaning, remaining resources, steps), the last step being the
@@ -341,11 +348,11 @@ class _Search:
             for antecedents, head, rest, displays in self._focus_table(rid).get((sem, ty), ()):
                 yield from self._finish_focus(
                     rid, word, antecedents, head, rest, displays,
-                    avail - {rid}, depth, steps,
+                    avail - {rid}, depth,
                 )
 
-    def _finish_focus(self, rid, word, antecedents, head, rest, displays, avail, depth, steps):
-        for s1, a1, e1 in self.prove_all(antecedents, avail, {}, depth + 1, steps):
+    def _finish_focus(self, rid, word, antecedents, head, rest, displays, avail, depth):
+        for s1, a1, e1 in self.prove_all(antecedents, avail, {}, depth + 1):
             meaning = normalize(substitute(head.meaning, s1))
             if free_vars(meaning):
                 names = ", ".join(sorted(v.name for v in free_vars(meaning)))
@@ -357,6 +364,7 @@ class _Search:
                 extra = extra.substitute_meanings(s1)
                 rid2 = f"d{next(self.hyp_counter)}"
                 self.registry[rid2] = (extra, word)
+                self.origin[rid2] = self.origin.get(rid, rid)
                 a1 = a1 | {rid2}
                 e1 = e1 + (TraceStep("derive", rid2, word, extra),)
             shown = tuple(
@@ -429,7 +437,8 @@ class SearchResult:
     """What one proof search found. `readings` use every premise exactly
     once. `leftover` is None when no derivation reached the goal; otherwise
     it pools the unused premise ids of the goal-reaching derivations that
-    left the fewest over, widened by every twin class it meets, since the
+    left the fewest over (an unused tensor component derived from a premise
+    counts as that premise), widened by every twin class it meets, since the
     search skipped the derivations that swap twins. `frontier` lists, as
     (structure label, type, premises consumed), each atomic goal for which no
     resource supplied a meaning its pattern matches (the sentence goal: no
@@ -447,11 +456,21 @@ def search(
     depth_bound: int | None = None,
 ) -> SearchResult:
     """One proof search for `goal` from the premises; `derive` and
-    `diagnose` read what they need from its result."""
+    `diagnose` read what they need from its result. With `all_traces`, the
+    search in every order runs only once the canonical-order search has
+    found a reading: a failure is that search's result, so its diagnosis
+    does not depend on `all_traces`."""
     premise_list = _as_premises(premise_set)
     for premise in premise_list:
         if not premise.formula.is_closed():
             raise GlueError(f"premise {premise.tag()} is not closed")
+    result = _run_search(premise_list, goal, False, depth_bound)
+    if all_traces and result.readings:
+        result = _run_search(premise_list, goal, True, depth_bound)
+    return result
+
+
+def _run_search(premise_list, goal, all_traces, depth_bound) -> SearchResult:
     engine = _Search(premise_list, [goal.sem], all_traces, depth_bound)
 
     # canonical meaning -> (meaning, {trace, or () by default: trace})
@@ -459,12 +478,12 @@ def search(
     fewest: int | None = None  # the fewest premises a goal-reaching derivation left
     pooled: set[int] = set()
     supplied = False
-    for meaning, avail, steps in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids, 0, ()):
+    for meaning, avail, steps in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids, 0):
         supplied = True
         if hyp_consts(meaning):
             continue
         if avail:
-            unused = avail & engine.premise_ids
+            unused = {engine.origin.get(rid, rid) for rid in avail} & engine.premise_ids
             if fewest is None or len(unused) < fewest:
                 fewest, pooled = len(unused), set(unused)
             elif len(unused) == fewest:
@@ -528,13 +547,11 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     """Linear entailment with exact resource usage for propositional
     tensor-fragment formulas."""
     engine = _Search(
-        _as_premises(flatten_tensor(antecedent)), [a.sem for a in consequent.atoms()]
+        _as_premises(flatten_tensor(antecedent)), [a.sem for a, _ in consequent.atoms()]
     )
     return any(
         not avail
-        for _subst, avail, _steps in engine.prove(
-            consequent, engine.premise_ids, {}, 0, ()
-        )
+        for _subst, avail, _steps in engine.prove(consequent, engine.premise_ids, {}, 0)
     )
 
 

@@ -66,15 +66,6 @@ class Lam(MeaningTerm):
     hint: str = field(default="x", compare=False)
 
 
-_fresh = itertools.count(1)
-
-
-def fresh_stamp() -> int:
-    """A process-wide unique stamp for hand-built hypothesis constants; the
-    prover numbers its own per search."""
-    return next(_fresh)
-
-
 def apply(fun: MeaningTerm, *args: MeaningTerm) -> MeaningTerm:
     for arg in args:
         fun = App(fun, arg)
@@ -124,35 +115,23 @@ def substitute(term: MeaningTerm, mapping: dict[Var, MeaningTerm]) -> MeaningTer
             return term
 
 
-def typecheck(term: MeaningTerm, env: dict[str, SemType] | None = None) -> SemType:
-    """Return the term's unique type.
-
-    When `env` is given it must cover every free named variable, and carried
-    types must agree with it.
-    """
-    return _typecheck(term, env, [])
+def typecheck(term: MeaningTerm) -> SemType:
+    """Return the term's unique type; a named variable has the type it
+    carries."""
+    return _typecheck(term, [])
 
 
-def _typecheck(term, env, stack) -> SemType:
+def _typecheck(term, stack) -> SemType:
     match term:
-        case Const(_, ty) | HypConst(_, ty, _):
-            return ty
-        case Var(name, ty):
-            if env is not None:
-                if name not in env:
-                    raise UnboundVariableError(f"unbound variable {name}")
-                if env[name] != ty:
-                    raise TermTypeError(
-                        f"variable {name} carries type {ty}, declared {env[name]}"
-                    )
+        case Const(_, ty) | HypConst(_, ty, _) | Var(_, ty):
             return ty
         case BoundVar(index):
             if index >= len(stack):
                 raise UnboundVariableError(f"dangling bound variable #{index}")
             return stack[index]
         case App(fun, arg):
-            fun_ty = _typecheck(fun, env, stack)
-            arg_ty = _typecheck(arg, env, stack)
+            fun_ty = _typecheck(fun, stack)
+            arg_ty = _typecheck(arg, stack)
             if not isinstance(fun_ty, ArrowType):
                 raise TermTypeError(f"cannot apply a term of type {fun_ty}")
             if fun_ty.arg != arg_ty:
@@ -161,7 +140,7 @@ def _typecheck(term, env, stack) -> SemType:
                 )
             return fun_ty.result
         case Lam(var_type, body, _):
-            return ArrowType(var_type, _typecheck(body, env, [var_type] + stack))
+            return ArrowType(var_type, _typecheck(body, [var_type] + stack))
     raise TermTypeError(f"not a meaning term: {term!r}")
 
 
@@ -201,7 +180,7 @@ def _subst_index(term, replacement, depth):
             return term
 
 
-def abstract_over(term: MeaningTerm, target: Var | HypConst, hint: str | None = None) -> Lam:
+def abstract_over(term: MeaningTerm, target: Var | HypConst) -> Lam:
     """Lambda-abstract `term` over every occurrence of `target`."""
 
     def go(t, depth):
@@ -215,7 +194,7 @@ def abstract_over(term: MeaningTerm, target: Var | HypConst, hint: str | None = 
             case _:
                 return t
 
-    return Lam(target.ty, go(term, 0), hint or target.name)
+    return Lam(target.ty, go(term, 0), target.name)
 
 
 def _occurs_index(term, target) -> bool:
@@ -289,6 +268,9 @@ def equivalent(t1: MeaningTerm, t2: MeaningTerm) -> bool:
 
 
 def format_term(term: MeaningTerm) -> str:
+    """The term as text. A binder is annotated with its type (`\\x:e. x`)
+    unless its variable occurs as an argument of an application headed by a
+    name, whose type then fixes the binder's when the text is read back."""
     used = {t.name for t in subterms(term) if isinstance(t, (Const, Var, HypConst))}
     return _fmt(term, [], used)
 
@@ -303,22 +285,32 @@ def _pick_name(hint: str, taken) -> str:
     raise AssertionError("unreachable")
 
 
-def _fmt(term, stack, used) -> str:
+def _fmt(term, stack, used, named_arg=False) -> str:
+    # `stack` holds each enclosing binder, innermost first, as [name, whether
+    # its variable occurred as an argument of a name-headed application];
+    # `named_arg` says whether `term` is such an argument.
     match term:
         case Const(name, _) | Var(name, _) | HypConst(name, _, _):
             return name
         case BoundVar(index):
             if index < len(stack):
-                return stack[index]
+                if named_arg:
+                    stack[index][1] = True
+                return stack[index][0]
             return f"#{index}"
         case App():
             head, args = spine(term)
             head_s = _fmt(head, stack, used)
             if isinstance(head, Lam):
                 head_s = f"({head_s})"
-            args_s = ", ".join(_fmt(a, stack, used) for a in args)
+            named = not isinstance(head, (Lam, BoundVar))
+            args_s = ", ".join(_fmt(a, stack, used, named) for a in args)
             return f"{head_s}({args_s})"
-        case Lam(_, body, hint):
-            name = _pick_name(hint, used | set(stack))
-            return f"\\{name}. {_fmt(body, [name] + stack, used)}"
+        case Lam(ty, body, hint):
+            name = _pick_name(hint, used.union([b[0] for b in stack]))
+            binder = [name, False]
+            body_s = _fmt(body, [binder] + stack, used)
+            if not binder[1]:
+                name += f":{ty}"
+            return f"\\{name}. {body_s}"
     return repr(term)

@@ -19,6 +19,9 @@ from gluesem import terms
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, Tensor
 from gluesem.terms import MeaningTerm
 
+# Stamps for the oracle's hypothesis constants, unique within the process.
+_STAMPS = itertools.count(1)
+
 # ---------------------------------------------------------------------------
 # Named lambda terms and a one-step-at-a-time beta/eta normalizer.
 
@@ -307,7 +310,7 @@ def _satisfy(antecedents, state, binds, universe, depth):
         if not (isinstance(inner, Limp) and isinstance(inner.antecedent, Atom)
                 and isinstance(inner.consequent, Atom)):
             raise AssertionError("oracle limited to quantifier-shaped antecedents")
-        hyp = terms.HypConst(first.var.name, first.var.ty, terms.fresh_stamp())
+        hyp = terms.HypConst(first.var.name, first.var.ty, next(_STAMPS))
         assumption = inner.antecedent.substitute_meanings(
             {terms.Var(first.var.name, first.var.ty): hyp}
         )

@@ -400,6 +400,25 @@ def test_json_missing_entry_exits_5_with_an_empty_reading_list(tmp_path):
     assert document["readings"] == []
     assert document["diagnosis"]["status"] == "missing-entry"
     assert "vanish" in document["diagnosis"]["note"]
+    # The same schema as every other document.
+    assert document["diagnosis"]["unsatisfied_demands"] == []
+    assert document["diagnosis"]["leftover_resources"] == []
+
+
+def test_json_names_the_premise_of_an_unused_tensor_component(tmp_path):
+    lex = tmp_path / "split.lex"
+    lex.write_text(
+        "constant c : t\nconstant Bill : e\nsplit: ^ ~>_t c * ^ ~>_e Bill\n", encoding="utf-8"
+    )
+    fs = tmp_path / "split.fs"
+    fs.write_text("f:[PRED 'split']", encoding="utf-8")
+    code, out, _err = run_cli("derive", "--fstructure", str(fs), "--lexicon", str(lex), "--json")
+    assert code == 3
+    assert json.loads(out)["diagnosis"] == {
+        "status": "incoherent",
+        "unsatisfied_demands": [],
+        "leftover_resources": [{"premise": 1, "word": "split"}],
+    }
 
 
 @pytest.mark.parametrize("fs_name", ["scope.fs", "ditransitive_scope.fs"])

@@ -112,26 +112,35 @@ def test_ok_carries_all_readings(lexicon, scope_fs):
 
 
 @pytest.mark.parametrize(
-    "case,status",
+    "case,status,all_traces",
     [
-        ("bah.fs", OK),
-        ("john_devoured.fs", INCOMPLETE),
-        ("john_arrived_extras.fs", INCOHERENT),
-        (EMPTY_OBJ_AND_EXTRA, INCOMPLETE_INCOHERENT),
+        ("bah.fs", OK, False),
+        ("john_devoured.fs", INCOMPLETE, False),
+        ("john_arrived_extras.fs", INCOHERENT, False),
+        (EMPTY_OBJ_AND_EXTRA, INCOMPLETE_INCOHERENT, False),
+        # A failure is diagnosed from the canonical-order search alone; only
+        # a sentence with readings is searched again in every order.
+        ("john_devoured.fs", INCOMPLETE, True),
+        ("john_arrived_extras.fs", INCOHERENT, True),
+        (EMPTY_OBJ_AND_EXTRA, INCOMPLETE_INCOHERENT, True),
     ],
-    ids=[OK, INCOMPLETE, INCOHERENT, INCOMPLETE_INCOHERENT],
+    ids=[
+        OK, INCOMPLETE, INCOHERENT, INCOMPLETE_INCOHERENT,
+        f"{INCOMPLETE}-all-traces", f"{INCOHERENT}-all-traces",
+        f"{INCOMPLETE_INCOHERENT}-all-traces",
+    ],
 )
-def test_diagnose_runs_one_proof_search(lexicon, monkeypatch, case, status):
-    searches = []
+def test_diagnose_runs_one_proof_search(lexicon, monkeypatch, case, status, all_traces):
+    searches = []  # the all_orders flag of each search
 
     class CountingSearch(prover._Search):
-        def __init__(self, *args, **kwargs):
-            searches.append(case)
-            super().__init__(*args, **kwargs)
+        def __init__(self, premise_list, goal_sems, all_orders=False, *rest):
+            searches.append(all_orders)
+            super().__init__(premise_list, goal_sems, all_orders, *rest)
 
     monkeypatch.setattr(prover, "_Search", CountingSearch)
-    assert diagnose(load_case(case), lexicon).status == status
-    assert len(searches) == 1
+    assert diagnose(load_case(case), lexicon, all_traces=all_traces).status == status
+    assert searches == [False]
 
 
 @pytest.mark.parametrize("case", FAILING)
@@ -164,11 +173,15 @@ def twin_case(twins: int, taken: int):
         (2, 1, False),
         (2, 1, True),
         (20, 10, False),
-        # All-orders search explores all 20!/10! ways to feed `take` from 20
-        # twins, so it runs the same shape at a size it can finish.
         (6, 3, True),
+        # A failure never reaches the all-orders search, which would explore
+        # all 20!/10! ways to feed `take` from 20 twins.
+        (20, 10, True),
     ],
-    ids=["default", "all-orders", "20-take-10-default", "6-take-3-all-orders"],
+    ids=[
+        "default", "all-orders", "20-take-10-default", "6-take-3-all-orders",
+        "20-take-10-all-orders",
+    ],
 )
 def test_twin_leftovers_are_all_named(twins, taken, all_traces):
     # The default search focuses twins in index order only, yet every twin is
@@ -178,6 +191,16 @@ def test_twin_leftovers_are_all_named(twins, taken, all_traces):
         parse_fstructure(fstructure), parse_lexicon(lexicon), all_traces=all_traces
     )
     assert str(diagnosis) == expected
+
+
+def test_an_unused_tensor_component_names_its_premise():
+    # `split` supplies both components of its head; the derivation of f ~>_t
+    # leaves the `e` component, derived from premise 1, unused.
+    lexicon = parse_lexicon(
+        "constant c : t\nconstant Bill : e\nsplit: ^ ~>_t c * ^ ~>_e Bill\n"
+    )
+    diagnosis = diagnose(parse_fstructure("f:[PRED 'split']"), lexicon)
+    assert str(diagnosis) == "incoherent\nleftover: split[1]"
 
 
 WILDCARD_LEXICON = """\

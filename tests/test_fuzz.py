@@ -180,9 +180,9 @@ def test_fstructure_format_then_parse_is_isomorphic(root):
     assert same_structure(root, parse_fstructure(format_fstructure(root)))
 
 
-# Every binder occurs, and only as an argument of a constant or of an
-# abstraction, which fixes its type: the printer drops binder types and the
-# parser infers them.
+# Binders may be vacuous, bare or only applied as well as arguments of a
+# constant: the printer annotates a binder whose type the parser could not
+# infer from how its variable is used.
 ROUND_TRIP_SIGNATURE = {
     "Bill": E, "rain": T, "person": arrow(E, T), "appoint": arrow(E, E, T),
     "obviously": arrow(T, T), "someone": arrow(arrow(E, T), T),
@@ -193,21 +193,22 @@ HINTS = ["x", "y", "x1", "P", "Bill"]  # a constant's name and a freshened name 
 
 @st.composite
 def closed_terms(draw):
-    def term(ty: SemType, scope: list[SemType], depth: int, needs: frozenset, as_arg: bool):
+    def term(ty: SemType, scope: list[SemType], depth: int, needs: frozenset):
         """A term of type `ty` in which the bound variables `needs` (indices
         into `scope`, innermost first) occur."""
-        if as_arg and len(needs) < 2:
-            bound = [i for i, t in enumerate(scope) if t == ty and needs <= {i}]
-            if bound and (needs or draw(st.booleans())):
-                return BoundVar(draw(st.sampled_from(bound)))
+        bound = [i for i, t in enumerate(scope) if t == ty and needs <= {i}]
+        if bound and (needs or draw(st.booleans())):
+            return BoundVar(draw(st.sampled_from(bound)))
         options = [] if needs else [("const", n) for n, t in ROUND_TRIP_SIGNATURE.items() if t == ty]
         if depth > 0:
-            for name, t in ROUND_TRIP_SIGNATURE.items():
+            heads = [(Const(n, t), t) for n, t in ROUND_TRIP_SIGNATURE.items()]
+            heads += [(BoundVar(i), t) for i, t in enumerate(scope)]
+            for head, t in heads:
                 arity = 0
                 while isinstance(t, ArrowType):
                     t, arity = t.result, arity + 1
                     if t == ty:
-                        options.append(("app", name, arity))
+                        options.append(("app", head, arity))
             if isinstance(ty, ArrowType):
                 options.append(("lam",))
             if ty == T:
@@ -222,24 +223,26 @@ def closed_terms(draw):
             arg_ty = draw(st.sampled_from([E, arrow(E, T)]))
             into_head = frozenset(i for i in needs if draw(st.booleans()))
             head = abstraction(ArrowType(arg_ty, ty), scope, depth, into_head)
-            return App(head, term(arg_ty, scope, depth - 1, needs - into_head, True))
-        name, arity = rest
-        fun_ty = ROUND_TRIP_SIGNATURE[name]
+            return App(head, term(arg_ty, scope, depth - 1, needs - into_head))
+        out, arity = rest
+        if isinstance(out, Const):
+            fun_ty = ROUND_TRIP_SIGNATURE[out.name]
+        else:
+            fun_ty, needs = scope[out.index], needs - {out.index}
         where = {i: draw(st.integers(0, arity - 1)) for i in needs}  # the argument each need goes to
-        out: MeaningTerm = Const(name, fun_ty)
         for position in range(arity):
             arg_needs = frozenset(i for i, p in where.items() if p == position)
-            out = App(out, term(fun_ty.arg, scope, depth - 1, arg_needs, True))
+            out = App(out, term(fun_ty.arg, scope, depth - 1, arg_needs))
             fun_ty = fun_ty.result
         return out
 
     def abstraction(ty: ArrowType, scope, depth, needs) -> Lam:
-        inner = frozenset({0} | {i + 1 for i in needs})
-        body = term(ty.result, [ty.arg, *scope], depth - 1, inner, False)
+        inner = frozenset({i + 1 for i in needs} | ({0} if draw(st.booleans()) else set()))
+        body = term(ty.result, [ty.arg, *scope], depth - 1, inner)
         return Lam(ty.arg, body, draw(st.sampled_from(HINTS)))
 
     ty = draw(st.sampled_from([T, arrow(E, T), arrow(arrow(E, T), T)]))
-    return term(ty, [], 4, frozenset(), False)
+    return term(ty, [], 4, frozenset())
 
 
 @ROUND_TRIP

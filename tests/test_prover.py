@@ -9,8 +9,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gluesem import prover
+from gluesem.diagnostics import (
+    INCOHERENT,
+    INCOMPLETE,
+    INCOMPLETE_INCOHERENT,
+    OK,
+    UNINSTANTIABLE,
+    diagnose,
+)
 from gluesem.errors import GlueError, NonPatternError, SearchBoundError
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, SemVar, Tensor
 from gluesem.fstruct import SemStructure, parse_fstructure, sigma
@@ -349,7 +359,7 @@ def oracle_meanings(premise_set, goal):
         {
             a.sem
             for p in premise_set
-            for a in p.formula.atoms()
+            for a, _ in p.formula.atoms()
             if isinstance(a.sem, SemStructure)
         }
         | {goal.sem},
@@ -438,6 +448,69 @@ def test_oracle_agreement_on_stacked_quantifiers(lexicon, ditransitive_fs):
     assert len(mine) == 6
 
 
+# Random sentences over core.lex: a verb, a name or a quantified nominal for
+# each argument, up to three `obviously` modifiers, and sometimes an argument
+# absent, empty or extra. The expected status follows from the f-structure
+# alone.
+VERBS = {1: ["arrive"], 2: ["appoint", "convince", "devour"], 3: ["give"]}
+NOMINALS = {
+    "PRED 'Bill'": False, "PRED 'Hillary'": False, "PRED 'John'": False,
+    "PRED 'everyone'": True, "SPEC every; PRED 'candidate'": True,
+    "SPEC a; PRED 'manager'": True, "SPEC some; PRED 'brief'": True,
+}  # attributes -> whether the nominal is quantified
+
+
+@st.composite
+def core_sentences(draw):
+    """(f-structure text, expected status, quantified arguments, modifiers)."""
+    arity = draw(st.integers(1, 3))
+    functions = ["SUBJ", "OBJ", "OBJ2"][:arity]
+    args = {fn: draw(st.sampled_from(sorted(NOMINALS))) for fn in functions}
+    defect = draw(st.sampled_from([None, None, "absent", "empty"]))
+    if defect:
+        fn = draw(st.sampled_from(functions))
+        if defect == "absent":
+            del args[fn]
+        else:
+            args[fn] = ""
+    extra = draw(st.none() | st.sampled_from(sorted(NOMINALS)))
+    k = draw(st.integers(0, 3))
+    parts = [f"PRED '{draw(st.sampled_from(VERBS[arity]))}'"]
+    parts += [f"{fn} a{i}:[{attrs}]" for i, (fn, attrs) in enumerate(args.items())]
+    if extra:
+        parts.append(f"ADJ x:[{extra}]")
+    if k:
+        parts.append("MODS { " + "; ".join(f"m{j}:[PRED 'obviously']" for j in range(k)) + " }")
+    if defect == "absent":
+        status = UNINSTANTIABLE
+    elif defect == "empty":
+        status = INCOMPLETE_INCOHERENT if extra else INCOMPLETE
+    else:
+        status = INCOHERENT if extra else OK
+    q = sum(NOMINALS.get(attrs, False) for attrs in args.values())
+    return "f:[" + "; ".join(parts) + "]", status, q, k
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(core_sentences())
+def test_core_sentences_match_the_oracle_and_the_expected_status(lexicon, sentence):
+    text, status, q, k = sentence
+    root = parse_fstructure(text)
+    diagnosis = diagnose(root, lexicon)
+    assert diagnosis.status == status, text
+    if status != OK:
+        assert diagnosis.readings == ()
+        return
+    # One scope order of the q quantifiers interleaved with k identical
+    # modifiers per reading.
+    count = math.factorial(q + k) // math.factorial(k)
+    assert len(diagnosis.readings) == count, text
+    if count <= 20:  # beyond that the brute-force oracle takes seconds
+        premise_set = list(premises(root, lexicon))
+        expected = oracle_meanings(premise_set, Goal(sigma(root)))
+        assert {canonical_form(r.meaning) for r in diagnosis.readings} == expected, text
+
+
 def test_oracle_agreement_on_random_mixes():
     rng = random.Random(20240808)
     checked = 0
@@ -463,8 +536,8 @@ def test_unify_consistent_with_derived_scope(lexicon, everyone_fs):
     assert head == Const("every", sig)
     scope = args[1]
     s = Var("S", arrow(E, T))
-    from gluesem.terms import HypConst, fresh_stamp, normalize
-    c = HypConst("z", E, fresh_stamp())
+    from gluesem.terms import HypConst, normalize
+    c = HypConst("z", E, 1)
     subst = unify(apply(s, c), normalize(apply(scope, c)))
     assert equivalent(subst[s], scope)
 
@@ -556,7 +629,7 @@ def test_prove_atom_yields_closed_meanings_equal_to_readings(lexicon, scope_fs):
     goal = sigma(scope_fs)
     engine = prover._Search(premise_list, [goal])
     complete = []
-    for meaning, avail, _events in engine.prove_atom(goal, T, engine.premise_ids, 0, ()):
+    for meaning, avail, _events in engine.prove_atom(goal, T, engine.premise_ids, 0):
         assert not free_vars(meaning) and not hyp_consts(meaning)
         if not avail:
             complete.append(canonical_form(meaning))

@@ -79,16 +79,6 @@ def test_typecheck_rejects_ill_typed_application():
         terms.typecheck(App(Const("Bill", E), Const("Hillary", E)))
 
 
-def test_typecheck_env_flags_unbound_variable():
-    with pytest.raises(UnboundVariableError):
-        terms.typecheck(Var("X", E), env={})
-
-
-def test_typecheck_env_must_agree_with_carried_type():
-    with pytest.raises(TermTypeError):
-        terms.typecheck(Var("X", E), env={"X": T})
-
-
 # --- normalize -------------------------------------------------------------
 
 

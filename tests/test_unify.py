@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from gluesem.errors import NonPatternError
@@ -14,7 +16,6 @@ from gluesem.terms import (
     Var,
     apply,
     equivalent,
-    fresh_stamp,
     normalize,
     substitute,
 )
@@ -24,10 +25,11 @@ BILL = Const("Bill", E)
 CONVINCE = Const("convince", arrow(E, E, T))
 APPOINT = Const("appoint", arrow(E, E, T))
 HILLARY = Const("Hillary", E)
+_STAMPS = itertools.count(1)
 
 
 def hyp(name="x"):
-    return HypConst(name, E, fresh_stamp())
+    return HypConst(name, E, next(_STAMPS))
 
 
 def test_first_order_binding():
