@@ -62,4 +62,5 @@ class NonPatternError(GlueError):
 
 
 class SearchBoundError(GlueError):
-    """Proof search exceeded its derivation-depth bound."""
+    """Proof search exceeded its derivation-depth bound or the interpreter's
+    stack."""

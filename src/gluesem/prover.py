@@ -1,17 +1,20 @@
 """Linear-logic proof search over a premise multiset.
 
-Backward natural-deduction search with explicit resource threading: an atomic
-goal is proved by focusing one available resource, proving the antecedents
-collected along its implication spine (lazy tensor splitting falls out of
-threading the availability set through those subproofs), and handing the
-head's meaning back to the caller, which unifies its pattern with it.
+Backward natural-deduction search with explicit resource threading, in two
+routines. `prove` proves a list of goals left to right, each from the
+resources the ones before it left, with one case per goal form: an atom's
+pattern is unified with each meaning `prove_atom` supplies; a tensor's
+components join the list; an implication assumes its antecedent's parts,
+which its consequent must consume exactly once; a universal meaning variable
+is proved of a fresh tagged constant, which must not leak, then discharged
+by abstraction. `prove_atom`, the one focusing step, picks an available
+resource, proves the antecedents along its implication spine as one goal
+list and hands the head's meaning back, so a nested focus holds two frames.
 Universal meaning variables become metavariables solved by pattern
 unification; each premise is consumed once, so a focus's metavariables are
-its own, solved in a substitution of its own, and its head meaning comes back
-closed. Universal structure variables range over the finite structure
-universe of the analysis. Nested implication antecedents are proved
-hypothetically: assume a fresh tagged constant, prove the inner consequent
-consuming the assumption exactly once, discharge by abstraction.
+its own, solved in a substitution of its own, and its head meaning comes
+back closed. Universal structure variables range over the finite structure
+universe of the analysis.
 
 Each resource's focus table (its antecedents and head for every choice of
 structure variables, keyed by head structure and type) is built once per
@@ -191,9 +194,10 @@ class _Search:
     structure the premises or `goal_sems` mention. Hypothesis stamps are
     numbered by this search alone, so no result depends on what ran earlier
     in the process; metavariables keep their declared names, since each
-    focus solves its own in a substitution of its own. Each atomic goal whose
-    pattern no supplied meaning matched is kept in `frontier` with the most
-    premises consumed when it failed.
+    focus solves its own in a substitution of its own. `prove` is the goal
+    routine and `prove_atom` the focus routine; nothing else proves a goal.
+    Each atomic goal whose pattern no supplied meaning matched is kept in
+    `frontier` with the most premises consumed when it failed.
 
     Premises with equal formulas and words are *twins*. Unless `all_orders`
     is set, a premise is focused only once every earlier twin is consumed, so
@@ -232,11 +236,16 @@ class _Search:
         # its predecessor in the class is still available.
         self.prior_twin = {later: earlier for c in twins for earlier, later in zip(c, c[1:])}
 
-    # -- goal dispatch ------------------------------------------------------
+    # -- goals ----------------------------------------------------------------
 
-    def prove(self, goal: GlueFormula, avail: frozenset, subst, depth):
+    def prove(self, goals, avail: frozenset, subst, depth):
         """Yield (substitution, remaining resources, steps) for each proof of
-        `goal`; the steps are this subproof's own, in derivation order."""
+        `goals`, proved left to right, each from what the ones before it left;
+        the steps are this subproof's own, in derivation order."""
+        if not goals:
+            yield subst, avail, ()
+            return
+        goal, rest = goals[0], goals[1:]
         match goal:
             case Atom():
                 matched = False
@@ -249,61 +258,59 @@ class _Search:
                         ((v.name, t) for v, t in s2.items() if v not in subst),
                         key=lambda b: b[0],
                     )
-                    applied = e2[-1]
-                    yield s2, a2, e2[:-1] + (
-                        replace(applied, bindings=applied.bindings + tuple(solved)),
-                    )
+                    applied = replace(e2[-1], bindings=e2[-1].bindings + tuple(solved))
+                    yield from self._then(rest, a2, s2, depth, e2[:-1] + (applied,))
                 if not matched:
                     self.record_failure(goal.sem, goal.ty, avail)
             case Tensor():
-                yield from self.prove_all(flatten_tensor(goal), avail, subst, depth)
+                for parts in self._orders(flatten_tensor(goal)):
+                    yield from self.prove(parts + rest, avail, subst, depth)
             case Limp():
-                yield from self.prove_limp(goal, avail, subst, depth)
-            case Forall(var, _) if isinstance(var, MeaningVar):
-                yield from self.prove_forall(goal, avail, subst, depth)
+                new_ids = []
+                assumed = ()
+                for part in flatten_tensor(goal.antecedent):
+                    part = part.substitute_meanings(subst)
+                    rid = f"h{next(self.hyp_counter)}"
+                    word = self._hyp_word(part)
+                    self.registry[rid] = (part, word)
+                    new_ids.append(rid)
+                    assumed += (TraceStep("assume", rid, word, part),)
+                avail |= frozenset(new_ids)
+                for s2, a2, e2 in self.prove([goal.consequent], avail, subst, depth):
+                    if any(rid in a2 for rid in new_ids):
+                        continue  # the hypothesis must be consumed exactly once
+                    yield from self._then(rest, a2, s2, depth, assumed + e2)
+            case Forall(var, body) if isinstance(var, MeaningVar):
+                hyp = self._fresh_hyp(var.name, var.ty)
+                body = body.substitute_meanings({Var(var.name, var.ty): hyp})
+                for s2, a2, e2 in self.prove([body], avail, subst, depth):
+                    # The owning focus's bindings are visible outside the
+                    # hypothesis's scope, so none of them may mention it.
+                    if any(hyp in hyp_consts(term) for term in s2.values()):
+                        continue
+                    e2 += (TraceStep("discharge", None, hyp.name),)
+                    yield from self._then(rest, a2, s2, depth, e2)
             case _:
                 raise GlueError(f"unsupported goal form: {goal}")
+
+    def _then(self, goals, avail, subst, depth, steps):
+        """Go on with `goals` after a proof that took `steps`."""
+        if not goals:
+            yield subst, avail, steps
+            return
+        for s2, a2, e2 in self.prove(goals, avail, subst, depth):
+            yield s2, a2, steps + e2
+
+    def _orders(self, goals):
+        """The orders to prove `goals` in: all of them under `all_orders`."""
+        if self.all_orders and len(goals) > 1:
+            return map(list, itertools.permutations(goals))
+        return [goals]
 
     def record_failure(self, sem, ty, avail):
         key = (sem.label, str(ty))
         consumed = len(self.premise_ids - avail)
         self.frontier[key] = max(consumed, self.frontier.get(key, -1))
-
-    def prove_all(self, goals, avail, subst, depth):
-        if self.all_orders and len(goals) > 1:
-            orders = itertools.permutations(range(len(goals)))
-        else:
-            orders = [tuple(range(len(goals)))]
-        for order in orders:
-            yield from self._seq(goals, order, 0, avail, subst, depth)
-
-    def _seq(self, goals, order, i, avail, subst, depth):
-        if i == len(order):
-            yield subst, avail, ()
-            return
-        proofs = self.prove(goals[order[i]], avail, subst, depth)
-        if i + 1 == len(order):  # the last goal's steps end the sequence's
-            yield from proofs
-            return
-        for s2, a2, e2 in proofs:
-            for s3, a3, e3 in self._seq(goals, order, i + 1, a2, s2, depth):
-                yield s3, a3, e2 + e3
-
-    def prove_limp(self, goal: Limp, avail, subst, depth):
-        new_ids = []
-        assumed = ()
-        for part in flatten_tensor(goal.antecedent):
-            part = part.substitute_meanings(subst)
-            rid = f"h{next(self.hyp_counter)}"
-            word = self._hyp_word(part)
-            self.registry[rid] = (part, word)
-            new_ids.append(rid)
-            assumed += (TraceStep("assume", rid, word, part),)
-        avail = avail | frozenset(new_ids)
-        for s2, a2, e2 in self.prove(goal.consequent, avail, subst, depth):
-            if any(rid in a2 for rid in new_ids):
-                continue  # the hypothesis must be consumed exactly once
-            yield s2, a2, assumed + e2
 
     def _hyp_word(self, formula) -> str:
         if isinstance(formula, Atom):
@@ -311,17 +318,6 @@ class _Search:
             if consts:
                 return consts[-1].name
         return "hyp"
-
-    def prove_forall(self, goal: Forall, avail, subst, depth):
-        var: MeaningVar = goal.var
-        hyp = self._fresh_hyp(var.name, var.ty)
-        body = goal.body.substitute_meanings({Var(var.name, var.ty): hyp})
-        for s2, a2, e2 in self.prove(body, avail, subst, depth):
-            # The owning focus's bindings are visible outside the
-            # hypothesis's scope, so none of them may mention it.
-            if any(hyp in hyp_consts(term) for term in s2.values()):
-                continue
-            yield s2, a2, e2 + (TraceStep("discharge", None, hyp.name),)
 
     def _fresh_hyp(self, base, ty) -> HypConst:
         n = self.name_counts.get(base, 0) + 1
@@ -335,7 +331,8 @@ class _Search:
         """Focus each available resource whose head can be `sem ~>_ty`, proving
         its antecedents in a substitution that starts empty: yield (closed
         meaning, remaining resources, steps), the last step being the
-        focus's `apply`."""
+        focus's `apply`. The head's other tensor components become derived
+        resources."""
         if depth > self.bound:
             raise SearchBoundError(
                 f"derivation depth exceeded the bound of {self.bound}"
@@ -345,33 +342,29 @@ class _Search:
             if self.prior_twin.get(rid) in avail:
                 continue
             word = self.registry[rid][1]
-            for antecedents, head, rest, displays in self._focus_table(rid).get((sem, ty), ()):
-                yield from self._finish_focus(
-                    rid, word, antecedents, head, rest, displays,
-                    avail - {rid}, depth,
-                )
-
-    def _finish_focus(self, rid, word, antecedents, head, rest, displays, avail, depth):
-        for s1, a1, e1 in self.prove_all(antecedents, avail, {}, depth + 1):
-            meaning = normalize(substitute(head.meaning, s1))
-            if free_vars(meaning):
-                names = ", ".join(sorted(v.name for v in free_vars(meaning)))
-                raise NonPatternError(
-                    f"head of '{word}' still contains metavariable(s) "
-                    f"{names} after its antecedents were proved"
-                )
-            for extra in rest:
-                extra = extra.substitute_meanings(s1)
-                rid2 = f"d{next(self.hyp_counter)}"
-                self.registry[rid2] = (extra, word)
-                self.origin[rid2] = self.origin.get(rid, rid)
-                a1 = a1 | {rid2}
-                e1 = e1 + (TraceStep("derive", rid2, word, extra),)
-            shown = tuple(
-                (name, substitute(v, s1) if isinstance(v, Var) else v) for name, v in displays
-            )
-            applied = Atom(head.sem, head.ty, meaning)
-            yield meaning, a1, e1 + (TraceStep("apply", rid, word, applied, shown),)
+            for antecedents, head, others, displays in self._focus_table(rid).get((sem, ty), ()):
+                for goals in self._orders(antecedents):
+                    for s1, a1, e1 in self.prove(goals, avail - {rid}, {}, depth + 1):
+                        meaning = normalize(substitute(head.meaning, s1))
+                        if free_vars(meaning):
+                            names = ", ".join(sorted(v.name for v in free_vars(meaning)))
+                            raise NonPatternError(
+                                f"head of '{word}' still contains metavariable(s) "
+                                f"{names} after its antecedents were proved"
+                            )
+                        for extra in others:
+                            extra = extra.substitute_meanings(s1)
+                            rid2 = f"d{next(self.hyp_counter)}"
+                            self.registry[rid2] = (extra, word)
+                            self.origin[rid2] = self.origin.get(rid, rid)
+                            a1 = a1 | {rid2}
+                            e1 = e1 + (TraceStep("derive", rid2, word, extra),)
+                        shown = tuple(
+                            (name, substitute(v, s1) if isinstance(v, Var) else v)
+                            for name, v in displays
+                        )
+                        applied = Atom(head.sem, head.ty, meaning)
+                        yield meaning, a1, e1 + (TraceStep("apply", rid, word, applied, shown),)
 
     def _focus_table(self, rid):
         """The focus entries of resource `rid`, built on its first use and
@@ -459,14 +452,18 @@ def search(
     `diagnose` read what they need from its result. With `all_traces`, the
     search in every order runs only once the canonical-order search has
     found a reading: a failure is that search's result, so its diagnosis
-    does not depend on `all_traces`."""
+    does not depend on `all_traces`. A derivation nested too deeply for the
+    interpreter's stack raises `SearchBoundError`."""
     premise_list = _as_premises(premise_set)
     for premise in premise_list:
         if not premise.formula.is_closed():
             raise GlueError(f"premise {premise.tag()} is not closed")
-    result = _run_search(premise_list, goal, False, depth_bound)
-    if all_traces and result.readings:
-        result = _run_search(premise_list, goal, True, depth_bound)
+    try:
+        result = _run_search(premise_list, goal, False, depth_bound)
+        if all_traces and result.readings:
+            result = _run_search(premise_list, goal, True, depth_bound)
+    except RecursionError:
+        raise SearchBoundError("derivation too deep for the interpreter's stack") from None
     return result
 
 
@@ -551,7 +548,7 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     )
     return any(
         not avail
-        for _subst, avail, _steps in engine.prove(consequent, engine.premise_ids, {}, 0)
+        for _subst, avail, _steps in engine.prove([consequent], engine.premise_ids, {}, 0)
     )
 
 

@@ -83,13 +83,19 @@ def spine(term: MeaningTerm) -> tuple[MeaningTerm, list[MeaningTerm]]:
 
 
 def subterms(term: MeaningTerm):
-    yield term
-    match term:
-        case App(fun, arg):
-            yield from subterms(fun)
-            yield from subterms(arg)
-        case Lam(_, body):
-            yield from subterms(body)
+    """Every subterm of `term`, itself first, in pre-order. The walk keeps its
+    own stack, so each subterm is yielded once, not passed up through every
+    enclosing node, and no depth overflows the interpreter's stack."""
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        yield term
+        match term:
+            case App(fun, arg):
+                stack.append(arg)
+                stack.append(fun)
+            case Lam(_, body):
+                stack.append(body)
 
 
 def free_vars(term: MeaningTerm) -> frozenset[Var]:

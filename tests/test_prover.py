@@ -4,15 +4,19 @@ currying invariance, oracle agreement)."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gluesem import prover
+from gluesem.cli import RunConfig, run
 from gluesem.diagnostics import (
     INCOHERENT,
     INCOMPLETE,
@@ -23,7 +27,7 @@ from gluesem.diagnostics import (
 )
 from gluesem.errors import GlueError, NonPatternError, SearchBoundError
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, SemVar, Tensor
-from gluesem.fstruct import SemStructure, parse_fstructure, sigma
+from gluesem.fstruct import SemStructure, format_fstructure, parse_fstructure, sigma
 from gluesem.lexicon import Premise, parse_lexicon, premises
 from gluesem.prover import Goal, derive, entails, prop, unify
 from gluesem.semtypes import E, T, arrow
@@ -570,6 +574,72 @@ def test_twin_modifiers_cost_grows_linearly(lexicon, monkeypatch):
         assert len(reading.traces) == 1
         counts.append(len(calls))
     assert counts == [3 * k + 3 for k in range(1, 7)]
+
+
+# --- nesting: stack cost per focus, and running out of stack -----------------
+
+
+def deepest_stack(fn) -> int:
+    """The most Python frames (generator resumptions included) stacked
+    below the caller while `fn()` runs."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+def test_each_nested_focus_costs_at_most_two_frames(lexicon):
+    # Each modifier's antecedent is proved inside the next modifier's focus;
+    # one level is one goal routine and one focus routine.
+    deepest = {}
+    for k in (10, 20):
+        fs = obviously_appoint(k)
+        premise_set = premises(fs, lexicon)
+        deepest[k] = deepest_stack(lambda: derive(premise_set, Goal(sigma(fs))))
+    assert deepest[20] - deepest[10] <= 2 * 10
+
+
+@contextlib.contextmanager
+def stack_headroom(frames: int):
+    """Lower the recursion limit to `frames` above the current stack."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_running_out_of_stack_is_a_search_bound_error(lexicon):
+    fs = obviously_appoint(100)
+    with stack_headroom(150), pytest.raises(SearchBoundError, match="too deep for the interpreter"):
+        diagnose(fs, lexicon)
+
+
+def test_cli_reports_running_out_of_stack_as_an_input_error(tmp_path):
+    path = tmp_path / "deep.fs"
+    path.write_text(format_fstructure(obviously_appoint(100)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with stack_headroom(150):
+        code = run(RunConfig(str(path), str(FIXTURES / "core.lex")), out, err)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

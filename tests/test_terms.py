@@ -10,7 +10,7 @@ import pytest
 from gluesem.errors import SyntaxErrorAt, TermTypeError, UnboundVariableError
 from gluesem.semtypes import ArrowType, E, T, arrow, parse_type
 from gluesem import terms
-from gluesem.terms import App, BoundVar, Const, Lam, Var, apply
+from gluesem.terms import App, BoundVar, Const, HypConst, Lam, Var, apply
 from gluesem.termsyntax import parse_term
 
 from oracles import (
@@ -236,3 +236,14 @@ def test_apply_builds_curried_applications():
     assert apply(Const("appoint", arrow(E, E, T)), Const("Bill", E), Const("Hillary", E)) == p(
         "appoint(Bill, Hillary)"
     )
+
+
+def test_free_vars_and_hyp_consts_walk_deeper_than_the_stack():
+    f = Const("f", arrow(E, E))
+    x, h = Var("x", E), HypConst("h", E, 1)
+    chain = App(Const("g", arrow(E, E, E)), x)
+    for _ in range(3000):
+        chain = App(f, chain)
+    chain = App(chain, h)
+    assert terms.free_vars(chain) == {x}
+    assert terms.hyp_consts(chain) == {h}
