@@ -34,7 +34,7 @@ tells derivations apart by their recorded steps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import GlueError, NonPatternError, SearchBoundError, UnboundVariableError
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, Tensor, flatten_tensor
@@ -86,8 +86,9 @@ class TraceStep:
         text = " ".join(p for p in (self.kind, ref, self.word) if p)
         if self.atom is not None:
             atom = self.atom
-            if isinstance(atom, Atom):
-                # The atoms of `assume` and `derive` steps can hold redexes.
+            if self.kind != "apply" and isinstance(atom, Atom):
+                # The atoms of `assume` and `derive` steps can hold redexes;
+                # `prove_atom` normalizes an `apply` step's meaning itself.
                 atom = Atom(atom.sem, atom.ty, normalize(atom.meaning))
             text += f": {atom}"
         if self.bindings:
@@ -258,7 +259,10 @@ class _Search:
                         ((v.name, t) for v, t in s2.items() if v not in subst),
                         key=lambda b: b[0],
                     )
-                    applied = replace(e2[-1], bindings=e2[-1].bindings + tuple(solved))
+                    last = e2[-1]
+                    applied = TraceStep(
+                        "apply", last.resource, last.word, last.atom, last.bindings + tuple(solved)
+                    )
                     yield from self._then(rest, a2, s2, depth, e2[:-1] + (applied,))
                 if not matched:
                     self.record_failure(goal.sem, goal.ty, avail)

@@ -2,28 +2,38 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .lexer import TokenStream, tokenize
+from .node import Node
+
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class SemType:
-    pass
+class SemType(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BaseType(SemType):
-    name: str
+    __slots__ = ()
+    __match_args__ = ("name",)
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str):
+        return _new(cls, ("BaseType", name))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class ArrowType(SemType):
-    arg: SemType
-    result: SemType
+    __slots__ = ()
+    __match_args__ = ("arg", "result")
+    arg = property(itemgetter(1))
+    result = property(itemgetter(2))
+
+    def __new__(cls, arg: SemType, result: SemType):
+        return _new(cls, ("ArrowType", arg, result))
 
     def __str__(self) -> str:
         left = f"({self.arg})" if isinstance(self.arg, ArrowType) else str(self.arg)

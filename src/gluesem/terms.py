@@ -2,31 +2,42 @@
 
 Bound variables are de Bruijn indices (locally nameless): alpha-equivalence
 is plain structural equality and substitution cannot capture. Binder names
-survive only as printing hints, excluded from comparison.
+survive only as printing hints.
+
+Each node is a tagged tuple (see `node`): the class's name, then its fields.
+Construction, equality and hashing are the tuple's, in C, and the tag keeps
+nodes of different classes apart, so `Const("a", e) != Var("a", e)`. The one
+exception is `Lam`, whose hint is left out of its equality and hashing.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import TermTypeError, UnboundVariableError
+from .node import Node
 from .semtypes import ArrowType, SemType
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class MeaningTerm:
+
+class MeaningTerm(Node):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return format_term(self)
 
 
-@dataclass(frozen=True)
 class Const(MeaningTerm):
-    name: str
-    ty: SemType
+    __slots__ = ()
+    __match_args__ = ("name", "ty")
+    name = property(itemgetter(1))
+    ty = property(itemgetter(2))
+
+    def __new__(cls, name: str, ty: SemType):
+        return _new(cls, ("Const", name, ty))
 
 
-@dataclass(frozen=True)
 class HypConst(MeaningTerm):
     """Fresh constant standing for a hypothetical referent in a derivation.
 
@@ -34,36 +45,73 @@ class HypConst(MeaningTerm):
     The stamp makes each introduction unique; the name is for display.
     """
 
-    name: str
-    ty: SemType
-    stamp: int
+    __slots__ = ()
+    __match_args__ = ("name", "ty", "stamp")
+    name = property(itemgetter(1))
+    ty = property(itemgetter(2))
+    stamp = property(itemgetter(3))
+
+    def __new__(cls, name: str, ty: SemType, stamp: int):
+        return _new(cls, ("HypConst", name, ty, stamp))
 
 
-@dataclass(frozen=True)
 class Var(MeaningTerm):
     """Named variable: a template variable, which the prover also uses as the
     metavariable of a focus (each focus solves its own, so no renaming)."""
 
-    name: str
-    ty: SemType
+    __slots__ = ()
+    __match_args__ = ("name", "ty")
+    name = property(itemgetter(1))
+    ty = property(itemgetter(2))
+
+    def __new__(cls, name: str, ty: SemType):
+        return _new(cls, ("Var", name, ty))
 
 
-@dataclass(frozen=True)
 class BoundVar(MeaningTerm):
-    index: int
+    __slots__ = ()
+    __match_args__ = ("index",)
+    index = property(itemgetter(1))
+
+    def __new__(cls, index: int):
+        return _new(cls, ("BoundVar", index))
 
 
-@dataclass(frozen=True)
 class App(MeaningTerm):
-    fun: MeaningTerm
-    arg: MeaningTerm
+    __slots__ = ()
+    __match_args__ = ("fun", "arg")
+    fun = property(itemgetter(1))
+    arg = property(itemgetter(2))
+
+    def __new__(cls, fun: MeaningTerm, arg: MeaningTerm):
+        return _new(cls, ("App", fun, arg))
 
 
-@dataclass(frozen=True)
 class Lam(MeaningTerm):
-    var_type: SemType
-    body: MeaningTerm
-    hint: str = field(default="x", compare=False)
+    """Abstraction; `hint` names the binder for printing only, so equality
+    and hashing compare the tag, type and body alone."""
+
+    __slots__ = ()
+    __match_args__ = ("var_type", "body", "hint")
+    var_type = property(itemgetter(1))
+    body = property(itemgetter(2))
+    hint = property(itemgetter(3))
+
+    def __new__(cls, var_type: SemType, body: MeaningTerm, hint: str = "x"):
+        return _new(cls, ("Lam", var_type, body, hint))
+
+    def __eq__(self, other):
+        if type(other) is not Lam:
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):
+        # Needed: the inherited tuple `__ne__` would compare the hint.
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
 def apply(fun: MeaningTerm, *args: MeaningTerm) -> MeaningTerm:
@@ -82,28 +130,30 @@ def spine(term: MeaningTerm) -> tuple[MeaningTerm, list[MeaningTerm]]:
     return term, args
 
 
-def subterms(term: MeaningTerm):
-    """Every subterm of `term`, itself first, in pre-order. The walk keeps its
-    own stack, so each subterm is yielded once, not passed up through every
-    enclosing node, and no depth overflows the interpreter's stack."""
+def _leaves(term: MeaningTerm, kinds: tuple[type, ...]) -> list[MeaningTerm]:
+    """The leaves of `term` whose class is one of `kinds`, in pre-order. The
+    walk keeps its own stack, so no depth overflows the interpreter's stack."""
+    found = []
     stack = [term]
     while stack:
-        term = stack.pop()
-        yield term
-        match term:
-            case App(fun, arg):
-                stack.append(arg)
-                stack.append(fun)
-            case Lam(_, body):
-                stack.append(body)
+        t = stack.pop()
+        kind = type(t)
+        if kind is App:
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif kind is Lam:
+            stack.append(t.body)
+        elif kind in kinds:
+            found.append(t)
+    return found
 
 
 def free_vars(term: MeaningTerm) -> frozenset[Var]:
-    return frozenset(t for t in subterms(term) if isinstance(t, Var))
+    return frozenset(_leaves(term, (Var,)))
 
 
 def hyp_consts(term: MeaningTerm) -> frozenset[HypConst]:
-    return frozenset(t for t in subterms(term) if isinstance(t, HypConst))
+    return frozenset(_leaves(term, (HypConst,)))
 
 
 def substitute(term: MeaningTerm, mapping: dict[Var, MeaningTerm]) -> MeaningTerm:
@@ -277,18 +327,18 @@ def format_term(term: MeaningTerm) -> str:
     """The term as text. A binder is annotated with its type (`\\x:e. x`)
     unless its variable occurs as an argument of an application headed by a
     name, whose type then fixes the binder's when the text is read back."""
-    used = {t.name for t in subterms(term) if isinstance(t, (Const, Var, HypConst))}
+    used = {t.name for t in _leaves(term, (Const, Var, HypConst))}
     return _fmt(term, [], used)
 
 
-def _pick_name(hint: str, taken) -> str:
-    if hint not in taken:
-        return hint
-    for i in itertools.count(1):
-        candidate = f"{hint}{i}"
-        if candidate not in taken:
-            return candidate
-    raise AssertionError("unreachable")
+def _pick_name(hint: str, used, stack) -> str:
+    """`hint`, or else the first of hint1, hint2, ... that is neither a name
+    in the term nor an enclosing binder's name."""
+    name, i = hint, 0
+    while name in used or any(b[0] == name for b in stack):
+        i += 1
+        name = f"{hint}{i}"
+    return name
 
 
 def _fmt(term, stack, used, named_arg=False) -> str:
@@ -313,7 +363,7 @@ def _fmt(term, stack, used, named_arg=False) -> str:
             args_s = ", ".join(_fmt(a, stack, used, named) for a in args)
             return f"{head_s}({args_s})"
         case Lam(ty, body, hint):
-            name = _pick_name(hint, used.union([b[0] for b in stack]))
+            name = _pick_name(hint, used, stack)
             binder = [name, False]
             body_s = _fmt(body, [binder] + stack, used)
             if not binder[1]:

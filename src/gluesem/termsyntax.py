@@ -13,7 +13,7 @@ solved type variables are substituted into the binders (zonking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import TermTypeError, UnboundVariableError
 from .lexer import TokenStream, tokenize
@@ -21,9 +21,13 @@ from .semtypes import ArrowType, SemType, parse_type_at
 from .terms import App, BoundVar, Const, Lam, MeaningTerm, Var
 
 
-@dataclass(frozen=True)
 class _TypeMeta(SemType):
-    ident: int
+    __slots__ = ()
+    __match_args__ = ("ident",)
+    ident = property(itemgetter(1))
+
+    def __new__(cls, ident: int):
+        return tuple.__new__(cls, ("_TypeMeta", ident))
 
     def __str__(self) -> str:
         return f"?{self.ident}"

@@ -3,12 +3,14 @@ with the naive named-variable oracle on random well-typed terms."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from gluesem.errors import SyntaxErrorAt, TermTypeError, UnboundVariableError
-from gluesem.semtypes import ArrowType, E, T, arrow, parse_type
+from gluesem.semtypes import ArrowType, BaseType, E, T, arrow, parse_type
 from gluesem import terms
 from gluesem.terms import App, BoundVar, Const, HypConst, Lam, Var, apply
 from gluesem.termsyntax import parse_term
@@ -247,3 +249,106 @@ def test_free_vars_and_hyp_consts_walk_deeper_than_the_stack():
     chain = App(chain, h)
     assert terms.free_vars(chain) == {x}
     assert terms.hyp_consts(chain) == {h}
+
+
+# --- the node representation -----------------------------------------------
+
+EVERY = Const("every", arrow(arrow(E, T), arrow(E, T), T))
+NODES = [
+    Const("Bill", E),
+    HypConst("x", E, 3),
+    Var("P", arrow(E, T)),
+    BoundVar(0),
+    App(Const("f", arrow(E, T)), Const("Bill", E)),
+    Lam(E, BoundVar(0), "y"),
+    E,
+    arrow(E, T),
+]
+
+
+def test_nodes_of_different_classes_with_equal_fields_are_unequal():
+    assert Const("a", E) != Var("a", E)
+    assert not Const("a", E) == Var("a", E)
+    assert HypConst("x", E, 1) != HypConst("x", E, 2)
+    assert Var("a", E) == Var("a", E) and hash(Var("a", E)) == hash(Var("a", E))
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_nodes_cannot_be_assigned_to(node):
+    with pytest.raises(AttributeError):
+        setattr(node, node.__match_args__[0], None)
+    with pytest.raises(AttributeError):
+        node.extra = None
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_nodes_have_no_order(node):
+    for compare in (
+        lambda a, b: a < b,
+        lambda a, b: a <= b,
+        lambda a, b: a > b,
+        lambda a, b: a >= b,
+    ):
+        with pytest.raises(TypeError):
+            compare(node, node)
+
+
+def test_match_captures_fields_by_position_and_by_keyword():
+    f, bill = Const("f", arrow(E, T)), Const("Bill", E)
+    lam = Lam(E, BoundVar(0), "y")
+    for node, expected in [
+        (bill, ("Bill", E)),
+        (HypConst("x", E, 3), ("x", E, 3)),
+        (Var("P", E), ("P", E)),
+        (BoundVar(2), (2,)),
+        (App(f, bill), (f, bill)),
+        (lam, (E, BoundVar(0), "y")),
+        (E, ("e",)),
+        (arrow(E, T), (E, T)),
+    ]:
+        match node:
+            case Const(a, b) | Var(a, b) | App(a, b) | ArrowType(a, b):
+                positional = (a, b)
+            case HypConst(a, b, c) | Lam(a, b, c):
+                positional = (a, b, c)
+            case BoundVar(a) | BaseType(a):
+                positional = (a,)
+        assert positional == expected
+        keywords = {name: getattr(node, name) for name in node.__match_args__}
+        assert tuple(keywords.values()) == expected
+    match App(f, lam):
+        case App(fun=Const(name="f"), arg=Lam(var_type=ty, body=BoundVar(index=i), hint=h)):
+            assert (ty, i, h) == (E, 0, "y")
+        case _:
+            pytest.fail("keyword patterns did not match")
+    match HypConst("x", E, 3):
+        case HypConst(stamp=s, name=n, ty=BaseType(name=b)):
+            assert (s, n, b) == (3, "x", "e")
+        case _:
+            pytest.fail("keyword patterns did not match")
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_nodes_copy_and_pickle_through_their_fields(node):
+    assert copy.deepcopy(node) == node and type(copy.copy(node)) is type(node)
+    assert pickle.loads(pickle.dumps(node)) == node
+
+
+def test_repr_of_a_nested_term_is_unchanged():
+    term = Lam(
+        E,
+        App(
+            App(EVERY, Var("P", arrow(E, T))),
+            Lam(E, App(HypConst("x", E, 3), BoundVar(0)), "y"),
+        ),
+        "z",
+    )
+    assert repr(term) == (
+        "Lam(var_type=BaseType(name='e'), body=App(fun=App(fun=Const(name='every', "
+        "ty=ArrowType(arg=ArrowType(arg=BaseType(name='e'), result=BaseType(name='t')), "
+        "result=ArrowType(arg=ArrowType(arg=BaseType(name='e'), result=BaseType(name='t')), "
+        "result=BaseType(name='t')))), arg=Var(name='P', ty=ArrowType(arg=BaseType(name='e'), "
+        "result=BaseType(name='t')))), arg=Lam(var_type=BaseType(name='e'), "
+        "body=App(fun=HypConst(name='x', ty=BaseType(name='e'), stamp=3), "
+        "arg=BoundVar(index=0)), hint='y')), hint='z')"
+    )
