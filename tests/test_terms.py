@@ -253,7 +253,6 @@ def test_free_vars_and_hyp_consts_walk_deeper_than_the_stack():
 
 # --- the node representation -----------------------------------------------
 
-EVERY = Const("every", arrow(arrow(E, T), arrow(E, T), T))
 NODES = [
     Const("Bill", E),
     HypConst("x", E, 3),
@@ -338,7 +337,7 @@ def test_repr_of_a_nested_term_is_unchanged():
     term = Lam(
         E,
         App(
-            App(EVERY, Var("P", arrow(E, T))),
+            App(Const("every", arrow(arrow(E, T), arrow(E, T), T)), Var("P", arrow(E, T))),
             Lam(E, App(HypConst("x", E, 3), BoundVar(0)), "y"),
         ),
         "z",
