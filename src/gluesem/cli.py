@@ -114,8 +114,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _parse_goal_option(text: str) -> tuple[str, str | None]:
-    label, _, ty = text.partition(":")
-    return label, (ty or None)
+    # No colon means the default type; an empty type after one is an error.
+    label, colon, ty = text.partition(":")
+    return label, (ty if colon else None)
 
 
 def run(config: RunConfig, stdout=None, stderr=None) -> int:
@@ -152,7 +153,7 @@ def _load_inputs(config: RunConfig):
         node = root.find_label(label)
         if node is None:
             raise ValueError(f"goal label '{label}' does not occur in {fs_path}")
-        goal = Goal(sigma(node), parse_type(ty_text) if ty_text else T)
+        goal = Goal(sigma(node), parse_type(ty_text) if ty_text is not None else T)
     return root, lexicon, goal
 
 

@@ -52,8 +52,10 @@ from .terms import (
     canonical_form,
     format_term,
     free_vars,
+    has_leaf,
     hyp_consts,
     normalize,
+    occurs,
     spine,
     substitute,
     typecheck,
@@ -140,18 +142,19 @@ def unify(pattern: MeaningTerm, term: MeaningTerm, subst: dict | None = None):
     """
     subst = dict(subst) if subst else {}
     closed = normalize(substitute(term, subst))
-    if free_vars(closed):
+    if has_leaf(closed, Var):
         raise NonPatternError("the closed side of a unification contains metavariables")
     return _unify(pattern, closed, subst)
 
 
 def _unify(pattern, term, subst):
     pattern = normalize(substitute(pattern, subst))
-    if isinstance(pattern, Var):
+    kind = type(pattern)
+    if kind is Var:
         return _bind(subst, pattern, term)
     head, args = spine(pattern)
-    if isinstance(head, Var) and args:
-        if all(isinstance(a, HypConst) for a in args) and len(set(args)) == len(args):
+    if type(head) is Var and args:
+        if all(type(a) is HypConst for a in args) and len(set(args)) == len(args):
             solution = term
             for arg in reversed(args):
                 solution = abstract_over(solution, arg)
@@ -160,18 +163,16 @@ def _unify(pattern, term, subst):
             f"metavariable {head.name} applied to arguments that are not "
             "distinct hypothesis constants"
         )
-    match pattern, term:
-        case (App(), App()):
-            out = _unify(pattern.fun, term.fun, subst)
-            if out is None:
-                return None
-            return _unify(pattern.arg, term.arg, out)
-        case (Lam(), Lam()):
-            if pattern.var_type != term.var_type:
-                return None
-            return _unify(pattern.body, term.body, subst)
-        case _:
-            return subst if pattern == term else None
+    if kind is App and type(term) is App:
+        out = _unify(pattern[1], term[1], subst)
+        if out is None:
+            return None
+        return _unify(pattern[2], term[2], out)
+    if kind is Lam and type(term) is Lam:
+        if pattern[1] != term[1]:
+            return None
+        return _unify(pattern[2], term[2], subst)
+    return subst if pattern == term else None
 
 
 def _bind(subst, var: Var, term: MeaningTerm):
@@ -290,7 +291,7 @@ class _Search:
                 for s2, a2, e2 in self.prove([body], avail, subst, depth):
                     # The owning focus's bindings are visible outside the
                     # hypothesis's scope, so none of them may mention it.
-                    if any(hyp in hyp_consts(term) for term in s2.values()):
+                    if any(occurs(hyp, term) for term in s2.values()):
                         continue
                     e2 += (TraceStep("discharge", None, hyp.name),)
                     yield from self._then(rest, a2, s2, depth, e2)
@@ -350,7 +351,7 @@ class _Search:
                 for goals in self._orders(antecedents):
                     for s1, a1, e1 in self.prove(goals, avail - {rid}, {}, depth + 1):
                         meaning = normalize(substitute(head.meaning, s1))
-                        if free_vars(meaning):
+                        if has_leaf(meaning, Var):
                             names = ", ".join(sorted(v.name for v in free_vars(meaning)))
                             raise NonPatternError(
                                 f"head of '{word}' still contains metavariable(s) "
@@ -481,7 +482,7 @@ def _run_search(premise_list, goal, all_traces, depth_bound) -> SearchResult:
     supplied = False
     for meaning, avail, steps in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids, 0):
         supplied = True
-        if hyp_consts(meaning):
+        if has_leaf(meaning, HypConst):
             continue
         if avail:
             unused = {engine.origin.get(rid, rid) for rid in avail} & engine.premise_ids
@@ -534,14 +535,13 @@ def derive(
 def _tidy_hints(term: MeaningTerm) -> MeaningTerm:
     """Drop the freshness suffix from binder hints; printing re-freshens only
     on actual collisions."""
-    match term:
-        case App(fun, arg):
-            return App(_tidy_hints(fun), _tidy_hints(arg))
-        case Lam(ty, body, hint):
-            base = hint.rstrip("0123456789") or hint
-            return Lam(ty, _tidy_hints(body), base)
-        case _:
-            return term
+    kind = type(term)
+    if kind is App:
+        return App(_tidy_hints(term[1]), _tidy_hints(term[2]))
+    if kind is Lam:
+        hint = term[3]
+        return Lam(term[1], _tidy_hints(term[2]), hint.rstrip("0123456789") or hint)
+    return term
 
 
 def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:

@@ -8,6 +8,12 @@ Each node is a tagged tuple (see `node`): the class's name, then its fields.
 Construction, equality and hashing are the tuple's, in C, and the tag keeps
 nodes of different classes apart, so `Const("a", e) != Var("a", e)`. The one
 exception is `Lam`, whose hint is left out of its equality and hashing.
+
+The walks here dispatch on `type(t)` and read fields by index (`t[1]`,
+`t[2]`); the classes keep `__match_args__`, so callers can still `match` on
+them. A walk that changes no child returns the node it was given, so a term
+that substitution or normalization leaves alone comes back as it is, with
+its subterms shared.
 """
 
 from __future__ import annotations
@@ -123,28 +129,31 @@ def apply(fun: MeaningTerm, *args: MeaningTerm) -> MeaningTerm:
 def spine(term: MeaningTerm) -> tuple[MeaningTerm, list[MeaningTerm]]:
     """Split nested applications into (head, [arg1, ..., argn])."""
     args: list[MeaningTerm] = []
-    while isinstance(term, App):
-        args.append(term.arg)
-        term = term.fun
+    while type(term) is App:
+        args.append(term[2])
+        term = term[1]
     args.reverse()
     return term, args
 
 
-def _leaves(term: MeaningTerm, kinds: tuple[type, ...]) -> list[MeaningTerm]:
-    """The leaves of `term` whose class is one of `kinds`, in pre-order. The
-    walk keeps its own stack, so no depth overflows the interpreter's stack."""
+def _leaves(term: MeaningTerm, kinds: tuple[type, ...], first=False) -> list[MeaningTerm]:
+    """The leaves of `term` whose class is one of `kinds`, in pre-order; with
+    `first`, only the first of them. The walk keeps its own stack, so no depth
+    overflows the interpreter's stack."""
     found = []
     stack = [term]
     while stack:
         t = stack.pop()
         kind = type(t)
         if kind is App:
-            stack.append(t.arg)
-            stack.append(t.fun)
+            stack.append(t[2])
+            stack.append(t[1])
         elif kind is Lam:
-            stack.append(t.body)
+            stack.append(t[2])
         elif kind in kinds:
             found.append(t)
+            if first:
+                break
     return found
 
 
@@ -156,19 +165,57 @@ def hyp_consts(term: MeaningTerm) -> frozenset[HypConst]:
     return frozenset(_leaves(term, (HypConst,)))
 
 
+def has_leaf(term: MeaningTerm, kind: type) -> bool:
+    """Whether a leaf of `term` is of class `kind` (`Var` for a free named
+    variable, `HypConst` for a hypothesis); the walk stops at the first."""
+    return bool(_leaves(term, (kind,), first=True))
+
+
+def occurs(leaf: MeaningTerm, term: MeaningTerm) -> bool:
+    """Whether the leaf node `leaf` (a variable or constant) occurs in `term`;
+    the walk stops at the first occurrence."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is App:
+            stack.append(t[2])
+            stack.append(t[1])
+        elif kind is Lam:
+            stack.append(t[2])
+        elif t == leaf:
+            return True
+    return False
+
+
 def substitute(term: MeaningTerm, mapping: dict[Var, MeaningTerm]) -> MeaningTerm:
-    """Replace named variables; replacements must be locally closed."""
+    """Replace named variables; replacements must be locally closed. A
+    subterm that holds no mapped variable comes back as it is."""
     if not mapping:
         return term
-    match term:
-        case Var():
-            return mapping.get(term, term)
-        case App(fun, arg):
-            return App(substitute(fun, mapping), substitute(arg, mapping))
-        case Lam(ty, body, hint):
-            return Lam(ty, substitute(body, mapping), hint)
-        case _:
-            return term
+    return _substitute(term, mapping)
+
+
+# The walks rebuild an application or abstraction only when a child changed.
+
+
+def _app(t, fun, arg):
+    return t if fun is t[1] and arg is t[2] else App(fun, arg)
+
+
+def _lam(t, body):
+    return t if body is t[2] else Lam(t[1], body, t[3])
+
+
+def _substitute(t, mapping):
+    kind = type(t)
+    if kind is App:
+        return _app(t, _substitute(t[1], mapping), _substitute(t[2], mapping))
+    if kind is Lam:
+        return _lam(t, _substitute(t[2], mapping))
+    if kind is Var:
+        return mapping.get(t, t)
+    return t
 
 
 def typecheck(term: MeaningTerm) -> SemType:
@@ -177,27 +224,32 @@ def typecheck(term: MeaningTerm) -> SemType:
     return _typecheck(term, [])
 
 
-def _typecheck(term, stack) -> SemType:
-    match term:
-        case Const(_, ty) | HypConst(_, ty, _) | Var(_, ty):
-            return ty
-        case BoundVar(index):
-            if index >= len(stack):
-                raise UnboundVariableError(f"dangling bound variable #{index}")
-            return stack[index]
-        case App(fun, arg):
-            fun_ty = _typecheck(fun, stack)
-            arg_ty = _typecheck(arg, stack)
-            if not isinstance(fun_ty, ArrowType):
-                raise TermTypeError(f"cannot apply a term of type {fun_ty}")
-            if fun_ty.arg != arg_ty:
-                raise TermTypeError(
-                    f"argument type {arg_ty} does not match expected {fun_ty.arg}"
-                )
-            return fun_ty.result
-        case Lam(var_type, body, _):
-            return ArrowType(var_type, _typecheck(body, [var_type] + stack))
-    raise TermTypeError(f"not a meaning term: {term!r}")
+def _typecheck(t, binders) -> SemType:
+    # `binders` holds the enclosing binders' types, innermost last.
+    kind = type(t)
+    if kind is App:
+        fun_ty = _typecheck(t[1], binders)
+        arg_ty = _typecheck(t[2], binders)
+        if type(fun_ty) is not ArrowType:
+            raise TermTypeError(f"cannot apply a term of type {fun_ty}")
+        if fun_ty[1] != arg_ty:
+            raise TermTypeError(
+                f"argument type {arg_ty} does not match expected {fun_ty[1]}"
+            )
+        return fun_ty[2]
+    if kind is Lam:
+        binders.append(t[1])
+        body_ty = _typecheck(t[2], binders)
+        binders.pop()
+        return ArrowType(t[1], body_ty)
+    if kind is BoundVar:
+        index = t[1]
+        if index >= len(binders):
+            raise UnboundVariableError(f"dangling bound variable #{index}")
+        return binders[-1 - index]
+    if kind is Const or kind is Var or kind is HypConst:
+        return t[2]
+    raise TermTypeError(f"not a meaning term: {t!r}")
 
 
 def open_binder(body: MeaningTerm, replacement: MeaningTerm) -> MeaningTerm:
@@ -205,101 +257,92 @@ def open_binder(body: MeaningTerm, replacement: MeaningTerm) -> MeaningTerm:
     return _subst_index(body, replacement, 0)
 
 
-def _shift(term, by, cutoff=0):
-    match term:
-        case BoundVar(index):
-            return BoundVar(index + by) if index >= cutoff else term
-        case App(fun, arg):
-            return App(_shift(fun, by, cutoff), _shift(arg, by, cutoff))
-        case Lam(ty, body, hint):
-            return Lam(ty, _shift(body, by, cutoff + 1), hint)
-        case _:
-            return term
+def _shift(t, by, cutoff=0):
+    """`t` with every bound index at or above `cutoff` raised by `by`."""
+    if by == 0:
+        return t
+    kind = type(t)
+    if kind is App:
+        return _app(t, _shift(t[1], by, cutoff), _shift(t[2], by, cutoff))
+    if kind is Lam:
+        return _lam(t, _shift(t[2], by, cutoff + 1))
+    if kind is BoundVar and t[1] >= cutoff:
+        return BoundVar(t[1] + by)
+    return t
 
 
-def _subst_index(term, replacement, depth):
-    match term:
-        case BoundVar(index):
-            if index == depth:
-                return _shift(replacement, depth)
-            if index > depth:
-                return BoundVar(index - 1)
-            return term
-        case App(fun, arg):
-            return App(
-                _subst_index(fun, replacement, depth),
-                _subst_index(arg, replacement, depth),
-            )
-        case Lam(ty, body, hint):
-            return Lam(ty, _subst_index(body, replacement, depth + 1), hint)
-        case _:
-            return term
+def _subst_index(t, replacement, depth):
+    kind = type(t)
+    if kind is App:
+        return _app(
+            t, _subst_index(t[1], replacement, depth), _subst_index(t[2], replacement, depth)
+        )
+    if kind is Lam:
+        return _lam(t, _subst_index(t[2], replacement, depth + 1))
+    if kind is BoundVar:
+        index = t[1]
+        if index == depth:
+            return _shift(replacement, depth)
+        if index > depth:
+            return BoundVar(index - 1)
+    return t
 
 
 def abstract_over(term: MeaningTerm, target: Var | HypConst) -> Lam:
     """Lambda-abstract `term` over every occurrence of `target`."""
 
     def go(t, depth):
-        if t == target:
-            return BoundVar(depth)
-        match t:
-            case App(fun, arg):
-                return App(go(fun, depth), go(arg, depth))
-            case Lam(ty, body, h):
-                return Lam(ty, go(body, depth + 1), h)
-            case _:
-                return t
+        kind = type(t)
+        if kind is App:
+            return _app(t, go(t[1], depth), go(t[2], depth))
+        if kind is Lam:
+            return _lam(t, go(t[2], depth + 1))
+        return BoundVar(depth) if t == target else t
 
     return Lam(target.ty, go(term, 0), target.name)
 
 
-def _occurs_index(term, target) -> bool:
-    match term:
-        case BoundVar(index):
-            return index == target
-        case App(fun, arg):
-            return _occurs_index(fun, target) or _occurs_index(arg, target)
-        case Lam(_, body):
-            return _occurs_index(body, target + 1)
-        case _:
-            return False
+def _occurs_index(t, target) -> bool:
+    kind = type(t)
+    if kind is App:
+        return _occurs_index(t[1], target) or _occurs_index(t[2], target)
+    if kind is Lam:
+        return _occurs_index(t[2], target + 1)
+    return kind is BoundVar and t[1] == target
 
 
-def _beta(term):
-    match term:
-        case App(fun, arg):
-            fun = _beta(fun)
-            if isinstance(fun, Lam):
-                return _beta(open_binder(fun.body, arg))
-            return App(fun, _beta(arg))
-        case Lam(ty, body, hint):
-            return Lam(ty, _beta(body), hint)
-        case _:
-            return term
+def _beta(t):
+    kind = type(t)
+    if kind is App:
+        fun = _beta(t[1])
+        if type(fun) is Lam:
+            return _beta(_subst_index(fun[2], t[2], 0))
+        return _app(t, fun, _beta(t[2]))
+    if kind is Lam:
+        return _lam(t, _beta(t[2]))
+    return t
 
 
-def _eta(term):
+def _eta(t):
     # Assumes beta-normal input, where contraction cannot create a redex.
-    match term:
-        case App(fun, arg):
-            return App(_eta(fun), _eta(arg))
-        case Lam(ty, body, hint):
-            body = _eta(body)
-            if (
-                isinstance(body, App)
-                and body.arg == BoundVar(0)
-                and not _occurs_index(body.fun, 0)
-            ):
-                # Index 0 does not occur in body.fun, so opening the binder
-                # only shifts the outer indices down: the contraction.
-                return open_binder(body.fun, body.arg)
-            return Lam(ty, body, hint)
-        case _:
-            return term
+    kind = type(t)
+    if kind is App:
+        return _app(t, _eta(t[1]), _eta(t[2]))
+    if kind is Lam:
+        body = _eta(t[2])
+        if type(body) is App:
+            fun, arg = body[1], body[2]
+            if type(arg) is BoundVar and arg[1] == 0 and not _occurs_index(fun, 0):
+                # Index 0 does not occur in the function, so opening the
+                # binder only shifts the outer indices down: the contraction.
+                return open_binder(fun, arg)
+        return _lam(t, body)
+    return t
 
 
 def normalize(term: MeaningTerm) -> MeaningTerm:
-    """Beta-normal form; terminates on every well-typed term.
+    """Beta-normal form; terminates on every well-typed term. A term already
+    in normal form comes back as it is.
 
     Abstractions are left as constructed (no eta rewriting), so normal forms
     read the way derivations build them; eta enters only through
@@ -327,46 +370,67 @@ def format_term(term: MeaningTerm) -> str:
     """The term as text. A binder is annotated with its type (`\\x:e. x`)
     unless its variable occurs as an argument of an application headed by a
     name, whose type then fixes the binder's when the text is read back."""
-    used = {t.name for t in _leaves(term, (Const, Var, HypConst))}
-    return _fmt(term, [], used)
+    return _fmt(term, [], _Names(term))
 
 
-def _pick_name(hint: str, used, stack) -> str:
+class _Names:
+    """The names of a term's constants and variables, which a binder's name
+    must avoid; collected when a binder first asks, so a term without
+    binders prints without the walk."""
+
+    __slots__ = ("term", "names")
+
+    def __init__(self, term):
+        self.term = term
+        self.names = None
+
+    def __contains__(self, name) -> bool:
+        if self.names is None:
+            self.names = {t[1] for t in _leaves(self.term, (Const, Var, HypConst))}
+        return name in self.names
+
+
+def _pick_name(hint: str, used, binders) -> str:
     """`hint`, or else the first of hint1, hint2, ... that is neither a name
     in the term nor an enclosing binder's name."""
     name, i = hint, 0
-    while name in used or any(b[0] == name for b in stack):
+    while name in used or any(b[0] == name for b in binders):
         i += 1
         name = f"{hint}{i}"
     return name
 
 
-def _fmt(term, stack, used, named_arg=False) -> str:
-    # `stack` holds each enclosing binder, innermost first, as [name, whether
+def _fmt(t, binders, used, named_arg=False) -> str:
+    # `binders` holds each enclosing binder, innermost last, as [name, whether
     # its variable occurred as an argument of a name-headed application];
-    # `named_arg` says whether `term` is such an argument.
-    match term:
-        case Const(name, _) | Var(name, _) | HypConst(name, _, _):
-            return name
-        case BoundVar(index):
-            if index < len(stack):
-                if named_arg:
-                    stack[index][1] = True
-                return stack[index][0]
-            return f"#{index}"
-        case App():
-            head, args = spine(term)
-            head_s = _fmt(head, stack, used)
-            if isinstance(head, Lam):
-                head_s = f"({head_s})"
-            named = not isinstance(head, (Lam, BoundVar))
-            args_s = ", ".join(_fmt(a, stack, used, named) for a in args)
-            return f"{head_s}({args_s})"
-        case Lam(ty, body, hint):
-            name = _pick_name(hint, used, stack)
-            binder = [name, False]
-            body_s = _fmt(body, [binder] + stack, used)
-            if not binder[1]:
-                name += f":{ty}"
-            return f"\\{name}. {body_s}"
-    return repr(term)
+    # `named_arg` says whether `t` is such an argument.
+    kind = type(t)
+    if kind is App:
+        head, args = spine(t)
+        head_s = _fmt(head, binders, used)
+        head_kind = type(head)
+        if head_kind is Lam:
+            head_s = f"({head_s})"
+        named = head_kind is not Lam and head_kind is not BoundVar
+        args_s = ", ".join(_fmt(a, binders, used, named) for a in args)
+        return f"{head_s}({args_s})"
+    if kind is Lam:
+        name = _pick_name(t[3], used, binders)
+        binder = [name, False]
+        binders.append(binder)
+        body_s = _fmt(t[2], binders, used)
+        binders.pop()
+        if not binder[1]:
+            name += f":{t[1]}"
+        return f"\\{name}. {body_s}"
+    if kind is BoundVar:
+        index = t[1]
+        if index < len(binders):
+            binder = binders[-1 - index]
+            if named_arg:
+                binder[1] = True
+            return binder[0]
+        return f"#{index}"
+    if kind is Const or kind is Var or kind is HypConst:
+        return t[1]
+    return repr(t)

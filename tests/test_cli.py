@@ -152,6 +152,17 @@ def test_unknown_goal_label_is_input_error():
     assert "zz" in err
 
 
+@pytest.mark.parametrize(
+    "goal,error",
+    [("g:", "error: 1:1: expected a type, found end of input\n"),
+     ("g:e->", "error: 1:4: expected a type, found end of input\n")],
+    ids=["empty", "unfinished"],
+)
+def test_goal_with_an_empty_or_unfinished_type_is_input_error(goal, error):
+    code, out, err = run_cli(*derive_args("name_only.fs", "--goal", goal))
+    assert (code, out, err) == (1, "", error)
+
+
 def test_missing_file_is_input_error(tmp_path):
     code, _out, err = run_cli(
         "derive",

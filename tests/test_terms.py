@@ -9,13 +9,16 @@ import random
 
 import pytest
 
-from gluesem.errors import SyntaxErrorAt, TermTypeError, UnboundVariableError
+from gluesem.errors import GlueError, SyntaxErrorAt, TermTypeError, UnboundVariableError
 from gluesem.semtypes import ArrowType, BaseType, E, T, arrow, parse_type
 from gluesem import terms
 from gluesem.terms import App, BoundVar, Const, HypConst, Lam, Var, apply
 from gluesem.termsyntax import parse_term
 
 from oracles import (
+    NConst,
+    NLam,
+    n_subst,
     named_to_core,
     oracle_beta_normal,
     oracle_canonical,
@@ -249,6 +252,108 @@ def test_free_vars_and_hyp_consts_walk_deeper_than_the_stack():
     chain = App(chain, h)
     assert terms.free_vars(chain) == {x}
     assert terms.hyp_consts(chain) == {h}
+
+
+def test_leaf_tests_agree_with_the_leaf_sets():
+    x, h = Var("x", E), HypConst("h", E, 1)
+    r2 = Const("r2", arrow(E, E, T))
+    for term in (apply(r2, x, h), Lam(E, apply(r2, BoundVar(0), h)), apply(r2, x, x)):
+        assert terms.has_leaf(term, Var) == bool(terms.free_vars(term))
+        assert terms.has_leaf(term, HypConst) == bool(terms.hyp_consts(term))
+        assert terms.occurs(h, term) == (h in terms.hyp_consts(term))
+    assert not terms.occurs(HypConst("h", E, 2), apply(r2, x, h))
+
+
+# --- sharing, binder hints and typing errors -------------------------------
+
+
+def hinted(term):
+    """`term` as nested plain tuples, binder hints included: `Lam` equality
+    leaves hints out, so comparing these is what shows a lost hint."""
+    if isinstance(term, (App, Lam)):
+        return tuple(hinted(item) for item in term)
+    return term
+
+
+def oracle_hints(term):
+    """`hinted`, with the oracle's capture-avoiding renaming (`v3_17` for
+    `v3`) undone, since the de Bruijn side never has to rename."""
+    if isinstance(term, tuple) and term and term[0] == "Lam":
+        return ("Lam", term[1], oracle_hints(term[2]), term[3].partition("_")[0])
+    if isinstance(term, tuple) and term and term[0] == "App":
+        return ("App", oracle_hints(term[1]), oracle_hints(term[2]))
+    return term
+
+
+def test_substitute_returns_a_term_without_mapped_variables_as_it_is():
+    term = p("every(person, \\u. a(manager, \\v. appoint(u, v)))")
+    assert terms.substitute(term, {Var("X", E): Const("Bill", E)}) is term
+    x, y = Var("X", E), Var("Y", E)
+    appoint = Const("appoint", arrow(E, E, T))
+    inner = apply(appoint, y, BoundVar(0))
+    outer = App(App(Const("a", arrow(arrow(E, T), arrow(E, T), T)), Lam(E, inner, "w")), x)
+    out = terms.substitute(outer, {x: Const("Bill", E)})
+    # Only the spine down to X is rebuilt; the untouched operand is shared.
+    assert out.fun is outer.fun
+    assert out.arg == Const("Bill", E)
+
+
+def test_normalize_returns_a_normal_term_as_it_is():
+    rng = random.Random(1313)
+    for _ in range(200):
+        named = random_named_term(rng, rng.choice([E, T, ArrowType(E, T)]))
+        normal = named_to_core(oracle_beta_normal(named))
+        assert terms.normalize(normal) is normal
+
+
+def test_normalize_keeps_binder_hints():
+    term = App(
+        p("\\P. every(person, \\u. P(u))"),
+        p("\\v. a(manager, \\w. appoint(v, w))"),
+    )
+    normal = terms.normalize(term)
+    assert hinted(normal) == hinted(p("every(person, \\u. a(manager, \\w. appoint(u, w)))"))
+    assert terms.format_term(normal) == "every(person, \\u. a(manager, \\w. appoint(u, w)))"
+    rng = random.Random(4711)
+    for _ in range(300):
+        named = random_named_term(rng, rng.choice([E, T, ArrowType(E, T)]))
+        expected = oracle_hints(hinted(named_to_core(oracle_beta_normal(named))))
+        assert hinted(terms.normalize(named_to_core(named))) == expected
+
+
+def test_substitute_and_abstract_over_keep_binder_hints():
+    rng = random.Random(2718)
+    x = Var("X", E)
+    named_x = (("X", E),)
+    for _ in range(300):
+        named = random_named_term(rng, rng.choice([E, T, ArrowType(E, T)]), env=named_x)
+        core = named_to_core(named)
+        substituted = terms.substitute(core, {x: Const("a0", E)})
+        expected = named_to_core(n_subst(named, "X", NConst("a0", E)))
+        assert hinted(substituted) == oracle_hints(hinted(expected))
+        abstracted = terms.abstract_over(core, x)
+        assert hinted(abstracted) == hinted(named_to_core(NLam("X", E, named)))
+
+
+@pytest.mark.parametrize(
+    "term,error,message",
+    [
+        (App(Const("Bill", E), Const("Hillary", E)), TermTypeError, "cannot apply a term of type e"),
+        (
+            App(Const("person", arrow(E, T)), Const("rain", T)),
+            TermTypeError,
+            "argument type t does not match expected e",
+        ),
+        (Lam(E, BoundVar(1)), UnboundVariableError, "dangling bound variable #1"),
+        (App(Const("person", arrow(E, T)), E), TermTypeError, "not a meaning term: BaseType(name='e')"),
+    ],
+    ids=["non-function", "argument-mismatch", "dangling-index", "non-term"],
+)
+def test_typecheck_failures_keep_their_class_and_message(term, error, message):
+    with pytest.raises(GlueError) as err:
+        terms.typecheck(term)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 # --- the node representation -----------------------------------------------
