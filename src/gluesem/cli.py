@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import (
@@ -27,6 +26,7 @@ from .diagnostics import (
 from .errors import GlueError, MissingEntryError
 from .fstruct import parse_fstructure, sigma
 from .lexicon import parse_lexicon
+from .node import Node
 from .prover import Goal, Reading
 from .semtypes import T, parse_type
 from .terms import format_term
@@ -40,14 +40,17 @@ _EXIT_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    fstructure_path: str
-    lexicon_path: str
-    goal: tuple[str, str | None] | None = None  # (label, type text)
-    trace: bool = False
-    all_traces: bool = False
-    json_output: bool = False
+class RunConfig(Node):
+    __slots__ = ()
+    __match_args__ = (
+        "fstructure_path", "lexicon_path", "goal", "trace", "all_traces", "json_output"
+    )
+
+    def __new__(cls, fstructure_path: str, lexicon_path: str, goal=None, trace=False,
+                all_traces=False, json_output=False):
+        # goal: (label, type text or None); None derives for the root at type t
+        fields = (fstructure_path, lexicon_path, goal, trace, all_traces, json_output)
+        return tuple.__new__(cls, ("RunConfig", *fields))
 
 
 class _UsageError(Exception):

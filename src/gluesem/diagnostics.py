@@ -13,11 +13,10 @@ The failure frontier covers cases polarity cannot see (e.g. circularity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UninstantiableEntryError
 from .fstruct import FStructure, SemStructure, sigma
 from .lexicon import Lexicon, Premise, premises
+from .node import Node
 from .prover import Goal, Reading, SearchResult, search
 
 OK = "ok"
@@ -27,33 +26,36 @@ INCOMPLETE_INCOHERENT = "incomplete+incoherent"
 UNINSTANTIABLE = "uninstantiable"
 
 
-@dataclass(frozen=True)
-class Demand:
-    sem: str
-    ty: str
-    needed_by: tuple[str, ...] = ()
+class Demand(Node):
+    __slots__ = ()
+    __match_args__ = ("sem", "ty", "needed_by")
+
+    def __new__(cls, sem: str, ty: str, needed_by: tuple[str, ...] = ()):
+        return tuple.__new__(cls, ("Demand", sem, ty, needed_by))
 
     def __str__(self) -> str:
         where = f" needed by {', '.join(self.needed_by)}" if self.needed_by else ""
         return f"{self.sem} : {self.ty}{where}"
 
 
-@dataclass(frozen=True)
-class Leftover:
-    index: int
-    word: str
+class Leftover(Node):
+    __slots__ = ()
+    __match_args__ = ("index", "word")
+
+    def __new__(cls, index: int, word: str):
+        return tuple.__new__(cls, ("Leftover", index, word))
 
     def __str__(self) -> str:
         return f"{self.word}[{self.index}]"
 
 
-@dataclass(frozen=True)
-class Diagnosis:
-    status: str
-    unsatisfied_demands: tuple[Demand, ...] = ()
-    leftover_resources: tuple[Leftover, ...] = ()
-    readings: tuple[Reading, ...] = ()
-    note: str = ""
+class Diagnosis(Node):
+    __slots__ = ()
+    __match_args__ = ("status", "unsatisfied_demands", "leftover_resources", "readings", "note")
+
+    def __new__(cls, status, unsatisfied_demands=(), leftover_resources=(), readings=(), note=""):
+        fields = (status, unsatisfied_demands, leftover_resources, readings, note)
+        return tuple.__new__(cls, ("Diagnosis", *fields))
 
     def __str__(self) -> str:
         if self.status == OK:

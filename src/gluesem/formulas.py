@@ -9,30 +9,35 @@ quantifier-bound structure variables remain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import terms
 from .fstruct import SemStructure
+from .node import Node
 from .semtypes import SemType
 from .terms import MeaningTerm, Var
 
 
-@dataclass(frozen=True)
-class SemVar:
+class SemVar(Node):
     """A quantifier-bound semantic-structure variable (a possible scope)."""
 
-    name: str
+    __slots__ = ()
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, ("SemVar", name))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class PathRef:
-    """Template-only structure expression: `^`, `(^ SUBJ OBJ)`, `(mod ^)`."""
+class PathRef(Node):
+    """Template-only structure expression: `^` or `(^ SUBJ OBJ)` (anchor "up"),
+    or `(mod ^)` (anchor "mod")."""
 
-    anchor: str  # "up" | "mod"
-    path: tuple[str, ...] = ()
+    __slots__ = ()
+    __match_args__ = ("anchor", "path")
+
+    def __new__(cls, anchor: str, path: tuple[str, ...] = ()):
+        return tuple.__new__(cls, ("PathRef", anchor, path))
 
     def __str__(self) -> str:
         if self.anchor == "mod":
@@ -42,19 +47,22 @@ class PathRef:
         return f"(^ {' '.join(self.path)})"
 
 
-@dataclass(frozen=True)
-class MeaningVar:
+class MeaningVar(Node):
     """Quantifier binder for a typed meaning variable."""
 
-    name: str
-    ty: SemType
+    __slots__ = ()
+    __match_args__ = ("name", "ty")
+
+    def __new__(cls, name: str, ty: SemType):
+        return tuple.__new__(cls, ("MeaningVar", name, ty))
 
     def __str__(self) -> str:
         return f"{self.name}:{self.ty}"
 
 
-@dataclass(frozen=True)
-class GlueFormula:
+class GlueFormula(Node):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return format_formula(self)
 
@@ -122,22 +130,19 @@ class GlueFormula:
                 )
             case Forall(var, body):
                 if isinstance(var, MeaningVar):
-                    mapping = {
-                        v: t
-                        for v, t in mapping.items()
-                        if v != Var(var.name, var.ty)
-                    }
+                    rebound = Var(var.name, var.ty)
+                    mapping = {v: t for v, t in mapping.items() if v != rebound}
                     if not mapping:
                         return self
                 return Forall(var, body.substitute_meanings(mapping))
         return self
 
     def is_closed(self, bound: frozenset = frozenset()) -> bool:
-        """No free structure or meaning variable; `bound` holds the binders
-        in scope (`SemVar`s and meaning `Var`s)."""
+        """No free structure or meaning variable and no template path;
+        `bound` holds the binders in scope (`SemVar`s and meaning `Var`s)."""
         match self:
             case Atom(sem, _, meaning):
-                if isinstance(sem, SemVar) and sem not in bound:
+                if isinstance(sem, PathRef) or isinstance(sem, SemVar) and sem not in bound:
                     return False
                 return terms.free_vars(meaning) <= bound
             case Tensor(left, right) | Limp(left, right):
@@ -148,29 +153,36 @@ class GlueFormula:
         return True
 
 
-@dataclass(frozen=True)
 class Atom(GlueFormula):
-    sem: object  # SemStructure | SemVar | PathRef
-    ty: SemType
-    meaning: MeaningTerm
+    __slots__ = ()
+    __match_args__ = ("sem", "ty", "meaning")
+
+    def __new__(cls, sem: SemStructure | SemVar | PathRef, ty: SemType, meaning: MeaningTerm):
+        return tuple.__new__(cls, ("Atom", sem, ty, meaning))
 
 
-@dataclass(frozen=True)
 class Tensor(GlueFormula):
-    left: GlueFormula
-    right: GlueFormula
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: GlueFormula, right: GlueFormula):
+        return tuple.__new__(cls, ("Tensor", left, right))
 
 
-@dataclass(frozen=True)
 class Limp(GlueFormula):
-    antecedent: GlueFormula
-    consequent: GlueFormula
+    __slots__ = ()
+    __match_args__ = ("antecedent", "consequent")
+
+    def __new__(cls, antecedent: GlueFormula, consequent: GlueFormula):
+        return tuple.__new__(cls, ("Limp", antecedent, consequent))
 
 
-@dataclass(frozen=True)
 class Forall(GlueFormula):
-    var: object  # MeaningVar | SemVar
-    body: GlueFormula
+    __slots__ = ()
+    __match_args__ = ("var", "body")
+
+    def __new__(cls, var: MeaningVar | SemVar, body: GlueFormula):
+        return tuple.__new__(cls, ("Forall", var, body))
 
 
 def flatten_tensor(formula: GlueFormula) -> list[GlueFormula]:

@@ -15,19 +15,22 @@ that node; re-entrancy is carried through but nothing in scope exploits it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import MissingAttributeError
 from .lexer import Token, TokenStream, tokenize
+from .node import Node
 
 _WORD = re.compile(r"\w+")
 
 
-@dataclass(frozen=True)
-class SemStructure:
+class SemStructure(Node):
     """The sigma projection of one f-structure node; compared by label."""
 
-    label: str
+    __slots__ = ()
+    __match_args__ = ("label",)
+
+    def __new__(cls, label: str):
+        return tuple.__new__(cls, ("SemStructure", label))
 
     def __str__(self) -> str:
         return f"{self.label}_σ"
@@ -64,7 +67,7 @@ class FStructure:
             for value in node.attrs.values():
                 if isinstance(value, FStructure):
                     walk(value)
-                elif isinstance(value, tuple):
+                elif type(value) is tuple:
                     for member in value:
                         walk(member)
 
@@ -213,7 +216,7 @@ def format_fstructure(root: FStructure) -> str:
     def fmt_value(attribute: str, value) -> str:
         if isinstance(value, FStructure):
             return fmt_node(value)
-        if isinstance(value, tuple):
+        if type(value) is tuple:
             return "{ " + "; ".join(fmt_node(m) for m in value) + " }" if value else "{ }"
         # A symbol is printed bare only where it reads back as itself: an
         # identifier (as the tokenizer reads one) that names no node.

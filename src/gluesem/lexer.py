@@ -10,10 +10,10 @@ identifiers, so `_a` is `_`, `a`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NoReturn
 
 from .errors import SyntaxErrorAt
+from .node import Node
 
 # Input nested deeper than this is rejected as a syntax error rather than left
 # to exhaust the interpreter's stack in the recursive parsers and walkers.
@@ -27,12 +27,13 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT | QUOTED | symbol text | EOF
-    text: str
-    line: int
-    column: int
+class Token(Node):
+    __slots__ = ()
+    __match_args__ = ("kind", "text", "line", "column")
+
+    def __new__(cls, kind: str, text: str, line: int, column: int):
+        # kind: IDENT | QUOTED | symbol text | EOF
+        return tuple.__new__(cls, ("Token", kind, text, line, column))
 
 
 def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) -> list[Token]:

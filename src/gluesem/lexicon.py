@@ -19,7 +19,6 @@ path from it, `(mod ^)` the node whose MODS set contains it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     MissingAttributeError,
@@ -30,16 +29,19 @@ from .errors import (
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, PathRef, SemVar, Tensor
 from .fstruct import FStructure, resolve_path, sigma
 from .lexer import TokenStream, tokenize
+from .node import Node
 from .semtypes import SemType, parse_type_at
 from .termsyntax import parse_term_at
 
 _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 
 
-@dataclass(frozen=True)
-class LexicalEntry:
-    headword: str
-    template: GlueFormula
+class LexicalEntry(Node):
+    __slots__ = ()
+    __match_args__ = ("headword", "template")
+
+    def __new__(cls, headword: str, template: GlueFormula):
+        return tuple.__new__(cls, ("LexicalEntry", headword, template))
 
     def __str__(self) -> str:
         return f"{self.headword}: {self.template}"
@@ -271,12 +273,14 @@ def instantiate(entry: LexicalEntry, node: FStructure) -> GlueFormula:
     return instantiated
 
 
-@dataclass(frozen=True)
-class Premise:
-    index: int  # 1-based position in document order
-    formula: GlueFormula
-    word: str  # contributing entry's headword
-    label: str  # f-structure node the word heads
+class Premise(Node):
+    __slots__ = ()
+    __match_args__ = ("index", "formula", "word", "label")
+
+    def __new__(cls, index: int, formula: GlueFormula, word: str, label: str):
+        # index: 1-based, in document order; word: the contributing entry's
+        # headword; label: the f-structure node the word heads
+        return tuple.__new__(cls, ("Premise", index, formula, word, label))
 
     def tag(self) -> str:
         return f"{self.word}[{self.index}]"

@@ -1,16 +1,19 @@
-"""Immutable tree nodes as tagged tuples: the representation of semantic
-types and meaning terms.
+"""Immutable records as tagged tuples: every immutable value in the package
+(types, terms, formulas, tokens, premises, trace steps, readings, diagnoses).
 
 A node is a tuple whose first item is a tag naming its class and whose other
 items are its fields, so construction, equality and hashing run in C and
 nodes of different classes never compare equal. Each class declares
-`__slots__ = ()`, a `__new__` that builds the tuple, its fields as
-`property(itemgetter(i))` and `__match_args__`, so `match` patterns work as
-on any class. Nodes print like dataclasses, cannot be assigned to and, unlike
+`__slots__ = ()` (`__init_subclass__` rejects a class without), its fields
+in `__match_args__`, which `__init_subclass__` turns into
+`property(itemgetter(i))` fields, and a `__new__` that builds the tuple.
+Nodes print as `Class(field=value, ...)`, cannot be assigned to and, unlike
 tuples, have no order.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 
 def _unordered(op: str):
@@ -26,6 +29,13 @@ def _unordered(op: str):
 class Node(tuple):
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} must declare __slots__")
+        for i, name in enumerate(cls.__dict__.get("__match_args__", ()), start=1):
+            setattr(cls, name, property(itemgetter(i)))
 
     __lt__ = _unordered("<")
     __le__ = _unordered("<=")

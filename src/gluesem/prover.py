@@ -34,12 +34,12 @@ tells derivations apart by their recorded steps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import GlueError, NonPatternError, SearchBoundError, UnboundVariableError
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, Tensor, flatten_tensor
 from .fstruct import SemStructure
 from .lexicon import Premise
+from .node import Node
 from .semtypes import SemType, T
 from .terms import (
     App,
@@ -62,26 +62,29 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(Node):
     """Prove `sem ~>_ty M` for some term M, consuming every premise."""
 
-    sem: SemStructure
-    ty: SemType = T
+    __slots__ = ()
+    __match_args__ = ("sem", "ty")
+
+    def __new__(cls, sem: SemStructure, ty: SemType = T):
+        return tuple.__new__(cls, ("Goal", sem, ty))
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Node):
     """One inference of a derivation, as the search records it: the glue
     atom assumed, derived or applied (None for a discharge) and the values
     (meaning terms or structures) bound to the focused premise's variables.
     Nothing is formatted until `line()` is called."""
 
-    kind: str  # assume | apply | derive | discharge
-    resource: int | str | None  # premise index or hypothesis id
-    word: str  # premise headword or hypothesis constant name
-    atom: GlueFormula | None = None
-    bindings: tuple[tuple[str, object], ...] = ()
+    __slots__ = ()
+    __match_args__ = ("kind", "resource", "word", "atom", "bindings")
+
+    def __new__(cls, kind: str, resource: int | str | None, word: str, atom=None, bindings=()):
+        # kind: assume | apply | derive | discharge; word: the premise's
+        # headword or the hypothesis constant's name
+        return tuple.__new__(cls, ("TraceStep", kind, resource, word, atom, bindings))
 
     def line(self) -> str:
         ref = f"[{self.resource}]" if self.resource is not None else ""
@@ -106,8 +109,7 @@ class TraceStep:
 Trace = tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(Node):
     """One derived meaning for the goal. By default `traces` holds just the
     canonical (first-found) derivation; with `all_traces` it holds every
     derivation that produced the meaning with distinct recorded steps,
@@ -115,9 +117,11 @@ class Reading:
     premises. Each trace is the steps as the search recorded them; reading
     it formats nothing until a step's `line()` is called."""
 
-    meaning: MeaningTerm
-    ty: SemType
-    traces: tuple[Trace, ...]
+    __slots__ = ()
+    __match_args__ = ("meaning", "ty", "traces")
+
+    def __new__(cls, meaning: MeaningTerm, ty: SemType, traces: tuple[Trace, ...]):
+        return tuple.__new__(cls, ("Reading", meaning, ty, traces))
 
     @property
     def trace(self) -> Trace:
@@ -342,16 +346,17 @@ class _Search:
             raise SearchBoundError(
                 f"derivation depth exceeded the bound of {self.bound}"
             )
-        assert isinstance(sem, SemStructure), "goals must have concrete structures"
         for rid in sorted(avail, key=_rid_order):
             if self.prior_twin.get(rid) in avail:
                 continue
             word = self.registry[rid][1]
-            for antecedents, head, others, displays in self._focus_table(rid).get((sem, ty), ()):
+            entries = self._focus_table(rid).get((sem, ty), ())
+            for antecedents, head, head_vars, others, displays in entries:
                 for goals in self._orders(antecedents):
                     for s1, a1, e1 in self.prove(goals, avail - {rid}, {}, depth + 1):
                         meaning = normalize(substitute(head.meaning, s1))
-                        if has_leaf(meaning, Var):
+                        # Bindings are closed: so is a head with every variable bound.
+                        if not s1.keys() >= head_vars and has_leaf(meaning, Var):
                             names = ", ".join(sorted(v.name for v in free_vars(meaning)))
                             raise NonPatternError(
                                 f"head of '{word}' still contains metavariable(s) "
@@ -373,8 +378,9 @@ class _Search:
 
     def _focus_table(self, rid):
         """The focus entries of resource `rid`, built on its first use and
-        keyed by head (structure, type): (antecedents, head, other head
-        components, display bindings), in universe then component order."""
+        keyed by head (structure, type): (antecedents, head, the head
+        meaning's free variables, other head components, display bindings),
+        in universe then component order."""
         table = self.focus_tables.get(rid)
         if table is None:
             table = {}
@@ -383,7 +389,7 @@ class _Search:
                     if isinstance(head, Atom):
                         rest = components[:k] + components[k + 1 :]
                         table.setdefault((head.sem, head.ty), []).append(
-                            (antecedents, head, rest, displays)
+                            (antecedents, head, free_vars(head.meaning), rest, displays)
                         )
             self.focus_tables[rid] = table
         return table
@@ -430,8 +436,7 @@ def _as_premises(items) -> list[Premise]:
     ]
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Node):
     """What one proof search found. `readings` use every premise exactly
     once. `leftover` is None when no derivation reached the goal; otherwise
     it pools the unused premise ids of the goal-reaching derivations that
@@ -442,9 +447,11 @@ class SearchResult:
     resource supplied a meaning its pattern matches (the sentence goal: no
     meaning at all), with the most premises consumed when it failed."""
 
-    readings: tuple[Reading, ...]
-    leftover: frozenset[int] | None
-    frontier: tuple[tuple[str, str, int], ...]
+    __slots__ = ()
+    __match_args__ = ("readings", "leftover", "frontier")
+
+    def __new__(cls, readings, leftover, frontier):
+        return tuple.__new__(cls, ("SearchResult", readings, leftover, frontier))
 
 
 def search(
@@ -463,6 +470,8 @@ def search(
     for premise in premise_list:
         if not premise.formula.is_closed():
             raise GlueError(f"premise {premise.tag()} is not closed")
+    if not isinstance(goal.sem, SemStructure):
+        raise GlueError(f"goal structure {goal.sem!r} is not a semantic structure")
     try:
         result = _run_search(premise_list, goal, False, depth_bound)
         if all_traces and result.readings:
@@ -547,6 +556,9 @@ def _tidy_hints(term: MeaningTerm) -> MeaningTerm:
 def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     """Linear entailment with exact resource usage for propositional
     tensor-fragment formulas."""
+    for formula in (antecedent, consequent):
+        if not formula.is_closed():
+            raise GlueError(f"formula {formula} is not closed")
     engine = _Search(
         _as_premises(flatten_tensor(antecedent)), [a.sem for a, _ in consequent.atoms()]
     )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .lexer import TokenStream, tokenize
 from .node import Node
 
@@ -17,7 +15,6 @@ class SemType(Node):
 class BaseType(SemType):
     __slots__ = ()
     __match_args__ = ("name",)
-    name = property(itemgetter(1))
 
     def __new__(cls, name: str):
         return _new(cls, ("BaseType", name))
@@ -29,8 +26,6 @@ class BaseType(SemType):
 class ArrowType(SemType):
     __slots__ = ()
     __match_args__ = ("arg", "result")
-    arg = property(itemgetter(1))
-    result = property(itemgetter(2))
 
     def __new__(cls, arg: SemType, result: SemType):
         return _new(cls, ("ArrowType", arg, result))

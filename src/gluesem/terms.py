@@ -18,8 +18,6 @@ its subterms shared.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .errors import TermTypeError, UnboundVariableError
 from .node import Node
 from .semtypes import ArrowType, SemType
@@ -37,8 +35,6 @@ class MeaningTerm(Node):
 class Const(MeaningTerm):
     __slots__ = ()
     __match_args__ = ("name", "ty")
-    name = property(itemgetter(1))
-    ty = property(itemgetter(2))
 
     def __new__(cls, name: str, ty: SemType):
         return _new(cls, ("Const", name, ty))
@@ -53,9 +49,6 @@ class HypConst(MeaningTerm):
 
     __slots__ = ()
     __match_args__ = ("name", "ty", "stamp")
-    name = property(itemgetter(1))
-    ty = property(itemgetter(2))
-    stamp = property(itemgetter(3))
 
     def __new__(cls, name: str, ty: SemType, stamp: int):
         return _new(cls, ("HypConst", name, ty, stamp))
@@ -67,8 +60,6 @@ class Var(MeaningTerm):
 
     __slots__ = ()
     __match_args__ = ("name", "ty")
-    name = property(itemgetter(1))
-    ty = property(itemgetter(2))
 
     def __new__(cls, name: str, ty: SemType):
         return _new(cls, ("Var", name, ty))
@@ -77,7 +68,6 @@ class Var(MeaningTerm):
 class BoundVar(MeaningTerm):
     __slots__ = ()
     __match_args__ = ("index",)
-    index = property(itemgetter(1))
 
     def __new__(cls, index: int):
         return _new(cls, ("BoundVar", index))
@@ -86,8 +76,6 @@ class BoundVar(MeaningTerm):
 class App(MeaningTerm):
     __slots__ = ()
     __match_args__ = ("fun", "arg")
-    fun = property(itemgetter(1))
-    arg = property(itemgetter(2))
 
     def __new__(cls, fun: MeaningTerm, arg: MeaningTerm):
         return _new(cls, ("App", fun, arg))
@@ -99,9 +87,6 @@ class Lam(MeaningTerm):
 
     __slots__ = ()
     __match_args__ = ("var_type", "body", "hint")
-    var_type = property(itemgetter(1))
-    body = property(itemgetter(2))
-    hint = property(itemgetter(3))
 
     def __new__(cls, var_type: SemType, body: MeaningTerm, hint: str = "x"):
         return _new(cls, ("Lam", var_type, body, hint))

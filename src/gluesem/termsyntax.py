@@ -13,8 +13,6 @@ solved type variables are substituted into the binders (zonking).
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .errors import TermTypeError, UnboundVariableError
 from .lexer import TokenStream, tokenize
 from .semtypes import ArrowType, SemType, parse_type_at
@@ -24,7 +22,6 @@ from .terms import App, BoundVar, Const, Lam, MeaningTerm, Var
 class _TypeMeta(SemType):
     __slots__ = ()
     __match_args__ = ("ident",)
-    ident = property(itemgetter(1))
 
     def __new__(cls, ident: int):
         return tuple.__new__(cls, ("_TypeMeta", ident))

@@ -26,7 +26,7 @@ from gluesem.diagnostics import (
     diagnose,
 )
 from gluesem.errors import GlueError, NonPatternError, SearchBoundError
-from gluesem.formulas import Atom, Forall, Limp, MeaningVar, SemVar, Tensor
+from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor
 from gluesem.fstruct import SemStructure, format_fstructure, parse_fstructure, sigma
 from gluesem.lexicon import Premise, parse_lexicon, premises
 from gluesem.prover import Goal, derive, entails, prop, unify
@@ -178,6 +178,14 @@ def test_entailment_table():
     assert entails(Tensor(A, Limp(A, Tensor(B, C))), B) is False
 
 
+@pytest.mark.parametrize("sem", [PathRef("up"), SemVar("H")], ids=["path", "variable"])
+def test_entailment_rejects_a_formula_that_is_not_closed(sem):
+    A, open_atom = prop("A"), Atom(sem, T, Const("A", T))
+    for antecedent, consequent in [(A, open_atom), (open_atom, A)]:
+        with pytest.raises(GlueError, match="is not closed"):
+            entails(antecedent, consequent)
+
+
 def test_entailment_identity():
     A = prop("A")
     assert entails(A, A) is True
@@ -323,11 +331,37 @@ def test_open_premises_are_rejected():
         derive([open_premise], Goal(sem, E))
 
 
+@pytest.mark.parametrize(
+    "sem,goal,message",
+    [
+        (SemStructure("f"), Goal("f", E), "goal structure 'f' is not a semantic structure"),
+        (PathRef("up"), Goal(SemStructure("f"), E), "premise c[1] is not closed"),
+        (PathRef("up", ("SUBJ",)), Goal(SemStructure("f"), E), "premise c[1] is not closed"),
+    ],
+    ids=["goal", "up", "path"],
+)
+def test_uninstantiated_goals_and_premises_are_input_errors(sem, goal, message):
+    premise = Premise(1, Atom(sem, E, Const("c", E)), "c", "f")
+    with pytest.raises(GlueError) as err:
+        derive([premise], goal)
+    assert str(err.value) == message
+
+
+def test_a_metavariable_that_normalization_erases_still_derives():
+    lexicon = parse_lexicon(
+        "constant p : e -> t\nconstant c : e\nx: forall X:e. ^ ~> (\\y:e. p(c))(X)\n"
+    )
+    fs = parse_fstructure("f:[PRED 'x']")
+    (reading,) = derive(premises(fs, lexicon), Goal(sigma(fs)))
+    assert str(reading) == "p(c)"
+
+
 def test_is_closed_sees_free_structure_and_meaning_variables():
     f = SemStructure("f")
     H, X = SemVar("H"), Var("X", E)
     assert not Atom(H, E, Const("c", E)).is_closed()
     assert not Atom(f, E, X).is_closed()
+    assert not Atom(PathRef("up", ("SUBJ",)), E, Const("c", E)).is_closed()
     assert Forall(H, Atom(H, E, Const("c", E))).is_closed()
     assert Forall(MeaningVar("X", E), Atom(f, E, X)).is_closed()
 

@@ -6,10 +6,21 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from gluesem.cli import RunConfig
+from gluesem.diagnostics import Demand, Diagnosis, Leftover
 from gluesem.errors import GlueError, SyntaxErrorAt, TermTypeError, UnboundVariableError
+from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor
+from gluesem.fstruct import SemStructure
+from gluesem.lexer import Token
+from gluesem.lexicon import LexicalEntry, Premise
+from gluesem.node import Node
+from gluesem.prover import Goal, Reading, SearchResult, TraceStep
 from gluesem.semtypes import ArrowType, BaseType, E, T, arrow, parse_type
 from gluesem import terms
 from gluesem.terms import App, BoundVar, Const, HypConst, Lam, Var, apply
@@ -369,6 +380,37 @@ NODES = [
     arrow(E, T),
 ]
 
+_F = SemStructure("f")
+_ATOM = Atom(_F, E, Const("Bill", E))
+_STEP = TraceStep("apply", 1, "bill", _ATOM, (("X", Const("Bill", E)), ("H", _F)))
+_READING = Reading(Const("Bill", E), E, ((_STEP,),))
+_DIAGNOSIS = Diagnosis(
+    "incomplete+incoherent", (Demand("g", "e", ("loves[1]",)),), (Leftover(2, "Bill"),), note="n"
+)
+
+# Every other immutable record is a node too: one instance of each class.
+NODES += [
+    RunConfig("f.fs", "core.lex", goal=("g", "e"), json_output=True),
+    Demand("g", "e", ("loves[1]",)),
+    Leftover(2, "Bill"),
+    _DIAGNOSIS,
+    SemVar("H"),
+    PathRef("up", ("SUBJ",)),
+    MeaningVar("X", E),
+    _ATOM,
+    Tensor(_ATOM, _ATOM),
+    Limp(_ATOM, _ATOM),
+    Forall(SemVar("H"), Atom(SemVar("H"), E, Const("Bill", E))),
+    _F,
+    Token("IDENT", "Bill", 1, 3),
+    LexicalEntry("bill", Atom(PathRef("up"), E, Const("Bill", E))),
+    Premise(1, _ATOM, "bill", "f"),
+    Goal(_F, E),
+    _STEP,
+    _READING,
+    SearchResult((_READING,), frozenset({2}), (("f", "e", 1),)),
+]
+
 
 def test_nodes_of_different_classes_with_equal_fields_are_unequal():
     assert Const("a", E) != Var("a", E)
@@ -436,6 +478,44 @@ def test_match_captures_fields_by_position_and_by_keyword():
 def test_nodes_copy_and_pickle_through_their_fields(node):
     assert copy.deepcopy(node) == node and type(copy.copy(node)) is type(node)
     assert pickle.loads(pickle.dumps(node)) == node
+
+
+def test_records_print_their_fields_by_name():
+    assert repr(Premise(1, _ATOM, "bill", "f")) == (
+        "Premise(index=1, formula=Atom(sem=SemStructure(label='f'), ty=BaseType(name='e'), "
+        "meaning=Const(name='Bill', ty=BaseType(name='e'))), word='bill', label='f')"
+    )
+    assert repr(_STEP) == (
+        "TraceStep(kind='apply', resource=1, word='bill', atom=Atom(sem=SemStructure(label='f'), "
+        "ty=BaseType(name='e'), meaning=Const(name='Bill', ty=BaseType(name='e'))), "
+        "bindings=(('X', Const(name='Bill', ty=BaseType(name='e'))), "
+        "('H', SemStructure(label='f'))))"
+    )
+    assert repr(_DIAGNOSIS) == (
+        "Diagnosis(status='incomplete+incoherent', unsatisfied_demands=(Demand(sem='g', "
+        "ty='e', needed_by=('loves[1]',)),), leftover_resources=(Leftover(index=2, "
+        "word='Bill'),), readings=(), note='n')"
+    )
+
+
+def test_a_node_class_must_declare_slots():
+    with pytest.raises(TypeError, match="must declare __slots__"):
+
+        class Loose(Node):
+            __match_args__ = ("name",)
+
+
+def test_importing_the_package_does_not_import_dataclasses():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import gluesem; "
+        "assert gluesem.__file__.startswith(sys.path[0]), gluesem.__file__; "
+        "print('dataclasses' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def test_repr_of_a_nested_term_is_unchanged():
