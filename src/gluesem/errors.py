@@ -62,5 +62,4 @@ class NonPatternError(GlueError):
 
 
 class SearchBoundError(GlueError):
-    """Proof search exceeded its derivation-depth bound or the interpreter's
-    stack."""
+    """A derivation nested too deeply for the interpreter's stack."""

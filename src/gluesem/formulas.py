@@ -85,16 +85,6 @@ class GlueFormula(Node):
                 case Forall(_, body):
                     stack.append((body, positive))
 
-    def connectives(self) -> int:
-        match self:
-            case Atom():
-                return 0
-            case Tensor(left, right) | Limp(left, right):
-                return 1 + left.connectives() + right.connectives()
-            case Forall(_, body):
-                return 1 + body.connectives()
-        return 0
-
     def substitute_sem(self, name: str, sem) -> "GlueFormula":
         """Replace the structure variable `name` with a concrete structure."""
         match self:

@@ -37,19 +37,14 @@ class SemStructure(Node):
 
 
 class FStructure:
-    """One f-structure node. Nodes are identity-bearing: the sigma projection
-    and the link to the node whose set contains it live on the node itself."""
+    """One f-structure node. Nodes are identity-bearing: the link to the node
+    whose set contains it lives on the node itself. Its sigma projection is
+    `sigma(node)`, a value compared by label."""
 
     def __init__(self, label: str):
         self.label = label
         self.attrs: dict[str, object] = {}
         self.mod_container: FStructure | None = None
-        self._sigma: SemStructure | None = None
-
-    def sigma(self) -> SemStructure:
-        if self._sigma is None:
-            self._sigma = SemStructure(self.label)
-        return self._sigma
 
     def get(self, attribute: str):
         return self.attrs.get(attribute.upper())
@@ -88,7 +83,7 @@ class FStructure:
 
 
 def sigma(node: FStructure) -> SemStructure:
-    return node.sigma()
+    return SemStructure(node.label)
 
 
 def resolve_path(root: FStructure, path) -> object:

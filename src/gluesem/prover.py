@@ -16,6 +16,18 @@ its own, solved in a substitution of its own, and its head meaning comes
 back closed. Universal structure variables range over the finite structure
 universe of the analysis.
 
+The search terminates by linearity alone, so it has no depth bound. A focus
+takes its resource out of the available set for everything nested inside
+it, so the resources on one chain of nested focuses are distinct, and
+between two focuses a goal only shrinks. A branch only ever holds the
+premises, the hypotheses a `-o` goal assumes (one per tensor part of its
+antecedent) and the head components a focus derives; each hypothesis and
+each derived component can be charged to its own connective, in a
+subformula of a premise that was focused at most once. So one branch holds
+at most one resource per premise plus one per connective in the premises,
+and no chain of nested focuses is longer. The one bound left is the
+interpreter's stack, which `search` reports as `SearchBoundError`.
+
 Each resource's focus table (its antecedents and head for every choice of
 structure variables, keyed by head structure and type) is built once per
 search, so an atomic goal only looks at entries whose head can match it.
@@ -210,7 +222,7 @@ class _Search:
     twins are used in index order and derivations that differ only by
     swapping twins are explored once."""
 
-    def __init__(self, premise_list, goal_sems, all_orders=False, depth_bound=None):
+    def __init__(self, premise_list, goal_sems, all_orders=False):
         # resource id (premise index or hypothesis id) -> (formula, word)
         self.registry: dict[int | str, tuple[GlueFormula, str]] = {
             p.index: (p.formula, p.word) for p in premise_list
@@ -220,9 +232,6 @@ class _Search:
         self.universe = sorted(
             (s for s in sems if isinstance(s, SemStructure)), key=lambda s: s.label
         )
-        if depth_bound is None:
-            depth_bound = sum(p.formula.connectives() + 1 for p in premise_list) + 2
-        self.bound = depth_bound
         self.all_orders = all_orders
         self.frontier: dict[tuple[str, str], int] = {}
         self.hyp_counter = itertools.count(1)
@@ -244,7 +253,7 @@ class _Search:
 
     # -- goals ----------------------------------------------------------------
 
-    def prove(self, goals, avail: frozenset, subst, depth):
+    def prove(self, goals, avail: frozenset, subst):
         """Yield (substitution, remaining resources, steps) for each proof of
         `goals`, proved left to right, each from what the ones before it left;
         the steps are this subproof's own, in derivation order."""
@@ -255,7 +264,7 @@ class _Search:
         match goal:
             case Atom():
                 matched = False
-                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail, depth):
+                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail):
                     s2 = _unify(goal.meaning, meaning, subst)
                     if s2 is None:
                         continue
@@ -268,12 +277,12 @@ class _Search:
                     applied = TraceStep(
                         "apply", last.resource, last.word, last.atom, last.bindings + tuple(solved)
                     )
-                    yield from self._then(rest, a2, s2, depth, e2[:-1] + (applied,))
+                    yield from self._then(rest, a2, s2, e2[:-1] + (applied,))
                 if not matched:
                     self.record_failure(goal.sem, goal.ty, avail)
             case Tensor():
                 for parts in self._orders(flatten_tensor(goal)):
-                    yield from self.prove(parts + rest, avail, subst, depth)
+                    yield from self.prove(parts + rest, avail, subst)
             case Limp():
                 new_ids = []
                 assumed = ()
@@ -285,29 +294,29 @@ class _Search:
                     new_ids.append(rid)
                     assumed += (TraceStep("assume", rid, word, part),)
                 avail |= frozenset(new_ids)
-                for s2, a2, e2 in self.prove([goal.consequent], avail, subst, depth):
+                for s2, a2, e2 in self.prove([goal.consequent], avail, subst):
                     if any(rid in a2 for rid in new_ids):
                         continue  # the hypothesis must be consumed exactly once
-                    yield from self._then(rest, a2, s2, depth, assumed + e2)
+                    yield from self._then(rest, a2, s2, assumed + e2)
             case Forall(var, body) if isinstance(var, MeaningVar):
                 hyp = self._fresh_hyp(var.name, var.ty)
                 body = body.substitute_meanings({Var(var.name, var.ty): hyp})
-                for s2, a2, e2 in self.prove([body], avail, subst, depth):
+                for s2, a2, e2 in self.prove([body], avail, subst):
                     # The owning focus's bindings are visible outside the
                     # hypothesis's scope, so none of them may mention it.
                     if any(occurs(hyp, term) for term in s2.values()):
                         continue
                     e2 += (TraceStep("discharge", None, hyp.name),)
-                    yield from self._then(rest, a2, s2, depth, e2)
+                    yield from self._then(rest, a2, s2, e2)
             case _:
                 raise GlueError(f"unsupported goal form: {goal}")
 
-    def _then(self, goals, avail, subst, depth, steps):
+    def _then(self, goals, avail, subst, steps):
         """Go on with `goals` after a proof that took `steps`."""
         if not goals:
             yield subst, avail, steps
             return
-        for s2, a2, e2 in self.prove(goals, avail, subst, depth):
+        for s2, a2, e2 in self.prove(goals, avail, subst):
             yield s2, a2, steps + e2
 
     def _orders(self, goals):
@@ -336,16 +345,12 @@ class _Search:
 
     # -- atomic goals: focus a resource --------------------------------------
 
-    def prove_atom(self, sem, ty, avail, depth):
+    def prove_atom(self, sem, ty, avail):
         """Focus each available resource whose head can be `sem ~>_ty`, proving
         its antecedents in a substitution that starts empty: yield (closed
         meaning, remaining resources, steps), the last step being the
         focus's `apply`. The head's other tensor components become derived
         resources."""
-        if depth > self.bound:
-            raise SearchBoundError(
-                f"derivation depth exceeded the bound of {self.bound}"
-            )
         for rid in sorted(avail, key=_rid_order):
             if self.prior_twin.get(rid) in avail:
                 continue
@@ -353,7 +358,7 @@ class _Search:
             entries = self._focus_table(rid).get((sem, ty), ())
             for antecedents, head, head_vars, others, displays in entries:
                 for goals in self._orders(antecedents):
-                    for s1, a1, e1 in self.prove(goals, avail - {rid}, {}, depth + 1):
+                    for s1, a1, e1 in self.prove(goals, avail - {rid}, {}):
                         meaning = normalize(substitute(head.meaning, s1))
                         # Bindings are closed: so is a head with every variable bound.
                         if not s1.keys() >= head_vars and has_leaf(meaning, Var):
@@ -454,12 +459,7 @@ class SearchResult(Node):
         return tuple.__new__(cls, ("SearchResult", readings, leftover, frontier))
 
 
-def search(
-    premise_set,
-    goal: Goal,
-    all_traces: bool = False,
-    depth_bound: int | None = None,
-) -> SearchResult:
+def search(premise_set, goal: Goal, all_traces: bool = False) -> SearchResult:
     """One proof search for `goal` from the premises; `derive` and
     `diagnose` read what they need from its result. With `all_traces`, the
     search in every order runs only once the canonical-order search has
@@ -473,23 +473,23 @@ def search(
     if not isinstance(goal.sem, SemStructure):
         raise GlueError(f"goal structure {goal.sem!r} is not a semantic structure")
     try:
-        result = _run_search(premise_list, goal, False, depth_bound)
+        result = _run_search(premise_list, goal, False)
         if all_traces and result.readings:
-            result = _run_search(premise_list, goal, True, depth_bound)
+            result = _run_search(premise_list, goal, True)
     except RecursionError:
         raise SearchBoundError("derivation too deep for the interpreter's stack") from None
     return result
 
 
-def _run_search(premise_list, goal, all_traces, depth_bound) -> SearchResult:
-    engine = _Search(premise_list, [goal.sem], all_traces, depth_bound)
+def _run_search(premise_list, goal, all_traces) -> SearchResult:
+    engine = _Search(premise_list, [goal.sem], all_traces)
 
     # canonical meaning -> (meaning, {trace, or () by default: trace})
     found: dict[MeaningTerm, tuple[MeaningTerm, dict]] = {}
     fewest: int | None = None  # the fewest premises a goal-reaching derivation left
     pooled: set[int] = set()
     supplied = False
-    for meaning, avail, steps in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids, 0):
+    for meaning, avail, steps in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids):
         supplied = True
         if has_leaf(meaning, HypConst):
             continue
@@ -529,16 +529,11 @@ def _run_search(premise_list, goal, all_traces, depth_bound) -> SearchResult:
     return SearchResult(readings, leftover, frontier)
 
 
-def derive(
-    premise_set,
-    goal: Goal,
-    all_traces: bool = False,
-    depth_bound: int | None = None,
-) -> tuple[Reading, ...]:
+def derive(premise_set, goal: Goal, all_traces: bool = False) -> tuple[Reading, ...]:
     """All readings of `goal` derivable from the premises, each premise used
     exactly once, deduplicated up to alpha-beta-eta equivalence and sorted by
     their printed form."""
-    return search(premise_set, goal, all_traces, depth_bound).readings
+    return search(premise_set, goal, all_traces).readings
 
 
 def _tidy_hints(term: MeaningTerm) -> MeaningTerm:
@@ -564,7 +559,7 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     )
     return any(
         not avail
-        for _subst, avail, _steps in engine.prove([consequent], engine.premise_ids, {}, 0)
+        for _subst, avail, _steps in engine.prove([consequent], engine.premise_ids, {})
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from gluesem.errors import MissingAttributeError, SyntaxErrorAt
 from gluesem.fstruct import (
+    SemStructure,
     format_fstructure,
     parse_fstructure,
     resolve_path,
@@ -157,7 +158,7 @@ def test_sigma_naming_and_identity():
     root = parse_fstructure(BAH)
     h = root.attrs["OBJ"]
     assert str(sigma(h)) == "h_σ"
-    assert sigma(h) is sigma(h)
+    assert sigma(h) == SemStructure("h")
 
 
 def test_sigma_distinct_per_node():
