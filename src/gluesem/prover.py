@@ -16,6 +16,21 @@ its own, solved in a substitution of its own, and its head meaning comes
 back closed. Universal structure variables range over the finite structure
 universe of the analysis.
 
+Every meaning the search hands around is closed and beta-normal, so it is
+never normalized or typechecked again. A goal's pattern is normalized once;
+unification reads a solved metavariable from the substitution where it meets
+one, comparing it with `==`, and reduces only a spine whose head it solved.
+A focus-table entry normalizes its head template once, and a focus puts its
+bindings in by hereditary substitution (Watkins, Cervesato, Pfenning &
+Walker 2002): closed normal values put into a normal template can only make
+a redex where a solved metavariable is applied, so only such a spine is
+reduced. A binding made outside every binder is not typechecked: the search
+checks at set-up that each premise atom's meaning (and, for `entails`, each
+consequent atom's) has the atom's type index, so both sides of a goal have
+the goal's type, and each step down an application passed equal heads. A
+binding made under a binder is typechecked, which reports a capture as
+`NonPatternError`.
+
 The search terminates by linearity alone, so it has no depth bound. A focus
 takes its resource out of the available set for everything nested inside
 it, so the resources on one chain of nested focuses are distinct, and
@@ -47,7 +62,13 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import GlueError, NonPatternError, SearchBoundError, UnboundVariableError
+from .errors import (
+    GlueError,
+    NonPatternError,
+    SearchBoundError,
+    TermTypeError,
+    UnboundVariableError,
+)
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, Tensor, flatten_tensor
 from .fstruct import SemStructure
 from .lexicon import Premise
@@ -70,6 +91,7 @@ from .terms import (
     occurs,
     spine,
     substitute,
+    substitute_normal,
     typecheck,
 )
 
@@ -105,7 +127,7 @@ class TraceStep(Node):
             atom = self.atom
             if self.kind != "apply" and isinstance(atom, Atom):
                 # The atoms of `assume` and `derive` steps can hold redexes;
-                # `prove_atom` normalizes an `apply` step's meaning itself.
+                # an `apply` step's meaning is normal as `prove_atom` built it.
                 atom = Atom(atom.sem, atom.ty, normalize(atom.meaning))
             text += f": {atom}"
         if self.bindings:
@@ -154,52 +176,71 @@ def unify(pattern: MeaningTerm, term: MeaningTerm, subst: dict | None = None):
     be applied to distinct hypothesis constants (the pattern restriction) and
     is solved by abstracting them out of `term`. Anything outside that
     fragment raises NonPatternError rather than guessing. Bindings passed in
-    `subst` must be closed terms.
+    `subst` must be closed terms. Both sides must be well typed; sides of
+    different types do not unify.
     """
-    subst = dict(subst) if subst else {}
+    subst = {var: normalize(value) for var, value in subst.items()} if subst else {}
     closed = normalize(substitute(term, subst))
     if has_leaf(closed, Var):
         raise NonPatternError("the closed side of a unification contains metavariables")
-    return _unify(pattern, closed, subst)
+    # With both sides of one type, every binding outside a binder has its
+    # variable's type, as in the search (see `_bind`).
+    if typecheck(pattern) != typecheck(closed):
+        return None
+    return _unify(normalize(pattern), closed, subst, False)
 
 
-def _unify(pattern, term, subst):
-    pattern = normalize(substitute(pattern, subst))
+def _unify(pattern, term, subst, under_binder):
+    """Unify the normal `pattern`, whose solved metavariables are read from
+    `subst` where they occur, with the closed normal `term` of the same type;
+    `under_binder` says whether the walk has passed a binder."""
     kind = type(pattern)
     if kind is Var:
-        return _bind(subst, pattern, term)
-    head, args = spine(pattern)
-    if type(head) is Var and args:
-        if all(type(a) is HypConst for a in args) and len(set(args)) == len(args):
-            solution = term
-            for arg in reversed(args):
-                solution = abstract_over(solution, arg)
-            return _bind(subst, head, solution)
-        raise NonPatternError(
-            f"metavariable {head.name} applied to arguments that are not "
-            "distinct hypothesis constants"
-        )
+        value = subst.get(pattern)
+        if value is not None:
+            return subst if value == term else None
+        return _bind(subst, pattern, term, under_binder)
+    if kind is App and type(spine(pattern)[0]) is Var:
+        # Only this spine can reduce once its solved metavariables are put in.
+        pattern = substitute_normal(pattern, subst)
+        kind = type(pattern)
+        head, args = spine(pattern)
+        if type(head) is Var:
+            if all(type(a) is HypConst for a in args) and len(set(args)) == len(args):
+                solution = term
+                for arg in reversed(args):
+                    solution = abstract_over(solution, arg)
+                return _bind(subst, head, solution, under_binder)
+            raise NonPatternError(
+                f"metavariable {head.name} applied to arguments that are not "
+                "distinct hypothesis constants"
+            )
     if kind is App and type(term) is App:
-        out = _unify(pattern[1], term[1], subst)
+        out = _unify(pattern[1], term[1], subst, under_binder)
         if out is None:
             return None
-        return _unify(pattern[2], term[2], out)
+        return _unify(pattern[2], term[2], out, under_binder)
     if kind is Lam and type(term) is Lam:
         if pattern[1] != term[1]:
             return None
-        return _unify(pattern[2], term[2], subst)
+        return _unify(pattern[2], term[2], subst, True)
     return subst if pattern == term else None
 
 
-def _bind(subst, var: Var, term: MeaningTerm):
+def _bind(subst, var: Var, term: MeaningTerm, under_binder):
     # The term side is closed, so `var` occurs neither in it nor in any
-    # existing binding; a dangling index means the binding would capture.
-    try:
-        ty = typecheck(term)
-    except UnboundVariableError:
-        raise NonPatternError("binding would capture a bound variable") from None
-    if ty != var.ty:
-        return None
+    # existing binding. Outside every binder the value has `var`'s type: the
+    # two sides of a unification have one type (the goal atom's type index,
+    # in the search), and each step down an application passed equal heads.
+    # Under a binder the value may hold a dangling index, and binding it
+    # would capture.
+    if under_binder:
+        try:
+            ty = typecheck(term)
+        except UnboundVariableError:
+            raise NonPatternError("binding would capture a bound variable") from None
+        if ty != var.ty:
+            return None
     return {**subst, var: term}
 
 
@@ -228,7 +269,11 @@ class _Search:
             p.index: (p.formula, p.word) for p in premise_list
         }
         self.premise_ids = frozenset(p.index for p in premise_list)
-        sems = {a.sem for p in premise_list for a, _ in p.formula.atoms()} | set(goal_sems)
+        sems = set(goal_sems)
+        for p in premise_list:
+            for atom, _ in p.formula.atoms():
+                sems.add(atom.sem)
+                _check_type(atom, p)
         self.universe = sorted(
             (s for s in sems if isinstance(s, SemStructure)), key=lambda s: s.label
         )
@@ -264,8 +309,9 @@ class _Search:
         match goal:
             case Atom():
                 matched = False
+                pattern = normalize(goal.meaning)
                 for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail):
-                    s2 = _unify(goal.meaning, meaning, subst)
+                    s2 = _unify(pattern, meaning, subst, False)
                     if s2 is None:
                         continue
                     matched = True
@@ -359,7 +405,7 @@ class _Search:
             for antecedents, head, head_vars, others, displays in entries:
                 for goals in self._orders(antecedents):
                     for s1, a1, e1 in self.prove(goals, avail - {rid}, {}):
-                        meaning = normalize(substitute(head.meaning, s1))
+                        meaning = substitute_normal(head.meaning, s1)
                         # Bindings are closed: so is a head with every variable bound.
                         if not s1.keys() >= head_vars and has_leaf(meaning, Var):
                             names = ", ".join(sorted(v.name for v in free_vars(meaning)))
@@ -383,9 +429,9 @@ class _Search:
 
     def _focus_table(self, rid):
         """The focus entries of resource `rid`, built on its first use and
-        keyed by head (structure, type): (antecedents, head, the head
-        meaning's free variables, other head components, display bindings),
-        in universe then component order."""
+        keyed by head (structure, type): (antecedents, head with its meaning
+        normalized, that meaning's free variables, other head components,
+        display bindings), in universe then component order."""
         table = self.focus_tables.get(rid)
         if table is None:
             table = {}
@@ -393,8 +439,12 @@ class _Search:
                 for k, head in enumerate(components):
                     if isinstance(head, Atom):
                         rest = components[:k] + components[k + 1 :]
+                        # A focus puts closed normal bindings into this normal
+                        # meaning by hereditary substitution.
+                        meaning = normalize(head.meaning)
+                        head = Atom(head.sem, head.ty, meaning)
                         table.setdefault((head.sem, head.ty), []).append(
-                            (antecedents, head, free_vars(head.meaning), rest, displays)
+                            (antecedents, head, free_vars(meaning), rest, displays)
                         )
             self.focus_tables[rid] = table
         return table
@@ -424,6 +474,22 @@ class _Search:
                     yield flatten_tensor(antecedent) + antecedents, components, disp
             case _:
                 yield [], flatten_tensor(formula), displays
+
+
+def _check_type(atom: Atom, premise: Premise | None = None) -> None:
+    """Raise unless `atom`, of `premise` (or, with none, of the consequent of
+    `entails`), holds a meaning of its type index. Parsed lexicons guarantee
+    this; the search relies on it, binding a metavariable outside every
+    binder without typechecking the value."""
+    try:
+        ty = typecheck(atom.meaning)
+        if ty == atom.ty:
+            return
+        problem = f"{format_term(atom.meaning)} has type {ty}, not its index type {atom.ty}"
+    except (TermTypeError, UnboundVariableError) as exc:
+        problem = str(exc)
+    owner = "the consequent" if premise is None else f"premise {premise.tag()}"
+    raise GlueError(f"{owner} is ill-typed: {problem}")
 
 
 def _rid_order(rid):
@@ -464,8 +530,10 @@ def search(premise_set, goal: Goal, all_traces: bool = False) -> SearchResult:
     `diagnose` read what they need from its result. With `all_traces`, the
     search in every order runs only once the canonical-order search has
     found a reading: a failure is that search's result, so its diagnosis
-    does not depend on `all_traces`. A derivation nested too deeply for the
-    interpreter's stack raises `SearchBoundError`."""
+    does not depend on `all_traces`. A premise that is not closed, or whose
+    atom holds a meaning not of its type index, raises `GlueError`; a
+    derivation nested too deeply for the interpreter's stack raises
+    `SearchBoundError`."""
     premise_list = _as_premises(premise_set)
     for premise in premise_list:
         if not premise.formula.is_closed():
@@ -554,9 +622,11 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     for formula in (antecedent, consequent):
         if not formula.is_closed():
             raise GlueError(f"formula {formula} is not closed")
-    engine = _Search(
-        _as_premises(flatten_tensor(antecedent)), [a.sem for a, _ in consequent.atoms()]
-    )
+    goal_sems = []
+    for atom, _ in consequent.atoms():
+        _check_type(atom)
+        goal_sems.append(atom.sem)
+    engine = _Search(_as_premises(flatten_tensor(antecedent)), goal_sems)
     return any(
         not avail
         for _subst, avail, _steps in engine.prove([consequent], engine.premise_ids, {})

@@ -203,6 +203,32 @@ def _substitute(t, mapping):
     return t
 
 
+def substitute_normal(term: MeaningTerm, mapping: dict[Var, MeaningTerm]) -> MeaningTerm:
+    """`normalize(substitute(term, mapping))` for a beta-normal `term` and
+    closed beta-normal replacements, by hereditary substitution: the walk
+    substitutes as `substitute` does, and reduces only where an application's
+    function, a variable or application in the normal `term`, has become an
+    abstraction."""
+    if not mapping:
+        return term
+    return _substitute_normal(term, mapping)
+
+
+def _substitute_normal(t, mapping):
+    kind = type(t)
+    if kind is App:
+        fun = _substitute_normal(t[1], mapping)
+        arg = _substitute_normal(t[2], mapping)
+        if type(fun) is Lam:
+            return _beta(open_binder(fun[2], arg))
+        return _app(t, fun, arg)
+    if kind is Lam:
+        return _lam(t, _substitute_normal(t[2], mapping))
+    if kind is Var:
+        return mapping.get(t, t)
+    return t
+
+
 def typecheck(term: MeaningTerm) -> SemType:
     """Return the term's unique type; a named variable has the type it
     carries."""

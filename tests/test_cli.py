@@ -128,6 +128,17 @@ def test_json_all_traces_matches_the_recorded_output(stem):
     assert out.encode("utf-8") == (GOLDEN / f"{stem}.json").read_bytes()
 
 
+@pytest.mark.parametrize("mode, suffix", [((), ".txt"), (("--trace",), ".trace.txt")])
+@pytest.mark.parametrize("stem", sorted(GOLDEN_CODES))
+def test_text_output_matches_the_recorded_output(stem, mode, suffix):
+    """`derive` in the default and `--trace` modes reproduces, byte for byte,
+    the stdout recorded in `fixtures/golden/`; the exit code is the one every
+    mode shares."""
+    code, out, _err = run_cli(*derive_args(f"{stem}.fs", *mode))
+    assert code == GOLDEN_CODES[stem]
+    assert out.encode("utf-8") == (GOLDEN / f"{stem}{suffix}").read_bytes()
+
+
 def test_golden_covers_every_fixture():
     assert sorted(GOLDEN_CODES) == sorted(p.stem for p in FIXTURES.glob("*.fs"))
 

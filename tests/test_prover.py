@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluesem import prover
+from gluesem import prover, terms
 from gluesem.cli import RunConfig, run
 from gluesem.diagnostics import (
     INCOHERENT,
@@ -359,6 +359,110 @@ def test_a_metavariable_that_normalization_erases_still_derives():
     assert str(reading) == "p(c)"
 
 
+# Entries whose templates take the search off its plain-substitution path:
+# `takes` applies its metavariable in its head and, already bound, in its
+# second antecedent; `same` meets its bound metavariable again; `applies`
+# holds a redex of its own in its head, `redex` in its antecedent; `under`
+# binds its metavariable under a binder.
+PATHS_LEXICON = r"""constant p : e -> t
+constant c : e
+constant d : e
+constant q : t -> t
+constant both : t -> t -> t
+takes: forall S:e->t. (^ OBJ) ~>_(e->t) S * (^ SUBJ) ~> S(c) -o ^ ~> q(S(c))
+applies: forall S:e->t. (^ OBJ) ~>_(e->t) S -o ^ ~> both(S(c), (\y:e. S(y))(c))
+redex: forall X:e. (^ SUBJ) ~> (\y:e. y)(X) -o ^ ~> p(X)
+same: forall X:e. (^ SUBJ) ~> X * (^ OBJ) ~> X -o ^ ~> p(X)
+under: forall X:t. (^ OBJ) ~>_(e->t) \x:e. X -o ^ ~> X
+prop: ^ ~>_(e->t) \x:e. p(x)
+name: ^ ~> c
+dee: ^ ~> d
+claim: ^ ~> p(c)
+other: ^ ~> q(p(c))
+"""
+
+
+def paths_trace(text):
+    fs = parse_fstructure(text)
+    readings = derive(premises(fs, parse_lexicon(PATHS_LEXICON)), Goal(sigma(fs)))
+    return [(str(r), [step.line() for step in r.trace]) for r in readings]
+
+
+def test_a_head_that_applies_a_solved_metavariable_reduces_there():
+    # The head `q(S(c))` reduces where the solved `S` is put in. The bound
+    # `S` meets `S(c)` in the second antecedent: it is put in and that spine
+    # reduced to `p(c)`, which `claim` supplies and `other` does not.
+    assert paths_trace("f:[PRED 'takes'; OBJ g:[PRED 'prop']; SUBJ h:[PRED 'claim']]") == [
+        (
+            "q(p(c))",
+            [
+                "apply [2] prop: g_σ ~>_(e -> t) \\x. p(x)  S ↦ \\x. p(x)",
+                "apply [3] claim: h_σ ~>_t p(c)",
+                "apply [1] takes: f_σ ~>_t q(p(c))  S ↦ \\x. p(x)",
+            ],
+        )
+    ]
+    assert paths_trace("f:[PRED 'takes'; OBJ g:[PRED 'prop']; SUBJ h:[PRED 'other']]") == []
+
+
+def test_a_bound_metavariable_matches_only_its_value():
+    (reading,) = paths_trace("f:[PRED 'same'; SUBJ g:[PRED 'name']; OBJ h:[PRED 'name']]")
+    assert reading[0] == "p(c)"
+    assert paths_trace("f:[PRED 'same'; SUBJ g:[PRED 'name']; OBJ h:[PRED 'dee']]") == []
+
+
+def test_a_head_with_a_redex_of_its_own_is_normalized():
+    assert paths_trace("f:[PRED 'applies'; OBJ g:[PRED 'prop']]") == [
+        (
+            "both(p(c), p(c))",
+            [
+                "apply [2] prop: g_σ ~>_(e -> t) \\x. p(x)  S ↦ \\x. p(x)",
+                "apply [1] applies: f_σ ~>_t both(p(c), p(c))  S ↦ \\x. p(x)",
+            ],
+        )
+    ]
+
+
+def test_an_antecedent_pattern_with_a_redex_of_its_own_is_normalized():
+    assert paths_trace("f:[PRED 'redex'; SUBJ g:[PRED 'name']]") == [
+        (
+            "p(c)",
+            ["apply [2] name: g_σ ~>_e c  X ↦ c", "apply [1] redex: f_σ ~>_t p(c)  X ↦ c"],
+        )
+    ]
+
+
+def test_a_search_binding_that_would_capture_a_bound_variable_is_an_explicit_error():
+    with pytest.raises(NonPatternError, match="capture a bound variable"):
+        paths_trace("f:[PRED 'under'; OBJ g:[PRED 'prop']]")
+
+
+def test_an_ill_typed_premise_is_an_error_before_the_search():
+    f, g = SemStructure("f"), SemStructure("g")
+    X, p = Var("X", E), Const("p", arrow(E, T))
+    plain = [Atom(f, T, Const("c", E))]
+    templated = [
+        Atom(g, T, Const("c", T)),
+        Forall(MeaningVar("X", E), Limp(Atom(g, T, X), Atom(f, T, App(p, X)))),
+    ]
+    unappliable = [Atom(f, T, App(Const("c", E), Const("d", E)))]
+    with pytest.raises(GlueError, match=r"p1\[1\] is ill-typed: c has type e, not its index type t"):
+        derive(plain, Goal(f))
+    with pytest.raises(GlueError, match=r"p2\[2\] is ill-typed: X has type e, not its index type t"):
+        derive(templated, Goal(f))
+    with pytest.raises(GlueError, match=r"premise p1\[1\] is ill-typed: cannot apply"):
+        derive(unappliable, Goal(f))
+    with pytest.raises(GlueError, match="ill-typed"):
+        entails(Atom(f, T, Const("c", E)), prop("f"))
+    # The consequent's antecedent is assumed as a hypothesis: it is checked too.
+    Xt, c = Var("X", T), Const("c", E)
+    with pytest.raises(GlueError, match="the consequent is ill-typed: c has type e"):
+        entails(
+            Forall(MeaningVar("X", T), Limp(Atom(g, T, Xt), Atom(f, T, Xt))),
+            Limp(Atom(g, T, c), Atom(f, T, c)),
+        )
+
+
 def test_is_closed_sees_free_structure_and_meaning_variables():
     f = SemStructure("f")
     H, X = SemVar("H"), Var("X", E)
@@ -611,6 +715,32 @@ def test_twin_modifiers_cost_grows_linearly(lexicon, monkeypatch):
         assert len(reading.traces) == 1
         counts.append(len(calls))
     assert counts == [3 * k + 3 for k in range(1, 7)]
+
+
+def test_modifier_chain_term_work_grows_less_than_fourfold_per_doubling(lexicon, monkeypatch):
+    # Each modifier hands the clause meaning back. Substituting it into
+    # `obviously(P)` makes no redex and `P` takes its type from the goal atom,
+    # so no level re-normalizes or re-typechecks the meaning it was given;
+    # when every level did, the work grew about sevenfold per doubling.
+    counts = {"_beta": 0, "_typecheck": 0}
+    for name in counts:
+        walk = getattr(terms, name)
+
+        def counting(*args, name=name, walk=walk):
+            counts[name] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(terms, name, counting)
+    work = []
+    for k in (40, 80):
+        fs = obviously_appoint(k)
+        premise_set = premises(fs, lexicon)
+        for name in counts:
+            counts[name] = 0
+        (reading,) = derive(premise_set, Goal(sigma(fs)))
+        work.append(dict(counts))
+    for name in counts:
+        assert 0 < work[1][name] < 4 * work[0][name], (name, work)
 
 
 # --- nesting: stack cost per focus, and running out of stack -----------------

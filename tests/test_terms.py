@@ -346,6 +346,24 @@ def test_substitute_and_abstract_over_keep_binder_hints():
         assert hinted(abstracted) == hinted(named_to_core(NLam("X", E, named)))
 
 
+def test_substitute_normal_is_normalize_after_substitute():
+    # Normal templates over first- and higher-order variables, filled with
+    # closed normal values: the hereditary substitution reaches the same
+    # normal form, hints included.
+    rng = random.Random(9001)
+    env = (("X", E), ("F", ArrowType(E, T)), ("G", ArrowType(T, T)), ("H", arrow(E, E, T)))
+    for _ in range(1000):
+        template = terms.normalize(
+            named_to_core(random_named_term(rng, rng.choice([E, T, ArrowType(E, T)]), env=env))
+        )
+        mapping = {
+            Var(name, ty): terms.normalize(named_to_core(random_named_term(rng, ty)))
+            for name, ty in env
+        }
+        expected = terms.normalize(terms.substitute(template, mapping))
+        assert hinted(terms.substitute_normal(template, mapping)) == hinted(expected)
+
+
 @pytest.mark.parametrize(
     "term,error,message",
     [
