@@ -129,17 +129,20 @@ class GlueFormula(Node):
 
     def is_closed(self, bound: frozenset = frozenset()) -> bool:
         """No free structure or meaning variable and no template path;
-        `bound` holds the binders in scope (`SemVar`s and meaning `Var`s)."""
-        match self:
-            case Atom(sem, _, meaning):
-                if isinstance(sem, PathRef) or isinstance(sem, SemVar) and sem not in bound:
-                    return False
-                return terms.free_vars(meaning) <= bound
-            case Tensor(left, right) | Limp(left, right):
-                return left.is_closed(bound) and right.is_closed(bound)
-            case Forall(var, body):
-                binder = var if isinstance(var, SemVar) else Var(var.name, var.ty)
-                return body.is_closed(bound | {binder})
+        `bound` holds the binders in scope (`SemVar`s and meaning `Var`s).
+        The walk stops at the first free variable or path."""
+        kind = type(self)
+        if kind is Atom:
+            sem = self[1]
+            if type(sem) is PathRef or type(sem) is SemVar and sem not in bound:
+                return False
+            return terms.vars_within(self[3], bound)
+        if kind is Tensor or kind is Limp:
+            return self[1].is_closed(bound) and self[2].is_closed(bound)
+        if kind is Forall:
+            var = self[1]
+            binder = var if type(var) is SemVar else Var(var[1], var[2])
+            return self[2].is_closed(bound | {binder})
         return True
 
 
@@ -182,20 +185,19 @@ def flatten_tensor(formula: GlueFormula) -> list[GlueFormula]:
 
 
 def format_formula(formula: GlueFormula) -> str:
-    match formula:
-        case Atom(sem, ty, meaning):
-            return f"{sem} ~>_{_fmt_index(ty)} {terms.format_term(meaning)}"
-        case Tensor(left, right):
-            return f"{_wrap(left)} * {_wrap(right)}"
-        case Limp(antecedent, consequent):
-            return f"{_wrap(antecedent)} -o {format_formula(consequent)}"
-        case Forall():
-            binders = []
-            body = formula
-            while isinstance(body, Forall):
-                binders.append(str(body.var))
-                body = body.body
-            return f"forall {', '.join(binders)}. {format_formula(body)}"
+    kind = type(formula)
+    if kind is Atom:
+        return f"{formula[1]} ~>_{_fmt_index(formula[2])} {terms.format_term(formula[3])}"
+    if kind is Tensor:
+        return f"{_wrap(formula[1])} * {_wrap(formula[2])}"
+    if kind is Limp:
+        return f"{_wrap(formula[1])} -o {format_formula(formula[2])}"
+    if kind is Forall:
+        binders = []
+        while type(formula) is Forall:
+            binders.append(str(formula[1]))
+            formula = formula[2]
+        return f"forall {', '.join(binders)}. {format_formula(formula)}"
     return repr(formula)
 
 
@@ -205,7 +207,8 @@ def _fmt_index(ty: SemType) -> str:
 
 
 def _wrap(formula: GlueFormula) -> str:
-    if isinstance(formula, (Limp, Forall, Tensor)):
+    kind = type(formula)
+    if kind is Limp or kind is Forall or kind is Tensor:
         return f"({format_formula(formula)})"
     return format_formula(formula)
 

@@ -81,6 +81,7 @@ from .terms import (
     Lam,
     MeaningTerm,
     Var,
+    _app,
     abstract_over,
     canonical_form,
     format_term,
@@ -121,22 +122,25 @@ class TraceStep(Node):
         return tuple.__new__(cls, ("TraceStep", kind, resource, word, atom, bindings))
 
     def line(self) -> str:
-        ref = f"[{self.resource}]" if self.resource is not None else ""
-        text = " ".join(p for p in (self.kind, ref, self.word) if p)
-        if self.atom is not None:
-            atom = self.atom
-            if self.kind != "apply" and isinstance(atom, Atom):
+        _, kind, resource, word, atom, bindings = self
+        text = kind if resource is None else f"{kind} [{resource}]"
+        if word:
+            text += f" {word}"
+        if atom is not None:
+            if kind != "apply" and type(atom) is Atom:
                 # The atoms of `assume` and `derive` steps can hold redexes;
                 # an `apply` step's meaning is normal as `prove_atom` built it.
-                atom = Atom(atom.sem, atom.ty, normalize(atom.meaning))
+                meaning = normalize(atom[3])
+                if meaning is not atom[3]:
+                    atom = Atom(atom[1], atom[2], meaning)
             text += f": {atom}"
-        if self.bindings:
+        if bindings:
             # Bindings are already beta-normal: subterms of normal closed
             # meanings, or abstractions of them that create no redex.
-            text += "  " + ", ".join(
+            text += "  " + ", ".join([
                 f"{n} ↦ {format_term(v) if isinstance(v, MeaningTerm) else v}"
-                for n, v in self.bindings
-            )
+                for n, v in bindings
+            ])
         return text
 
 
@@ -606,13 +610,16 @@ def derive(premise_set, goal: Goal, all_traces: bool = False) -> tuple[Reading, 
 
 def _tidy_hints(term: MeaningTerm) -> MeaningTerm:
     """Drop the freshness suffix from binder hints; printing re-freshens only
-    on actual collisions."""
+    on actual collisions. A subterm with no suffixed hint comes back as it
+    is."""
     kind = type(term)
     if kind is App:
-        return App(_tidy_hints(term[1]), _tidy_hints(term[2]))
+        return _app(term, _tidy_hints(term[1]), _tidy_hints(term[2]))
     if kind is Lam:
         hint = term[3]
-        return Lam(term[1], _tidy_hints(term[2]), hint.rstrip("0123456789") or hint)
+        tidy = hint.rstrip("0123456789") or hint
+        body = _tidy_hints(term[2])
+        return term if tidy == hint and body is term[2] else Lam(term[1], body, tidy)
     return term
 
 

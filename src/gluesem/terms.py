@@ -156,6 +156,23 @@ def has_leaf(term: MeaningTerm, kind: type) -> bool:
     return bool(_leaves(term, (kind,), first=True))
 
 
+def vars_within(term: MeaningTerm, allowed) -> bool:
+    """Whether every named variable of `term` is in `allowed`; the walk stops
+    at the first that is not."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is App:
+            stack.append(t[2])
+            stack.append(t[1])
+        elif kind is Lam:
+            stack.append(t[2])
+        elif kind is Var and t not in allowed:
+            return False
+    return True
+
+
 def occurs(leaf: MeaningTerm, term: MeaningTerm) -> bool:
     """Whether the leaf node `leaf` (a variable or constant) occurs in `term`;
     the walk stops at the first occurrence."""
@@ -377,28 +394,49 @@ def equivalent(t1: MeaningTerm, t2: MeaningTerm) -> bool:
     return canonical_form(t1) == canonical_form(t2)
 
 
+# id(term) -> (term, text) for the terms printed last. An entry holds its
+# term, so while it exists no other object can have that id.
+_FORMATTED: dict[int, tuple[MeaningTerm, str]] = {}
+_FORMATTED_BOUND = 512
+
+
 def format_term(term: MeaningTerm) -> str:
     """The term as text. A binder is annotated with its type (`\\x:e. x`)
     unless its variable occurs as an argument of an application headed by a
-    name, whose type then fixes the binder's when the text is read back."""
-    return _fmt(term, [], _Names(term))
+    name, whose type then fixes the binder's when the text is read back.
+
+    The text of the last few hundred term objects printed is remembered,
+    keyed by the object's identity, so a term printed again (a reading's
+    meaning on its trace's last step, a binding on every later step) is
+    printed once. Equal terms are not merged: `Lam` equality ignores binder
+    hints, which the text shows. The memo is emptied whenever it reaches its
+    bound, so it stays small and never changes what is printed."""
+    entry = _FORMATTED.get(id(term))
+    if entry is not None:
+        return entry[1]
+    text = _fmt(term, [], _names(term))
+    if len(_FORMATTED) >= _FORMATTED_BOUND:
+        _FORMATTED.clear()
+    _FORMATTED[id(term)] = (term, text)
+    return text
 
 
-class _Names:
-    """The names of a term's constants and variables, which a binder's name
-    must avoid; collected when a binder first asks, so a term without
-    binders prints without the walk."""
-
-    __slots__ = ("term", "names")
-
-    def __init__(self, term):
-        self.term = term
-        self.names = None
-
-    def __contains__(self, name) -> bool:
-        if self.names is None:
-            self.names = {t[1] for t in _leaves(self.term, (Const, Var, HypConst))}
-        return name in self.names
+def _names(term: MeaningTerm) -> set[str]:
+    """The names of the term's constants and variables, which a binder's
+    name must avoid."""
+    names = set()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is App:
+            stack.append(t[2])
+            stack.append(t[1])
+        elif kind is Lam:
+            stack.append(t[2])
+        elif kind is Const or kind is Var or kind is HypConst:
+            names.add(t[1])
+    return names
 
 
 def _pick_name(hint: str, used, binders) -> str:
@@ -417,14 +455,17 @@ def _fmt(t, binders, used, named_arg=False) -> str:
     # `named_arg` says whether `t` is such an argument.
     kind = type(t)
     if kind is App:
-        head, args = spine(t)
-        head_s = _fmt(head, binders, used)
-        head_kind = type(head)
+        args = []
+        while type(t) is App:
+            args.append(t[2])
+            t = t[1]
+        args.reverse()
+        head_s = _fmt(t, binders, used)
+        head_kind = type(t)
         if head_kind is Lam:
             head_s = f"({head_s})"
         named = head_kind is not Lam and head_kind is not BoundVar
-        args_s = ", ".join(_fmt(a, binders, used, named) for a in args)
-        return f"{head_s}({args_s})"
+        return f"{head_s}({', '.join([_fmt(a, binders, used, named) for a in args])})"
     if kind is Lam:
         name = _pick_name(t[3], used, binders)
         binder = [name, False]

@@ -143,6 +143,23 @@ def test_golden_covers_every_fixture():
     assert sorted(GOLDEN_CODES) == sorted(p.stem for p in FIXTURES.glob("*.fs"))
 
 
+def test_recorded_outputs_do_not_depend_on_what_ran_before():
+    """`cli.run` on every fixture in the `--trace` and `--json --all-traces`
+    modes, in order and then in reverse in the same process, reproduces each
+    recorded output: what one run printed (and the term texts it left in
+    `format_term`'s memo) cannot change what a later run prints."""
+    modes = [
+        ({"trace": True}, ".trace.txt"),
+        ({"json_output": True, "all_traces": True}, ".json"),
+    ]
+    runs = [(stem, options, suffix) for stem in sorted(GOLDEN_CODES) for options, suffix in modes]
+    for stem, options, suffix in runs + runs[::-1]:
+        out, err = io.StringIO(), io.StringIO()
+        config = RunConfig(str(FIXTURES / f"{stem}.fs"), str(FIXTURES / "core.lex"), **options)
+        assert run(config, out, err) == GOLDEN_CODES[stem], (stem, suffix)
+        assert out.getvalue().encode("utf-8") == (GOLDEN / f"{stem}{suffix}").read_bytes(), (stem, suffix)
+
+
 def test_goal_override():
     code, out, _err = run_cli(
         "derive",

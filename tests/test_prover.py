@@ -33,7 +33,9 @@ from gluesem.prover import Goal, derive, entails, prop, unify
 from gluesem.semtypes import E, T, arrow
 from gluesem.terms import (
     App,
+    BoundVar,
     Const,
+    Lam,
     Var,
     apply,
     canonical_form,
@@ -471,6 +473,43 @@ def test_is_closed_sees_free_structure_and_meaning_variables():
     assert not Atom(PathRef("up", ("SUBJ",)), E, Const("c", E)).is_closed()
     assert Forall(H, Atom(H, E, Const("c", E))).is_closed()
     assert Forall(MeaningVar("X", E), Atom(f, E, X)).is_closed()
+
+
+def test_is_closed_scopes_each_binder_to_its_body():
+    f = SemStructure("f")
+    H, X = SemVar("H"), Var("X", E)
+    c = Const("c", E)
+    scoped = Forall(H, Atom(H, E, c))
+    assert Tensor(scoped, Atom(f, E, c)).is_closed()
+    assert not Tensor(scoped, Atom(H, E, c)).is_closed()
+    assert not Limp(Forall(MeaningVar("X", E), Atom(f, E, X)), Atom(f, E, X)).is_closed()
+    # A meaning variable is bound by its name and its type, under abstractions too.
+    assert not Forall(MeaningVar("X", T), Atom(f, E, X)).is_closed()
+    under = Lam(E, apply(Const("r", arrow(E, E, T)), BoundVar(0), X))
+    assert not Atom(f, arrow(E, T), under).is_closed()
+    assert Forall(MeaningVar("X", E), Atom(f, arrow(E, T), under)).is_closed()
+
+
+def test_tidy_hints_rebuilds_only_suffixed_binders():
+    r = Const("r", arrow(E, E, T))
+    tidy = Lam(E, Lam(E, apply(r, BoundVar(1), BoundVar(0)), "y"), "x")
+    assert prover._tidy_hints(tidy) is tidy
+    suffixed = Lam(E, tidy[2], "x2")
+    tidied = prover._tidy_hints(suffixed)
+    assert tidied.hint == "x" and tidied.body is tidy.body
+
+
+def test_a_reading_is_the_meaning_its_last_step_applied(lexicon, everyone_fs, modified):
+    # Binder hints without a suffix are kept as they are, so printing a
+    # reading and its trace formats its meaning once.
+    for fs, text in [
+        (everyone_fs, "every(person, \\z. convince(Bill, z))"),
+        (modified, "obviously(appoint(Bill, Hillary))"),
+    ]:
+        (reading,) = readings_of(fs, lexicon)
+        last = reading.trace[-1]
+        assert last.kind == "apply" and last.atom.meaning is reading.meaning
+        assert format_term(reading.meaning) == text
 
 
 def test_substitute_meanings_crosses_tensors_and_respects_rebinding():

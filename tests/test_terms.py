@@ -208,6 +208,47 @@ def test_format_freshens_colliding_binder_names():
     del inner, outer
 
 
+@pytest.mark.parametrize("first", ["x", "y"])
+def test_format_memo_keeps_each_terms_own_binder_hints(first):
+    # The two terms are equal (hints are left out of `Lam` equality), so a
+    # memo keyed by value would print the second with the first's hint.
+    second = "y" if first == "x" else "x"
+    ts = {h: p(f"\\{h}. appoint({h}, Hillary)") for h in (first, second)}
+    assert ts[first] == ts[second]
+    for hint in (first, second):
+        assert terms.format_term(ts[hint]) == f"\\{hint}. appoint({hint}, Hillary)"
+
+
+def _memo_probe(i):
+    # A term of several nodes whose text is its own, freed once dropped.
+    name = Const(f"c{i}", E)
+    return Lam(E, apply(Const("appoint", arrow(E, E, T)), BoundVar(0), name), "x")
+
+
+def test_format_memo_never_serves_a_dead_terms_text():
+    # Each term is dropped after printing, so CPython hands its memory (and
+    # its id) to a later term; a memo keyed by id alone would print that
+    # term with the dead one's text.
+    for i in range(4 * terms._FORMATTED_BOUND):
+        term = _memo_probe(i)
+        expected = terms._fmt(term, [], terms._names(term))
+        assert expected == f"\\x. appoint(x, c{i})"
+        assert terms.format_term(term) == expected
+        del term
+
+
+def test_format_memo_stays_within_its_bound():
+    kept = []
+    for i in range(3 * terms._FORMATTED_BOUND + 7):
+        kept.append(_memo_probe(i))
+        terms.format_term(kept[-1])
+        assert len(terms._FORMATTED) <= terms._FORMATTED_BOUND
+    # Printing a term again is answered by the memo and adds no entry.
+    size = len(terms._FORMATTED)
+    assert terms.format_term(kept[-1]) == f"\\x. appoint(x, c{len(kept) - 1})"
+    assert len(terms._FORMATTED) == size
+
+
 def test_parser_rejects_unknown_names():
     with pytest.raises(UnboundVariableError):
         p("appoint(Bill, nobody)")
