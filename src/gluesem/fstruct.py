@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .errors import MissingAttributeError
-from .lexer import Token, TokenStream, tokenize
+from .lexer import TokenStream, tokenize
 from .node import Node
 
 _WORD = re.compile(r"\w+")
@@ -105,9 +105,10 @@ def resolve_path(root: FStructure, path) -> object:
 def parse_fstructure(text: str, source: str | None = None) -> FStructure:
     ts = TokenStream(tokenize(text, source), source)
     parser = _Parser(ts)
-    root = parser.parse_node(ts.expect("IDENT", "an f-structure label"))
+    ts.expect("IDENT", "an f-structure label")
+    root = parser.parse_node(0)
     if not ts.at_end():
-        ts.fail(f"unexpected {ts.peek().text!r} after f-structure")
+        ts.fail(f"unexpected {ts.text()!r} after f-structure")
     parser.resolve_references()
     return root
 
@@ -116,9 +117,9 @@ class _Parser:
     def __init__(self, ts: TokenStream):
         self.ts = ts
         self.labels: dict[str, FStructure] = {}
-        # (container, attribute, set index or None, identifier) for each bare
-        # identifier, which stands in its slot until every label is known
-        self.deferred: list[tuple[FStructure, str, int | None, Token]] = []
+        # (container, attribute, set index or None, token index) for each
+        # bare identifier, which stands in its slot until every label is known
+        self.deferred: list[tuple[FStructure, str, int | None, int]] = []
 
     def items(self, close: str):
         """Yield the index of each `;`-separated item of a list ending in
@@ -132,14 +133,16 @@ class _Parser:
                 return
             index += 1
 
-    def parse_node(self, tok: Token) -> FStructure:
-        """The node labelled `tok`, read from the `:` that follows it."""
+    def parse_node(self, at: int) -> FStructure:
+        """The node labelled by the token at index `at`, read from the `:`
+        that follows it."""
         ts = self.ts
-        ts.descend("f-structures", tok)
+        label = ts.texts[at]
+        ts.descend("f-structures", at)
         ts.expect(":")
-        if tok.text in self.labels:
-            ts.fail(f"duplicate label '{tok.text}'", tok)
-        node = self.labels[tok.text] = FStructure(tok.text)
+        if label in self.labels:
+            ts.fail(f"duplicate label '{label}'", at)
+        node = self.labels[label] = FStructure(label)
         ts.expect("[")
         for _ in self.items("]"):
             self.parse_attr(node)
@@ -148,46 +151,48 @@ class _Parser:
 
     def parse_attr(self, node: FStructure):
         ts = self.ts
-        tok = ts.expect("IDENT", "an attribute name")
-        attribute = tok.text.upper()
+        attribute = ts.expect("IDENT", "an attribute name").upper()
         if attribute in node.attrs:
-            ts.fail(f"duplicate attribute {attribute} in '{node.label}'", tok)
-        if tok := ts.accept("QUOTED"):
-            value = tok.text
+            ts.fail(f"duplicate attribute {attribute} in '{node.label}'", ts.pos - 1)
+        if ts.peek() == "QUOTED":
+            value = ts.next()
         elif ts.accept("{"):
             members = []
             for index in self.items("}"):
-                tok = ts.accept("IDENT") or ts.fail(
-                    "set members must be f-structures or label references"
-                )
-                members.append(self.parse_ident(tok, node, attribute, index))
+                if not ts.accept("IDENT"):
+                    ts.fail("set members must be f-structures or label references")
+                members.append(self.parse_ident(node, attribute, index))
             value = tuple(members)
+        elif ts.accept("IDENT"):
+            value = self.parse_ident(node, attribute, None)
         else:
-            tok = ts.accept("IDENT") or ts.fail(f"expected a value for attribute {attribute}")
-            value = self.parse_ident(tok, node, attribute, None)
+            ts.fail(f"expected a value for attribute {attribute}")
         node.attrs[attribute] = value
 
-    def parse_ident(self, tok: Token, container: FStructure, attribute: str, index: int | None):
-        """A node if `:` follows the identifier `tok`, else a deferred
-        reference; `index` places a set member in its set."""
-        if self.ts.peek().kind == ":":
-            node = self.parse_node(tok)
+    def parse_ident(self, container: FStructure, attribute: str, index: int | None):
+        """A node if `:` follows the identifier just read; else None, which
+        holds the slot of a deferred reference. `index` places a set member
+        in its set."""
+        at = self.ts.pos - 1
+        if self.ts.peek() == ":":
+            node = self.parse_node(at)
             if index is not None:
                 node.mod_container = container
             return node
-        self.deferred.append((container, attribute, index, tok))
-        return tok
+        self.deferred.append((container, attribute, index, at))
+        return None
 
     def resolve_references(self):
-        for container, attribute, index, tok in self.deferred:
+        for container, attribute, index, at in self.deferred:
+            name = self.ts.texts[at]
             if index is None:
                 # Attribute position: a known label is a re-entrant reference,
                 # anything else is an atomic symbol (e.g. SPEC every).
-                container.attrs[attribute] = self.labels.get(tok.text, tok.text)
+                container.attrs[attribute] = self.labels.get(name, name)
                 continue
-            target = self.labels.get(tok.text)
+            target = self.labels.get(name)
             if target is None:
-                self.ts.fail(f"set member '{tok.text}' is not a defined label", tok)
+                self.ts.fail(f"set member '{name}' is not a defined label", at)
             members = list(container.attrs[attribute])
             members[index] = target
             if target.mod_container is None:

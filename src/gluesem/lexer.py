@@ -1,10 +1,19 @@
 """Tokenizer shared by the term, lexicon, and f-structure parsers.
 
-One regular expression reads the text: spaces, newlines, `#` comments to the
-end of the line, `'quoted symbols'`, the symbols `->`, `-o`, `~>` and single
+Tokens are `'quoted symbols'`, the symbols `->`, `-o`, `~>` and single
 punctuation marks, and identifiers (a letter, then letters, digits and `_`).
-Anything else is an error at its line and column. Symbols are tried before
-identifiers, so `_a` is `_`, `a`.
+Spaces, newlines and `#` comments to the end of the line separate them.
+Symbols are tried before identifiers, so `_a` is `_`, `a`.
+
+One compiled scan reads a text: a single `findall`, run in C, returns each
+token with the blanks and comments before it skipped inside the match, and
+the kinds and texts go into two parallel lists. No position is computed
+then. A token's line and column come from a second, positional scan that
+walks the text match by match, run only when something asks for a position
+(an error message, or a `Token` read from the result). A text the first scan
+cannot take whole (a stray character, a word that starts with a digit or
+another numeric character like `²`, an unterminated quote) goes straight to
+the positional scan, which raises the error at its line and column.
 """
 
 from __future__ import annotations
@@ -19,11 +28,23 @@ from .node import Node
 # to exhaust the interpreter's stack in the recursive parsers and walkers.
 MAX_NESTING = 100
 
-_TOKEN = re.compile(
-    r"(?P<space>[^\S\n]+)|(?P<newline>\n)|(?P<comment>#[^\n]*)"
-    r"|'(?P<QUOTED>[^'\n]*)'|(?P<symbol>->|-o|~>|[()\[\]{};:,.\\*^_])"
-    r"|(?P<IDENT>\w+)|(?P<bad>.)",
-    re.DOTALL,
+_SYMBOL = r"->|-o|~>|[()\[\]{};:,.\\*^_]"
+
+# One match per token, after the blanks and comments before it. A token lands
+# in the group of its kind: a symbol, the inside of a quoted symbol, an
+# identifier, or any other single character (an error, or the end marker).
+_SCAN = re.compile(rf"\s*(?:#[^\n]*\s*)*(?:({_SYMBOL})|'([^'\n]*)'|([^\W\d_]\w*)|([\s\S]))")
+# Appended to every scanned text: the newline ends a comment on the last
+# line, and the NUL is the last match, so every match before it is contiguous.
+_END = "\n\0"
+_KINDS = frozenset(("->", "-o", "~>", *r"()[]{};:,.\*^_", "IDENT", "QUOTED"))
+
+# The positional scan: one match per token, blank run, newline or comment.
+# Only errors and positions need it, so `re` compiles it on first use.
+_TOKEN = (
+    r"(?s)(?P<space>[^\S\n]+)|(?P<newline>\n)|(?P<comment>#[^\n]*)"
+    rf"|'(?P<QUOTED>[^'\n]*)'|(?P<symbol>{_SYMBOL})"
+    r"|(?P<IDENT>\w+)|(?P<bad>.)"
 )
 
 
@@ -36,11 +57,62 @@ class Token(Node):
         return tuple.__new__(cls, ("Token", kind, text, line, column))
 
 
-def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) -> list[Token]:
+class Tokens:
+    """The tokens of one text as parallel `kinds` and `texts` lists that end
+    in EOF. Indexing or iterating yields `Token`s with their positions, which
+    are computed for the whole text on the first request."""
+
+    __slots__ = ("kinds", "texts", "_text", "_source", "_start", "_positions")
+
+    def __init__(self, kinds, texts, text, source, start, positions=None):
+        self.kinds = kinds
+        self.texts = texts
+        self._text = text
+        self._source = source
+        self._start = start  # (line, column) at which the text begins
+        self._positions = positions
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index: int) -> Token:
+        return Token(self.kinds[index], self.texts[index], *self.position(index))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.kinds)))
+
+    def position(self, index: int) -> tuple[int, int]:
+        """The line and column of the token at `index`."""
+        if self._positions is None:
+            self._positions = _scan_positions(self._text, self._source, *self._start)[2]
+        return self._positions[index]
+
+
+def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) -> Tokens:
     """Tokens of `text`, positioned as if it began at `line`:`col` of `source`."""
-    tokens: list[Token] = []
+    found = _SCAN.findall(text + _END)
+    kinds = [symbol or (word and "IDENT") or other or "QUOTED" for symbol, _, word, other in found]
+    kinds.pop()  # the end marker
+    if not _KINDS.issuperset(kinds) or (
+        not text.isascii() and not all(word[0].isalpha() for _, _, word, _ in found if word)
+    ):
+        # A stray character, or a numeric that `[^\W\d_]` lets start a word:
+        # the positional scan raises the error where it stands.
+        kinds, texts, positions = _scan_positions(text, source, line, col)
+        return Tokens(kinds, texts, text, source, (line, col), positions)
+    kinds.append("EOF")
+    texts = [symbol or word or quoted for symbol, quoted, word, _ in found]
+    return Tokens(kinds, texts, text, source, (line, col))
+
+
+def _scan_positions(text: str, source: str | None, line: int, col: int):
+    """Kinds, texts, and (line, column) of every token of `text`, read one
+    match at a time; raises the syntax error of a text with no tokenization."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    positions: list[tuple[int, int]] = []
     line_start = 1 - col  # offset of the current line's column 1
-    for match in _TOKEN.finditer(text):
+    for match in re.finditer(_TOKEN, text):
         kind = match.lastgroup
         if kind == "space" or kind == "comment":
             continue
@@ -50,63 +122,84 @@ def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) 
             continue
         column = match.start() - line_start + 1
         if kind == "symbol":
-            tokens.append(Token(match.group(), match.group(), line, column))
+            kinds.append(match.group())
+            texts.append(match.group())
         elif kind == "QUOTED" or kind == "IDENT" and match.group()[0].isalpha():
-            tokens.append(Token(kind, match.group(kind), line, column))
+            kinds.append(kind)
+            texts.append(match.group(kind))
         elif match.group() == "'":
             raise SyntaxErrorAt("unterminated quoted symbol", line, column, source)
         else:  # a stray character, or a word that starts with a digit
             raise SyntaxErrorAt(f"unexpected character {match.group()[0]!r}", line, column, source)
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+        positions.append((line, column))
+    kinds.append("EOF")
+    texts.append("")
+    positions.append((line, len(text) - line_start + 1))
+    return kinds, texts, positions
 
 
 class TokenStream:
-    """A cursor over a token list that ends in its EOF token. The parsers
-    look past the current token only when it is not EOF and advance only
-    past tokens they have matched, so every index stays in bounds."""
+    """A cursor over the kinds and texts of `tokenize`'s result, which end in
+    EOF. `accept` and `expect` compare kinds and return the token's text; a
+    position is a token index, turned into a line and column only for an
+    error message. The parsers look past the current token only when it is
+    not EOF and advance only past tokens they have matched, so every index
+    stays in bounds."""
 
-    def __init__(self, tokens: list[Token], source: str | None = None):
+    __slots__ = ("tokens", "kinds", "texts", "pos", "source", "depth")
+
+    def __init__(self, tokens: Tokens, source: str | None = None):
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
         self.pos = 0
         self.source = source
         self.depth = 0
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
+    def peek(self, offset: int = 0) -> str:
+        """The kind of the token `offset` places ahead."""
+        return self.kinds[self.pos + offset]
 
-    def next(self) -> Token:
+    def text(self, offset: int = 0) -> str:
+        return self.texts[self.pos + offset]
+
+    def next(self) -> str:
         self.pos += 1
-        return self.tokens[self.pos - 1]
+        return self.texts[self.pos - 1]
 
-    def accept(self, kind: str) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
+    def accept(self, kind: str) -> str | None:
+        """The current token's text, stepping past it, if it is a `kind`;
+        else None. Only a QUOTED text can be empty."""
+        if self.kinds[self.pos] != kind:
             return None
         self.pos += 1
-        return tok
+        return self.texts[self.pos - 1]
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            found = "end of input" if tok.kind == "EOF" else repr(tok.text)
-            self.fail(f"expected {what or repr(kind)}, found {found}", tok)
+    def expect(self, kind: str, what: str | None = None) -> str:
+        if self.kinds[self.pos] != kind:
+            found = "end of input" if self.kinds[self.pos] == "EOF" else repr(self.texts[self.pos])
+            self.fail(f"expected {what or repr(kind)}, found {found}")
         self.pos += 1
-        return tok
+        return self.texts[self.pos - 1]
 
     def at_end(self) -> bool:
-        return self.tokens[self.pos].kind == "EOF"
+        return self.kinds[self.pos] == "EOF"
 
-    def descend(self, what: str, tok: Token | None = None):
-        """Open one nesting level (a group, an operand, a binder); `what`
-        names the construct in the error raised past MAX_NESTING levels."""
+    def descend(self, what: str, at: int | None = None):
+        """Open one nesting level (a group, an operand, a binder) at the token
+        index `at`; `what` names the construct in the error raised past
+        MAX_NESTING levels."""
         if self.depth == MAX_NESTING:
-            self.fail(f"{what} nest deeper than {MAX_NESTING} levels", tok)
+            self.fail(f"{what} nest deeper than {MAX_NESTING} levels", at)
         self.depth += 1
 
     def ascend(self, levels: int = 1):
         self.depth -= levels
 
-    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
-        tok = tok or self.tokens[self.pos]
-        raise SyntaxErrorAt(message, tok.line, tok.column, self.source)
+    def position(self, at: int | None = None) -> tuple[int, int]:
+        """The line and column of the token at index `at` (default: the
+        current one)."""
+        return self.tokens.position(self.pos if at is None else at)
+
+    def fail(self, message: str, at: int | None = None) -> NoReturn:
+        raise SyntaxErrorAt(message, *self.position(at), self.source)

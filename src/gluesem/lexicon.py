@@ -34,6 +34,10 @@ from .semtypes import SemType, parse_type_at
 from .termsyntax import parse_term_at
 
 _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+_CONSTANT_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+# A constant line: the part before its first `:`, right-stripped, starts with
+# the keyword and a blank (a headword named `constant` stands alone there).
+_CONSTANT_KEYWORD = re.compile(r"\s*constant\s")
 
 
 class LexicalEntry(Node):
@@ -63,7 +67,7 @@ def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        if line.split(":", 1)[0].strip().startswith("constant "):
+        if _CONSTANT_KEYWORD.match(line.split(":", 1)[0].rstrip()):
             _parse_constant_line(line, lineno, lexicon, source)
             continue
         if ":" not in line:
@@ -102,7 +106,7 @@ def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, source):
         raise SyntaxErrorAt("expected 'constant name : type'", lineno, column, source)
     name_part, type_part = line[after:].split(":", 1)
     name = name_part.strip()
-    if not re.match(r"^[A-Za-z][A-Za-z0-9_]*$", name):
+    if not _CONSTANT_NAME.match(name):
         raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, column, source)
     if name in lexicon.signature:
         raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, column, source)
@@ -121,8 +125,7 @@ class _TemplateParser:
         self.sem_scope: set[str] = set()
 
     def parse_formula(self) -> GlueFormula:
-        tok = self.ts.peek()
-        if tok.kind == "IDENT" and tok.text == "forall":
+        if self.ts.peek() == "IDENT" and self.ts.text() == "forall":
             return self.parse_forall()
         return self.parse_limp()
 
@@ -130,10 +133,10 @@ class _TemplateParser:
         self.ts.next()  # 'forall'
         binders: list[object] = []
         while True:
-            tok = self.ts.expect("IDENT", "a quantifier variable")
-            name = tok.text
+            name = self.ts.expect("IDENT", "a quantifier variable")
+            at = self.ts.pos - 1
             if name in self.meaning_scope or name in self.sem_scope:
-                self.ts.fail(f"variable '{name}' already bound", tok)
+                self.ts.fail(f"variable '{name}' already bound", at)
             if self.ts.accept(":"):
                 ty = parse_type_at(self.ts)
                 binders.append(MeaningVar(name, ty))
@@ -141,7 +144,7 @@ class _TemplateParser:
             else:
                 binders.append(SemVar(name))
                 self.sem_scope.add(name)
-            self.ts.descend("formulas", tok)
+            self.ts.descend("formulas", at)
             if not self.ts.accept(","):
                 break
         self.ts.expect(".")
@@ -157,9 +160,8 @@ class _TemplateParser:
 
     def parse_limp(self) -> GlueFormula:
         left = self.parse_tensor()
-        limp_tok = self.ts.accept("-o")
-        if limp_tok:
-            self.ts.descend("formulas", limp_tok)
+        if self.ts.accept("-o"):
+            self.ts.descend("formulas", self.ts.pos - 1)
             right = self.parse_formula()
             self.ts.ascend()
             return Limp(left, right)
@@ -167,9 +169,8 @@ class _TemplateParser:
 
     def parse_tensor(self) -> GlueFormula:
         left = self.parse_unit()
-        tensor_tok = self.ts.accept("*")
-        if tensor_tok:
-            self.ts.descend("formulas", tensor_tok)
+        if self.ts.accept("*"):
+            self.ts.descend("formulas", self.ts.pos - 1)
             right = self.parse_tensor()
             self.ts.ascend()
             return Tensor(left, right)
@@ -179,22 +180,20 @@ class _TemplateParser:
         """An atom, or a formula in parentheses; a `(` opens `(^ PATH)`,
         `(mod ^)` or a group, told apart by the tokens after it."""
         ts = self.ts
-        open_tok = ts.accept("(")
-        if open_tok is None:
+        if not ts.accept("("):
             return self.parse_atom(self.parse_sem_expr())
+        open_at = ts.pos - 1
         if ts.accept("^"):
             path = []
-            while tok := ts.accept("IDENT"):
-                path.append(tok.text.upper())
+            while name := ts.accept("IDENT"):
+                path.append(name.upper())
             ts.expect(")")
             return self.parse_atom(PathRef("up", tuple(path)))
-        tok = ts.peek()
-        if tok.kind == "IDENT" and tok.text == "mod" and ts.peek(1).kind == "^":
-            ts.next()  # 'mod'
-            ts.next()  # '^'
+        if ts.peek() == "IDENT" and ts.text() == "mod" and ts.peek(1) == "^":
+            ts.pos += 2  # 'mod' '^'
             ts.expect(")")
             return self.parse_atom(PathRef("mod"))
-        ts.descend("formulas", open_tok)
+        ts.descend("formulas", open_at)
         inner = self.parse_formula()
         ts.ascend()
         ts.expect(")")
@@ -217,10 +216,10 @@ class _TemplateParser:
         """`^` or a bound structure variable."""
         if self.ts.accept("^"):
             return PathRef("up")
-        tok = self.ts.expect("IDENT", "a structure expression")
-        if tok.text not in self.sem_scope:
-            self.ts.fail(f"unbound structure variable '{tok.text}'", tok)
-        return SemVar(tok.text)
+        name = self.ts.expect("IDENT", "a structure expression")
+        if name not in self.sem_scope:
+            self.ts.fail(f"unbound structure variable '{name}'", self.ts.pos - 1)
+        return SemVar(name)
 
 
 def _parse_template(text, lineno, column_offset, signature, source):
@@ -228,7 +227,7 @@ def _parse_template(text, lineno, column_offset, signature, source):
     parser = _TemplateParser(ts, signature)
     template = parser.parse_formula()
     if not ts.at_end():
-        ts.fail(f"unexpected {ts.peek().text!r} after template")
+        ts.fail(f"unexpected {ts.text()!r} after template")
     return template
 
 

@@ -54,16 +54,15 @@ def parse_type(text: str) -> SemType:
     ts = TokenStream(tokenize(text))
     ty = parse_type_at(ts)
     if not ts.at_end():
-        ts.fail(f"unexpected {ts.peek().text!r} in type")
+        ts.fail(f"unexpected {ts.text()!r} in type")
     return ty
 
 
 def parse_type_at(ts: TokenStream) -> SemType:
     """Parse a type at the current position (arrows right-associative)."""
     left = _parse_type_atom(ts)
-    arrow_tok = ts.accept("->")
-    if arrow_tok:
-        ts.descend("types", arrow_tok)
+    if ts.accept("->"):
+        ts.descend("types", ts.pos - 1)
         right = parse_type_at(ts)
         ts.ascend()
         return ArrowType(left, right)
@@ -71,12 +70,10 @@ def parse_type_at(ts: TokenStream) -> SemType:
 
 
 def _parse_type_atom(ts: TokenStream) -> SemType:
-    open_tok = ts.accept("(")
-    if open_tok:
-        ts.descend("types", open_tok)
+    if ts.accept("("):
+        ts.descend("types", ts.pos - 1)
         ty = parse_type_at(ts)
         ts.ascend()
         ts.expect(")")
         return ty
-    tok = ts.expect("IDENT", "a type")
-    return BaseType(tok.text)
+    return BaseType(ts.expect("IDENT", "a type"))

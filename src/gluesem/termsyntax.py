@@ -41,7 +41,7 @@ def parse_term(
     ts = TokenStream(tokenize(text, source), source)
     term, _ = parse_term_at(ts, signature, env)
     if not ts.at_end():
-        ts.fail(f"unexpected {ts.peek().text!r} after term")
+        ts.fail(f"unexpected {ts.text()!r} after term")
     return term
 
 
@@ -53,7 +53,7 @@ def parse_term_at(
     """The term at the current position and its type."""
     parser = _TermParser(ts, signature, env or {})
     term, ty = parser.parse()
-    if parser.binder_tokens:  # annotated binders already hold their final types
+    if parser.binder_at:  # annotated binders already hold their final types
         term = parser.zonk_term(term)
     return term, parser.zonk_type(ty)
 
@@ -66,22 +66,21 @@ class _TermParser:
         self.binders: list[tuple[str, SemType]] = []  # innermost last
         self.bindings: dict[int, SemType] = {}
         self.counter = 0
-        self.binder_tokens = {}  # type-variable ident -> its unannotated binder's token
+        self.binder_at = {}  # type-variable ident -> its unannotated binder's token index
 
     def parse(self) -> tuple[MeaningTerm, SemType]:
         ts = self.ts
-        lam_tok = ts.accept("\\")
-        if not lam_tok:
+        if not ts.accept("\\"):
             return self._parse_applied()
-        name_tok = ts.expect("IDENT", "a variable name")
-        name = name_tok.text
+        lam_at = ts.pos - 1
+        name = ts.expect("IDENT", "a variable name")
         if ts.accept(":"):
             var_ty = parse_type_at(ts)
         else:
             var_ty = self.fresh()
-            self.binder_tokens[var_ty.ident] = name_tok
+            self.binder_at[var_ty.ident] = lam_at + 1  # the name's token
         ts.expect(".")
-        ts.descend("meaning terms", lam_tok)
+        ts.descend("meaning terms", lam_at)
         self.binders.append((name, var_ty))
         body, body_ty = self.parse()
         self.binders.pop()
@@ -92,21 +91,20 @@ class _TermParser:
         ts = self.ts
         fun, fun_ty = self._parse_atom()
         levels = 0  # each argument list nests the application one level deeper
-        while ts.peek().kind == "(":
-            open_tok = ts.next()
-            ts.descend("meaning terms", open_tok)
+        while ts.accept("("):
+            open_at = ts.pos - 1
+            ts.descend("meaning terms", open_at)
             levels += 1
             while True:
                 arg, arg_ty = self.parse()
-                result = self.fresh()
                 try:
-                    self.unify(fun_ty, ArrowType(arg_ty, result))
+                    fun_ty = self.apply(fun_ty, arg_ty)
                 except TermTypeError as exc:
+                    line, column = ts.position(open_at)
                     raise TermTypeError(
-                        f"ill-typed application at line {open_tok.line}, "
-                        f"column {open_tok.column}: {exc}"
+                        f"ill-typed application at line {line}, column {column}: {exc}"
                     ) from exc
-                fun, fun_ty = App(fun, arg), result
+                fun = App(fun, arg)
                 if not ts.accept(","):
                     break
             ts.expect(")")
@@ -115,15 +113,13 @@ class _TermParser:
 
     def _parse_atom(self) -> tuple[MeaningTerm, SemType]:
         ts = self.ts
-        open_tok = ts.accept("(")
-        if open_tok:
-            ts.descend("meaning terms", open_tok)
+        if ts.accept("("):
+            ts.descend("meaning terms", ts.pos - 1)
             inner = self.parse()
             ts.ascend()
             ts.expect(")")
             return inner
-        tok = ts.expect("IDENT", "a term")
-        name = tok.text
+        name = ts.expect("IDENT", "a term")
         for index, (bound, ty) in enumerate(reversed(self.binders)):
             if bound == name:
                 return BoundVar(index), ty
@@ -131,9 +127,24 @@ class _TermParser:
             return Var(name, self.env[name]), self.env[name]
         if name in self.signature:
             return Const(name, self.signature[name]), self.signature[name]
-        raise UnboundVariableError(
-            f"unknown name '{name}' at line {tok.line}, column {tok.column}"
-        )
+        line, column = ts.position(ts.pos - 1)
+        raise UnboundVariableError(f"unknown name '{name}' at line {line}, column {column}")
+
+    def apply(self, fun_ty: SemType, arg_ty: SemType) -> SemType:
+        """The type of a function of type `fun_ty` applied to an argument of
+        type `arg_ty`: a fresh type variable `r`, once `fun_ty` is unified
+        with `arg_ty -> r`. A function type that already resolves to an arrow
+        whose result is no type variable gives that result directly, which is
+        what `r` would be bound to; `r` is still counted, so every `?n` in an
+        error message keeps its number."""
+        fun_ty = self.resolve(fun_ty)
+        if type(fun_ty) is ArrowType and type(self.resolve(fun_ty.result)) is not _TypeMeta:
+            self.counter += 1
+            self.unify(fun_ty.arg, arg_ty)
+            return fun_ty.result
+        result = self.fresh()
+        self.unify(fun_ty, ArrowType(arg_ty, result))
+        return result
 
     def fresh(self) -> _TypeMeta:
         self.counter += 1
@@ -183,10 +194,11 @@ class _TermParser:
             case Lam(var_ty, body, hint):
                 ty = self.zonk_type(var_ty)
                 if _has_meta(ty):
-                    tok = self.binder_tokens[var_ty.ident]  # only these get type variables
+                    # only unannotated binders get type variables
+                    line, column = self.ts.position(self.binder_at[var_ty.ident])
                     raise TermTypeError(
-                        f"cannot infer the type of binder '{hint}' at line {tok.line}, "
-                        f"column {tok.column}; annotate it"
+                        f"cannot infer the type of binder '{hint}' at line {line}, "
+                        f"column {column}; annotate it"
                     )
                 return Lam(ty, self.zonk_term(body), hint)
             case _:

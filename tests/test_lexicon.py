@@ -192,6 +192,14 @@ def test_constant_line_errors(line, error):
     assert str(err.value) == error
 
 
+def test_constant_keyword_is_followed_by_any_blank():
+    """A tab after `constant` makes a constant line too; a headword named
+    `constant` stays an entry."""
+    lexicon = parse_lexicon("constant\tBill : e\nconstant: ^ ~> Bill\n constant \t Hillary :e")
+    assert lexicon.signature == {"Bill": E, "Hillary": E}
+    assert list(lexicon) == ["constant"]
+
+
 @pytest.mark.parametrize(
     "text,error",
     [
