@@ -40,17 +40,12 @@ _EXIT_CODES = {
 }
 
 
-class RunConfig(Node):
+class RunConfig(Node, goal=None, trace=False, all_traces=False, json_output=False):
     __slots__ = ()
+    # goal: (label, type text or None); None derives for the root at type t
     __match_args__ = (
         "fstructure_path", "lexicon_path", "goal", "trace", "all_traces", "json_output"
     )
-
-    def __new__(cls, fstructure_path: str, lexicon_path: str, goal=None, trace=False,
-                all_traces=False, json_output=False):
-        # goal: (label, type text or None); None derives for the root at type t
-        fields = (fstructure_path, lexicon_path, goal, trace, all_traces, json_output)
-        return tuple.__new__(cls, ("RunConfig", *fields))
 
 
 class _UsageError(Exception):

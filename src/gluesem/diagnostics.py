@@ -26,12 +26,9 @@ INCOMPLETE_INCOHERENT = "incomplete+incoherent"
 UNINSTANTIABLE = "uninstantiable"
 
 
-class Demand(Node):
+class Demand(Node, needed_by=()):
     __slots__ = ()
     __match_args__ = ("sem", "ty", "needed_by")
-
-    def __new__(cls, sem: str, ty: str, needed_by: tuple[str, ...] = ()):
-        return tuple.__new__(cls, ("Demand", sem, ty, needed_by))
 
     def __str__(self) -> str:
         where = f" needed by {', '.join(self.needed_by)}" if self.needed_by else ""
@@ -42,20 +39,13 @@ class Leftover(Node):
     __slots__ = ()
     __match_args__ = ("index", "word")
 
-    def __new__(cls, index: int, word: str):
-        return tuple.__new__(cls, ("Leftover", index, word))
-
     def __str__(self) -> str:
         return f"{self.word}[{self.index}]"
 
 
-class Diagnosis(Node):
+class Diagnosis(Node, unsatisfied_demands=(), leftover_resources=(), readings=(), note=""):
     __slots__ = ()
     __match_args__ = ("status", "unsatisfied_demands", "leftover_resources", "readings", "note")
-
-    def __new__(cls, status, unsatisfied_demands=(), leftover_resources=(), readings=(), note=""):
-        fields = (status, unsatisfied_demands, leftover_resources, readings, note)
-        return tuple.__new__(cls, ("Diagnosis", *fields))
 
     def __str__(self) -> str:
         if self.status == OK:

@@ -22,22 +22,16 @@ class SemVar(Node):
     __slots__ = ()
     __match_args__ = ("name",)
 
-    def __new__(cls, name: str):
-        return tuple.__new__(cls, ("SemVar", name))
-
     def __str__(self) -> str:
         return self.name
 
 
-class PathRef(Node):
+class PathRef(Node, path=()):
     """Template-only structure expression: `^` or `(^ SUBJ OBJ)` (anchor "up"),
     or `(mod ^)` (anchor "mod")."""
 
     __slots__ = ()
     __match_args__ = ("anchor", "path")
-
-    def __new__(cls, anchor: str, path: tuple[str, ...] = ()):
-        return tuple.__new__(cls, ("PathRef", anchor, path))
 
     def __str__(self) -> str:
         if self.anchor == "mod":
@@ -52,9 +46,6 @@ class MeaningVar(Node):
 
     __slots__ = ()
     __match_args__ = ("name", "ty")
-
-    def __new__(cls, name: str, ty: SemType):
-        return tuple.__new__(cls, ("MeaningVar", name, ty))
 
     def __str__(self) -> str:
         return f"{self.name}:{self.ty}"
@@ -150,32 +141,20 @@ class Atom(GlueFormula):
     __slots__ = ()
     __match_args__ = ("sem", "ty", "meaning")
 
-    def __new__(cls, sem: SemStructure | SemVar | PathRef, ty: SemType, meaning: MeaningTerm):
-        return tuple.__new__(cls, ("Atom", sem, ty, meaning))
-
 
 class Tensor(GlueFormula):
     __slots__ = ()
     __match_args__ = ("left", "right")
-
-    def __new__(cls, left: GlueFormula, right: GlueFormula):
-        return tuple.__new__(cls, ("Tensor", left, right))
 
 
 class Limp(GlueFormula):
     __slots__ = ()
     __match_args__ = ("antecedent", "consequent")
 
-    def __new__(cls, antecedent: GlueFormula, consequent: GlueFormula):
-        return tuple.__new__(cls, ("Limp", antecedent, consequent))
-
 
 class Forall(GlueFormula):
     __slots__ = ()
     __match_args__ = ("var", "body")
-
-    def __new__(cls, var: MeaningVar | SemVar, body: GlueFormula):
-        return tuple.__new__(cls, ("Forall", var, body))
 
 
 def flatten_tensor(formula: GlueFormula) -> list[GlueFormula]:

@@ -29,9 +29,6 @@ class SemStructure(Node):
     __slots__ = ()
     __match_args__ = ("label",)
 
-    def __new__(cls, label: str):
-        return tuple.__new__(cls, ("SemStructure", label))
-
     def __str__(self) -> str:
         return f"{self.label}_σ"
 
@@ -50,23 +47,23 @@ class FStructure:
         return self.attrs.get(attribute.upper())
 
     def nodes(self) -> list["FStructure"]:
-        """All nodes reachable from here, document order, each once."""
-        seen: dict[int, FStructure] = {}
+        """All nodes reachable from here, document order, each once. The walk
+        keeps its own stack: a chain of references can be longer than the
+        nesting the parser allows."""
+        seen: set[int] = set()
         order: list[FStructure] = []
-
-        def walk(node: FStructure):
+        stack = [self]
+        while stack:
+            node = stack.pop()
             if id(node) in seen:
-                return
-            seen[id(node)] = node
+                continue
+            seen.add(id(node))
             order.append(node)
-            for value in node.attrs.values():
+            for value in reversed(node.attrs.values()):
                 if isinstance(value, FStructure):
-                    walk(value)
+                    stack.append(value)
                 elif type(value) is tuple:
-                    for member in value:
-                        walk(member)
-
-        walk(self)
+                    stack.extend(reversed(value))
         return order
 
     def find_label(self, label: str) -> "FStructure | None":
@@ -201,26 +198,37 @@ class _Parser:
 
 
 def format_fstructure(root: FStructure) -> str:
+    """The text of `root`: each node whole where it is first met, by its label
+    after that. Like `nodes()`, the walk keeps its own stack of what is still
+    to print: text, or a node."""
     printed: set[int] = set()
     labels = {node.label for node in root.nodes()}
-
-    def fmt_node(node: FStructure) -> str:
-        if id(node) in printed:
-            return node.label
-        printed.add(id(node))
-        parts = []
-        for attribute, value in node.attrs.items():
-            parts.append(f"{attribute} {fmt_value(attribute, value)}")
-        return f"{node.label}:[{'; '.join(parts)}]"
-
-    def fmt_value(attribute: str, value) -> str:
-        if isinstance(value, FStructure):
-            return fmt_node(value)
-        if type(value) is tuple:
-            return "{ " + "; ".join(fmt_node(m) for m in value) + " }" if value else "{ }"
-        # A symbol is printed bare only where it reads back as itself: an
-        # identifier (as the tokenizer reads one) that names no node.
-        bare = value[:1].isalpha() and _WORD.fullmatch(value) and value not in labels
-        return value if bare and attribute != "PRED" else f"'{value}'"
-
-    return fmt_node(root)
+    out: list[str] = []
+    stack: list[str | FStructure] = [root]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if id(item) in printed:
+            out.append(item.label)
+            continue
+        printed.add(id(item))
+        parts: list[str | FStructure] = [f"{item.label}:["]
+        for i, (attribute, value) in enumerate(item.attrs.items()):
+            parts.append(f"; {attribute} " if i else f"{attribute} ")
+            if isinstance(value, FStructure):
+                parts.append(value)
+            elif type(value) is tuple:
+                parts.append("{ ")
+                for j, member in enumerate(value):
+                    parts += ("; ", member) if j else (member,)
+                parts.append(" }" if value else "}")
+            else:
+                # A symbol is printed bare only where it reads back as itself:
+                # an identifier (as the tokenizer reads one) that names no node.
+                bare = value[:1].isalpha() and _WORD.fullmatch(value) and value not in labels
+                parts.append(value if bare and attribute != "PRED" else f"'{value}'")
+        parts.append("]")
+        stack.extend(reversed(parts))
+    return "".join(out)

@@ -50,11 +50,8 @@ _TOKEN = (
 
 class Token(Node):
     __slots__ = ()
+    # kind: IDENT | QUOTED | symbol text | EOF
     __match_args__ = ("kind", "text", "line", "column")
-
-    def __new__(cls, kind: str, text: str, line: int, column: int):
-        # kind: IDENT | QUOTED | symbol text | EOF
-        return tuple.__new__(cls, ("Token", kind, text, line, column))
 
 
 class Tokens:

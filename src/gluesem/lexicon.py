@@ -44,9 +44,6 @@ class LexicalEntry(Node):
     __slots__ = ()
     __match_args__ = ("headword", "template")
 
-    def __new__(cls, headword: str, template: GlueFormula):
-        return tuple.__new__(cls, ("LexicalEntry", headword, template))
-
     def __str__(self) -> str:
         return f"{self.headword}: {self.template}"
 
@@ -272,12 +269,9 @@ def instantiate(entry: LexicalEntry, node: FStructure) -> GlueFormula:
 
 class Premise(Node):
     __slots__ = ()
+    # index: 1-based, in document order; word: the contributing entry's
+    # headword; label: the f-structure node the word heads
     __match_args__ = ("index", "formula", "word", "label")
-
-    def __new__(cls, index: int, formula: GlueFormula, word: str, label: str):
-        # index: 1-based, in document order; word: the contributing entry's
-        # headword; label: the f-structure node the word heads
-        return tuple.__new__(cls, ("Premise", index, formula, word, label))
 
     def tag(self) -> str:
         return f"{self.word}[{self.index}]"

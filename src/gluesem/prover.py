@@ -73,7 +73,7 @@ from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, Tensor, flatt
 from .fstruct import SemStructure
 from .lexicon import Premise
 from .node import Node
-from .semtypes import SemType, T
+from .semtypes import T
 from .terms import (
     App,
     Const,
@@ -97,29 +97,23 @@ from .terms import (
 )
 
 
-class Goal(Node):
+class Goal(Node, ty=T):
     """Prove `sem ~>_ty M` for some term M, consuming every premise."""
 
     __slots__ = ()
     __match_args__ = ("sem", "ty")
 
-    def __new__(cls, sem: SemStructure, ty: SemType = T):
-        return tuple.__new__(cls, ("Goal", sem, ty))
 
-
-class TraceStep(Node):
+class TraceStep(Node, atom=None, bindings=()):
     """One inference of a derivation, as the search records it: the glue
     atom assumed, derived or applied (None for a discharge) and the values
     (meaning terms or structures) bound to the focused premise's variables.
     Nothing is formatted until `line()` is called."""
 
     __slots__ = ()
+    # kind: assume | apply | derive | discharge; word: the premise's
+    # headword or the hypothesis constant's name
     __match_args__ = ("kind", "resource", "word", "atom", "bindings")
-
-    def __new__(cls, kind: str, resource: int | str | None, word: str, atom=None, bindings=()):
-        # kind: assume | apply | derive | discharge; word: the premise's
-        # headword or the hypothesis constant's name
-        return tuple.__new__(cls, ("TraceStep", kind, resource, word, atom, bindings))
 
     def line(self) -> str:
         _, kind, resource, word, atom, bindings = self
@@ -157,9 +151,6 @@ class Reading(Node):
 
     __slots__ = ()
     __match_args__ = ("meaning", "ty", "traces")
-
-    def __new__(cls, meaning: MeaningTerm, ty: SemType, traces: tuple[Trace, ...]):
-        return tuple.__new__(cls, ("Reading", meaning, ty, traces))
 
     @property
     def trace(self) -> Trace:
@@ -524,9 +515,6 @@ class SearchResult(Node):
 
     __slots__ = ()
     __match_args__ = ("readings", "leftover", "frontier")
-
-    def __new__(cls, readings, leftover, frontier):
-        return tuple.__new__(cls, ("SearchResult", readings, leftover, frontier))
 
 
 def search(premise_set, goal: Goal, all_traces: bool = False) -> SearchResult:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from .lexer import TokenStream, tokenize
 from .node import Node
 
-_new = tuple.__new__
-
 
 class SemType(Node):
     __slots__ = ()
@@ -16,9 +14,6 @@ class BaseType(SemType):
     __slots__ = ()
     __match_args__ = ("name",)
 
-    def __new__(cls, name: str):
-        return _new(cls, ("BaseType", name))
-
     def __str__(self) -> str:
         return self.name
 
@@ -26,9 +21,6 @@ class BaseType(SemType):
 class ArrowType(SemType):
     __slots__ = ()
     __match_args__ = ("arg", "result")
-
-    def __new__(cls, arg: SemType, result: SemType):
-        return _new(cls, ("ArrowType", arg, result))
 
     def __str__(self) -> str:
         left = f"({self.arg})" if isinstance(self.arg, ArrowType) else str(self.arg)

@@ -22,8 +22,6 @@ from .errors import TermTypeError, UnboundVariableError
 from .node import Node
 from .semtypes import ArrowType, SemType
 
-_new = tuple.__new__
-
 
 class MeaningTerm(Node):
     __slots__ = ()
@@ -36,9 +34,6 @@ class Const(MeaningTerm):
     __slots__ = ()
     __match_args__ = ("name", "ty")
 
-    def __new__(cls, name: str, ty: SemType):
-        return _new(cls, ("Const", name, ty))
-
 
 class HypConst(MeaningTerm):
     """Fresh constant standing for a hypothetical referent in a derivation.
@@ -50,9 +45,6 @@ class HypConst(MeaningTerm):
     __slots__ = ()
     __match_args__ = ("name", "ty", "stamp")
 
-    def __new__(cls, name: str, ty: SemType, stamp: int):
-        return _new(cls, ("HypConst", name, ty, stamp))
-
 
 class Var(MeaningTerm):
     """Named variable: a template variable, which the prover also uses as the
@@ -61,35 +53,23 @@ class Var(MeaningTerm):
     __slots__ = ()
     __match_args__ = ("name", "ty")
 
-    def __new__(cls, name: str, ty: SemType):
-        return _new(cls, ("Var", name, ty))
-
 
 class BoundVar(MeaningTerm):
     __slots__ = ()
     __match_args__ = ("index",)
-
-    def __new__(cls, index: int):
-        return _new(cls, ("BoundVar", index))
 
 
 class App(MeaningTerm):
     __slots__ = ()
     __match_args__ = ("fun", "arg")
 
-    def __new__(cls, fun: MeaningTerm, arg: MeaningTerm):
-        return _new(cls, ("App", fun, arg))
 
-
-class Lam(MeaningTerm):
+class Lam(MeaningTerm, hint="x"):
     """Abstraction; `hint` names the binder for printing only, so equality
     and hashing compare the tag, type and body alone."""
 
     __slots__ = ()
     __match_args__ = ("var_type", "body", "hint")
-
-    def __new__(cls, var_type: SemType, body: MeaningTerm, hint: str = "x"):
-        return _new(cls, ("Lam", var_type, body, hint))
 
     def __eq__(self, other):
         if type(other) is not Lam:

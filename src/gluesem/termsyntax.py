@@ -23,9 +23,6 @@ class _TypeMeta(SemType):
     __slots__ = ()
     __match_args__ = ("ident",)
 
-    def __new__(cls, ident: int):
-        return tuple.__new__(cls, ("_TypeMeta", ident))
-
     def __str__(self) -> str:
         return f"?{self.ident}"
 

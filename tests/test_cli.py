@@ -16,6 +16,7 @@ from gluesem.cli import RunConfig, main, run
 from gluesem.lexer import MAX_NESTING
 
 from conftest import FIXTURES
+from test_fstruct import reference_chain
 
 
 def run_cli(*argv):
@@ -255,6 +256,14 @@ def test_nesting_past_the_limit_is_an_input_error(tmp_path):
     assert err.startswith("error: ")
     column = nested_adjuncts(3000).index(f"a{MAX_NESTING + 1}:") + 1
     assert f":1:{column}: f-structures nest deeper than {MAX_NESTING} levels" in err
+
+
+def test_a_3000_link_reference_chain_derives(tmp_path):
+    path = tmp_path / "chain.fs"
+    path.write_text(reference_chain(3000), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(RunConfig(str(path), str(FIXTURES / "core.lex")), out, err)
+    assert (code, out.getvalue(), err.getvalue()) == (0, "arrive(Bill)\n", "")
 
 
 def deep_lexicon_line(kind: str, depth: int) -> str:

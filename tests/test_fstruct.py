@@ -193,6 +193,43 @@ def test_nodes_document_order():
     assert [n.label for n in root.nodes()] == ["f", "g", "h"]
 
 
+# Forward references (SUBJ s, the set member k), a node shared by two set
+# members (h) and a node reached again (TOPIC m): each node comes, and is
+# printed whole, where a depth-first walk in attribute order first meets it.
+SHARED = (
+    "f:[PRED 'see'; SUBJ s; MODS { k; m:[PRED 'a'; ARG h:[PRED 'y']]; n:[PRED 'b'; ARG h] }; "
+    "OBJ s:[PRED 'z'; POSS p:[PRED 'q'; SPEC every]]; TOPIC m; ADJ { k:[PRED 'c'] }; XS { }]"
+)
+
+
+def test_nodes_document_order_with_sets_shared_nodes_and_forward_references():
+    root = parse_fstructure(SHARED)
+    assert [n.label for n in root.nodes()] == ["f", "s", "p", "k", "m", "h", "n"]
+    assert format_fstructure(root) == (
+        "f:[PRED 'see'; SUBJ s:[PRED 'z'; POSS p:[PRED 'q'; SPEC every]]; "
+        "MODS { k:[PRED 'c']; m:[PRED 'a'; ARG h:[PRED 'y']]; n:[PRED 'b'; ARG h] }; "
+        "OBJ s; TOPIC m; ADJ { k }; XS { }]"
+    )
+
+
+def reference_chain(length: int) -> str:
+    """Nesting depth 2, but each `g<i>` holds the next: a chain of `length`
+    re-entrant references, forward from the root's SUBJ to its last node."""
+    links = "; ".join(f"A{i} g{i}:[N g{i + 1}]" for i in range(length))
+    return f"f:[PRED 'arrive'; SUBJ g{length}; {links}; Z g{length}:[PRED 'Bill']]"
+
+
+def test_a_long_reference_chain_is_walked_and_printed_without_recursion():
+    root = parse_fstructure(reference_chain(3000))
+    labels = [n.label for n in root.nodes()]
+    assert labels == ["f", "g3000"] + [f"g{i}" for i in range(3000)]
+    nested = "".join(f"g{i}:[N " for i in range(3000)) + "g3000" + "]" * 3000
+    again = "".join(f"; A{i} g{i}" for i in range(1, 3000))
+    assert format_fstructure(root) == (
+        f"f:[PRED 'arrive'; SUBJ g3000:[PRED 'Bill']; A0 {nested}{again}; Z g3000]"
+    )
+
+
 def test_trailing_semicolon_is_allowed_before_a_closing_bracket_or_brace():
     root = parse_fstructure("f:[PRED 'arrive'; MODS { m:[PRED 'obviously']; }; ]")
     assert format_fstructure(root) == "f:[PRED 'arrive'; MODS { m:[PRED 'obviously'] }]"

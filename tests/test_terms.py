@@ -4,6 +4,7 @@ with the naive named-variable oracle on random well-typed terms."""
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 import random
 import subprocess
@@ -24,7 +25,7 @@ from gluesem.prover import Goal, Reading, SearchResult, TraceStep
 from gluesem.semtypes import ArrowType, BaseType, E, T, arrow, parse_type
 from gluesem import terms
 from gluesem.terms import App, BoundVar, Const, HypConst, Lam, Var, apply
-from gluesem.termsyntax import parse_term
+from gluesem.termsyntax import _TypeMeta, parse_term
 
 from oracles import (
     NConst,
@@ -468,6 +469,7 @@ NODES += [
     _STEP,
     _READING,
     SearchResult((_READING,), frozenset({2}), (("f", "e", 1),)),
+    _TypeMeta(0),
 ]
 
 
@@ -562,6 +564,105 @@ def test_a_node_class_must_declare_slots():
 
         class Loose(Node):
             __match_args__ = ("name",)
+
+
+def test_a_node_class_may_not_write_its_own_constructor():
+    with pytest.raises(TypeError, match="must not define __new__"):
+
+        class Built(Node):
+            __slots__ = ()
+            __match_args__ = ("name",)
+
+            def __new__(cls, name):
+                return tuple.__new__(cls, ("Built", name))
+
+
+def test_class_keyword_defaults_must_be_for_the_last_fields():
+    with pytest.raises(TypeError, match="defaults must be for its last fields"):
+
+        class Early(Node, name="a"):
+            __slots__ = ()
+            __match_args__ = ("name", "ty")
+
+
+def _concrete_node_classes(cls=Node):
+    """The package's record classes; classes that tests define are left out."""
+    for sub in cls.__subclasses__():
+        if "__match_args__" in sub.__dict__ and sub.__module__.startswith("gluesem."):
+            yield sub
+        yield from _concrete_node_classes(sub)
+
+
+# Each record constructor as `inspect.signature` shows it, annotations left
+# out: parameter names, kinds, order and defaults.
+SIGNATURES = {
+    RunConfig: "(fstructure_path, lexicon_path, goal=None, trace=False, all_traces=False, "
+    "json_output=False)",
+    Demand: "(sem, ty, needed_by=())",
+    Diagnosis: "(status, unsatisfied_demands=(), leftover_resources=(), readings=(), note='')",
+    Leftover: "(index, word)",
+    Atom: "(sem, ty, meaning)",
+    Forall: "(var, body)",
+    Limp: "(antecedent, consequent)",
+    MeaningVar: "(name, ty)",
+    PathRef: "(anchor, path=())",
+    SemVar: "(name)",
+    Tensor: "(left, right)",
+    SemStructure: "(label)",
+    Token: "(kind, text, line, column)",
+    LexicalEntry: "(headword, template)",
+    Premise: "(index, formula, word, label)",
+    Goal: "(sem, ty=BaseType(name='t'))",
+    Reading: "(meaning, ty, traces)",
+    SearchResult: "(readings, leftover, frontier)",
+    TraceStep: "(kind, resource, word, atom=None, bindings=())",
+    ArrowType: "(arg, result)",
+    BaseType: "(name)",
+    App: "(fun, arg)",
+    BoundVar: "(index)",
+    Const: "(name, ty)",
+    HypConst: "(name, ty, stamp)",
+    Lam: "(var_type, body, hint='x')",
+    Var: "(name, ty)",
+    _TypeMeta: "(ident)",
+}
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
+def test_record_constructor_signatures_are_pinned(cls):
+    signature = inspect.signature(cls)
+    bare = signature.replace(
+        parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()],
+        return_annotation=signature.empty,
+    )
+    assert str(bare) == SIGNATURES[cls]
+
+
+def test_every_record_class_is_under_the_node_tests():
+    classes = set(_concrete_node_classes())
+    assert classes == {type(node) for node in NODES} == SIGNATURES.keys()
+    for node in NODES:
+        assert node[0] == type(node).__name__
+
+
+def test_record_constructors_reject_wrong_arity_and_unknown_keywords():
+    f = Const("f", arrow(E, T))
+    with pytest.raises(TypeError):
+        App(f)
+    with pytest.raises(TypeError):
+        Goal()
+    with pytest.raises(TypeError):
+        Atom(SemStructure("f"), T, f, extra=1)
+    with pytest.raises(TypeError):
+        App(f, f, f)
+
+
+def test_record_constructors_take_keywords_and_defaults():
+    assert Lam(body=BoundVar(0), var_type=E) == Lam(E, BoundVar(0), "y")
+    assert Lam(E, BoundVar(0)).hint == "x"
+    assert Goal(SemStructure("f")).ty == T
+    assert TraceStep("discharge", None, "").bindings == ()
+    assert Diagnosis("ok", readings=(1,)) == ("Diagnosis", "ok", (), (), (1,), "")
 
 
 def test_importing_the_package_does_not_import_dataclasses():
