@@ -17,7 +17,7 @@ from .errors import UninstantiableEntryError
 from .fstruct import FStructure, SemStructure, sigma
 from .lexicon import Lexicon, Premise, premises
 from .node import Node
-from .prover import Goal, Reading, SearchResult, search
+from .prover import Goal, SearchResult, search
 
 OK = "ok"
 INCOMPLETE = "incomplete"

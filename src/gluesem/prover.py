@@ -52,10 +52,22 @@ derivations that differ only by swapping twins are explored once and the
 search pays per reading rather than per derivation. `all_traces` explores
 every order once the canonical order has found a reading.
 
-A derivation's trace is a by-product of the search: each inference is
-recorded as a `TraceStep` holding its formula and binding values, and is
-formatted only when its `line()` is called. The search formats nothing: it
-tells derivations apart by their recorded steps.
+A derivation that leaves a premise unused is worth something only as
+evidence when the sentence has no reading. So once the search has found a
+reading (and from the start in the all-orders search and in `entails`), a
+proof of the last goal a derivation has left, where nothing after it can
+consume a resource, is cut when it leaves resources unused (the strictness
+of the input/output resource model of Cervesato, Hodas & Pfenning 2000).
+Nothing is cut inside the antecedents of a focus whose head derives a
+resource, since that draws an id after them, so every hypothesis and
+derived-resource id is drawn as if nothing were cut. A failed search never
+finds a reading, so it cuts nothing and its evidence is complete.
+
+A derivation's trace is recorded lazily: subproofs hand up a rope of steps
+(see `_trace`), which joins two subproofs in O(1), and a focus hands up its
+`apply` step as data. Only a derivation `_run_search` keeps is unrolled into
+`TraceStep`s, each formatted only when its `line()` is called. The search
+formats nothing: it tells derivations apart by their steps.
 """
 
 from __future__ import annotations
@@ -105,10 +117,10 @@ class Goal(Node, ty=T):
 
 
 class TraceStep(Node, atom=None, bindings=()):
-    """One inference of a derivation, as the search records it: the glue
-    atom assumed, derived or applied (None for a discharge) and the values
-    (meaning terms or structures) bound to the focused premise's variables.
-    Nothing is formatted until `line()` is called."""
+    """One inference of a derivation: the glue atom assumed, derived or
+    applied (None for a discharge) and the values (meaning terms or
+    structures) bound to the focused premise's variables. Nothing is
+    formatted until `line()` is called."""
 
     __slots__ = ()
     # kind: assume | apply | derive | discharge; word: the premise's
@@ -146,8 +158,9 @@ class Reading(Node):
     canonical (first-found) derivation; with `all_traces` it holds every
     derivation that produced the meaning with distinct recorded steps,
     canonical first, including those that differ only by swapping twin
-    premises. Each trace is the steps as the search recorded them; reading
-    it formats nothing until a step's `line()` is called."""
+    premises. Each trace is a tuple of the derivation's steps, built from
+    what the search recorded; reading it formats nothing until a step's
+    `line()` is called."""
 
     __slots__ = ()
     __match_args__ = ("meaning", "ty", "traces")
@@ -273,6 +286,10 @@ class _Search:
             (s for s in sems if isinstance(s, SemStructure)), key=lambda s: s.label
         )
         self.all_orders = all_orders
+        # Once a reading is known, a derivation that leaves resources unused
+        # is worth nothing: `_run_search` sets this at its first reading, and
+        # the all-orders search runs only after the canonical one found one.
+        self.strict = all_orders
         self.frontier: dict[tuple[str, str], int] = {}
         self.hyp_counter = itertools.count(1)
         self.stamps = itertools.count(1)
@@ -293,72 +310,69 @@ class _Search:
 
     # -- goals ----------------------------------------------------------------
 
-    def prove(self, goals, avail: frozenset, subst):
+    def prove(self, goals, avail: frozenset, subst, tail):
         """Yield (substitution, remaining resources, steps) for each proof of
         `goals`, proved left to right, each from what the ones before it left;
-        the steps are this subproof's own, in derivation order."""
+        the steps are this subproof's own, as a rope (see `_trace`). `tail`
+        says that nothing after these goals consumes a resource: there, once
+        `strict` is set, a proof that leaves resources unused is cut."""
         if not goals:
-            yield subst, avail, ()
+            if not (tail and avail and self.strict):
+                yield subst, avail, None
             return
         goal, rest = goals[0], goals[1:]
         match goal:
             case Atom():
                 matched = False
                 pattern = normalize(goal.meaning)
-                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail):
+                for meaning, a2, e2, focus in self.prove_atom(
+                    goal.sem, goal.ty, avail, tail and not rest
+                ):
                     s2 = _unify(pattern, meaning, subst, False)
                     if s2 is None:
                         continue
                     matched = True
-                    solved = sorted(
-                        ((v.name, t) for v, t in s2.items() if v not in subst),
-                        key=lambda b: b[0],
-                    )
-                    last = e2[-1]
-                    applied = TraceStep(
-                        "apply", last.resource, last.word, last.atom, last.bindings + tuple(solved)
-                    )
-                    yield from self._then(rest, a2, s2, e2[:-1] + (applied,))
+                    yield from self._then(rest, a2, s2, (e2, focus, subst, s2), tail)
                 if not matched:
                     self.record_failure(goal.sem, goal.ty, avail)
             case Tensor():
                 for parts in self._orders(flatten_tensor(goal)):
-                    yield from self.prove(parts + rest, avail, subst)
+                    yield from self.prove(parts + rest, avail, subst, tail)
             case Limp():
                 new_ids = []
-                assumed = ()
+                assumed = None
                 for part in flatten_tensor(goal.antecedent):
                     part = part.substitute_meanings(subst)
                     rid = f"h{next(self.hyp_counter)}"
                     word = self._hyp_word(part)
                     self.registry[rid] = (part, word)
                     new_ids.append(rid)
-                    assumed += (TraceStep("assume", rid, word, part),)
+                    assumed = (assumed, TraceStep("assume", rid, word, part))
                 avail |= frozenset(new_ids)
-                for s2, a2, e2 in self.prove([goal.consequent], avail, subst):
+                for s2, a2, e2 in self.prove([goal.consequent], avail, subst, tail and not rest):
                     if any(rid in a2 for rid in new_ids):
                         continue  # the hypothesis must be consumed exactly once
-                    yield from self._then(rest, a2, s2, assumed + e2)
+                    yield from self._then(rest, a2, s2, (assumed, e2), tail)
             case Forall(var, body) if isinstance(var, MeaningVar):
                 hyp = self._fresh_hyp(var.name, var.ty)
                 body = body.substitute_meanings({Var(var.name, var.ty): hyp})
-                for s2, a2, e2 in self.prove([body], avail, subst):
+                discharge = TraceStep("discharge", None, hyp.name)
+                for s2, a2, e2 in self.prove([body], avail, subst, tail and not rest):
                     # The owning focus's bindings are visible outside the
                     # hypothesis's scope, so none of them may mention it.
                     if any(occurs(hyp, term) for term in s2.values()):
                         continue
-                    e2 += (TraceStep("discharge", None, hyp.name),)
-                    yield from self._then(rest, a2, s2, e2)
+                    yield from self._then(rest, a2, s2, (e2, discharge), tail)
             case _:
                 raise GlueError(f"unsupported goal form: {goal}")
 
-    def _then(self, goals, avail, subst, steps):
+    def _then(self, goals, avail, subst, steps, tail):
         """Go on with `goals` after a proof that took `steps`."""
         if not goals:
             yield subst, avail, steps
             return
-        for s2, a2, e2 in self.prove(goals, avail, subst):
-            yield s2, a2, steps + e2
+        for s2, a2, e2 in self.prove(goals, avail, subst, tail):
+            yield s2, a2, (steps, e2)
 
     def _orders(self, goals):
         """The orders to prove `goals` in: all of them under `all_orders`."""
@@ -386,12 +400,14 @@ class _Search:
 
     # -- atomic goals: focus a resource --------------------------------------
 
-    def prove_atom(self, sem, ty, avail):
+    def prove_atom(self, sem, ty, avail, tail):
         """Focus each available resource whose head can be `sem ~>_ty`, proving
         its antecedents in a substitution that starts empty: yield (closed
-        meaning, remaining resources, steps), the last step being the
-        focus's `apply`. The head's other tensor components become derived
-        resources."""
+        meaning, remaining resources, steps, focus), the steps being the
+        antecedents' and the focus the data of the focus's `apply` step
+        (resource, word, head, meaning, display bindings, substitution). The
+        head's other tensor components become derived resources. `tail` is
+        as for `prove`."""
         for rid in sorted(avail, key=_rid_order):
             if self.prior_twin.get(rid) in avail:
                 continue
@@ -399,7 +415,10 @@ class _Search:
             entries = self._focus_table(rid).get((sem, ty), ())
             for antecedents, head, head_vars, others, displays in entries:
                 for goals in self._orders(antecedents):
-                    for s1, a1, e1 in self.prove(goals, avail - {rid}, {}):
+                    # A derived resource draws an id after the antecedents
+                    # are proved, so no branch before it is cut: the ids of
+                    # every kept derivation stay as they were numbered.
+                    for s1, a1, e1 in self.prove(goals, avail - {rid}, {}, tail and not others):
                         meaning = substitute_normal(head.meaning, s1)
                         # Bindings are closed: so is a head with every variable bound.
                         if not s1.keys() >= head_vars and has_leaf(meaning, Var):
@@ -414,13 +433,8 @@ class _Search:
                             self.registry[rid2] = (extra, word)
                             self.origin[rid2] = self.origin.get(rid, rid)
                             a1 = a1 | {rid2}
-                            e1 = e1 + (TraceStep("derive", rid2, word, extra),)
-                        shown = tuple(
-                            (name, substitute(v, s1) if isinstance(v, Var) else v)
-                            for name, v in displays
-                        )
-                        applied = Atom(head.sem, head.ty, meaning)
-                        yield meaning, a1, e1 + (TraceStep("apply", rid, word, applied, shown),)
+                            e1 = (e1, TraceStep("derive", rid2, word, extra))
+                        yield meaning, a1, e1, (rid, word, head, meaning, displays, s1)
 
     def _focus_table(self, rid):
         """The focus entries of resource `rid`, built on its first use and
@@ -504,11 +518,14 @@ def _as_premises(items) -> list[Premise]:
 
 class SearchResult(Node):
     """What one proof search found. `readings` use every premise exactly
-    once. `leftover` is None when no derivation reached the goal; otherwise
-    it pools the unused premise ids of the goal-reaching derivations that
-    left the fewest over (an unused tensor component derived from a premise
-    counts as that premise), widened by every twin class it meets, since the
-    search skipped the derivations that swap twins. `frontier` lists, as
+    once. `leftover` and `frontier` are the evidence for a failure: a search
+    with readings reports None and (), since after its first reading it cut
+    the derivations that leave premises unused. Otherwise `leftover` is None
+    when no derivation reached the goal, and else it pools the unused
+    premise ids of the goal-reaching derivations that left the fewest over
+    (an unused tensor component derived from a premise counts as that
+    premise), widened by every twin class it meets, since the search skipped
+    the derivations that swap twins. `frontier` lists, as
     (structure label, type, premises consumed), each atomic goal for which no
     resource supplied a meaning its pattern matches (the sentence goal: no
     meaning at all), with the most premises consumed when it failed."""
@@ -549,7 +566,9 @@ def _run_search(premise_list, goal, all_traces) -> SearchResult:
     fewest: int | None = None  # the fewest premises a goal-reaching derivation left
     pooled: set[int] = set()
     supplied = False
-    for meaning, avail, steps in engine.prove_atom(goal.sem, goal.ty, engine.premise_ids):
+    for meaning, avail, steps, focus in engine.prove_atom(
+        goal.sem, goal.ty, engine.premise_ids, True
+    ):
         supplied = True
         if has_leaf(meaning, HypConst):
             continue
@@ -560,25 +579,29 @@ def _run_search(premise_list, goal, all_traces) -> SearchResult:
             elif len(unused) == fewest:
                 pooled |= unused
             continue
+        engine.strict = True
         key = canonical_form(meaning)
         entry = found.get(key)
         if entry is None:
             entry = found[key] = (_tidy_hints(meaning), {})
         elif not all_traces:
             continue  # default mode keeps the canonical (first) trace only
-        # Distinct derivations are those whose recorded steps differ.
-        entry[1].setdefault(steps if all_traces else (), steps)
-    if not supplied:
-        engine.record_failure(goal.sem, goal.ty, engine.premise_ids)
-    readings = tuple(
-        sorted(
+        # Distinct derivations are those whose steps differ.
+        trace = _trace((steps, focus, None, None))
+        entry[1].setdefault(trace if all_traces else (), trace)
+    if found:
+        # Only a failed search's evidence is read, and after the first
+        # reading the search no longer hands partial derivations up.
+        readings = sorted(
             (
                 Reading(meaning, goal.ty, tuple(traces.values()))
                 for meaning, traces in found.values()
             ),
             key=lambda r: format_term(r.meaning),
         )
-    )
+        return SearchResult(tuple(readings), None, ())
+    if not supplied:
+        engine.record_failure(goal.sem, goal.ty, engine.premise_ids)
     frontier = tuple(sorted((sem, ty, n) for (sem, ty), n in engine.frontier.items()))
     leftover = None
     if fewest is not None:
@@ -586,7 +609,39 @@ def _run_search(premise_list, goal, all_traces) -> SearchResult:
             if pooled & members:
                 pooled |= members
         leftover = frozenset(pooled)
-    return SearchResult(readings, leftover, frontier)
+    return SearchResult((), leftover, frontier)
+
+
+def _trace(rope) -> Trace:
+    """The steps of a rope, in derivation order. A rope is None (no steps), a
+    `TraceStep`, a (left, right) pair of ropes, or (rope, focus, before,
+    after): a focused resource's antecedent steps, then its `apply` step,
+    built from the data `prove_atom` handed up and, when a goal consumed the
+    meaning, that goal's substitutions before and after unifying. The search
+    joins ropes in O(1); only a derivation `_run_search` keeps is unrolled."""
+    steps = []
+    stack = [rope]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        if type(node) is TraceStep:
+            steps.append(node)
+        elif len(node) == 2:
+            stack += (node[1], node[0])
+        else:
+            inner, (rid, word, head, meaning, displays, s1), before, after = node
+            bindings = tuple(
+                (name, substitute(v, s1) if isinstance(v, Var) else v) for name, v in displays
+            )
+            if after:  # the consumer's solved metavariables
+                bindings += tuple(sorted(
+                    ((v.name, t) for v, t in after.items() if v not in before),
+                    key=lambda b: b[0],
+                ))
+            applied = TraceStep("apply", rid, word, Atom(head.sem, head.ty, meaning), bindings)
+            stack += (applied, inner)
+    return tuple(steps)
 
 
 def derive(premise_set, goal: Goal, all_traces: bool = False) -> tuple[Reading, ...]:
@@ -622,9 +677,10 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
         _check_type(atom)
         goal_sems.append(atom.sem)
     engine = _Search(_as_premises(flatten_tensor(antecedent)), goal_sems)
+    engine.strict = True  # only a proof that uses every premise counts
     return any(
         not avail
-        for _subst, avail, _steps in engine.prove([consequent], engine.premise_ids, {})
+        for _subst, avail, _steps in engine.prove([consequent], engine.premise_ids, {}, True)
     )
 
 

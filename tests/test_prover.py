@@ -905,7 +905,7 @@ def test_prove_atom_yields_closed_meanings_equal_to_readings(lexicon, scope_fs):
     goal = sigma(scope_fs)
     engine = prover._Search(premise_list, [goal])
     complete = []
-    for meaning, avail, _events in engine.prove_atom(goal, T, engine.premise_ids):
+    for meaning, avail, _steps, _focus in engine.prove_atom(goal, T, engine.premise_ids, True):
         assert not free_vars(meaning) and not hyp_consts(meaning)
         if not avail:
             complete.append(canonical_form(meaning))
