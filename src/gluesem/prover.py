@@ -43,9 +43,11 @@ at most one resource per premise plus one per connective in the premises,
 and no chain of nested focuses is longer. The one bound left is the
 interpreter's stack, which `search` reports as `SearchBoundError`.
 
-Each resource's focus table (its antecedents and head for every choice of
-structure variables, keyed by head structure and type) is built once per
-search, so an atomic goal only looks at entries whose head can match it.
+Resources are the bits of an int availability mask: premises first, by index,
+then each hypothesis and derived resource as it is drawn; a focus tries them
+in that order. Each resource's focus table (its antecedents and head for every
+choice of structure variables, keyed by head structure and type) is built once
+per search, so an atomic goal only looks at entries whose head can match it.
 Premises with equal formulas and words (twins, such as k identical modifiers)
 are interchangeable: by default they are consumed in index order, so the k!
 derivations that differ only by swapping twins are explored once and the
@@ -264,7 +266,11 @@ class _Search:
     focus solves its own in a substitution of its own. `prove` is the goal
     routine and `prove_atom` the focus routine; nothing else proves a goal.
     Each atomic goal whose pattern no supplied meaning matched is kept in
-    `frontier` with the most premises consumed when it failed.
+    `frontier` with the most premises consumed when it failed. A resource's
+    id is its bit in the availability masks (premises first, by index:
+    `premise_mask`; then each resource as it is drawn) and indexes
+    `registry`: (formula, word, label in traces (1, "h3", "d4"), bit of the
+    premise it comes from or 0, bits of its earlier twins).
 
     Premises with equal formulas and words are *twins*. Unless `all_orders`
     is set, a premise is focused only once every earlier twin is consumed, so
@@ -272,16 +278,21 @@ class _Search:
     swapping twins are explored once."""
 
     def __init__(self, premise_list, goal_sems, all_orders=False):
-        # resource id (premise index or hypothesis id) -> (formula, word)
-        self.registry: dict[int | str, tuple[GlueFormula, str]] = {
-            p.index: (p.formula, p.word) for p in premise_list
-        }
-        self.premise_ids = frozenset(p.index for p in premise_list)
+        premise_list = sorted(premise_list, key=lambda p: p.index)
+        for p, q in zip(premise_list, premise_list[1:]):
+            if p.index == q.index:
+                raise GlueError(f"premises {p.tag()} and {q.tag()} share the index {p.index}")
+        self.registry: list[tuple[GlueFormula, str, int | str, int, int]] = []
+        classes: dict[tuple, int] = {}  # (formula, word) -> bits of its premises
         sems = set(goal_sems)
-        for p in premise_list:
+        for i, p in enumerate(premise_list):
+            twins = classes.get((p.formula, p.word), 0)
+            classes[p.formula, p.word] = twins | 1 << i
+            self.registry.append((p.formula, p.word, p.index, 1 << i, 0 if all_orders else twins))
             for atom, _ in p.formula.atoms():
                 sems.add(atom.sem)
                 _check_type(atom, p)
+        self.premise_mask = (1 << len(premise_list)) - 1
         self.universe = sorted(
             (s for s in sems if isinstance(s, SemStructure)), key=lambda s: s.label
         )
@@ -294,23 +305,11 @@ class _Search:
         self.hyp_counter = itertools.count(1)
         self.stamps = itertools.count(1)
         self.name_counts: dict[str, int] = {}
-        self.focus_tables: dict[int | str, dict] = {}
-        # derived resource id -> the premise or hypothesis it comes from
-        self.origin: dict[str, int | str] = {}
-        classes: dict[tuple, list[int]] = {}
-        if not all_orders:
-            for p in premise_list:
-                classes.setdefault((p.formula, p.word), []).append(p.index)
-        twins = [sorted(c) for c in classes.values() if len(c) > 1]
-        self.twin_classes = [frozenset(c) for c in twins]
-        # Twins are consumed in index order, so the available members of a
-        # class are always its highest indices: a premise waits exactly when
-        # its predecessor in the class is still available.
-        self.prior_twin = {later: earlier for c in twins for earlier, later in zip(c, c[1:])}
+        self.focus_tables: dict[int, dict] = {}
 
     # -- goals ----------------------------------------------------------------
 
-    def prove(self, goals, avail: frozenset, subst, tail):
+    def prove(self, goals, avail: int, subst, tail):
         """Yield (substitution, remaining resources, steps) for each proof of
         `goals`, proved left to right, each from what the ones before it left;
         the steps are this subproof's own, as a rope (see `_trace`). `tail`
@@ -339,18 +338,17 @@ class _Search:
                 for parts in self._orders(flatten_tensor(goal)):
                     yield from self.prove(parts + rest, avail, subst, tail)
             case Limp():
-                new_ids = []
+                new = 0
                 assumed = None
                 for part in flatten_tensor(goal.antecedent):
                     part = part.substitute_meanings(subst)
-                    rid = f"h{next(self.hyp_counter)}"
-                    word = self._hyp_word(part)
-                    self.registry[rid] = (part, word)
-                    new_ids.append(rid)
-                    assumed = (assumed, TraceStep("assume", rid, word, part))
-                avail |= frozenset(new_ids)
+                    label, word = f"h{next(self.hyp_counter)}", self._hyp_word(part)
+                    new |= 1 << len(self.registry)
+                    self.registry.append((part, word, label, 0, 0))
+                    assumed = (assumed, TraceStep("assume", label, word, part))
+                avail |= new
                 for s2, a2, e2 in self.prove([goal.consequent], avail, subst, tail and not rest):
-                    if any(rid in a2 for rid in new_ids):
+                    if a2 & new:
                         continue  # the hypothesis must be consumed exactly once
                     yield from self._then(rest, a2, s2, (assumed, e2), tail)
             case Forall(var, body) if isinstance(var, MeaningVar):
@@ -382,7 +380,7 @@ class _Search:
 
     def record_failure(self, sem, ty, avail):
         key = (sem.label, str(ty))
-        consumed = len(self.premise_ids - avail)
+        consumed = (self.premise_mask & ~avail).bit_count()
         self.frontier[key] = max(consumed, self.frontier.get(key, -1))
 
     def _hyp_word(self, formula) -> str:
@@ -405,20 +403,20 @@ class _Search:
         its antecedents in a substitution that starts empty: yield (closed
         meaning, remaining resources, steps, focus), the steps being the
         antecedents' and the focus the data of the focus's `apply` step
-        (resource, word, head, meaning, display bindings, substitution). The
-        head's other tensor components become derived resources. `tail` is
-        as for `prove`."""
-        for rid in sorted(avail, key=_rid_order):
-            if self.prior_twin.get(rid) in avail:
-                continue
-            word = self.registry[rid][1]
+        (resource label, word, head, meaning, display bindings, substitution).
+        The head's other tensor components become derived resources. `tail`
+        is as for `prove`."""
+        for rid in _ids(avail):
+            _, word, label, origin, earlier = self.registry[rid]
+            if avail & earlier:
+                continue  # twins go in index order: an earlier one is available
             entries = self._focus_table(rid).get((sem, ty), ())
             for antecedents, head, head_vars, others, displays in entries:
                 for goals in self._orders(antecedents):
                     # A derived resource draws an id after the antecedents
                     # are proved, so no branch before it is cut: the ids of
                     # every kept derivation stay as they were numbered.
-                    for s1, a1, e1 in self.prove(goals, avail - {rid}, {}, tail and not others):
+                    for s1, a1, e1 in self.prove(goals, avail ^ 1 << rid, {}, tail and not others):
                         meaning = substitute_normal(head.meaning, s1)
                         # Bindings are closed: so is a head with every variable bound.
                         if not s1.keys() >= head_vars and has_leaf(meaning, Var):
@@ -429,12 +427,11 @@ class _Search:
                             )
                         for extra in others:
                             extra = extra.substitute_meanings(s1)
-                            rid2 = f"d{next(self.hyp_counter)}"
-                            self.registry[rid2] = (extra, word)
-                            self.origin[rid2] = self.origin.get(rid, rid)
-                            a1 = a1 | {rid2}
-                            e1 = (e1, TraceStep("derive", rid2, word, extra))
-                        yield meaning, a1, e1, (rid, word, head, meaning, displays, s1)
+                            label2 = f"d{next(self.hyp_counter)}"
+                            a1 |= 1 << len(self.registry)
+                            self.registry.append((extra, word, label2, origin, 0))
+                            e1 = (e1, TraceStep("derive", label2, word, extra))
+                        yield meaning, a1, e1, (label, word, head, meaning, displays, s1)
 
     def _focus_table(self, rid):
         """The focus entries of resource `rid`, built on its first use and
@@ -501,8 +498,12 @@ def _check_type(atom: Atom, premise: Premise | None = None) -> None:
     raise GlueError(f"{owner} is ill-typed: {problem}")
 
 
-def _rid_order(rid):
-    return (0, rid, "") if isinstance(rid, int) else (1, 0, rid)
+def _ids(mask):
+    """The resource ids whose bits are set in `mask`, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +540,10 @@ def search(premise_set, goal: Goal, all_traces: bool = False) -> SearchResult:
     `diagnose` read what they need from its result. With `all_traces`, the
     search in every order runs only once the canonical-order search has
     found a reading: a failure is that search's result, so its diagnosis
-    does not depend on `all_traces`. A premise that is not closed, or whose
-    atom holds a meaning not of its type index, raises `GlueError`; a
-    derivation nested too deeply for the interpreter's stack raises
-    `SearchBoundError`."""
+    does not depend on `all_traces`. A premise that is not closed, shares
+    its index or holds a meaning not of its atom's type index raises
+    `GlueError`; a derivation nested too deeply for the interpreter's stack
+    raises `SearchBoundError`."""
     premise_list = _as_premises(premise_set)
     for premise in premise_list:
         if not premise.formula.is_closed():
@@ -550,35 +551,39 @@ def search(premise_set, goal: Goal, all_traces: bool = False) -> SearchResult:
     if not isinstance(goal.sem, SemStructure):
         raise GlueError(f"goal structure {goal.sem!r} is not a semantic structure")
     try:
-        result = _run_search(premise_list, goal, False)
-        if all_traces and result.readings:
+        result = _run_search(premise_list, goal, False, probe=all_traces)
+        if result is None:  # the canonical search found a reading
             result = _run_search(premise_list, goal, True)
     except RecursionError:
         raise SearchBoundError("derivation too deep for the interpreter's stack") from None
     return result
 
 
-def _run_search(premise_list, goal, all_traces) -> SearchResult:
+def _run_search(premise_list, goal, all_traces, probe=False) -> SearchResult | None:
     engine = _Search(premise_list, [goal.sem], all_traces)
 
     # canonical meaning -> (meaning, {trace, or () by default: trace})
     found: dict[MeaningTerm, tuple[MeaningTerm, dict]] = {}
     fewest: int | None = None  # the fewest premises a goal-reaching derivation left
-    pooled: set[int] = set()
+    pooled = 0  # mask of their unused premises
     supplied = False
     for meaning, avail, steps, focus in engine.prove_atom(
-        goal.sem, goal.ty, engine.premise_ids, True
+        goal.sem, goal.ty, engine.premise_mask, True
     ):
         supplied = True
         if has_leaf(meaning, HypConst):
             continue
         if avail:
-            unused = {engine.origin.get(rid, rid) for rid in avail} & engine.premise_ids
-            if fewest is None or len(unused) < fewest:
-                fewest, pooled = len(unused), set(unused)
-            elif len(unused) == fewest:
+            unused = 0  # a derived resource counts as the premise it comes from
+            for rid in _ids(avail):
+                unused |= engine.registry[rid][3]
+            if fewest is None or unused.bit_count() < fewest:
+                fewest, pooled = unused.bit_count(), unused
+            elif unused.bit_count() == fewest:
                 pooled |= unused
             continue
+        if probe:  # its caller reads only that a reading exists
+            return None
         engine.strict = True
         key = canonical_form(meaning)
         entry = found.get(key)
@@ -601,14 +606,14 @@ def _run_search(premise_list, goal, all_traces) -> SearchResult:
         )
         return SearchResult(tuple(readings), None, ())
     if not supplied:
-        engine.record_failure(goal.sem, goal.ty, engine.premise_ids)
+        engine.record_failure(goal.sem, goal.ty, engine.premise_mask)
     frontier = tuple(sorted((sem, ty, n) for (sem, ty), n in engine.frontier.items()))
     leftover = None
     if fewest is not None:
-        for members in engine.twin_classes:
-            if pooled & members:
-                pooled |= members
-        leftover = frozenset(pooled)
+        for _, _, _, own, earlier in engine.registry[: len(premise_list)]:
+            if pooled & (own | earlier):  # a twin-class prefix, whole at its last premise
+                pooled |= own | earlier
+        leftover = frozenset(engine.registry[rid][2] for rid in _ids(pooled))
     return SearchResult((), leftover, frontier)
 
 
@@ -680,7 +685,7 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     engine.strict = True  # only a proof that uses every premise counts
     return any(
         not avail
-        for _subst, avail, _steps in engine.prove([consequent], engine.premise_ids, {}, True)
+        for _subst, avail, _steps in engine.prove([consequent], engine.premise_mask, {}, True)
     )
 
 

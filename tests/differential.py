@@ -1,0 +1,173 @@
+"""Compare what gluesem prints at the working tree and at a git revision.
+
+    python tests/differential.py REV
+
+Builds one matrix of outputs with the working tree's `src/gluesem` and one
+with REV's (exported by `git archive` into a temporary directory), each in
+an interpreter of its own, and compares them case by case. Both matrices are
+built from the working tree's inputs, so only the package differs:
+
+- every fixture under `gluesem derive` in six modes (default, `--trace`,
+  `--all-traces`, `--json`, `--json --trace`, `--json --all-traces`):
+  stdout, stderr and exit status;
+- every grid cell of `test_grid_golden.py`: `str(diagnose(...))`, each
+  reading's meaning and its trace lines;
+- the cases pinned in `fixtures/golden/trace_pins.json`, whose tensor heads
+  derive resources (`[d4]`): every trace line;
+- the `corpus`, `scope_grid` and `failures` workloads of
+  `perfbench/workloads.py` at seeds 1-3: the same, and on `corpus` and
+  `failures` also with every derivation's trace (`all_traces`).
+
+Prints the first differing case and exits 1 on any difference; otherwise
+prints "no difference" and the number of cases, and exits 0.
+"""
+
+from __future__ import annotations
+
+import difflib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODES = (
+    (),
+    ("--trace",),
+    ("--all-traces",),
+    ("--json",),
+    ("--json", "--trace"),
+    ("--json", "--all-traces"),
+)
+SEEDS = (1, 2, 3)
+ALL_TRACES = ("corpus", "failures")  # workloads also run with `all_traces`
+
+
+def cases():
+    """Yield (case id, output) for every case, with the gluesem on sys.path."""
+    from gluesem import cli, parse_fstructure, parse_lexicon
+
+    for fs in sorted((ROOT / "tests" / "fixtures").glob("*.fs")):
+        for mode in MODES:
+            argv = ["derive", "--fstructure", f"tests/fixtures/{fs.name}",
+                    "--lexicon", "tests/fixtures/core.lex", *mode]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+            yield (
+                " ".join(["derive", fs.name, *mode]),
+                f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}",
+            )
+
+    from test_grid_golden import grid_cells, grid_fstructure
+    from test_search_pruning import PINS, pinned_case
+    import workloads
+
+    lexicon = parse_lexicon((ROOT / "tests" / "fixtures" / "core.lex").read_text(encoding="utf-8"))
+    for q, k in grid_cells():
+        root = parse_fstructure(grid_fstructure(q, k))
+        yield f"grid q={q} k={k}", _diagnosis(root, lexicon, False)
+    for name in sorted(PINS):
+        yield f"pin {name}", json.dumps(pinned_case(name, lexicon), ensure_ascii=False, indent=1)
+
+    for name, build in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            workload = build(seed)
+            lexicon = parse_lexicon(workload.lexicon_text)
+            for s in workload.sentences:
+                root = parse_fstructure(s.text)
+                yield f"{name} seed {seed} #{s.sid}", _diagnosis(root, lexicon, False)
+                if name in ALL_TRACES:
+                    yield (
+                        f"{name} seed {seed} #{s.sid} all traces",
+                        _diagnosis(root, lexicon, True),
+                    )
+
+
+def _diagnosis(root, lexicon, all_traces) -> str:
+    from gluesem import diagnose
+
+    try:
+        diagnosis = diagnose(root, lexicon, all_traces=all_traces)
+    except Exception as exc:  # a difference in what is raised is a difference too
+        return f"{type(exc).__name__}: {exc}"
+    lines = [str(diagnosis)]
+    for reading in diagnosis.readings:
+        lines.append(f"{reading} : {reading.ty}")
+        for n, trace in enumerate(reading.traces if all_traces else reading.traces[:1], 1):
+            lines.append(f"  trace {n}")
+            lines += [f"    {step.line()}" for step in trace]
+    return "\n".join(lines)
+
+
+def dump(src: str, out: str) -> None:
+    """Write the matrix built with the package under `src` to `out`."""
+    sys.path[:0] = [src, str(ROOT / "tests"), str(ROOT / "perfbench")]
+    import gluesem
+
+    if Path(gluesem.__file__).resolve().parent != (Path(src) / "gluesem").resolve():
+        raise SystemExit(f"error: imported gluesem from {gluesem.__file__}, not {src}")
+    os.chdir(ROOT)
+    Path(out).write_text(json.dumps(list(cases()), ensure_ascii=False), encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 4 and argv[1] == "--dump":
+        dump(argv[2], argv[3])
+        return 0
+    if len(argv) != 2 or argv[1].startswith("-"):
+        print("usage: python tests/differential.py REV", file=sys.stderr)
+        return 2
+    rev = argv[1]
+    with tempfile.TemporaryDirectory(prefix="gluesem-differential-") as tmp:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True
+        )
+        if archive.returncode:
+            print(f"error: git archive {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(tmp, filter="data")
+            else:
+                tar.extractall(tmp)
+        env = {**os.environ, "PYTHONHASHSEED": "0"}
+        sides = {"working tree": str(ROOT / "src"), rev: os.path.join(tmp, "src")}
+        runs = {}
+        for side, src in sides.items():
+            out = os.path.join(tmp, f"{len(runs)}.json")
+            command = [sys.executable, __file__, "--dump", src, out]
+            runs[side] = (out, subprocess.Popen(command, env=env, stderr=subprocess.PIPE))
+        errors = {side: process.communicate()[1] for side, (_, process) in runs.items()}
+        matrices = {}
+        for side, (out, process) in runs.items():
+            if process.returncode:
+                print(f"error: building the matrix of {side} failed:\n{errors[side].decode()}",
+                      file=sys.stderr)
+                return 2
+            matrices[side] = json.loads(Path(out).read_text(encoding="utf-8"))
+    ours, theirs = matrices["working tree"], matrices[rev]
+    for n, (mine, other) in enumerate(zip(ours, theirs)):
+        if mine != other:
+            print(f"difference in case {n}: {mine[0]}" + (
+                "" if mine[0] == other[0] else f" (at {rev}: {other[0]})"
+            ))
+            for line in difflib.unified_diff(
+                other[1].splitlines(), mine[1].splitlines(), rev, "working tree", lineterm=""
+            ):
+                print(line)
+            return 1
+    if len(ours) != len(theirs):
+        print(f"difference in the number of cases: {len(ours)} here, {len(theirs)} at {rev}")
+        return 1
+    print(f"no difference in {len(ours)} cases between the working tree and {rev}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -336,6 +336,21 @@ def test_open_premises_are_rejected():
         derive([open_premise], Goal(sem, E))
 
 
+@pytest.mark.parametrize("first", ["premise", "bare formula"])
+def test_premises_sharing_an_index_are_rejected(first):
+    # One premise must not silently stand in for another of the same index;
+    # a bare formula is numbered by its position in the list.
+    f, g, X = SemStructure("f"), SemStructure("g"), Var("X", E)
+    arrive = Forall(MeaningVar("X", E), Limp(
+        Atom(g, E, X), Atom(f, T, App(Const("arrive", arrow(E, T)), X))
+    ))
+    bill = Premise(1, Atom(g, E, Const("Bill", E)), "bill", "g")
+    item = Premise(1, arrive, "arrive", "f") if first == "premise" else arrive
+    assert derive([Premise(2, arrive, "arrive", "f"), bill], Goal(f))
+    with pytest.raises(GlueError, match="share the index 1"):
+        derive([item, bill], Goal(f))
+
+
 @pytest.mark.parametrize(
     "sem,goal,message",
     [
@@ -905,7 +920,7 @@ def test_prove_atom_yields_closed_meanings_equal_to_readings(lexicon, scope_fs):
     goal = sigma(scope_fs)
     engine = prover._Search(premise_list, [goal])
     complete = []
-    for meaning, avail, _steps, _focus in engine.prove_atom(goal, T, engine.premise_ids, True):
+    for meaning, avail, _steps, _focus in engine.prove_atom(goal, T, engine.premise_mask, True):
         assert not free_vars(meaning) and not hyp_consts(meaning)
         if not avail:
             complete.append(canonical_form(meaning))

@@ -114,7 +114,7 @@ def _recording_search(log):
     class Recording(prover._Search):
         def prove_atom(self, sem, ty, avail, *rest):
             answers = super().prove_atom(sem, ty, avail, *rest)
-            return self._log(answers) if avail is self.premise_ids else answers
+            return self._log(answers) if avail == self.premise_mask else answers
 
         def _log(self, answers):
             for answer in answers:
@@ -138,3 +138,13 @@ def test_no_partial_derivation_reaches_the_top_after_a_reading(lexicon, monkeypa
     assert not any(log[first:])
     assert result.leftover is None and result.frontier == ()
 
+
+def test_all_traces_unrolls_only_the_traces_it_keeps(lexicon, monkeypatch):
+    # Under `all_traces` the canonical search is read only for whether a
+    # reading exists, so it stops at its first reading and unrolls nothing.
+    calls = []
+    unroll = prover._trace
+    monkeypatch.setattr(prover, "_trace", lambda rope: calls.append(None) or unroll(rope))
+    root = parse_fstructure(grid_fstructure(2, 3))
+    readings = derive(premises(root, lexicon), Goal(sigma(root)), all_traces=True)
+    assert len(calls) == sum(len(r.traces) for r in readings) == 720
