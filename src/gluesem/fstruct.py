@@ -100,7 +100,7 @@ def resolve_path(root: FStructure, path) -> object:
 
 
 def parse_fstructure(text: str, source: str | None = None) -> FStructure:
-    ts = TokenStream(tokenize(text, source), source)
+    ts = TokenStream(tokenize(text, source))
     parser = _Parser(ts)
     ts.expect("IDENT", "an f-structure label")
     root = parser.parse_node(0)

@@ -8,12 +8,12 @@ Symbols are tried before identifiers, so `_a` is `_`, `a`.
 One compiled scan reads a text: a single `findall`, run in C, returns each
 token with the blanks and comments before it skipped inside the match, and
 the kinds and texts go into two parallel lists. No position is computed
-then. A token's line and column come from a second, positional scan that
-walks the text match by match, run only when something asks for a position
-(an error message, or a `Token` read from the result). A text the first scan
-cannot take whole (a stray character, a word that starts with a digit or
-another numeric character like `²`, an unterminated quote) goes straight to
-the positional scan, which raises the error at its line and column.
+then. A token's line and column are worked out only when something asks for
+one (an error message, or a `Token` read from the result), from the same
+scan run match by match: each match's token offset, turned into a line and
+column by counting newlines. A text with no tokenization (a stray character,
+a word that starts with a digit or another numeric character like `²`, an
+unterminated quote) raises the error at its first bad token.
 """
 
 from __future__ import annotations
@@ -37,15 +37,7 @@ _SCAN = re.compile(rf"\s*(?:#[^\n]*\s*)*(?:({_SYMBOL})|'([^'\n]*)'|([^\W\d_]\w*)
 # Appended to every scanned text: the newline ends a comment on the last
 # line, and the NUL is the last match, so every match before it is contiguous.
 _END = "\n\0"
-_KINDS = frozenset(("->", "-o", "~>", *r"()[]{};:,.\*^_", "IDENT", "QUOTED"))
-
-# The positional scan: one match per token, blank run, newline or comment.
-# Only errors and positions need it, so `re` compiles it on first use.
-_TOKEN = (
-    r"(?s)(?P<space>[^\S\n]+)|(?P<newline>\n)|(?P<comment>#[^\n]*)"
-    rf"|'(?P<QUOTED>[^'\n]*)'|(?P<symbol>{_SYMBOL})"
-    r"|(?P<IDENT>\w+)|(?P<bad>.)"
-)
+_KINDS = frozenset(("->", "-o", "~>", *r"()[]{};:,.\*^_", "IDENT", "QUOTED", "EOF"))
 
 
 class Token(Node):
@@ -59,15 +51,15 @@ class Tokens:
     in EOF. Indexing or iterating yields `Token`s with their positions, which
     are computed for the whole text on the first request."""
 
-    __slots__ = ("kinds", "texts", "_text", "_source", "_start", "_positions")
+    __slots__ = ("kinds", "texts", "source", "_text", "_start", "_positions")
 
-    def __init__(self, kinds, texts, text, source, start, positions=None):
+    def __init__(self, kinds, texts, text, source, start):
         self.kinds = kinds
         self.texts = texts
+        self.source = source
         self._text = text
-        self._source = source
         self._start = start  # (line, column) at which the text begins
-        self._positions = positions
+        self._positions = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -81,7 +73,23 @@ class Tokens:
     def position(self, index: int) -> tuple[int, int]:
         """The line and column of the token at `index`."""
         if self._positions is None:
-            self._positions = _scan_positions(self._text, self._source, *self._start)[2]
+            text = self._text
+            line, col = self._start
+            line_start = 1 - col  # offset of the current line's column 1
+            last = 0
+            self._positions = []
+            for match in _SCAN.finditer(text + _END):
+                # A token starts where its group does, a quoted one at the
+                # quote before its group; EOF at the end of the text, past
+                # any trailing blanks and comment, not at the end marker.
+                group = match.lastindex
+                offset = min(match.start(group) - (group == 2), len(text))
+                newlines = text.count("\n", last, offset)
+                if newlines:
+                    line += newlines
+                    line_start = text.rfind("\n", last, offset) + 1
+                self._positions.append((line, offset - line_start + 1))
+                last = offset
         return self._positions[index]
 
 
@@ -89,50 +97,22 @@ def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) 
     """Tokens of `text`, positioned as if it began at `line`:`col` of `source`."""
     found = _SCAN.findall(text + _END)
     kinds = [symbol or (word and "IDENT") or other or "QUOTED" for symbol, _, word, other in found]
-    kinds.pop()  # the end marker
+    kinds[-1] = "EOF"  # the end marker
+    texts = [symbol or word or quoted for symbol, quoted, word, _ in found]
+    tokens = Tokens(kinds, texts, text, source, (line, col))
     if not _KINDS.issuperset(kinds) or (
         not text.isascii() and not all(word[0].isalpha() for _, _, word, _ in found if word)
     ):
-        # A stray character, or a numeric that `[^\W\d_]` lets start a word:
-        # the positional scan raises the error where it stands.
-        kinds, texts, positions = _scan_positions(text, source, line, col)
-        return Tokens(kinds, texts, text, source, (line, col), positions)
-    kinds.append("EOF")
-    texts = [symbol or word or quoted for symbol, quoted, word, _ in found]
-    return Tokens(kinds, texts, text, source, (line, col))
-
-
-def _scan_positions(text: str, source: str | None, line: int, col: int):
-    """Kinds, texts, and (line, column) of every token of `text`, read one
-    match at a time; raises the syntax error of a text with no tokenization."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    positions: list[tuple[int, int]] = []
-    line_start = 1 - col  # offset of the current line's column 1
-    for match in re.finditer(_TOKEN, text):
-        kind = match.lastgroup
-        if kind == "space" or kind == "comment":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = match.end()
-            continue
-        column = match.start() - line_start + 1
-        if kind == "symbol":
-            kinds.append(match.group())
-            texts.append(match.group())
-        elif kind == "QUOTED" or kind == "IDENT" and match.group()[0].isalpha():
-            kinds.append(kind)
-            texts.append(match.group(kind))
-        elif match.group() == "'":
-            raise SyntaxErrorAt("unterminated quoted symbol", line, column, source)
-        else:  # a stray character, or a word that starts with a digit
-            raise SyntaxErrorAt(f"unexpected character {match.group()[0]!r}", line, column, source)
-        positions.append((line, column))
-    kinds.append("EOF")
-    texts.append("")
-    positions.append((line, len(text) - line_start + 1))
-    return kinds, texts, positions
+        # A stray character or quote, or a numeric that `[^\W\d_]` lets
+        # start a word: the error stands at the first.
+        index, bad = next(
+            (i, kind if kind not in _KINDS else texts[i][0])
+            for i, kind in enumerate(kinds)
+            if kind not in _KINDS or kind == "IDENT" and not texts[i][0].isalpha()
+        )
+        message = "unterminated quoted symbol" if bad == "'" else f"unexpected character {bad!r}"
+        raise SyntaxErrorAt(message, *tokens.position(index), source)
+    return tokens
 
 
 class TokenStream:
@@ -143,14 +123,13 @@ class TokenStream:
     not EOF and advance only past tokens they have matched, so every index
     stays in bounds."""
 
-    __slots__ = ("tokens", "kinds", "texts", "pos", "source", "depth")
+    __slots__ = ("tokens", "kinds", "texts", "pos", "depth")
 
-    def __init__(self, tokens: Tokens, source: str | None = None):
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
         self.kinds = tokens.kinds
         self.texts = tokens.texts
         self.pos = 0
-        self.source = source
         self.depth = 0
 
     def peek(self, offset: int = 0) -> str:
@@ -199,4 +178,4 @@ class TokenStream:
         return self.tokens.position(self.pos if at is None else at)
 
     def fail(self, message: str, at: int | None = None) -> NoReturn:
-        raise SyntaxErrorAt(message, *self.position(at), self.source)
+        raise SyntaxErrorAt(message, *self.position(at), self.tokens.source)

@@ -107,7 +107,7 @@ def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, source):
         raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, column, source)
     if name in lexicon.signature:
         raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, column, source)
-    ts = TokenStream(tokenize(type_part, source, lineno, len(line) - len(type_part) + 1), source)
+    ts = TokenStream(tokenize(type_part, source, lineno, len(line) - len(type_part) + 1))
     ty = parse_type_at(ts)
     if not ts.at_end():
         ts.fail("trailing input after type")
@@ -175,12 +175,14 @@ class _TemplateParser:
 
     def parse_unit(self) -> GlueFormula:
         """An atom, or a formula in parentheses; a `(` opens `(^ PATH)`,
-        `(mod ^)` or a group, told apart by the tokens after it."""
+        `(mod ^)` or a group, told apart by the tokens after it (`(^ ~>`
+        opens a group whose first atom is on `^`)."""
         ts = self.ts
         if not ts.accept("("):
             return self.parse_atom(self.parse_sem_expr())
         open_at = ts.pos - 1
-        if ts.accept("^"):
+        if ts.peek() == "^" and ts.peek(1) != "~>":
+            ts.pos += 1
             path = []
             while name := ts.accept("IDENT"):
                 path.append(name.upper())
@@ -220,7 +222,7 @@ class _TemplateParser:
 
 
 def _parse_template(text, lineno, column_offset, signature, source):
-    ts = TokenStream(tokenize(text, source, lineno, column_offset + 1), source)
+    ts = TokenStream(tokenize(text, source, lineno, column_offset + 1))
     parser = _TemplateParser(ts, signature)
     template = parser.parse_formula()
     if not ts.at_end():

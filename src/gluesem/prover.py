@@ -636,9 +636,7 @@ def _trace(rope) -> Trace:
             stack += (node[1], node[0])
         else:
             inner, (rid, word, head, meaning, displays, s1), before, after = node
-            bindings = tuple(
-                (name, substitute(v, s1) if isinstance(v, Var) else v) for name, v in displays
-            )
+            bindings = tuple((name, s1.get(v, v)) for name, v in displays)
             if after:  # the consumer's solved metavariables
                 bindings += tuple(sorted(
                     ((v.name, t) for v, t in after.items() if v not in before),

@@ -13,7 +13,11 @@ The walks here dispatch on `type(t)` and read fields by index (`t[1]`,
 `t[2]`); the classes keep `__match_args__`, so callers can still `match` on
 them. A walk that changes no child returns the node it was given, so a term
 that substitution or normalization leaves alone comes back as it is, with
-its subterms shared.
+its subterms shared. Every question about a term's leaves (its free
+variables, its hypotheses, whether a leaf occurs) is asked of one pre-order
+leaf walk, `_leaves`. The printer walks a term once: it learns the names a
+binder must avoid as it prints them, and prints again only when a binder
+took a name that the rest of the term turned out to use.
 """
 
 from __future__ import annotations
@@ -101,11 +105,10 @@ def spine(term: MeaningTerm) -> tuple[MeaningTerm, list[MeaningTerm]]:
     return term, args
 
 
-def _leaves(term: MeaningTerm, kinds: tuple[type, ...], first=False) -> list[MeaningTerm]:
-    """The leaves of `term` whose class is one of `kinds`, in pre-order; with
-    `first`, only the first of them. The walk keeps its own stack, so no depth
-    overflows the interpreter's stack."""
-    found = []
+def _leaves(term: MeaningTerm):
+    """The leaves of `term` (constants, variables, bound variables), in
+    pre-order. The walk keeps its own stack, so no depth overflows the
+    interpreter's stack, and a caller that stops early stops the walk."""
     stack = [term]
     while stack:
         t = stack.pop()
@@ -115,59 +118,34 @@ def _leaves(term: MeaningTerm, kinds: tuple[type, ...], first=False) -> list[Mea
             stack.append(t[1])
         elif kind is Lam:
             stack.append(t[2])
-        elif kind in kinds:
-            found.append(t)
-            if first:
-                break
-    return found
+        else:
+            yield t
 
 
 def free_vars(term: MeaningTerm) -> frozenset[Var]:
-    return frozenset(_leaves(term, (Var,)))
+    return frozenset(t for t in _leaves(term) if type(t) is Var)
 
 
 def hyp_consts(term: MeaningTerm) -> frozenset[HypConst]:
-    return frozenset(_leaves(term, (HypConst,)))
+    return frozenset(t for t in _leaves(term) if type(t) is HypConst)
 
 
 def has_leaf(term: MeaningTerm, kind: type) -> bool:
     """Whether a leaf of `term` is of class `kind` (`Var` for a free named
     variable, `HypConst` for a hypothesis); the walk stops at the first."""
-    return bool(_leaves(term, (kind,), first=True))
+    return kind in map(type, _leaves(term))
 
 
 def vars_within(term: MeaningTerm, allowed) -> bool:
     """Whether every named variable of `term` is in `allowed`; the walk stops
     at the first that is not."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is App:
-            stack.append(t[2])
-            stack.append(t[1])
-        elif kind is Lam:
-            stack.append(t[2])
-        elif kind is Var and t not in allowed:
-            return False
-    return True
+    return all(t in allowed for t in _leaves(term) if type(t) is Var)
 
 
 def occurs(leaf: MeaningTerm, term: MeaningTerm) -> bool:
     """Whether the leaf node `leaf` (a variable or constant) occurs in `term`;
     the walk stops at the first occurrence."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is App:
-            stack.append(t[2])
-            stack.append(t[1])
-        elif kind is Lam:
-            stack.append(t[2])
-        elif t == leaf:
-            return True
-    return False
+    return leaf in _leaves(term)
 
 
 def substitute(term: MeaningTerm, mapping: dict[Var, MeaningTerm]) -> MeaningTerm:
@@ -394,34 +372,22 @@ def format_term(term: MeaningTerm) -> str:
     entry = _FORMATTED.get(id(term))
     if entry is not None:
         return entry[1]
-    text = _fmt(term, [], _names(term))
+    used: set[str] = set()
+    chosen: list[str] = []
+    text = _fmt(term, [], used, chosen)
+    if not used.isdisjoint(chosen):
+        # A binder took a name met only later in the walk: print again, with
+        # every name of the term in `used` from the start.
+        text = _fmt(term, [], used, chosen)
     if len(_FORMATTED) >= _FORMATTED_BOUND:
         _FORMATTED.clear()
     _FORMATTED[id(term)] = (term, text)
     return text
 
 
-def _names(term: MeaningTerm) -> set[str]:
-    """The names of the term's constants and variables, which a binder's
-    name must avoid."""
-    names = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is App:
-            stack.append(t[2])
-            stack.append(t[1])
-        elif kind is Lam:
-            stack.append(t[2])
-        elif kind is Const or kind is Var or kind is HypConst:
-            names.add(t[1])
-    return names
-
-
 def _pick_name(hint: str, used, binders) -> str:
     """`hint`, or else the first of hint1, hint2, ... that is neither a name
-    in the term nor an enclosing binder's name."""
+    in `used` nor an enclosing binder's name."""
     name, i = hint, 0
     while name in used or any(b[0] == name for b in binders):
         i += 1
@@ -429,10 +395,13 @@ def _pick_name(hint: str, used, binders) -> str:
     return name
 
 
-def _fmt(t, binders, used, named_arg=False) -> str:
+def _fmt(t, binders, used, chosen, named_arg=False) -> str:
     # `binders` holds each enclosing binder, innermost last, as [name, whether
     # its variable occurred as an argument of a name-headed application];
-    # `named_arg` says whether `t` is such an argument.
+    # `named_arg` says whether `t` is such an argument. Each name printed is
+    # added to `used` and each binder name picked to `chosen`. A name that
+    # `used` rejects is a name of the term, so the picks are those of the
+    # whole term's names unless some pick is met later in the walk.
     kind = type(t)
     if kind is App:
         args = []
@@ -440,17 +409,18 @@ def _fmt(t, binders, used, named_arg=False) -> str:
             args.append(t[2])
             t = t[1]
         args.reverse()
-        head_s = _fmt(t, binders, used)
+        head_s = _fmt(t, binders, used, chosen)
         head_kind = type(t)
         if head_kind is Lam:
             head_s = f"({head_s})"
         named = head_kind is not Lam and head_kind is not BoundVar
-        return f"{head_s}({', '.join([_fmt(a, binders, used, named) for a in args])})"
+        return f"{head_s}({', '.join([_fmt(a, binders, used, chosen, named) for a in args])})"
     if kind is Lam:
         name = _pick_name(t[3], used, binders)
+        chosen.append(name)
         binder = [name, False]
         binders.append(binder)
-        body_s = _fmt(t[2], binders, used)
+        body_s = _fmt(t[2], binders, used, chosen)
         binders.pop()
         if not binder[1]:
             name += f":{t[1]}"
@@ -464,5 +434,6 @@ def _fmt(t, binders, used, named_arg=False) -> str:
             return binder[0]
         return f"#{index}"
     if kind is Const or kind is Var or kind is HypConst:
+        used.add(t[1])
         return t[1]
     return repr(t)

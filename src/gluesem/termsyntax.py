@@ -35,7 +35,7 @@ def parse_term(
 ) -> MeaningTerm:
     """Parse and type a term; free names resolve via env (variables) then
     signature (constants)."""
-    ts = TokenStream(tokenize(text, source), source)
+    ts = TokenStream(tokenize(text, source))
     term, _ = parse_term_at(ts, signature, env)
     if not ts.at_end():
         ts.fail(f"unexpected {ts.text()!r} after term")

@@ -16,7 +16,10 @@ built from the working tree's inputs, so only the package differs:
   derive resources (`[d4]`): every trace line;
 - the `corpus`, `scope_grid` and `failures` workloads of
   `perfbench/workloads.py` at seeds 1-3: the same, and on `corpus` and
-  `failures` also with every derivation's trace (`all_traces`).
+  `failures` also with every derivation's trace (`all_traces`);
+- malformed input: every fixture and `core.lex` cut at every 7th character
+  and parsed: the parsed f-structure or lexicon, or the error's class and
+  text, which holds its line and column.
 
 Prints the first differing case and exits 1 on any difference; otherwise
 prints "no difference" and the number of cases, and exits 0.
@@ -46,6 +49,7 @@ MODES = (
 )
 SEEDS = (1, 2, 3)
 ALL_TRACES = ("corpus", "failures")  # workloads also run with `all_traces`
+CUT_EVERY = 7  # characters between the cuts of a malformed-input case
 
 
 def cases():
@@ -87,6 +91,27 @@ def cases():
                         f"{name} seed {seed} #{s.sid} all traces",
                         _diagnosis(root, lexicon, True),
                     )
+
+    fixtures = ROOT / "tests" / "fixtures"
+    for path in [*sorted(fixtures.glob("*.fs")), fixtures / "core.lex"]:
+        text = path.read_text(encoding="utf-8")
+        for cut in range(0, len(text), CUT_EVERY):
+            yield f"{path.name} cut at {cut}", _parsed(path.suffix, text[:cut])
+
+
+def _parsed(suffix: str, text: str) -> str:
+    """The f-structure (`.fs`) or lexicon (`.lex`) parsed from `text`, or
+    the error parsing it raises."""
+    from gluesem import parse_fstructure, parse_lexicon
+
+    try:
+        if suffix == ".fs":
+            return str(parse_fstructure(text, "in"))
+        lexicon = parse_lexicon(text, "in")
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    lines = [f"constant {name} : {ty}" for name, ty in lexicon.signature.items()]
+    return "\n".join(lines + [f"{word}: {entry.template}" for word, entry in lexicon.items()])
 
 
 def _diagnosis(root, lexicon, all_traces) -> str:

@@ -67,6 +67,15 @@ def test_parse_quantifier_entry_nests_an_implication(lexicon):
     assert inner_head.ty == T
 
 
+def test_a_group_may_open_with_an_atom_on_the_up_arrow():
+    """`(^ ~>` opens a group whose first atom is on `^`, not a path."""
+    lexicon = parse_lexicon("constant a : t\nconstant b : t\nx: (^ ~>_t a -o ^ ~> b) -o ^ ~> b")
+    up = PathRef("up")
+    assert lexicon["x"].template == Limp(
+        Limp(Atom(up, T, Const("a", T)), Atom(up, T, Const("b", T))), Atom(up, T, Const("b", T))
+    )
+
+
 def test_entry_aliases_share_one_entry(lexicon):
     assert lexicon["appointed"] is lexicon["appoint"]
     assert lexicon["appointed"].headword == "appointed"
