@@ -59,17 +59,19 @@ evidence when the sentence has no reading. So once the search has found a
 reading (and from the start in the all-orders search and in `entails`), a
 proof of the last goal a derivation has left, where nothing after it can
 consume a resource, is cut when it leaves resources unused (the strictness
-of the input/output resource model of Cervesato, Hodas & Pfenning 2000).
-Nothing is cut inside the antecedents of a focus whose head derives a
-resource, since that draws an id after them, so every hypothesis and
-derived-resource id is drawn as if nothing were cut. A failed search never
-finds a reading, so it cuts nothing and its evidence is complete.
+of the input/output resource model of Cervesato, Hodas & Pfenning 2000). A
+failed search never finds a reading, so it cuts nothing and its evidence is
+complete.
 
 A derivation's trace is recorded lazily: subproofs hand up a rope of steps
 (see `_trace`), which joins two subproofs in O(1), and a focus hands up its
 `apply` step as data. Only a derivation `_run_search` keeps is unrolled into
 `TraceStep`s, each formatted only when its `line()` is called. The search
-formats nothing: it tells derivations apart by their steps.
+formats nothing: it tells derivations apart by their steps. Nothing a trace
+prints depends on the search's history: `_trace` numbers the hypotheses and
+derived resources of each trace by first appearance, and a hypothesis
+constant is named after its binder, which set-up renames apart once per
+search (see `_rename_goal_binders`).
 """
 
 from __future__ import annotations
@@ -119,10 +121,11 @@ class Goal(Node, ty=T):
 
 
 class TraceStep(Node, atom=None, bindings=()):
-    """One inference of a derivation: the glue atom assumed, derived or
-    applied (None for a discharge) and the values (meaning terms or
-    structures) bound to the focused premise's variables. Nothing is
-    formatted until `line()` is called."""
+    """One inference of a derivation: the resource's label (see `_trace`;
+    None for a discharge), the glue atom assumed, derived or applied (None
+    for a discharge) and the values (meaning terms or structures) bound to
+    the focused resource's own variables. Nothing is formatted until
+    `line()` is called."""
 
     __slots__ = ()
     # kind: assume | apply | derive | discharge; word: the premise's
@@ -161,8 +164,9 @@ class Reading(Node):
     derivation that produced the meaning with distinct recorded steps,
     canonical first, including those that differ only by swapping twin
     premises. Each trace is a tuple of the derivation's steps, built from
-    what the search recorded; reading it formats nothing until a step's
-    `line()` is called."""
+    what the search recorded and labelled by `_trace`, so it depends on the
+    derivation alone; reading it formats nothing until a step's `line()` is
+    called."""
 
     __slots__ = ()
     __match_args__ = ("meaning", "ty", "traces")
@@ -260,17 +264,19 @@ def _bind(subst, var: Var, term: MeaningTerm, under_binder):
 
 class _Search:
     """One search over `premise_list`. Structure variables range over every
-    structure the premises or `goal_sems` mention. Hypothesis stamps are
-    numbered by this search alone, so no result depends on what ran earlier
-    in the process; metavariables keep their declared names, since each
+    structure the premises or `goal_sems` mention. Set-up renames the
+    premises' goal-position meaning binders apart (`_rename_goal_binders`),
+    so a hypothesis constant takes its binder's name as is and has that
+    name in every reading; stamps, numbered by this search alone, keep
+    hypotheses apart. Metavariables keep their declared names, since each
     focus solves its own in a substitution of its own. `prove` is the goal
     routine and `prove_atom` the focus routine; nothing else proves a goal.
     Each atomic goal whose pattern no supplied meaning matched is kept in
     `frontier` with the most premises consumed when it failed. A resource's
     id is its bit in the availability masks (premises first, by index:
     `premise_mask`; then each resource as it is drawn) and indexes
-    `registry`: (formula, word, label in traces (1, "h3", "d4"), bit of the
-    premise it comes from or 0, bits of its earlier twins).
+    `registry`: (formula, word, the premise's index or the kind "h" or "d",
+    bit of the premise it comes from or 0, bits of its earlier twins).
 
     Premises with equal formulas and words are *twins*. Unless `all_orders`
     is set, a premise is focused only once every earlier twin is consumed, so
@@ -283,12 +289,16 @@ class _Search:
             if p.index == q.index:
                 raise GlueError(f"premises {p.tag()} and {q.tag()} share the index {p.index}")
         self.registry: list[tuple[GlueFormula, str, int | str, int, int]] = []
+        # Twin classes come from the formulas as written, before renaming.
         classes: dict[tuple, int] = {}  # (formula, word) -> bits of its premises
         sems = set(goal_sems)
+        claimed: set[str] = set()
+        taken = {name for p in premise_list for name in _meaning_binders(p.formula)}
         for i, p in enumerate(premise_list):
             twins = classes.get((p.formula, p.word), 0)
             classes[p.formula, p.word] = twins | 1 << i
-            self.registry.append((p.formula, p.word, p.index, 1 << i, 0 if all_orders else twins))
+            formula = _rename_goal_binders(p.formula, True, claimed, taken)
+            self.registry.append((formula, p.word, p.index, 1 << i, 0 if all_orders else twins))
             for atom, _ in p.formula.atoms():
                 sems.add(atom.sem)
                 _check_type(atom, p)
@@ -302,9 +312,7 @@ class _Search:
         # the all-orders search runs only after the canonical one found one.
         self.strict = all_orders
         self.frontier: dict[tuple[str, str], int] = {}
-        self.hyp_counter = itertools.count(1)
         self.stamps = itertools.count(1)
-        self.name_counts: dict[str, int] = {}
         self.focus_tables: dict[int, dict] = {}
 
     # -- goals ----------------------------------------------------------------
@@ -324,14 +332,12 @@ class _Search:
             case Atom():
                 matched = False
                 pattern = normalize(goal.meaning)
-                for meaning, a2, e2, focus in self.prove_atom(
-                    goal.sem, goal.ty, avail, tail and not rest
-                ):
+                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail, tail and not rest):
                     s2 = _unify(pattern, meaning, subst, False)
                     if s2 is None:
                         continue
                     matched = True
-                    yield from self._then(rest, a2, s2, (e2, focus, subst, s2), tail)
+                    yield from self._then(rest, a2, s2, e2, tail)
                 if not matched:
                     self.record_failure(goal.sem, goal.ty, avail)
             case Tensor():
@@ -342,17 +348,17 @@ class _Search:
                 assumed = None
                 for part in flatten_tensor(goal.antecedent):
                     part = part.substitute_meanings(subst)
-                    label, word = f"h{next(self.hyp_counter)}", self._hyp_word(part)
-                    new |= 1 << len(self.registry)
-                    self.registry.append((part, word, label, 0, 0))
-                    assumed = (assumed, TraceStep("assume", label, word, part))
+                    rid, word = len(self.registry), self._hyp_word(part)
+                    new |= 1 << rid
+                    self.registry.append((part, word, "h", 0, 0))
+                    assumed = (assumed, TraceStep("assume", rid, word, part))
                 avail |= new
                 for s2, a2, e2 in self.prove([goal.consequent], avail, subst, tail and not rest):
                     if a2 & new:
                         continue  # the hypothesis must be consumed exactly once
                     yield from self._then(rest, a2, s2, (assumed, e2), tail)
             case Forall(var, body) if isinstance(var, MeaningVar):
-                hyp = self._fresh_hyp(var.name, var.ty)
+                hyp = HypConst(var.name, var.ty, next(self.stamps))
                 body = body.substitute_meanings({Var(var.name, var.ty): hyp})
                 discharge = TraceStep("discharge", None, hyp.name)
                 for s2, a2, e2 in self.prove([body], avail, subst, tail and not rest):
@@ -390,33 +396,23 @@ class _Search:
                 return consts[-1].name
         return "hyp"
 
-    def _fresh_hyp(self, base, ty) -> HypConst:
-        n = self.name_counts.get(base, 0) + 1
-        self.name_counts[base] = n
-        name = base if n == 1 else f"{base}{n}"
-        return HypConst(name, ty, next(self.stamps))
-
     # -- atomic goals: focus a resource --------------------------------------
 
     def prove_atom(self, sem, ty, avail, tail):
         """Focus each available resource whose head can be `sem ~>_ty`, proving
         its antecedents in a substitution that starts empty: yield (closed
-        meaning, remaining resources, steps, focus), the steps being the
-        antecedents' and the focus the data of the focus's `apply` step
-        (resource label, word, head, meaning, display bindings, substitution).
-        The head's other tensor components become derived resources. `tail`
-        is as for `prove`."""
+        meaning, remaining resources, steps), the steps ending in the focus's
+        `apply` step, handed up as data (see `_trace`). The head's other
+        tensor components become derived resources. `tail` is as for
+        `prove`."""
         for rid in _ids(avail):
-            _, word, label, origin, earlier = self.registry[rid]
+            _, word, _, origin, earlier = self.registry[rid]
             if avail & earlier:
                 continue  # twins go in index order: an earlier one is available
             entries = self._focus_table(rid).get((sem, ty), ())
             for antecedents, head, head_vars, others, displays in entries:
                 for goals in self._orders(antecedents):
-                    # A derived resource draws an id after the antecedents
-                    # are proved, so no branch before it is cut: the ids of
-                    # every kept derivation stay as they were numbered.
-                    for s1, a1, e1 in self.prove(goals, avail ^ 1 << rid, {}, tail and not others):
+                    for s1, a1, e1 in self.prove(goals, avail ^ 1 << rid, {}, tail):
                         meaning = substitute_normal(head.meaning, s1)
                         # Bindings are closed: so is a head with every variable bound.
                         if not s1.keys() >= head_vars and has_leaf(meaning, Var):
@@ -427,11 +423,11 @@ class _Search:
                             )
                         for extra in others:
                             extra = extra.substitute_meanings(s1)
-                            label2 = f"d{next(self.hyp_counter)}"
-                            a1 |= 1 << len(self.registry)
-                            self.registry.append((extra, word, label2, origin, 0))
-                            e1 = (e1, TraceStep("derive", label2, word, extra))
-                        yield meaning, a1, e1, (label, word, head, meaning, displays, s1)
+                            derived = len(self.registry)
+                            a1 |= 1 << derived
+                            self.registry.append((extra, word, "d", origin, 0))
+                            e1 = (e1, TraceStep("derive", derived, word, extra))
+                        yield meaning, a1, (e1, rid, head, meaning, displays, s1)
 
     def _focus_table(self, rid):
         """The focus entries of resource `rid`, built on its first use and
@@ -496,6 +492,47 @@ def _check_type(atom: Atom, premise: Premise | None = None) -> None:
         problem = str(exc)
     owner = "the consequent" if premise is None else f"premise {premise.tag()}"
     raise GlueError(f"{owner} is ill-typed: {problem}")
+
+
+def _meaning_binders(formula):
+    """Yield the name of every meaning variable `formula` binds."""
+    match formula:
+        case Forall(var, body):
+            if isinstance(var, MeaningVar):
+                yield var.name
+            yield from _meaning_binders(body)
+        case Limp(left, right) | Tensor(left, right):
+            yield from _meaning_binders(left)
+            yield from _meaning_binders(right)
+
+
+def _rename_goal_binders(formula, positive, claimed: set, taken: set):
+    """`formula` with each meaning binder the search proves as a goal (in an
+    odd number of antecedents: not `positive`) renamed apart: a name already
+    in `claimed` becomes the first of `<base>2`, `<base>3`, ... not in
+    `taken`, `<base>` being the name without trailing digits. Kept and given
+    names join `claimed`; given ones join `taken`. A formula that renames
+    nothing comes back as it is."""
+    kind = type(formula)
+    if kind is Forall:
+        var, body = formula[1], formula[2]
+        if not positive and type(var) is MeaningVar:
+            name = var.name
+            if name in claimed:
+                base = name.rstrip("0123456789") or name
+                name = next(f"{base}{n}" for n in itertools.count(2) if f"{base}{n}" not in taken)
+                taken.add(name)
+                body = body.substitute_meanings({Var(var.name, var.ty): Var(name, var.ty)})
+                var = MeaningVar(name, var.ty)
+            claimed.add(name)
+        renamed = _rename_goal_binders(body, positive, claimed, taken)
+        return formula if var is formula[1] and renamed is formula[2] else Forall(var, renamed)
+    if kind is Limp or kind is Tensor:
+        polarity = positive if kind is Tensor else not positive
+        left = _rename_goal_binders(formula[1], polarity, claimed, taken)
+        right = _rename_goal_binders(formula[2], positive, claimed, taken)
+        return formula if left is formula[1] and right is formula[2] else kind(left, right)
+    return formula
 
 
 def _ids(mask):
@@ -567,9 +604,7 @@ def _run_search(premise_list, goal, all_traces, probe=False) -> SearchResult | N
     fewest: int | None = None  # the fewest premises a goal-reaching derivation left
     pooled = 0  # mask of their unused premises
     supplied = False
-    for meaning, avail, steps, focus in engine.prove_atom(
-        goal.sem, goal.ty, engine.premise_mask, True
-    ):
+    for meaning, avail, steps in engine.prove_atom(goal.sem, goal.ty, engine.premise_mask, True):
         supplied = True
         if has_leaf(meaning, HypConst):
             continue
@@ -592,7 +627,7 @@ def _run_search(premise_list, goal, all_traces, probe=False) -> SearchResult | N
         elif not all_traces:
             continue  # default mode keeps the canonical (first) trace only
         # Distinct derivations are those whose steps differ.
-        trace = _trace((steps, focus, None, None))
+        trace = _trace(steps, engine.registry)
         entry[1].setdefault(trace if all_traces else (), trace)
     if found:
         # Only a failed search's evidence is read, and after the first
@@ -617,33 +652,41 @@ def _run_search(premise_list, goal, all_traces, probe=False) -> SearchResult | N
     return SearchResult((), leftover, frontier)
 
 
-def _trace(rope) -> Trace:
+def _trace(rope, registry) -> Trace:
     """The steps of a rope, in derivation order. A rope is None (no steps), a
-    `TraceStep`, a (left, right) pair of ropes, or (rope, focus, before,
-    after): a focused resource's antecedent steps, then its `apply` step,
-    built from the data `prove_atom` handed up and, when a goal consumed the
-    meaning, that goal's substitutions before and after unifying. The search
-    joins ropes in O(1); only a derivation `_run_search` keeps is unrolled."""
+    `TraceStep` whose resource is a `registry` id (None for a discharge), a
+    (left, right) pair of ropes, or (rope, resource id, head, meaning,
+    display bindings, substitution): a focused resource's antecedent steps,
+    then its `apply` step, which shows only that resource's own bindings.
+    A premise is labelled by its index, a hypothesis or derived resource by
+    its kind and its number in order of first appearance in this trace (`h1`,
+    `h2`, ...; `d1`, ...). The search joins ropes in O(1); only a derivation
+    `_run_search` keeps is unrolled."""
     steps = []
+    labels: dict[int, str] = {}
+    counts = {"h": 0, "d": 0}
     stack = [rope]
     while stack:
         node = stack.pop()
         if node is None:
             continue
         if type(node) is TraceStep:
+            _, kind, rid, word, atom, bindings = node
+            if kind == "assume" or kind == "derive":
+                # The first appearance of its resource, named by registry id.
+                label = registry[rid][2]
+                counts[label] += 1
+                label = labels[rid] = f"{label}{counts[label]}"
+                node = TraceStep(kind, label, word, atom, bindings)
             steps.append(node)
         elif len(node) == 2:
             stack += (node[1], node[0])
         else:
-            inner, (rid, word, head, meaning, displays, s1), before, after = node
+            inner, rid, head, meaning, displays, s1 = node
+            _, word, label, _, _ = registry[rid]
             bindings = tuple((name, s1.get(v, v)) for name, v in displays)
-            if after:  # the consumer's solved metavariables
-                bindings += tuple(sorted(
-                    ((v.name, t) for v, t in after.items() if v not in before),
-                    key=lambda b: b[0],
-                ))
-            applied = TraceStep("apply", rid, word, Atom(head.sem, head.ty, meaning), bindings)
-            stack += (applied, inner)
+            atom = Atom(head.sem, head.ty, meaning)
+            stack += (TraceStep("apply", labels.get(rid, label), word, atom, bindings), inner)
     return tuple(steps)
 
 

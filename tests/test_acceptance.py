@@ -93,8 +93,8 @@ def test_criterion_1_transitive_golden(lexicon):
         assert equivalent(readings[0].meaning, expected)
         assert len(readings[0].traces) >= 2  # both orders, collapsed to one reading
         rendered = ["\n".join(s.line() for s in t) for t in readings[0].traces]
-        assert any(t.index("X ↦ Bill") < t.index("Y ↦ Hillary") for t in rendered)
-        assert any(t.index("Y ↦ Hillary") < t.index("X ↦ Bill") for t in rendered)
+        assert any(t.index("apply [2] bill") < t.index("apply [3] hillary") for t in rendered)
+        assert any(t.index("apply [3] hillary") < t.index("apply [2] bill") for t in rendered)
 
 
 def test_criterion_2_resource_usage_table():

@@ -341,8 +341,9 @@ meet: forall X:e, Y:e. (^ SUBJ) ~> {pattern} -o ^ ~> meet(pair(Y, X))
     [("pair(X, Y)", "X ↦ Bill, Y ↦ Hillary"), ("pair(Y, X)", "X ↦ Hillary, Y ↦ Bill")],
 )
 def test_trace_bindings_do_not_depend_on_the_hash_seed(tmp_path, pattern, bindings):
-    # One unification solves X and Y together; the trace lists them by name
-    # whatever order the interpreter's string hashing or the pattern gives.
+    # One unification solves X and Y together; `meet`'s own `apply` line
+    # lists them in the order its quantifier declares them, whatever order
+    # the interpreter's string hashing or the pattern gives.
     lexicon = tmp_path / "pair.lex"
     lexicon.write_text(PAIR_LEXICON.format(pattern=pattern), encoding="utf-8")
     fs = tmp_path / "pair.fs"
@@ -357,7 +358,11 @@ def test_trace_bindings_do_not_depend_on_the_hash_seed(tmp_path, pattern, bindin
         documents.add(done.stdout)
     assert len(documents) == 1
     (trace,) = (r["trace"] for r in json.loads(documents.pop())["readings"])
-    assert trace[0] == f"apply [2] both: g_σ ~>_e pair(Bill, Hillary)  {bindings}"
+    value = dict(binding.split(" ↦ ") for binding in bindings.split(", "))
+    assert trace == [
+        "apply [2] both: g_σ ~>_e pair(Bill, Hillary)",
+        f"apply [1] meet: f_σ ~>_t meet(pair({value['Y']}, {value['X']}))  {bindings}",
+    ]
 
 
 GREET_LEXICON = """\

@@ -47,6 +47,7 @@ from gluesem.terms import (
 
 from conftest import FIXTURES
 from oracles import enumerate_readings
+from test_grid_golden import grid_cells, grid_fstructure
 
 CORE = (FIXTURES / "core.lex").read_text(encoding="utf-8")
 
@@ -92,8 +93,8 @@ def test_transitive_two_derivation_orders_collapse(lexicon, bah):
     assert len(rs) == 1
     assert len(rs[0].traces) >= 2
     lines = ["\n".join(s.line() for s in t) for t in rs[0].traces]
-    assert any(l.index("X ↦ Bill") < l.index("Y ↦ Hillary") for l in lines)
-    assert any(l.index("Y ↦ Hillary") < l.index("X ↦ Bill") for l in lines)
+    assert any(l.index("apply [2] bill") < l.index("apply [3] hillary") for l in lines)
+    assert any(l.index("apply [3] hillary") < l.index("apply [2] bill") for l in lines)
 
 
 def test_modifier_golden(lexicon, modified):
@@ -413,7 +414,7 @@ def test_a_head_that_applies_a_solved_metavariable_reduces_there():
         (
             "q(p(c))",
             [
-                "apply [2] prop: g_σ ~>_(e -> t) \\x. p(x)  S ↦ \\x. p(x)",
+                "apply [2] prop: g_σ ~>_(e -> t) \\x. p(x)",
                 "apply [3] claim: h_σ ~>_t p(c)",
                 "apply [1] takes: f_σ ~>_t q(p(c))  S ↦ \\x. p(x)",
             ],
@@ -433,7 +434,7 @@ def test_a_head_with_a_redex_of_its_own_is_normalized():
         (
             "both(p(c), p(c))",
             [
-                "apply [2] prop: g_σ ~>_(e -> t) \\x. p(x)  S ↦ \\x. p(x)",
+                "apply [2] prop: g_σ ~>_(e -> t) \\x. p(x)",
                 "apply [1] applies: f_σ ~>_t both(p(c), p(c))  S ↦ \\x. p(x)",
             ],
         )
@@ -444,7 +445,7 @@ def test_an_antecedent_pattern_with_a_redex_of_its_own_is_normalized():
     assert paths_trace("f:[PRED 'redex'; SUBJ g:[PRED 'name']]") == [
         (
             "p(c)",
-            ["apply [2] name: g_σ ~>_e c  X ↦ c", "apply [1] redex: f_σ ~>_t p(c)  X ↦ c"],
+            ["apply [2] name: g_σ ~>_e c", "apply [1] redex: f_σ ~>_t p(c)  X ↦ c"],
         )
     ]
 
@@ -751,9 +752,8 @@ def obviously_appoint(k: int):
     )
 
 
-def test_twin_modifiers_cost_grows_linearly(lexicon, monkeypatch):
-    # k identical `obviously` premises have k! derivations of one reading;
-    # the default search explores one of them.
+def counted_prove_atom_calls(monkeypatch) -> list:
+    """A list that gains an item at each later `prove_atom` call."""
     calls = []
     prove_atom = prover._Search.prove_atom
 
@@ -762,6 +762,13 @@ def test_twin_modifiers_cost_grows_linearly(lexicon, monkeypatch):
         return prove_atom(self, *args, **kwargs)
 
     monkeypatch.setattr(prover._Search, "prove_atom", counting)
+    return calls
+
+
+def test_twin_modifiers_cost_grows_linearly(lexicon, monkeypatch):
+    # k identical `obviously` premises have k! derivations of one reading;
+    # the default search explores one of them.
+    calls = counted_prove_atom_calls(monkeypatch)
     counts = []
     for k in range(1, 7):
         calls.clear()
@@ -769,6 +776,84 @@ def test_twin_modifiers_cost_grows_linearly(lexicon, monkeypatch):
         assert len(reading.traces) == 1
         counts.append(len(calls))
     assert counts == [3 * k + 3 for k in range(1, 7)]
+
+
+AGAIN = """
+constant again : t -> t
+again: forall P:t. (forall w:e. (mod ^) ~>_e w -o (mod ^) ~>_e w) -o (mod ^) ~> P -o (mod ^) ~> again(P)
+"""
+
+
+def test_twin_premises_with_a_goal_binder_stay_one_twin_class(monkeypatch):
+    # Set-up renames the five `w` binders apart (`w` to `w5`), but twin
+    # classes come from the formulas as written, so the five copies are
+    # still consumed in index order and one derivation is explored.
+    calls = counted_prove_atom_calls(monkeypatch)
+    mods = "; ".join(f"m{i}:[PRED 'again']" for i in range(5))
+    fs = parse_fstructure(
+        f"f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary']; MODS {{ {mods} }}]"
+    )
+    (reading,) = readings_of(fs, parse_core(AGAIN))
+    assert str(reading) == "again(again(again(again(again(appoint(Bill, Hillary))))))"
+    assert len(calls) == 23
+    discharged = [s.word for s in reading.trace if s.kind == "discharge"]
+    assert sorted(discharged) == ["w", "w2", "w3", "w4", "w5"]
+
+
+def discharged_by(trace):
+    """(hypothesis name, index of the premise whose binder it instantiates)
+    for each `discharge` step, read from the `apply` step that follows it."""
+    lines = [step.line() for step in trace]
+    return {
+        (line.split()[1], int(after.split()[1].strip("[]")))
+        for line, after in zip(lines, lines[1:])
+        if line.startswith("discharge ")
+    }
+
+
+def test_hypotheses_take_their_binders_names_per_sentence(lexicon):
+    # Both quantifiers bind `u`: the earlier premise keeps it and the later
+    # one's binder is renamed `u2` once, so every reading shows the same
+    # names, whichever scope it gives them.
+    fs = parse_fstructure(
+        "f:[PRED 'appoint'; SUBJ g:[SPEC every; PRED 'candidate'];"
+        " OBJ h:[SPEC every; PRED 'candidate']]"
+    )
+    readings = readings_of(fs, lexicon, all_traces=True)
+    assert len(readings) == 2
+    for reading in readings:
+        for trace in reading.traces:
+            assert discharged_by(trace) == {("u", 2), ("u2", 3)}
+
+
+def test_a_renamed_binder_skips_a_name_another_binder_has():
+    # Premise 4's quantifier binds `u2` itself, so premise 3's second `u`
+    # becomes `u3`, not a second `u2`.
+    lexicon = parse_core(
+        "every-manager: forall G, R:e->t. (forall u2:e. ^ ~> u2 -o G ~>_t R(u2))"
+        " -o G ~>_t every(manager, R)\n"
+    )
+    fs = parse_fstructure(
+        "f:[PRED 'give'; SUBJ g:[SPEC every; PRED 'candidate'];"
+        " OBJ h:[SPEC every; PRED 'candidate']; OBJ2 i:[SPEC every; PRED 'manager']]"
+    )
+    readings = readings_of(fs, lexicon)
+    assert len(readings) == 6
+    for reading in readings:
+        assert discharged_by(reading.trace) == {("u", 2), ("u3", 3), ("u2", 4)}
+
+
+@pytest.mark.parametrize("q,k", [(q, k) for q, k in grid_cells() if q + k <= 5])
+def test_the_canonical_trace_is_the_first_of_all_traces(lexicon, q, k):
+    # A trace shows only what its derivation holds, so the canonical search
+    # and the search in every order print the same first trace.
+    root = parse_fstructure(grid_fstructure(q, k))
+    premise_list, goal = premises(root, lexicon), Goal(sigma(root))
+    canonical = derive(premise_list, goal)
+    every = derive(premise_list, goal, all_traces=True)
+    assert [str(r) for r in canonical] == [str(r) for r in every]
+    for one, all_of_them in zip(canonical, every):
+        assert [s.line() for s in one.trace] == [s.line() for s in all_of_them.traces[0]]
 
 
 def test_modifier_chain_term_work_grows_less_than_fourfold_per_doubling(lexicon, monkeypatch):
@@ -920,7 +1005,7 @@ def test_prove_atom_yields_closed_meanings_equal_to_readings(lexicon, scope_fs):
     goal = sigma(scope_fs)
     engine = prover._Search(premise_list, [goal])
     complete = []
-    for meaning, avail, _steps, _focus in engine.prove_atom(goal, T, engine.premise_mask, True):
+    for meaning, avail, _steps in engine.prove_atom(goal, T, engine.premise_mask, True):
         assert not free_vars(meaning) and not hyp_consts(meaning)
         if not avail:
             complete.append(canonical_form(meaning))

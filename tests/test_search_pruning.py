@@ -1,10 +1,10 @@
 """Where the search stops early and records lazily: once a reading is found,
 a derivation that leaves a premise unused is not carried up to the top, and
 trace steps are built only for the derivations kept. The trace lines pinned
-in `fixtures/golden/trace_pins.json` were recorded from the search that
-carried every partial derivation up and built every step as it went; they
-hold the hypothesis and derived-resource numbers (`[h7] x2`, `[d4]`), which
-must not move when a branch is cut."""
+in `fixtures/golden/trace_pins.json` hold hypotheses and derived resources
+(`[h1] x`, `[d1]`), which each trace numbers by first appearance and names
+after their binders, so no branch the search cut or tried first shows in
+them."""
 
 from __future__ import annotations
 
@@ -59,8 +59,8 @@ def tensor_head_premises():
 def tensor_tail_premises():
     """`twof` supplies f and derives r; `cons` consumes both and `mod`
     modifies f. After the first reading, `twof` is focused for the sentence
-    goal itself, where its derived r can only be left over: that branch must
-    still draw its derived-resource id, or every later `[dN]` shifts."""
+    goal itself, where its derived r can only be left over: that branch is
+    cut inside `twof`'s antecedents, and no later trace shows it."""
     a, f, r = (SemStructure(name) for name in "afr")
     X, P, Q, M = Var("X", E), Var("P", T), Var("Q", E), Var("M", T)
     w = Const("w", arrow(T, E, T))
@@ -97,9 +97,9 @@ def test_pins_cover_the_cases():
         "tensor_tail", "tensor_tail_all_traces",
     ]
     assert len(PINS["tensor_head"]) == 6
-    lines = [line for traces in PINS["tensor_head"].values() for t in traces for line in t]
-    assert "derive [d4] p2: r_σ ~>_e rf(x)" in lines
-    assert "assume [h7] x2: a_σ ~>_e x2" in lines
+    traces = [t for traces in PINS["tensor_head"].values() for t in traces]
+    assert all("derive [d1] p2: r_σ ~>_e rf(x)" in t for t in traces)
+    assert all("assume [h1] x: a_σ ~>_e x" in t for t in traces)
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -144,7 +144,9 @@ def test_all_traces_unrolls_only_the_traces_it_keeps(lexicon, monkeypatch):
     # reading exists, so it stops at its first reading and unrolls nothing.
     calls = []
     unroll = prover._trace
-    monkeypatch.setattr(prover, "_trace", lambda rope: calls.append(None) or unroll(rope))
+    monkeypatch.setattr(
+        prover, "_trace", lambda rope, registry: calls.append(None) or unroll(rope, registry)
+    )
     root = parse_fstructure(grid_fstructure(2, 3))
     readings = derive(premises(root, lexicon), Goal(sigma(root)), all_traces=True)
     assert len(calls) == sum(len(r.traces) for r in readings) == 720
