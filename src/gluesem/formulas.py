@@ -97,9 +97,11 @@ class GlueFormula(Node):
         return self
 
     def substitute_meanings(self, mapping: dict[Var, MeaningTerm]) -> "GlueFormula":
+        """Put closed values in for meaning variables by hereditary
+        substitution: normal meanings and values give normal meanings."""
         match self:
             case Atom(sem, ty, meaning):
-                return Atom(sem, ty, terms.substitute(meaning, mapping))
+                return Atom(sem, ty, terms.substitute_normal(meaning, mapping))
             case Tensor(left, right):
                 return Tensor(
                     left.substitute_meanings(mapping), right.substitute_meanings(mapping)

@@ -16,15 +16,15 @@ its own, solved in a substitution of its own, and its head meaning comes
 back closed. Universal structure variables range over the finite structure
 universe of the analysis.
 
-Every meaning the search hands around is closed and beta-normal, so it is
-never normalized or typechecked again. A goal's pattern is normalized once;
-unification reads a solved metavariable from the substitution where it meets
-one, comparing it with `==`, and reduces only a spine whose head it solved.
-A focus-table entry normalizes its head template once, and a focus puts its
-bindings in by hereditary substitution (Watkins, Cervesato, Pfenning &
-Walker 2002): closed normal values put into a normal template can only make
-a redex where a solved metavariable is applied, so only such a spine is
-reduced. A binding made outside every binder is not typechecked: the search
+Set-up normalizes every premise meaning (and `entails` its consequent's);
+after that the search normalizes nothing. Every substitution it makes is
+hereditary (Watkins, Cervesato, Pfenning & Walker 2002): closed normal
+values put into a normal meaning can only make a redex where a solved
+metavariable is applied, so only such a spine is reduced, and every meaning
+the search builds is normal. A reading is only eta-contracted to key it.
+Unification reads a solved metavariable from the substitution where it
+meets one, comparing it with `==`, and reduces only a spine whose head it
+solved. A binding made outside every binder is not typechecked: the search
 checks at set-up that each premise atom's meaning (and, for `entails`, each
 consequent atom's) has the atom's type index, so both sides of a goal have
 the goal's type, and each step down an application passed equal heads. A
@@ -59,19 +59,20 @@ evidence when the sentence has no reading. So once the search has found a
 reading (and from the start in the all-orders search and in `entails`), a
 proof of the last goal a derivation has left, where nothing after it can
 consume a resource, is cut when it leaves resources unused (the strictness
-of the input/output resource model of Cervesato, Hodas & Pfenning 2000). A
-failed search never finds a reading, so it cuts nothing and its evidence is
-complete.
+of the input/output resource model of Cervesato, Hodas & Pfenning 2000),
+and a failed atomic goal is no longer recorded. A failed search never finds
+a reading, so it cuts nothing and its evidence is complete.
 
-A derivation's trace is recorded lazily: subproofs hand up a rope of steps
-(see `_trace`), which joins two subproofs in O(1), and a focus hands up its
-`apply` step as data. Only a derivation `_run_search` keeps is unrolled into
-`TraceStep`s, each formatted only when its `line()` is called. The search
-formats nothing: it tells derivations apart by their steps. Nothing a trace
+A derivation's trace is recorded lazily: subproofs hand up a rope (see
+`_trace`), which joins two subproofs in O(1) and holds only what the search
+already has: registry ids, hypothesis names and a focus's data. The search
+builds no `TraceStep`: `_trace` builds each one once, for a derivation
+`_run_search` keeps, and a step is formatted only when its `line()` is
+called. Derivations are told apart by their unrolled steps. Nothing a trace
 prints depends on the search's history: `_trace` numbers the hypotheses and
 derived resources of each trace by first appearance, and a hypothesis
 constant is named after its binder, which set-up renames apart once per
-search (see `_rename_goal_binders`).
+search (see `_set_up`).
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ from .terms import (
     MeaningTerm,
     Var,
     _app,
+    _eta,
     abstract_over,
-    canonical_form,
     format_term,
     free_vars,
     has_leaf,
@@ -121,11 +122,13 @@ class Goal(Node, ty=T):
 
 
 class TraceStep(Node, atom=None, bindings=()):
-    """One inference of a derivation: the resource's label (see `_trace`;
-    None for a discharge), the glue atom assumed, derived or applied (None
-    for a discharge) and the values (meaning terms or structures) bound to
-    the focused resource's own variables. Nothing is formatted until
-    `line()` is called."""
+    """One inference of a derivation, built by `_trace`: the resource's label
+    (a premise's index, or a hypothesis's or derived resource's kind and
+    number; None for a discharge), the glue atom assumed, derived or applied
+    (None for a discharge) and the values (meaning terms or structures)
+    bound to the focused resource's own variables. Its meanings are normal
+    as the search built them, so `line()` only formats, and nothing is
+    formatted until it is called."""
 
     __slots__ = ()
     # kind: assume | apply | derive | discharge; word: the premise's
@@ -138,12 +141,6 @@ class TraceStep(Node, atom=None, bindings=()):
         if word:
             text += f" {word}"
         if atom is not None:
-            if kind != "apply" and type(atom) is Atom:
-                # The atoms of `assume` and `derive` steps can hold redexes;
-                # an `apply` step's meaning is normal as `prove_atom` built it.
-                meaning = normalize(atom[3])
-                if meaning is not atom[3]:
-                    atom = Atom(atom[1], atom[2], meaning)
             text += f": {atom}"
         if bindings:
             # Bindings are already beta-normal: subterms of normal closed
@@ -264,19 +261,20 @@ def _bind(subst, var: Var, term: MeaningTerm, under_binder):
 
 class _Search:
     """One search over `premise_list`. Structure variables range over every
-    structure the premises or `goal_sems` mention. Set-up renames the
-    premises' goal-position meaning binders apart (`_rename_goal_binders`),
-    so a hypothesis constant takes its binder's name as is and has that
-    name in every reading; stamps, numbered by this search alone, keep
-    hypotheses apart. Metavariables keep their declared names, since each
-    focus solves its own in a substitution of its own. `prove` is the goal
-    routine and `prove_atom` the focus routine; nothing else proves a goal.
-    Each atomic goal whose pattern no supplied meaning matched is kept in
-    `frontier` with the most premises consumed when it failed. A resource's
-    id is its bit in the availability masks (premises first, by index:
-    `premise_mask`; then each resource as it is drawn) and indexes
-    `registry`: (formula, word, the premise's index or the kind "h" or "d",
-    bit of the premise it comes from or 0, bits of its earlier twins).
+    structure the premises or `goal_sems` mention. Set-up (`_set_up`)
+    normalizes every premise meaning and renames the premises' goal-position
+    meaning binders apart, so a hypothesis constant takes its binder's name
+    as is and has that name in every reading; stamps, numbered by this
+    search alone, keep hypotheses apart. Metavariables keep their declared
+    names, since each focus solves its own in a substitution of its own.
+    `prove` is the goal routine and `prove_atom` the focus routine; nothing
+    else proves a goal. Until `strict` is set, each atomic goal whose
+    pattern no supplied meaning matched is kept in `frontier` with the most
+    premises consumed when it failed. A resource's id is its bit in the
+    availability masks (premises first, by index: `premise_mask`; then each
+    resource as it is drawn) and indexes `registry`: (formula, word, the
+    premise's index or the kind "h" or "d", bit of the premise it comes from
+    or 0, bits of its earlier twins).
 
     Premises with equal formulas and words are *twins*. Unless `all_orders`
     is set, a premise is focused only once every earlier twin is consumed, so
@@ -289,19 +287,19 @@ class _Search:
             if p.index == q.index:
                 raise GlueError(f"premises {p.tag()} and {q.tag()} share the index {p.index}")
         self.registry: list[tuple[GlueFormula, str, int | str, int, int]] = []
-        # Twin classes come from the formulas as written, before renaming.
+        # Twin classes come from the formulas as written, before set-up.
         classes: dict[tuple, int] = {}  # (formula, word) -> bits of its premises
         sems = set(goal_sems)
         claimed: set[str] = set()
         taken = {name for p in premise_list for name in _meaning_binders(p.formula)}
         for i, p in enumerate(premise_list):
-            twins = classes.get((p.formula, p.word), 0)
-            classes[p.formula, p.word] = twins | 1 << i
-            formula = _rename_goal_binders(p.formula, True, claimed, taken)
-            self.registry.append((formula, p.word, p.index, 1 << i, 0 if all_orders else twins))
             for atom, _ in p.formula.atoms():
                 sems.add(atom.sem)
-                _check_type(atom, p)
+                _check_type(atom, p)  # before normalizing: an ill-typed term may not halt
+            twins = classes.get((p.formula, p.word), 0)
+            classes[p.formula, p.word] = twins | 1 << i
+            formula = _set_up(p.formula, True, claimed, taken)
+            self.registry.append((formula, p.word, p.index, 1 << i, 0 if all_orders else twins))
         self.premise_mask = (1 << len(premise_list)) - 1
         self.universe = sorted(
             (s for s in sems if isinstance(s, SemStructure)), key=lambda s: s.label
@@ -331,14 +329,13 @@ class _Search:
         match goal:
             case Atom():
                 matched = False
-                pattern = normalize(goal.meaning)
                 for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail, tail and not rest):
-                    s2 = _unify(pattern, meaning, subst, False)
+                    s2 = _unify(goal.meaning, meaning, subst, False)
                     if s2 is None:
                         continue
                     matched = True
                     yield from self._then(rest, a2, s2, e2, tail)
-                if not matched:
+                if not matched and not self.strict:
                     self.record_failure(goal.sem, goal.ty, avail)
             case Tensor():
                 for parts in self._orders(flatten_tensor(goal)):
@@ -351,7 +348,7 @@ class _Search:
                     rid, word = len(self.registry), self._hyp_word(part)
                     new |= 1 << rid
                     self.registry.append((part, word, "h", 0, 0))
-                    assumed = (assumed, TraceStep("assume", rid, word, part))
+                    assumed = (assumed, rid)
                 avail |= new
                 for s2, a2, e2 in self.prove([goal.consequent], avail, subst, tail and not rest):
                     if a2 & new:
@@ -360,13 +357,12 @@ class _Search:
             case Forall(var, body) if isinstance(var, MeaningVar):
                 hyp = HypConst(var.name, var.ty, next(self.stamps))
                 body = body.substitute_meanings({Var(var.name, var.ty): hyp})
-                discharge = TraceStep("discharge", None, hyp.name)
                 for s2, a2, e2 in self.prove([body], avail, subst, tail and not rest):
                     # The owning focus's bindings are visible outside the
                     # hypothesis's scope, so none of them may mention it.
                     if any(occurs(hyp, term) for term in s2.values()):
                         continue
-                    yield from self._then(rest, a2, s2, (e2, discharge), tail)
+                    yield from self._then(rest, a2, s2, (e2, hyp.name), tail)
             case _:
                 raise GlueError(f"unsupported goal form: {goal}")
 
@@ -426,14 +422,14 @@ class _Search:
                             derived = len(self.registry)
                             a1 |= 1 << derived
                             self.registry.append((extra, word, "d", origin, 0))
-                            e1 = (e1, TraceStep("derive", derived, word, extra))
+                            e1 = (e1, derived)
                         yield meaning, a1, (e1, rid, head, meaning, displays, s1)
 
     def _focus_table(self, rid):
         """The focus entries of resource `rid`, built on its first use and
-        keyed by head (structure, type): (antecedents, head with its meaning
-        normalized, that meaning's free variables, other head components,
-        display bindings), in universe then component order."""
+        keyed by head (structure, type): (antecedents, head, its meaning's
+        free variables, other head components, display bindings), in universe
+        then component order."""
         table = self.focus_tables.get(rid)
         if table is None:
             table = {}
@@ -441,12 +437,8 @@ class _Search:
                 for k, head in enumerate(components):
                     if isinstance(head, Atom):
                         rest = components[:k] + components[k + 1 :]
-                        # A focus puts closed normal bindings into this normal
-                        # meaning by hereditary substitution.
-                        meaning = normalize(head.meaning)
-                        head = Atom(head.sem, head.ty, meaning)
                         table.setdefault((head.sem, head.ty), []).append(
-                            (antecedents, head, free_vars(meaning), rest, displays)
+                            (antecedents, head, free_vars(head.meaning), rest, displays)
                         )
             self.focus_tables[rid] = table
         return table
@@ -506,13 +498,14 @@ def _meaning_binders(formula):
             yield from _meaning_binders(right)
 
 
-def _rename_goal_binders(formula, positive, claimed: set, taken: set):
-    """`formula` with each meaning binder the search proves as a goal (in an
-    odd number of antecedents: not `positive`) renamed apart: a name already
-    in `claimed` becomes the first of `<base>2`, `<base>3`, ... not in
-    `taken`, `<base>` being the name without trailing digits. Kept and given
-    names join `claimed`; given ones join `taken`. A formula that renames
-    nothing comes back as it is."""
+def _set_up(formula, positive, claimed: set, taken: set):
+    """`formula` with each atom's meaning normalized and each meaning binder
+    the search proves as a goal (in an odd number of antecedents: not
+    `positive`) renamed apart: a name already in `claimed` becomes the first
+    of `<base>2`, `<base>3`, ... not in `taken`, `<base>` being the name
+    without trailing digits. Kept and given names join `claimed`; given ones
+    join `taken`. A formula that this changes nowhere comes back as it
+    is."""
     kind = type(formula)
     if kind is Forall:
         var, body = formula[1], formula[2]
@@ -525,14 +518,15 @@ def _rename_goal_binders(formula, positive, claimed: set, taken: set):
                 body = body.substitute_meanings({Var(var.name, var.ty): Var(name, var.ty)})
                 var = MeaningVar(name, var.ty)
             claimed.add(name)
-        renamed = _rename_goal_binders(body, positive, claimed, taken)
+        renamed = _set_up(body, positive, claimed, taken)
         return formula if var is formula[1] and renamed is formula[2] else Forall(var, renamed)
     if kind is Limp or kind is Tensor:
         polarity = positive if kind is Tensor else not positive
-        left = _rename_goal_binders(formula[1], polarity, claimed, taken)
-        right = _rename_goal_binders(formula[2], positive, claimed, taken)
+        left = _set_up(formula[1], polarity, claimed, taken)
+        right = _set_up(formula[2], positive, claimed, taken)
         return formula if left is formula[1] and right is formula[2] else kind(left, right)
-    return formula
+    meaning = normalize(formula[3])
+    return formula if meaning is formula[3] else Atom(formula[1], formula[2], meaning)
 
 
 def _ids(mask):
@@ -620,7 +614,7 @@ def _run_search(premise_list, goal, all_traces, probe=False) -> SearchResult | N
         if probe:  # its caller reads only that a reading exists
             return None
         engine.strict = True
-        key = canonical_form(meaning)
+        key = _eta(meaning)
         entry = found.get(key)
         if entry is None:
             entry = found[key] = (_tidy_hints(meaning), {})
@@ -653,15 +647,17 @@ def _run_search(premise_list, goal, all_traces, probe=False) -> SearchResult | N
 
 
 def _trace(rope, registry) -> Trace:
-    """The steps of a rope, in derivation order. A rope is None (no steps), a
-    `TraceStep` whose resource is a `registry` id (None for a discharge), a
-    (left, right) pair of ropes, or (rope, resource id, head, meaning,
-    display bindings, substitution): a focused resource's antecedent steps,
-    then its `apply` step, which shows only that resource's own bindings.
-    A premise is labelled by its index, a hypothesis or derived resource by
-    its kind and its number in order of first appearance in this trace (`h1`,
-    `h2`, ...; `d1`, ...). The search joins ropes in O(1); only a derivation
-    `_run_search` keeps is unrolled."""
+    """The steps of a rope, in derivation order, each built here once. A rope
+    is None (no steps); the `registry` id of a hypothesis or derived
+    resource (its `assume` or `derive` step); the name of a discharged
+    hypothesis (its `discharge` step); a (left, right) pair of ropes; or
+    (rope, resource id, head, meaning, display bindings, substitution): a
+    focused resource's antecedent steps, then its `apply` step, which shows
+    only that resource's own bindings. A premise is labelled by its index, a
+    hypothesis or derived resource by its kind and its number in order of
+    first appearance in this trace (`h1`, `h2`, ...; `d1`, ...). The search
+    joins ropes in O(1); only a derivation `_run_search` keeps is
+    unrolled."""
     steps = []
     labels: dict[int, str] = {}
     counts = {"h": 0, "d": 0}
@@ -670,14 +666,16 @@ def _trace(rope, registry) -> Trace:
         node = stack.pop()
         if node is None:
             continue
-        if type(node) is TraceStep:
-            _, kind, rid, word, atom, bindings = node
-            if kind == "assume" or kind == "derive":
-                # The first appearance of its resource, named by registry id.
-                label = registry[rid][2]
-                counts[label] += 1
-                label = labels[rid] = f"{label}{counts[label]}"
-                node = TraceStep(kind, label, word, atom, bindings)
+        cls = type(node)
+        if cls is int:  # a hypothesis assumed or a resource derived
+            formula, word, kind, _, _ = registry[node]
+            counts[kind] += 1
+            labels[node] = f"{kind}{counts[kind]}"
+            step = "assume" if kind == "h" else "derive"
+            steps.append(TraceStep(step, labels[node], word, formula))
+        elif cls is str:
+            steps.append(TraceStep("discharge", None, node))
+        elif cls is TraceStep:  # a focus's `apply` step, after its antecedents'
             steps.append(node)
         elif len(node) == 2:
             stack += (node[1], node[0])
@@ -722,6 +720,8 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     for atom, _ in consequent.atoms():
         _check_type(atom)
         goal_sems.append(atom.sem)
+    # Normal from set-up on, as the premises are.
+    consequent = _set_up(consequent, False, set(), set(_meaning_binders(consequent)))
     engine = _Search(_as_premises(flatten_tensor(antecedent)), goal_sems)
     engine.strict = True  # only a proof that uses every premise counts
     return any(

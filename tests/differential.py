@@ -10,6 +10,11 @@ built from the working tree's inputs, so only the package differs:
 - every fixture under `gluesem derive` in six modes (default, `--trace`,
   `--all-traces`, `--json`, `--json --trace`, `--json --all-traces`):
   stdout, stderr and exit status;
+- every fixture derived with a copy of `core.lex` in which each template
+  meaning M is written `(\\r. r)(M)`: `str(diagnose(...))`, each reading's
+  meaning and its trace lines, canonical and with every derivation's trace
+  (`all_traces`), so the templates reach the search with redexes to
+  normalize;
 - every grid cell of `test_grid_golden.py`: `str(diagnose(...))`, each
   reading's meaning and its trace lines;
 - the cases pinned in `fixtures/golden/trace_pins.json`, whose tensor heads
@@ -89,6 +94,11 @@ def cases():
     import workloads
 
     lexicon = parse_lexicon((ROOT / "tests" / "fixtures" / "core.lex").read_text(encoding="utf-8"))
+    redexes = _with_redexes(lexicon)
+    for fs in sorted((ROOT / "tests" / "fixtures").glob("*.fs")):
+        root = parse_fstructure(fs.read_text(encoding="utf-8"))
+        yield f"redex {fs.name}", _diagnosis(root, redexes, False)
+        yield f"redex {fs.name} all traces", _diagnosis(root, redexes, True)
     for q, k in grid_cells():
         root = parse_fstructure(grid_fstructure(q, k))
         yield f"grid q={q} k={k}", _diagnosis(root, lexicon, False)
@@ -113,6 +123,28 @@ def cases():
         text = path.read_text(encoding="utf-8")
         for cut in range(0, len(text), CUT_EVERY):
             yield f"{path.name} cut at {cut}", _parsed(path.suffix, text[:cut])
+
+
+def _with_redexes(lexicon):
+    """A copy of `lexicon` in which each template meaning M is `(\\r. r)(M)`."""
+    from gluesem.formulas import Atom, Forall
+    from gluesem.lexicon import LexicalEntry, Lexicon
+    from gluesem.terms import App, BoundVar, Lam
+
+    def wrap(formula):
+        kind = type(formula)
+        if kind is Atom:
+            sem, ty, meaning = formula.sem, formula.ty, formula.meaning
+            return Atom(sem, ty, App(Lam(ty, BoundVar(0), "r"), meaning))
+        if kind is Forall:
+            return Forall(formula.var, wrap(formula.body))
+        return kind(wrap(formula[1]), wrap(formula[2]))
+
+    copy = Lexicon()
+    copy.signature.update(lexicon.signature)
+    for word, entry in lexicon.items():
+        copy[word] = LexicalEntry(entry.headword, wrap(entry.template))
+    return copy
 
 
 def _parsed(suffix: str, text: str) -> str:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gluesem import prover, terms
+from gluesem import cli, prover, terms
 from gluesem.cli import RunConfig, run
 from gluesem.diagnostics import (
     INCOHERENT,
@@ -174,6 +174,10 @@ def test_entailment_table():
     C = prop("C")  # a tensor head yields both of its components
     assert entails(Tensor(A, Limp(A, Tensor(B, C))), Tensor(B, C)) is True
     assert entails(Tensor(A, Limp(A, Tensor(B, C))), B) is False
+    # A consequent's meaning is normalized before the search.
+    identity = Lam(T, BoundVar(0), "p")
+    assert entails(Tensor(A, a_imp_b), Atom(B.sem, T, App(identity, B.meaning))) is True
+    assert entails(Tensor(A, a_imp_b), Atom(B.sem, T, App(identity, A.meaning))) is False
 
 
 @pytest.mark.parametrize("sem", [PathRef("up"), SemVar("H")], ids=["path", "variable"])
@@ -540,6 +544,16 @@ def test_substitute_meanings_crosses_tensors_and_respects_rebinding():
     )
     assert Forall(H, Forall(MeaningVar("Y", E), pair)).substitute_meanings({X: bill}) == Forall(
         H, Forall(MeaningVar("Y", E), Tensor(Atom(f, E, bill), Atom(f, E, Y)))
+    )
+
+
+def test_substitute_meanings_is_hereditary():
+    f, c = SemStructure("f"), Const("c", E)
+    S, p = Var("S", arrow(E, T)), Const("p", arrow(E, T))
+    body = Lam(E, App(p, BoundVar(0)), "y")
+    formula = Limp(Atom(f, T, App(S, c)), Atom(f, T, App(Const("q", arrow(T, T)), App(S, c))))
+    assert formula.substitute_meanings({S: body}) == Limp(
+        Atom(f, T, App(p, c)), Atom(f, T, App(Const("q", arrow(T, T)), App(p, c)))
     )
 
 
@@ -1047,3 +1061,91 @@ def test_premise_rebinding_a_meaning_variable_is_an_explicit_error():
     names = [Atom(g, E, Const("Bill", E)), Atom(h, E, Const("John", E))]
     with pytest.raises(GlueError, match="rebinds the meaning variable X:e"):
         derive([shadowing, *names], Goal(f))
+
+
+# --- set-up normalizes once; the search never again -----------------------------
+
+
+FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.fs"))
+
+
+def test_the_search_normalizes_nothing_after_set_up(lexicon, monkeypatch):
+    # Set-up normalizes every premise meaning; every substitution after it
+    # is hereditary, so no goal, head, trace step or reading is normalized.
+    calls = {"normalize": 0, "canonical_form": 0}
+    set_up = [False]
+    init = prover._Search.__init__
+
+    def initialize(self, *args, **kwargs):
+        set_up[0] = False
+        init(self, *args, **kwargs)
+        set_up[0] = True
+
+    monkeypatch.setattr(prover._Search, "__init__", initialize)
+    for name in calls:
+        walk = getattr(terms, name)
+
+        def counting(term, name=name, walk=walk):
+            calls[name] += set_up[0]
+            return walk(term)
+
+        monkeypatch.setattr(prover, name, counting, raising=False)
+    for name in FIXTURE_NAMES:
+        fs = parse_fstructure((FIXTURES / name).read_text(encoding="utf-8"))
+        for all_traces in (False, True):
+            diagnosis = diagnose(fs, lexicon, all_traces=all_traces)
+            for reading in diagnosis.readings:
+                for trace in reading.traces:
+                    assert all(step.line() for step in trace)
+    assert set_up[0] and calls == {"normalize": 0, "canonical_form": 0}
+
+
+@pytest.mark.parametrize("name", ["scope.fs", "twin_scope.fs", "ditransitive_scope.fs"])
+def test_no_failure_is_recorded_after_the_first_reading(lexicon, monkeypatch, name):
+    # A search with readings reports no frontier, so once it has one it
+    # records no failed goal.
+    late = []
+    record = prover._Search.record_failure
+
+    def recording(self, *args):
+        if self.strict:
+            late.append(args)
+        return record(self, *args)
+
+    monkeypatch.setattr(prover._Search, "record_failure", recording)
+    fs = parse_fstructure((FIXTURES / name).read_text(encoding="utf-8"))
+    assert diagnose(fs, lexicon).readings
+    assert late == []
+
+
+# `obviously` and `every-candidate` with redexes in every position the search
+# meets: a modifier's antecedent and head, a quantifier's assumed hypothesis
+# and the scope it proves.
+REDEX_TEMPLATES = {
+    "obviously: forall P:t. (mod ^) ~> P -o (mod ^) ~> obviously(P)":
+        r"obviously: forall P:t. (mod ^) ~> (\p. p)(P) -o (mod ^) ~> (\q. obviously(q))(P)",
+    "every-candidate: forall G, R:e->t. (forall u:e. ^ ~> u -o G ~>_t R(u))"
+    " -o G ~>_t every(candidate, R)":
+        r"every-candidate: forall G, R:e->t. (forall u:e. ^ ~> (\y. y)(u)"
+        r" -o G ~>_t (\s. s)(R(u))) -o G ~>_t every(candidate, R)",
+}
+
+
+@pytest.mark.parametrize("name", ["scope.fs", "twin_scope.fs", "modified.fs"])
+@pytest.mark.parametrize(
+    "flags", [(), ("--trace",), ("--all-traces",), ("--json", "--all-traces")], ids=" ".join
+)
+def test_templates_with_redexes_print_what_their_normal_forms_print(tmp_path, name, flags):
+    text = CORE
+    for plain, redex in REDEX_TEMPLATES.items():
+        assert text.count(plain) == 1
+        text = text.replace(plain, redex)
+    (tmp_path / "redex.lex").write_text(text, encoding="utf-8")
+    outputs = []
+    for lex in (FIXTURES / "core.lex", tmp_path / "redex.lex"):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["derive", "--fstructure", str(FIXTURES / name), "--lexicon", str(lex), *flags]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        outputs.append((code, out.getvalue(), err.getvalue()))
+    assert outputs[0][1] and outputs[1] == outputs[0]
