@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .errors import MissingAttributeError
-from .lexer import TokenStream, tokenize
+from .lexer import Tokens, tokenize
 from .node import Node
 
 _WORD = re.compile(r"\w+")
@@ -100,7 +100,7 @@ def resolve_path(root: FStructure, path) -> object:
 
 
 def parse_fstructure(text: str, source: str | None = None) -> FStructure:
-    ts = TokenStream(tokenize(text, source))
+    ts = tokenize(text, source)
     parser = _Parser(ts)
     ts.expect("IDENT", "an f-structure label")
     root = parser.parse_node(0)
@@ -111,7 +111,7 @@ def parse_fstructure(text: str, source: str | None = None) -> FStructure:
 
 
 class _Parser:
-    def __init__(self, ts: TokenStream):
+    def __init__(self, ts: Tokens):
         self.ts = ts
         self.labels: dict[str, FStructure] = {}
         # (container, attribute, set index or None, token index) for each

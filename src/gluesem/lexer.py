@@ -14,6 +14,8 @@ scan run match by match: each match's token offset, turned into a line and
 column by counting newlines. A text with no tokenization (a stray character,
 a word that starts with a digit or another numeric character like `²`, an
 unterminated quote) raises the error at its first bad token.
+
+Every parser reads `tokenize`'s result directly, as its cursor.
 """
 
 from __future__ import annotations
@@ -48,15 +50,21 @@ class Token(Node):
 
 class Tokens:
     """The tokens of one text as parallel `kinds` and `texts` lists that end
-    in EOF. Indexing or iterating yields `Token`s with their positions, which
-    are computed for the whole text on the first request."""
+    in EOF, and the parsers' cursor over them (`pos`, `depth`). Indexing or
+    iterating yields every `Token` with its position, wherever the cursor
+    stands; positions are computed for the whole text on the first request.
+    `accept` and `expect` compare kinds and return the token's text. The
+    parsers look past the current token only when it is not EOF and advance
+    only past tokens they have matched, so every index stays in bounds."""
 
-    __slots__ = ("kinds", "texts", "source", "_text", "_start", "_positions")
+    __slots__ = ("kinds", "texts", "source", "pos", "depth", "_text", "_start", "_positions")
 
     def __init__(self, kinds, texts, text, source, start):
         self.kinds = kinds
         self.texts = texts
         self.source = source
+        self.pos = 0
+        self.depth = 0
         self._text = text
         self._start = start  # (line, column) at which the text begins
         self._positions = None
@@ -69,68 +77,6 @@ class Tokens:
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self.kinds)))
-
-    def position(self, index: int) -> tuple[int, int]:
-        """The line and column of the token at `index`."""
-        if self._positions is None:
-            text = self._text
-            line, col = self._start
-            line_start = 1 - col  # offset of the current line's column 1
-            last = 0
-            self._positions = []
-            for match in _SCAN.finditer(text + _END):
-                # A token starts where its group does, a quoted one at the
-                # quote before its group; EOF at the end of the text, past
-                # any trailing blanks and comment, not at the end marker.
-                group = match.lastindex
-                offset = min(match.start(group) - (group == 2), len(text))
-                newlines = text.count("\n", last, offset)
-                if newlines:
-                    line += newlines
-                    line_start = text.rfind("\n", last, offset) + 1
-                self._positions.append((line, offset - line_start + 1))
-                last = offset
-        return self._positions[index]
-
-
-def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) -> Tokens:
-    """Tokens of `text`, positioned as if it began at `line`:`col` of `source`."""
-    found = _SCAN.findall(text + _END)
-    kinds = [symbol or (word and "IDENT") or other or "QUOTED" for symbol, _, word, other in found]
-    kinds[-1] = "EOF"  # the end marker
-    texts = [symbol or word or quoted for symbol, quoted, word, _ in found]
-    tokens = Tokens(kinds, texts, text, source, (line, col))
-    if not _KINDS.issuperset(kinds) or (
-        not text.isascii() and not all(word[0].isalpha() for _, _, word, _ in found if word)
-    ):
-        # A stray character or quote, or a numeric that `[^\W\d_]` lets
-        # start a word: the error stands at the first.
-        index, bad = next(
-            (i, kind if kind not in _KINDS else texts[i][0])
-            for i, kind in enumerate(kinds)
-            if kind not in _KINDS or kind == "IDENT" and not texts[i][0].isalpha()
-        )
-        message = "unterminated quoted symbol" if bad == "'" else f"unexpected character {bad!r}"
-        raise SyntaxErrorAt(message, *tokens.position(index), source)
-    return tokens
-
-
-class TokenStream:
-    """A cursor over the kinds and texts of `tokenize`'s result, which end in
-    EOF. `accept` and `expect` compare kinds and return the token's text; a
-    position is a token index, turned into a line and column only for an
-    error message. The parsers look past the current token only when it is
-    not EOF and advance only past tokens they have matched, so every index
-    stays in bounds."""
-
-    __slots__ = ("tokens", "kinds", "texts", "pos", "depth")
-
-    def __init__(self, tokens: Tokens):
-        self.tokens = tokens
-        self.kinds = tokens.kinds
-        self.texts = tokens.texts
-        self.pos = 0
-        self.depth = 0
 
     def peek(self, offset: int = 0) -> str:
         """The kind of the token `offset` places ahead."""
@@ -175,7 +121,47 @@ class TokenStream:
     def position(self, at: int | None = None) -> tuple[int, int]:
         """The line and column of the token at index `at` (default: the
         current one)."""
-        return self.tokens.position(self.pos if at is None else at)
+        if self._positions is None:
+            text = self._text
+            line, col = self._start
+            line_start = 1 - col  # offset of the current line's column 1
+            last = 0
+            self._positions = []
+            for match in _SCAN.finditer(text + _END):
+                # A token starts where its group does, a quoted one at the
+                # quote before its group; EOF at the end of the text, past
+                # any trailing blanks and comment, not at the end marker.
+                group = match.lastindex
+                offset = min(match.start(group) - (group == 2), len(text))
+                newlines = text.count("\n", last, offset)
+                if newlines:
+                    line += newlines
+                    line_start = text.rfind("\n", last, offset) + 1
+                self._positions.append((line, offset - line_start + 1))
+                last = offset
+        return self._positions[self.pos if at is None else at]
 
     def fail(self, message: str, at: int | None = None) -> NoReturn:
-        raise SyntaxErrorAt(message, *self.position(at), self.tokens.source)
+        raise SyntaxErrorAt(message, *self.position(at), self.source)
+
+
+def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) -> Tokens:
+    """Tokens of `text`, positioned as if it began at `line`:`col` of `source`."""
+    found = _SCAN.findall(text + _END)
+    kinds = [symbol or (word and "IDENT") or other or "QUOTED" for symbol, _, word, other in found]
+    kinds[-1] = "EOF"  # the end marker
+    texts = [symbol or word or quoted for symbol, quoted, word, _ in found]
+    tokens = Tokens(kinds, texts, text, source, (line, col))
+    if not _KINDS.issuperset(kinds) or (
+        not text.isascii() and not all(word[0].isalpha() for _, _, word, _ in found if word)
+    ):
+        # A stray character or quote, or a numeric that `[^\W\d_]` lets
+        # start a word: the error stands at the first.
+        index, bad = next(
+            (i, kind if kind not in _KINDS else texts[i][0])
+            for i, kind in enumerate(kinds)
+            if kind not in _KINDS or kind == "IDENT" and not texts[i][0].isalpha()
+        )
+        message = "unterminated quoted symbol" if bad == "'" else f"unexpected character {bad!r}"
+        tokens.fail(message, index)
+    return tokens

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, PathRef, SemVar, Tensor
 from .fstruct import FStructure, resolve_path, sigma
-from .lexer import TokenStream, tokenize
+from .lexer import Tokens, tokenize
 from .node import Node
 from .semtypes import SemType, parse_type_at
 from .termsyntax import parse_term_at
@@ -107,7 +107,7 @@ def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, source):
         raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, column, source)
     if name in lexicon.signature:
         raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, column, source)
-    ts = TokenStream(tokenize(type_part, source, lineno, len(line) - len(type_part) + 1))
+    ts = tokenize(type_part, source, lineno, len(line) - len(type_part) + 1)
     ty = parse_type_at(ts)
     if not ts.at_end():
         ts.fail("trailing input after type")
@@ -115,7 +115,7 @@ def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, source):
 
 
 class _TemplateParser:
-    def __init__(self, ts: TokenStream, signature: dict[str, SemType]):
+    def __init__(self, ts: Tokens, signature: dict[str, SemType]):
         self.ts = ts
         self.signature = signature
         self.meaning_scope: dict[str, SemType] = {}
@@ -222,7 +222,7 @@ class _TemplateParser:
 
 
 def _parse_template(text, lineno, column_offset, signature, source):
-    ts = TokenStream(tokenize(text, source, lineno, column_offset + 1))
+    ts = tokenize(text, source, lineno, column_offset + 1)
     parser = _TemplateParser(ts, signature)
     template = parser.parse_formula()
     if not ts.at_end():

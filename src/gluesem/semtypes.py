@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .lexer import TokenStream, tokenize
+from .lexer import Tokens, tokenize
 from .node import Node
 
 
@@ -43,14 +43,14 @@ def arrow(*types: SemType) -> SemType:
 
 def parse_type(text: str) -> SemType:
     """Parse `e`, `t`, `e -> t`, `(e -> t) -> t` (arrows right-associative)."""
-    ts = TokenStream(tokenize(text))
+    ts = tokenize(text)
     ty = parse_type_at(ts)
     if not ts.at_end():
         ts.fail(f"unexpected {ts.text()!r} in type")
     return ty
 
 
-def parse_type_at(ts: TokenStream) -> SemType:
+def parse_type_at(ts: Tokens) -> SemType:
     """Parse a type at the current position (arrows right-associative)."""
     left = _parse_type_atom(ts)
     if ts.accept("->"):
@@ -61,7 +61,7 @@ def parse_type_at(ts: TokenStream) -> SemType:
     return left
 
 
-def _parse_type_atom(ts: TokenStream) -> SemType:
+def _parse_type_atom(ts: Tokens) -> SemType:
     if ts.accept("("):
         ts.descend("types", ts.pos - 1)
         ty = parse_type_at(ts)

@@ -14,7 +14,7 @@ solved type variables are substituted into the binders (zonking).
 from __future__ import annotations
 
 from .errors import TermTypeError, UnboundVariableError
-from .lexer import TokenStream, tokenize
+from .lexer import Tokens, tokenize
 from .semtypes import ArrowType, SemType, parse_type_at
 from .terms import App, BoundVar, Const, Lam, MeaningTerm, Var
 
@@ -35,7 +35,7 @@ def parse_term(
 ) -> MeaningTerm:
     """Parse and type a term; free names resolve via env (variables) then
     signature (constants)."""
-    ts = TokenStream(tokenize(text, source))
+    ts = tokenize(text, source)
     term, _ = parse_term_at(ts, signature, env)
     if not ts.at_end():
         ts.fail(f"unexpected {ts.text()!r} after term")
@@ -43,7 +43,7 @@ def parse_term(
 
 
 def parse_term_at(
-    ts: TokenStream,
+    ts: Tokens,
     signature: dict[str, SemType],
     env: dict[str, SemType] | None = None,
 ) -> tuple[MeaningTerm, SemType]:
@@ -56,7 +56,7 @@ def parse_term_at(
 
 
 class _TermParser:
-    def __init__(self, ts: TokenStream, signature, env):
+    def __init__(self, ts: Tokens, signature, env):
         self.ts = ts
         self.signature = signature
         self.env = env

@@ -1,6 +1,6 @@
 """Compare what gluesem prints at the working tree and at a git revision.
 
-    python tests/differential.py REV [--normalize-hyps]
+    python tests/differential.py REV
 
 Builds one matrix of outputs with the working tree's `src/gluesem` and one
 with REV's (exported by `git archive` into a temporary directory), each in
@@ -28,25 +28,14 @@ built from the working tree's inputs, so only the package differs:
 
 Prints the first differing case and exits 1 on any difference; otherwise
 prints "no difference" and the number of cases, and exits 0.
-
-`--normalize-hyps` compares traces up to the names the search gives:
-within each trace (a run of consecutive step lines), on both sides, the
-hypotheses and derived resources are renumbered (`[h1]`, `[d1]`, ...) and
-the hypothesis constants (the names on `discharge` lines, wherever they
-occur in a line, binder names in printed terms included) renamed by first
-appearance. An `apply` line also matches when REV's text is the working
-tree's followed by more bindings. It reports how many cases differ without
-normalizing, and how many `apply` lines matched only so.
 """
 
 from __future__ import annotations
 
 import difflib
 import io
-import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 import tarfile
@@ -66,11 +55,6 @@ MODES = (
 SEEDS = (1, 2, 3)
 ALL_TRACES = ("corpus", "failures")  # workloads also run with `all_traces`
 CUT_EVERY = 7  # characters between the cuts of a malformed-input case
-# A trace step as the CLI, the JSON documents and `cases` print it: its
-# indentation and opening quote, its text, and its closing quote and comma.
-STEP = re.compile(r'(\s*"?)((?:assume|apply|derive|discharge) .*?)(",?)?$')
-LABEL = re.compile(r"\[([hd])\d+\]")
-WORD = re.compile(r"\w+")
 
 
 def cases():
@@ -178,61 +162,6 @@ def _diagnosis(root, lexicon, all_traces) -> str:
     return "\n".join(lines)
 
 
-def _normalized(lines: list[str]) -> list[str]:
-    """The step texts of one trace with its hypotheses and derived resources
-    renumbered, and its hypothesis constants renamed, by first appearance."""
-    hyps = {line.split()[1] for line in lines if line.startswith("discharge ")}
-    labels: dict[str, str] = {}
-    counts = {"h": 0, "d": 0}
-    names: dict[str, str] = {}
-
-    def label(match):
-        old, kind = match.group(0, 1)
-        if old not in labels:
-            counts[kind] += 1
-            labels[old] = f"[{kind}{counts[kind]}]"
-        return labels[old]
-
-    def name(match):
-        word = match.group(0)
-        if word not in hyps:
-            return word
-        return names.setdefault(word, f"#{len(names) + 1}")
-
-    return [WORD.sub(name, LABEL.sub(label, line)) for line in lines]
-
-
-def _compare(ours: str, theirs: str) -> tuple[bool, int]:
-    """Whether two outputs agree up to hypothesis names (see
-    `--normalize-hyps`), and how many `apply` lines agreed only because
-    REV's held more bindings."""
-    mine, other = ours.splitlines(), theirs.splitlines()
-    if len(mine) != len(other):
-        return False, 0
-    cut = 0
-    lines = zip(mine, other)
-    for steps, run in itertools.groupby(lines, key=lambda pair: all(map(STEP.match, pair))):
-        if not steps:
-            if any(a != b for a, b in run):
-                return False, 0
-            continue
-        wrapped = [(STEP.match(a), STEP.match(b)) for a, b in run]
-        if any(a.group(1, 3) != b.group(1, 3) for a, b in wrapped):
-            return False, 0
-        texts = zip(
-            _normalized([a.group(2) for a, _ in wrapped]),
-            _normalized([b.group(2) for _, b in wrapped]),
-        )
-        for a, b in texts:
-            if a == b:
-                continue
-            more = ", " if "  " in a else "  "  # after a binding, or after the atom
-            if not (a.startswith("apply ") and b.startswith(a + more)):
-                return False, 0
-            cut += 1
-    return True, cut
-
-
 def dump(src: str, out: str) -> None:
     """Write the matrix built with the package under `src` to `out`."""
     sys.path[:0] = [src, str(ROOT / "tests"), str(ROOT / "perfbench")]
@@ -248,12 +177,10 @@ def main(argv: list[str]) -> int:
     if len(argv) == 4 and argv[1] == "--dump":
         dump(argv[2], argv[3])
         return 0
-    normalize = "--normalize-hyps" in argv[1:]
-    args = [arg for arg in argv[1:] if arg != "--normalize-hyps"]
-    if len(args) != 1 or args[0].startswith("-"):
-        print("usage: python tests/differential.py REV [--normalize-hyps]", file=sys.stderr)
+    if len(argv) != 2 or argv[1].startswith("-"):
+        print("usage: python tests/differential.py REV", file=sys.stderr)
         return 2
-    rev = args[0]
+    rev = argv[1]
     with tempfile.TemporaryDirectory(prefix="gluesem-differential-") as tmp:
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True
@@ -282,14 +209,8 @@ def main(argv: list[str]) -> int:
                 return 2
             matrices[side] = json.loads(Path(out).read_text(encoding="utf-8"))
     ours, theirs = matrices["working tree"], matrices[rev]
-    raw = cut = 0
     for n, (mine, other) in enumerate(zip(ours, theirs)):
-        same = mine == other
-        if not same and mine[0] == other[0] and normalize:
-            raw += 1
-            same, lines = _compare(mine[1], other[1])
-            cut += lines
-        if not same:
+        if mine != other:
             print(f"difference in case {n}: {mine[0]}" + (
                 "" if mine[0] == other[0] else f" (at {rev}: {other[0]})"
             ))
@@ -301,10 +222,7 @@ def main(argv: list[str]) -> int:
     if len(ours) != len(theirs):
         print(f"difference in the number of cases: {len(ours)} here, {len(theirs)} at {rev}")
         return 1
-    print(f"no difference in {len(ours)} cases between the working tree and {rev}" + (
-        f" with hypotheses normalized ({raw} cases differ without normalizing;"
-        f" {cut} apply lines at {rev} hold more bindings)" if normalize else ""
-    ))
+    print(f"no difference in {len(ours)} cases between the working tree and {rev}")
     return 0
 
 

@@ -474,16 +474,68 @@ def test_json_names_the_premise_of_an_unused_tensor_component(tmp_path):
     }
 
 
+# For `python -m gluesem` in an interpreter of its own, at its default
+# recursion limit: the package under test on its path.
+FRESH_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(gluesem.__file__).resolve().parent.parent)}
+
+
 @pytest.mark.parametrize("fs_name", ["scope.fs", "ditransitive_scope.fs"])
 def test_closed_output_pipe_exits_1_without_a_traceback(fs_name):
     # Like `gluesem derive ... | head -1`: the reader is gone before the
     # readings are written.
-    src = pathlib.Path(gluesem.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
     argv = [sys.executable, "-m", "gluesem", *derive_args(fs_name, "--all-traces")]
     with subprocess.Popen(
-        argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        argv, env=FRESH_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE
     ) as proc:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+def deep_clause(k: int) -> str:
+    """`appoint` with `k` `obviously` modifiers: a flat clause (nesting
+    depth 2) whose derivation is `k` + 1 focuses deep."""
+    mods = "; ".join(f"m{i}:[PRED 'obviously']" for i in range(k))
+    return f"f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary']; MODS {{ {mods} }}]\n"
+
+
+def derive_in_a_fresh_interpreter(tmp_path, fstructure: str, *extra):
+    """`python -m gluesem derive` on `fstructure`, at the interpreter's
+    default recursion limit: (exit code, stdout lines, stderr)."""
+    path = tmp_path / "clause.fs"
+    path.write_text(fstructure, encoding="utf-8")
+    argv = [sys.executable, "-m", "gluesem", "derive", "--fstructure", str(path),
+            "--lexicon", str(FIXTURES / "core.lex"), *extra]
+    done = subprocess.run(argv, env=FRESH_ENV, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout.splitlines(), done.stderr
+
+
+# The reading alone, or the reading and one `apply` line for each of the 223
+# premises.
+@pytest.mark.parametrize("mode, lines", [((), 1), (("--trace",), 224)])
+def test_a_220_modifier_clause_derives_at_the_default_recursion_limit(tmp_path, mode, lines):
+    code, out, err = derive_in_a_fresh_interpreter(tmp_path, deep_clause(220), *mode)
+    assert (code, len(out), err) == (0, lines, "")
+
+
+def test_a_1000_modifier_clause_derives_or_ends_in_an_error_line(tmp_path):
+    code, lines, err = derive_in_a_fresh_interpreter(tmp_path, deep_clause(1000))
+    if code == 0:
+        assert (len(lines), err) == (1, "")
+    else:
+        assert code == 1 and lines == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_crlf_line_ends_read_like_lf_ones(tmp_path):
+    """Every fixture and `core.lex` rewritten with CRLF line ends derives to
+    its recorded stdout and exit code."""
+    lexicon = tmp_path / "core.lex"
+    lexicon.write_bytes((FIXTURES / "core.lex").read_bytes().replace(b"\n", b"\r\n"))
+    for stem in sorted(GOLDEN_CODES):
+        path = tmp_path / f"{stem}.fs"
+        path.write_bytes((FIXTURES / f"{stem}.fs").read_bytes().replace(b"\n", b"\r\n"))
+        out, err = io.StringIO(), io.StringIO()
+        assert run(RunConfig(str(path), str(lexicon)), out, err) == GOLDEN_CODES[stem], stem
+        assert out.getvalue().encode("utf-8") == (GOLDEN / f"{stem}.txt").read_bytes(), stem

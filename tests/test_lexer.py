@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from gluesem.errors import SyntaxErrorAt
-from gluesem.lexer import tokenize
+from gluesem.lexer import Token, tokenize
 
 # (text, start line, start column, tokens as (kind, text, line, column));
 # the last token is always EOF.
@@ -87,3 +87,18 @@ def test_rejected_characters_are_reported_where_they_stand(text, line, col, mess
     with pytest.raises(SyntaxErrorAt) as err:
         tokenize(text, "t", line, col)
     assert str(err.value) == message
+
+
+def test_the_cursor_leaves_indexing_and_iterating_whole():
+    """`tokenize`'s result is also the parsers' cursor: stepping it past
+    tokens changes neither what indexing and iterating yield nor their
+    positions; `position()` is the current token's."""
+    text = "a\n  b (c)"
+    fresh = list(tokenize(text, "t", 3, 5))
+    tokens = tokenize(text, "t", 3, 5)
+    assert tokens.next() == "a"
+    assert tokens.accept("IDENT") == "b"
+    assert tokens.accept(")") is None
+    assert tokens.position() == (fresh[2].line, fresh[2].column) == (4, 5)
+    assert [tokens[i] for i in range(len(tokens))] == list(tokens) == fresh
+    assert fresh[0] == Token("IDENT", "a", 3, 5)
