@@ -120,24 +120,6 @@ class GlueFormula(Node):
                 return Forall(var, body.substitute_meanings(mapping))
         return self
 
-    def is_closed(self, bound: frozenset = frozenset()) -> bool:
-        """No free structure or meaning variable and no template path;
-        `bound` holds the binders in scope (`SemVar`s and meaning `Var`s).
-        The walk stops at the first free variable or path."""
-        kind = type(self)
-        if kind is Atom:
-            sem = self[1]
-            if type(sem) is PathRef or type(sem) is SemVar and sem not in bound:
-                return False
-            return terms.vars_within(self[3], bound)
-        if kind is Tensor or kind is Limp:
-            return self[1].is_closed(bound) and self[2].is_closed(bound)
-        if kind is Forall:
-            var = self[1]
-            binder = var if type(var) is SemVar else Var(var[1], var[2])
-            return self[2].is_closed(bound | {binder})
-        return True
-
 
 class Atom(GlueFormula):
     __slots__ = ()

@@ -16,20 +16,21 @@ its own, solved in a substitution of its own, and its head meaning comes
 back closed. Universal structure variables range over the finite structure
 universe of the analysis.
 
-Set-up normalizes every premise meaning (and `entails` its consequent's);
-after that the search normalizes nothing. Every substitution it makes is
-hereditary (Watkins, Cervesato, Pfenning & Walker 2002): closed normal
-values put into a normal meaning can only make a redex where a solved
-metavariable is applied, so only such a spine is reduced, and every meaning
-the search builds is normal. A reading is only eta-contracted to key it.
-Unification reads a solved metavariable from the substitution where it
-meets one, comparing it with `==`, and reduces only a spine whose head it
-solved. A binding made outside every binder is not typechecked: the search
-checks at set-up that each premise atom's meaning (and, for `entails`, each
-consequent atom's) has the atom's type index, so both sides of a goal have
-the goal's type, and each step down an application passed equal heads. A
-binding made under a binder is typechecked, which reports a capture as
-`NonPatternError`.
+Set-up reads each premise (and `entails` its consequent) in one walk,
+`_read`, which checks that it is closed and well typed and collects the
+structure universe, the binder names and the polarity table; `_set_up` then
+normalizes its meanings, and after that the search normalizes nothing.
+Every substitution it makes is hereditary (Watkins, Cervesato, Pfenning &
+Walker 2002): closed normal values put into a normal meaning can only make
+a redex where a solved metavariable is applied, so only such a spine is
+reduced, and every meaning the search builds is normal. A reading is only
+eta-contracted to key it. Unification reads a solved metavariable from the
+substitution where it meets one, comparing it with `==`, and reduces only a
+spine whose head it solved. A binding made outside every binder is not
+typechecked: the read walk checks that each atom's meaning has the atom's
+type index, so both sides of a goal have the goal's type, and each step
+down an application passed equal heads. A binding made under a binder is
+typechecked, which reports a capture as `NonPatternError`.
 
 The search terminates by linearity alone, so it has no depth bound. A focus
 takes its resource out of the available set for everything nested inside
@@ -61,7 +62,10 @@ proof of the last goal a derivation has left, where nothing after it can
 consume a resource, is cut when it leaves resources unused (the strictness
 of the input/output resource model of Cervesato, Hodas & Pfenning 2000),
 and a failed atomic goal is no longer recorded. A failed search never finds
-a reading, so it cuts nothing and its evidence is complete.
+a reading, so it cuts nothing and its evidence is complete: `_classify`
+reads it off the polarity table, the failed goals and the premises the
+goal-reaching derivations left, and `search` returns one `Diagnosis`
+either way.
 
 A derivation's trace is recorded lazily: subproofs hand up a rope (see
 `_trace`), which joins two subproofs in O(1) and holds only what the search
@@ -100,6 +104,7 @@ from .terms import (
     Var,
     _app,
     _eta,
+    _leaves,
     abstract_over,
     format_term,
     free_vars,
@@ -174,6 +179,54 @@ class Reading(Node):
 
     def __str__(self) -> str:
         return format_term(self.meaning)
+
+
+OK = "ok"
+INCOMPLETE = "incomplete"
+INCOHERENT = "incoherent"
+INCOMPLETE_INCOHERENT = "incomplete+incoherent"
+UNINSTANTIABLE = "uninstantiable"
+
+
+class Demand(Node, needed_by=()):
+    __slots__ = ()
+    __match_args__ = ("sem", "ty", "needed_by")
+
+    def __str__(self) -> str:
+        where = f" needed by {', '.join(self.needed_by)}" if self.needed_by else ""
+        return f"{self.sem} : {self.ty}{where}"
+
+
+class Leftover(Node):
+    __slots__ = ()
+    __match_args__ = ("index", "word")
+
+    def __str__(self) -> str:
+        return f"{self.word}[{self.index}]"
+
+
+class Diagnosis(Node, unsatisfied_demands=(), leftover_resources=(), readings=(), note=""):
+    """What one search found: its readings, or why it has none (see
+    `_classify`); or, with a `note`, why no search could run."""
+
+    __slots__ = ()
+    __match_args__ = ("status", "unsatisfied_demands", "leftover_resources", "readings", "note")
+
+    def __str__(self) -> str:
+        if self.status == OK:
+            return f"ok ({len(self.readings)} reading(s))"
+        parts = [self.status]
+        if self.note:
+            parts.append(self.note)
+        if self.unsatisfied_demands:
+            parts.append(
+                "unsatisfied: " + "; ".join(str(d) for d in self.unsatisfied_demands)
+            )
+        if self.leftover_resources:
+            parts.append(
+                "leftover: " + ", ".join(str(l) for l in self.leftover_resources)
+            )
+        return "\n".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +314,21 @@ def _bind(subst, var: Var, term: MeaningTerm, under_binder):
 
 class _Search:
     """One search over `premise_list`. Structure variables range over every
-    structure the premises or `goal_sems` mention. Set-up (`_set_up`)
-    normalizes every premise meaning and renames the premises' goal-position
+    structure the premises or `goal_sems` mention. Set-up reads each premise
+    once (`_read`), filling the polarity table `polarity`, then sets it up
+    once (`_set_up`): normalizes its meanings and renames its goal-position
     meaning binders apart, so a hypothesis constant takes its binder's name
     as is and has that name in every reading; stamps, numbered by this
     search alone, keep hypotheses apart. Metavariables keep their declared
     names, since each focus solves its own in a substitution of its own.
     `prove` is the goal routine and `prove_atom` the focus routine; nothing
     else proves a goal. Until `strict` is set, each atomic goal whose
-    pattern no supplied meaning matched is kept in `frontier` with the most
-    premises consumed when it failed. A resource's id is its bit in the
-    availability masks (premises first, by index: `premise_mask`; then each
-    resource as it is drawn) and indexes `registry`: (formula, word, the
-    premise's index or the kind "h" or "d", bit of the premise it comes from
-    or 0, bits of its earlier twins).
+    pattern no supplied meaning matched is kept in `frontier`, under its
+    (structure label, type), with the most premises consumed when it failed.
+    A resource's id is its bit in the availability masks (premises first, by
+    index: `premise_mask`; then each resource as it is drawn) and indexes
+    `registry`: (formula, word, the premise's index or the kind "h" or "d",
+    bit of the premise it comes from or 0, bits of its earlier twins).
 
     Premises with equal formulas and words are *twins*. Unless `all_orders`
     is set, a premise is focused only once every earlier twin is consumed, so
@@ -286,30 +340,30 @@ class _Search:
         for p, q in zip(premise_list, premise_list[1:]):
             if p.index == q.index:
                 raise GlueError(f"premises {p.tag()} and {q.tag()} share the index {p.index}")
+        sems = set(goal_sems)
+        taken: set[str] = set()
+        # (structure label, or None for a structure variable; type) ->
+        # [tags of the premises that demand it, bits of those that supply it]
+        self.polarity: dict[tuple, list] = {}
+        for i, p in enumerate(premise_list):
+            _read(p.formula, p, 1 << i, sems, taken, self.polarity)
         self.registry: list[tuple[GlueFormula, str, int | str, int, int]] = []
         # Twin classes come from the formulas as written, before set-up.
         classes: dict[tuple, int] = {}  # (formula, word) -> bits of its premises
-        sems = set(goal_sems)
         claimed: set[str] = set()
-        taken = {name for p in premise_list for name in _meaning_binders(p.formula)}
         for i, p in enumerate(premise_list):
-            for atom, _ in p.formula.atoms():
-                sems.add(atom.sem)
-                _check_type(atom, p)  # before normalizing: an ill-typed term may not halt
             twins = classes.get((p.formula, p.word), 0)
             classes[p.formula, p.word] = twins | 1 << i
             formula = _set_up(p.formula, True, claimed, taken)
             self.registry.append((formula, p.word, p.index, 1 << i, 0 if all_orders else twins))
         self.premise_mask = (1 << len(premise_list)) - 1
-        self.universe = sorted(
-            (s for s in sems if isinstance(s, SemStructure)), key=lambda s: s.label
-        )
+        self.universe = sorted(sems, key=lambda s: s.label)
         self.all_orders = all_orders
         # Once a reading is known, a derivation that leaves resources unused
         # is worth nothing: `_run_search` sets this at its first reading, and
         # the all-orders search runs only after the canonical one found one.
         self.strict = all_orders
-        self.frontier: dict[tuple[str, str], int] = {}
+        self.frontier: dict[tuple, int] = {}
         self.stamps = itertools.count(1)
         self.focus_tables: dict[int, dict] = {}
 
@@ -381,7 +435,7 @@ class _Search:
         return [goals]
 
     def record_failure(self, sem, ty, avail):
-        key = (sem.label, str(ty))
+        key = (sem.label, ty)
         consumed = (self.premise_mask & ~avail).bit_count()
         self.frontier[key] = max(consumed, self.frontier.get(key, -1))
 
@@ -470,32 +524,65 @@ class _Search:
                 yield [], flatten_tensor(formula), displays
 
 
-def _check_type(atom: Atom, premise: Premise | None = None) -> None:
-    """Raise unless `atom`, of `premise` (or, with none, of the consequent of
-    `entails`), holds a meaning of its type index. Parsed lexicons guarantee
-    this; the search relies on it, binding a metavariable outside every
-    binder without typechecking the value."""
-    try:
-        ty = typecheck(atom.meaning)
-        if ty == atom.ty:
-            return
-        problem = f"{format_term(atom.meaning)} has type {ty}, not its index type {atom.ty}"
-    except (TermTypeError, UnboundVariableError) as exc:
-        problem = str(exc)
-    owner = "the consequent" if premise is None else f"premise {premise.tag()}"
-    raise GlueError(f"{owner} is ill-typed: {problem}")
+class _NotClosed(GlueError):
+    """A formula holds a template path or a variable no quantifier binds."""
 
 
-def _meaning_binders(formula):
-    """Yield the name of every meaning variable `formula` binds."""
-    match formula:
-        case Forall(var, body):
-            if isinstance(var, MeaningVar):
-                yield var.name
-            yield from _meaning_binders(body)
-        case Limp(left, right) | Tensor(left, right):
-            yield from _meaning_binders(left)
-            yield from _meaning_binders(right)
+def _read(root, who, bit, sems: set, binders: set, polarity):
+    """The one walk set-up makes over the premise `who` (None: the consequent
+    of `entails`), before anything is normalized: an ill-typed term may not
+    halt. Raise `GlueError` at the first atom, left to right, whose structure
+    is neither a semantic structure nor a bound structure variable, whose
+    meaning holds a variable not bound (by name and type) around it, or whose
+    meaning does not have the atom's type index; the search relies on the
+    last, binding a metavariable outside every binder without typechecking
+    the value. Add the structures the atoms name to `sems` and the names of
+    the meaning binders to `binders`; a premise's atoms go in `polarity`,
+    keyed by (structure label, or None for a variable; type): a supply
+    (positive) by `bit`, a demand (in an odd number of antecedents) by the
+    premise's tag."""
+    stack = [(root, True, frozenset())]
+    while stack:
+        formula, positive, bound = stack.pop()
+        kind = type(formula)
+        if kind is Atom:
+            _, sem, ty, meaning = formula
+            label = None
+            if type(sem) is SemStructure:
+                sems.add(sem)
+                label = sem.label
+            if label is None and sem not in bound or any(
+                type(t) is Var and t not in bound for t in _leaves(meaning)
+            ):
+                raise _NotClosed(
+                    f"formula {root} is not closed" if who is None
+                    else f"premise {who.tag()} is not closed"
+                )
+            try:
+                found = typecheck(meaning)
+                problem = None if found == ty else (
+                    f"{format_term(meaning)} has type {found}, not its index type {ty}"
+                )
+            except (TermTypeError, UnboundVariableError) as exc:
+                problem = str(exc)
+            if problem is not None:
+                owner = "the consequent" if who is None else f"premise {who.tag()}"
+                raise GlueError(f"{owner} is ill-typed: {problem}")
+            if who is not None:
+                entry = polarity.setdefault((label, ty), [[], 0])
+                if positive:
+                    entry[1] |= bit
+                else:
+                    entry[0].append(who.tag())
+        elif kind is Tensor or kind is Limp:
+            left = positive if kind is Tensor else not positive
+            stack += ((formula[2], positive, bound), (formula[1], left, bound))
+        elif kind is Forall:
+            var = formula[1]
+            if type(var) is MeaningVar:
+                binders.add(var.name)
+                var = Var(var.name, var.ty)
+            stack.append((formula[2], positive, bound | {var}))
 
 
 def _set_up(formula, positive, claimed: set, taken: set):
@@ -548,39 +635,19 @@ def _as_premises(items) -> list[Premise]:
     ]
 
 
-class SearchResult(Node):
-    """What one proof search found. `readings` use every premise exactly
-    once. `leftover` and `frontier` are the evidence for a failure: a search
-    with readings reports None and (), since after its first reading it cut
-    the derivations that leave premises unused. Otherwise `leftover` is None
-    when no derivation reached the goal, and else it pools the unused
-    premise ids of the goal-reaching derivations that left the fewest over
-    (an unused tensor component derived from a premise counts as that
-    premise), widened by every twin class it meets, since the search skipped
-    the derivations that swap twins. `frontier` lists, as
-    (structure label, type, premises consumed), each atomic goal for which no
-    resource supplied a meaning its pattern matches (the sentence goal: no
-    meaning at all), with the most premises consumed when it failed."""
-
-    __slots__ = ()
-    __match_args__ = ("readings", "leftover", "frontier")
-
-
-def search(premise_set, goal: Goal, all_traces: bool = False) -> SearchResult:
-    """One proof search for `goal` from the premises; `derive` and
-    `diagnose` read what they need from its result. With `all_traces`, the
-    search in every order runs only once the canonical-order search has
-    found a reading: a failure is that search's result, so its diagnosis
-    does not depend on `all_traces`. A premise that is not closed, shares
-    its index or holds a meaning not of its atom's type index raises
-    `GlueError`; a derivation nested too deeply for the interpreter's stack
-    raises `SearchBoundError`."""
-    premise_list = _as_premises(premise_set)
-    for premise in premise_list:
-        if not premise.formula.is_closed():
-            raise GlueError(f"premise {premise.tag()} is not closed")
+def search(premise_set, goal: Goal, all_traces: bool = False) -> Diagnosis:
+    """One proof search for `goal` from the premises: its readings, or the
+    classified failure (see `_classify`). With `all_traces`, the search in
+    every order runs only once the canonical-order search has found a
+    reading: a failure is that search's, so its diagnosis does not depend on
+    `all_traces`. A goal structure that is not a semantic structure, premises
+    that share an index, and then, in index order, the first premise that is
+    not closed or holds a meaning not of its atom's type index (see `_read`)
+    raise `GlueError`; a derivation nested too deeply for the interpreter's
+    stack raises `SearchBoundError`."""
     if not isinstance(goal.sem, SemStructure):
         raise GlueError(f"goal structure {goal.sem!r} is not a semantic structure")
+    premise_list = _as_premises(premise_set)
     try:
         result = _run_search(premise_list, goal, False, probe=all_traces)
         if result is None:  # the canonical search found a reading
@@ -590,7 +657,7 @@ def search(premise_set, goal: Goal, all_traces: bool = False) -> SearchResult:
     return result
 
 
-def _run_search(premise_list, goal, all_traces, probe=False) -> SearchResult | None:
+def _run_search(premise_list, goal, all_traces, probe=False) -> Diagnosis | None:
     engine = _Search(premise_list, [goal.sem], all_traces)
 
     # canonical meaning -> (meaning, {trace, or () by default: trace})
@@ -624,8 +691,8 @@ def _run_search(premise_list, goal, all_traces, probe=False) -> SearchResult | N
         trace = _trace(steps, engine.registry)
         entry[1].setdefault(trace if all_traces else (), trace)
     if found:
-        # Only a failed search's evidence is read, and after the first
-        # reading the search no longer hands partial derivations up.
+        # After the first reading the search no longer hands partial
+        # derivations up, and its failure evidence is not read.
         readings = sorted(
             (
                 Reading(meaning, goal.ty, tuple(traces.values()))
@@ -633,17 +700,62 @@ def _run_search(premise_list, goal, all_traces, probe=False) -> SearchResult | N
             ),
             key=lambda r: format_term(r.meaning),
         )
-        return SearchResult(tuple(readings), None, ())
+        return Diagnosis(OK, readings=tuple(readings))
     if not supplied:
         engine.record_failure(goal.sem, goal.ty, engine.premise_mask)
-    frontier = tuple(sorted((sem, ty, n) for (sem, ty), n in engine.frontier.items()))
-    leftover = None
-    if fewest is not None:
-        for _, _, _, own, earlier in engine.registry[: len(premise_list)]:
-            if pooled & (own | earlier):  # a twin-class prefix, whole at its last premise
-                pooled |= own | earlier
-        leftover = frozenset(engine.registry[rid][2] for rid in _ids(pooled))
-    return SearchResult((), leftover, frontier)
+    # The search skipped the derivations that swap twins, so the pool is
+    # widened by every twin class it meets.
+    for _, _, _, own, earlier in engine.registry[: len(premise_list)]:
+        if pooled & (own | earlier):  # a twin-class prefix, whole at its last premise
+            pooled |= own | earlier
+    return _classify(engine, goal, fewest is not None, pooled)
+
+
+def _classify(engine, goal, reached, unused) -> Diagnosis:
+    """The diagnosis of a search that found no reading, from what it saw.
+    Static polarity gives the first cut: a demand in `engine.polarity` (or the
+    goal) is unsatisfied when no supply matches it, by key, not by count, a
+    structure variable matching any structure of its type. When a derivation
+    reached the goal, it left premises over: `unused` pools those of the
+    derivations that left the fewest. Otherwise the supplies no demand
+    matches are left over, and if polarity finds every demand met, the
+    failed goals of the deepest frontier (`engine.frontier`) are named:
+    polarity cannot see a circularity, say."""
+    table = dict(engine.polarity)
+    key = (goal.sem.label, goal.ty)
+    tags, bits = table.get(key, ((), 0))
+    table[key] = (["goal", *tags], bits)
+    unsat = {k: tags for k, (tags, _) in table.items() if tags and not _met(k, table, 1)}
+    if not reached:
+        for k, (_, bits) in table.items():
+            if bits and not _met(k, table, 0):
+                unused |= bits
+        if not unsat and engine.frontier:
+            deepest = max(engine.frontier.values())
+            unsat = {k: () for k, n in engine.frontier.items() if n == deepest}
+    leftovers = tuple(
+        Leftover(engine.registry[rid][2], engine.registry[rid][1]) for rid in _ids(unused)
+    )
+    incomplete = bool(unsat) or not reached
+    incoherent = reached or bool(leftovers)
+    status = INCOMPLETE_INCOHERENT if incomplete and incoherent else (
+        INCOMPLETE if incomplete else INCOHERENT
+    )
+    demands = tuple(
+        Demand("*" if sem is None else sem, str(ty), tuple(tags))
+        for (sem, ty), tags in sorted(unsat.items(), key=lambda kv: (kv[0][0] or "", str(kv[0][1])))
+    )
+    return Diagnosis(status, unsatisfied_demands=demands, leftover_resources=leftovers)
+
+
+def _met(key, table, side) -> bool:
+    """Whether an entry of `table` has a nonempty `side` (0: demands, 1:
+    supplies) under a key that matches `key`; a None label matches any label
+    of the same type."""
+    sem, ty = key
+    if sem is None:
+        return any(entry[side] for (_, other), entry in table.items() if other == ty)
+    return any(table.get(k, ((), 0))[side] for k in (key, (None, ty)))
 
 
 def _trace(rope, registry) -> Trace:
@@ -712,17 +824,18 @@ def _tidy_hints(term: MeaningTerm) -> MeaningTerm:
 
 def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     """Linear entailment with exact resource usage for propositional
-    tensor-fragment formulas."""
-    for formula in (antecedent, consequent):
-        if not formula.is_closed():
-            raise GlueError(f"formula {formula} is not closed")
-    goal_sems = []
-    for atom, _ in consequent.atoms():
-        _check_type(atom)
-        goal_sems.append(atom.sem)
+    tensor-fragment formulas. A formula that is not closed, or one atom's
+    meaning not of its type index, raises `GlueError`: the consequent's
+    first, then the antecedent's (see `_read`)."""
+    sems: set = set()
+    taken: set[str] = set()
+    _read(consequent, None, 0, sems, taken, None)
     # Normal from set-up on, as the premises are.
-    consequent = _set_up(consequent, False, set(), set(_meaning_binders(consequent)))
-    engine = _Search(_as_premises(flatten_tensor(antecedent)), goal_sems)
+    consequent = _set_up(consequent, False, set(), taken)
+    try:
+        engine = _Search(_as_premises(flatten_tensor(antecedent)), sems)
+    except _NotClosed:
+        raise GlueError(f"formula {antecedent} is not closed") from None
     engine.strict = True  # only a proof that uses every premise counts
     return any(
         not avail

@@ -136,12 +136,6 @@ def has_leaf(term: MeaningTerm, kind: type) -> bool:
     return kind in map(type, _leaves(term))
 
 
-def vars_within(term: MeaningTerm, allowed) -> bool:
-    """Whether every named variable of `term` is in `allowed`; the walk stops
-    at the first that is not."""
-    return all(t in allowed for t in _leaves(term) if type(t) is Var)
-
-
 def occurs(leaf: MeaningTerm, term: MeaningTerm) -> bool:
     """Whether the leaf node `leaf` (a variable or constant) occurs in `term`;
     the walk stops at the first occurrence."""

@@ -14,8 +14,9 @@ from gluesem.diagnostics import (
     UNINSTANTIABLE,
     diagnose,
 )
+from gluesem.formulas import GlueFormula
 from gluesem.fstruct import parse_fstructure
-from gluesem.lexicon import parse_lexicon
+from gluesem.lexicon import parse_lexicon, premises
 
 from conftest import load_fs
 
@@ -141,6 +142,35 @@ def test_diagnose_runs_one_proof_search(lexicon, monkeypatch, case, status, all_
     monkeypatch.setattr(prover, "_Search", CountingSearch)
     assert diagnose(load_case(case), lexicon, all_traces=all_traces).status == status
     assert searches == [False]
+
+
+@pytest.mark.parametrize(
+    "name", ["scope.fs", "john_devoured.fs", "john_arrived_extras.fs", "modified.fs"]
+)
+def test_set_up_reads_each_premise_once(lexicon, monkeypatch, name):
+    # Set-up reads each premise in one walk and rebuilds it in one more; the
+    # failure is classified from what that walk and the search recorded.
+    walks = {"read": 0, "set_up": 0, "atoms": 0}
+    depth = [0]
+
+    def top_level(kind, walk):
+        def counting(formula, *args):
+            walks[kind] += not depth[0]
+            depth[0] += 1
+            try:
+                return walk(formula, *args)
+            finally:
+                depth[0] -= 1
+
+        return counting
+
+    for kind in ("read", "set_up"):
+        monkeypatch.setattr(prover, f"_{kind}", top_level(kind, getattr(prover, f"_{kind}")))
+    monkeypatch.setattr(GlueFormula, "atoms", top_level("atoms", GlueFormula.atoms))
+    fs = load_fs(name)
+    diagnose(fs, lexicon)
+    count = len(premises(fs, lexicon))
+    assert walks == {"read": count, "set_up": count, "atoms": 0}
 
 
 @pytest.mark.parametrize("case", FAILING)

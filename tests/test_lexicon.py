@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from gluesem import prover
 from gluesem.errors import (
     MissingEntryError,
     SyntaxErrorAt,
@@ -12,7 +13,7 @@ from gluesem.errors import (
 )
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor
 from gluesem.fstruct import parse_fstructure, sigma
-from gluesem.lexicon import instantiate, parse_lexicon, premises
+from gluesem.lexicon import Premise, instantiate, parse_lexicon, premises
 from gluesem.semtypes import E, T, arrow
 from gluesem.terms import Const, Var, apply
 
@@ -120,7 +121,7 @@ def test_instantiate_keeps_template_shape(lexicon, bah):
     assert imp.antecedent.left.sem == sigma(bah.attrs["SUBJ"])
     assert imp.antecedent.right.sem == sigma(bah.attrs["OBJ"])
     assert imp.consequent.sem == sigma(bah)
-    assert formula.is_closed()
+    prover._Search([Premise(1, formula, "appointed", "f")], [])  # set-up: closed
 
 
 def test_instantiate_missing_path_is_uninstantiable(lexicon):
@@ -150,7 +151,7 @@ def test_premises_three_for_transitive(lexicon, bah):
     assert len(ps) == 3
     assert [p.word for p in ps] == ["appointed", "bill", "hillary"]
     assert [p.index for p in ps] == [1, 2, 3]
-    assert all(p.formula.is_closed() for p in ps)
+    prover._Search(ps, [])  # set-up raises unless every premise is closed
 
 
 def test_premises_include_modifier(lexicon, modified):

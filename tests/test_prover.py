@@ -356,20 +356,95 @@ def test_premises_sharing_an_index_are_rejected(first):
         derive([item, bill], Goal(f))
 
 
+_F, _H, _X, _C = SemStructure("f"), SemVar("H"), Var("X", E), Const("c", E)
+_SCOPED = Forall(_H, Atom(_H, E, _C))
+_UNDER = Lam(E, apply(Const("r", arrow(E, E, T)), BoundVar(0), _X))
+_NOT_CLOSED = "premise c[1] is not closed"
+
+
 @pytest.mark.parametrize(
-    "sem,goal,message",
+    "formula,goal,message",
     [
-        (SemStructure("f"), Goal("f", E), "goal structure 'f' is not a semantic structure"),
-        (PathRef("up"), Goal(SemStructure("f"), E), "premise c[1] is not closed"),
-        (PathRef("up", ("SUBJ",)), Goal(SemStructure("f"), E), "premise c[1] is not closed"),
+        (Atom(_F, E, _C), Goal("f", E), "goal structure 'f' is not a semantic structure"),
+        (Atom(PathRef("up"), E, _C), Goal(_F, E), _NOT_CLOSED),
+        (Atom(PathRef("up", ("SUBJ",)), E, _C), Goal(_F, E), _NOT_CLOSED),
+        (Atom(_H, E, _C), Goal(_F, E), _NOT_CLOSED),
+        (Atom(_F, E, _X), Goal(_F, E), _NOT_CLOSED),
+        (Forall(_H, Atom(_H, E, _C)), Goal(_F, E), None),
+        (Forall(MeaningVar("X", E), Atom(_F, E, _X)), Goal(_F, E), None),
+        # Each binder is scoped to its body.
+        (Tensor(_SCOPED, Atom(_F, E, _C)), Goal(_F, E), None),
+        (Tensor(_SCOPED, Atom(_H, E, _C)), Goal(_F, E), _NOT_CLOSED),
+        (
+            Limp(Forall(MeaningVar("X", E), Atom(_F, E, _X)), Atom(_F, E, _X)),
+            Goal(_F, E),
+            _NOT_CLOSED,
+        ),
+        # A meaning variable is bound by its name and its type, under
+        # abstractions too.
+        (Forall(MeaningVar("X", T), Atom(_F, E, _X)), Goal(_F, E), _NOT_CLOSED),
+        (Atom(_F, arrow(E, T), _UNDER), Goal(_F, E), _NOT_CLOSED),
+        (Forall(MeaningVar("X", E), Atom(_F, arrow(E, T), _UNDER)), Goal(_F, E), None),
     ],
-    ids=["goal", "up", "path"],
+    ids=[
+        "goal", "up", "path", "free-structure-variable", "free-meaning-variable",
+        "bound-structure-variable", "bound-meaning-variable", "tensor-beside-binder",
+        "tensor-past-binder", "antecedent-binder", "binder-of-another-type",
+        "free-under-abstraction", "bound-under-abstraction",
+    ],
 )
-def test_uninstantiated_goals_and_premises_are_input_errors(sem, goal, message):
-    premise = Premise(1, Atom(sem, E, Const("c", E)), "c", "f")
+def test_uninstantiated_goals_and_premises_are_input_errors(formula, goal, message):
+    premise = Premise(1, formula, "c", "f")
+    if message is None:
+        prover._Search([premise], [goal.sem])  # set-up accepts a closed premise
+        return
     with pytest.raises(GlueError) as err:
         derive([premise], goal)
     assert str(err.value) == message
+
+
+_OPEN = Atom(_H, E, _C)
+_ILL = Atom(_F, T, _C)
+
+
+@pytest.mark.parametrize(
+    "premise_list,goal,message",
+    [
+        # The goal, then the indices, then each premise in index order, its
+        # atoms left to right: the first fault met wins.
+        ([Premise(1, _ILL, "ill", "f"), Premise(2, _OPEN, "open", "g")], Goal(_F),
+         "premise ill[1] is ill-typed: c has type e, not its index type t"),
+        ([Premise(1, _OPEN, "open", "g"), Premise(2, _ILL, "ill", "f")], Goal(_F),
+         "premise open[1] is not closed"),
+        ([Premise(1, Tensor(_ILL, _OPEN), "both", "f")], Goal(_F),
+         "premise both[1] is ill-typed: c has type e, not its index type t"),
+        ([Premise(1, Atom(PathRef("up"), T, _C), "both", "f")], Goal(_F),
+         "premise both[1] is not closed"),
+        ([Premise(2, Atom(_F, E, _C), "c", "f"), Premise(2, _OPEN, "open", "g")], Goal(_F),
+         "premises c[2] and open[2] share the index 2"),
+        ([Premise(1, _OPEN, "open", "g")], Goal("f"),
+         "goal structure 'f' is not a semantic structure"),
+    ],
+    ids=["ill-typed-first", "not-closed-first", "ill-typed-atom-first", "one-atom-both",
+         "shared-index", "goal"],
+)
+def test_the_first_fault_of_a_premise_set_wins(premise_list, goal, message):
+    with pytest.raises(GlueError) as err:
+        derive(premise_list, goal)
+    assert str(err.value) == message
+
+
+def test_entails_reads_the_consequent_before_the_antecedent():
+    open_prop = Atom(_H, T, Const("A", T))
+    for antecedent, consequent, message in [
+        (open_prop, _ILL, "the consequent is ill-typed: c has type e, not its index type t"),
+        (_ILL, open_prop, "formula H ~>_t A is not closed"),
+        # A fault in a tensor part names the whole antecedent.
+        (Tensor(prop("A"), open_prop), prop("A"), "formula A_σ ~>_t A * H ~>_t A is not closed"),
+    ]:
+        with pytest.raises(GlueError) as err:
+            entails(antecedent, consequent)
+        assert str(err.value) == message
 
 
 def test_a_metavariable_that_normalization_erases_still_derives():
@@ -483,31 +558,6 @@ def test_an_ill_typed_premise_is_an_error_before_the_search():
             Forall(MeaningVar("X", T), Limp(Atom(g, T, Xt), Atom(f, T, Xt))),
             Limp(Atom(g, T, c), Atom(f, T, c)),
         )
-
-
-def test_is_closed_sees_free_structure_and_meaning_variables():
-    f = SemStructure("f")
-    H, X = SemVar("H"), Var("X", E)
-    assert not Atom(H, E, Const("c", E)).is_closed()
-    assert not Atom(f, E, X).is_closed()
-    assert not Atom(PathRef("up", ("SUBJ",)), E, Const("c", E)).is_closed()
-    assert Forall(H, Atom(H, E, Const("c", E))).is_closed()
-    assert Forall(MeaningVar("X", E), Atom(f, E, X)).is_closed()
-
-
-def test_is_closed_scopes_each_binder_to_its_body():
-    f = SemStructure("f")
-    H, X = SemVar("H"), Var("X", E)
-    c = Const("c", E)
-    scoped = Forall(H, Atom(H, E, c))
-    assert Tensor(scoped, Atom(f, E, c)).is_closed()
-    assert not Tensor(scoped, Atom(H, E, c)).is_closed()
-    assert not Limp(Forall(MeaningVar("X", E), Atom(f, E, X)), Atom(f, E, X)).is_closed()
-    # A meaning variable is bound by its name and its type, under abstractions too.
-    assert not Forall(MeaningVar("X", T), Atom(f, E, X)).is_closed()
-    under = Lam(E, apply(Const("r", arrow(E, E, T)), BoundVar(0), X))
-    assert not Atom(f, arrow(E, T), under).is_closed()
-    assert Forall(MeaningVar("X", E), Atom(f, arrow(E, T), under)).is_closed()
 
 
 def test_tidy_hints_rebuilds_only_suffixed_binders():

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from gluesem import prover
+from gluesem.diagnostics import OK
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, Tensor
 from gluesem.fstruct import SemStructure, parse_fstructure, sigma
 from gluesem.lexicon import premises
@@ -136,7 +137,8 @@ def test_no_partial_derivation_reaches_the_top_after_a_reading(lexicon, monkeypa
     first = log.index(False)
     assert True in log[:first]  # partial derivations do come up before it
     assert not any(log[first:])
-    assert result.leftover is None and result.frontier == ()
+    assert result.status == OK
+    assert result.unsatisfied_demands == () and result.leftover_resources == ()
 
 
 def test_all_traces_unrolls_only_the_traces_it_keeps(lexicon, monkeypatch):

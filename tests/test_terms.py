@@ -3,6 +3,7 @@ with the naive named-variable oracle on random well-typed terms."""
 
 from __future__ import annotations
 
+import ast
 import copy
 import inspect
 import pickle
@@ -21,7 +22,7 @@ from gluesem.fstruct import SemStructure
 from gluesem.lexer import Token
 from gluesem.lexicon import LexicalEntry, Premise
 from gluesem.node import Node
-from gluesem.prover import Goal, Reading, SearchResult, TraceStep
+from gluesem.prover import Goal, Reading, TraceStep
 from gluesem.semtypes import ArrowType, BaseType, E, T, arrow, parse_type
 from gluesem import terms
 from gluesem.terms import App, BoundVar, Const, HypConst, Lam, Var, apply
@@ -494,7 +495,6 @@ NODES += [
     Goal(_F, E),
     _STEP,
     _READING,
-    SearchResult((_READING,), frozenset({2}), (("f", "e", 1),)),
     _TypeMeta(0),
 ]
 
@@ -640,7 +640,6 @@ SIGNATURES = {
     Premise: "(index, formula, word, label)",
     Goal: "(sem, ty=BaseType(name='t'))",
     Reading: "(meaning, ty, traces)",
-    SearchResult: "(readings, leftover, frontier)",
     TraceStep: "(kind, resource, word, atom=None, bindings=())",
     ArrowType: "(arg, result)",
     BaseType: "(name)",
@@ -702,6 +701,22 @@ def test_importing_the_package_does_not_import_dataclasses():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "False\n"
+
+
+def test_the_package_holds_nothing_that_python_O_strips():
+    # `python -O` drops `assert` statements and makes `__debug__` false; it
+    # keeps docstrings. With neither in the package, the package runs the
+    # same with and without -O, so the tests need no -O run of their own.
+    package = Path(__file__).resolve().parents[1] / "src" / "gluesem"
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert found == []
 
 
 def test_repr_of_a_nested_term_is_unchanged():
