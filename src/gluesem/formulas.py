@@ -59,23 +59,6 @@ class GlueFormula(Node):
 
     # --- structural helpers -------------------------------------------------
 
-    def atoms(self):
-        """Yield (atom, positive) for every atom, left to right: an atom is
-        positive (a supply) unless it sits in an odd number of implication
-        antecedents (a demand)."""
-        stack = [(self, True)]
-        while stack:
-            formula, positive = stack.pop()
-            match formula:
-                case Atom():
-                    yield formula, positive
-                case Tensor(left, right):
-                    stack += ((right, positive), (left, positive))
-                case Limp(antecedent, consequent):
-                    stack += ((consequent, positive), (antecedent, not positive))
-                case Forall(_, body):
-                    stack.append((body, positive))
-
     def substitute_sem(self, name: str, sem) -> "GlueFormula":
         """Replace the structure variable `name` with a concrete structure."""
         match self:

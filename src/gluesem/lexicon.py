@@ -14,6 +14,17 @@ index, `*` is multiplicative conjunction, `-o` linear implication
 (right-associative), `forall v:τ.` binds a meaning variable and a bare
 `forall H.` a structure variable. `^` is the word's own node, `(^ SUBJ)` a
 path from it, `(mod ^)` the node whose MODS set contains it.
+
+A lexicon's templates fall into a few shapes: two templates share one when
+their tokens differ only in constants of the same types. Within one
+`parse_lexicon` call the first template of each shape is parsed, and every
+later one is built from that result by renaming its constants in token
+order. The first is kept for this only if the term parser read as signature
+constants exactly the tokens whose text names one; a constant shadowed by a
+binder, or spelled like a keyword, a type or a path attribute, fails that
+check, so templates of its shape are all parsed. Errors therefore come only
+from the parser, with their own line and column. Each constant line's type
+is parsed once per type text.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from .fstruct import FStructure, resolve_path, sigma
 from .lexer import Tokens, tokenize
 from .node import Node
 from .semtypes import SemType, parse_type_at
+from .terms import App, Const, Lam
 from .termsyntax import parse_term_at
 
 _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
@@ -59,13 +71,14 @@ class Lexicon(dict):
 
 def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
     lexicon = Lexicon()
+    types: dict[str, SemType] = {}  # each constant line's type, by its text
     entries_pending: list[tuple[list[tuple[str, int]], str, int, int]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         if _CONSTANT_KEYWORD.match(line.split(":", 1)[0].rstrip()):
-            _parse_constant_line(line, lineno, lexicon, source)
+            _parse_constant_line(line, lineno, lexicon, types, source)
             continue
         if ":" not in line:
             raise SyntaxErrorAt("expected 'headword: template'", lineno, 1, source)
@@ -80,8 +93,24 @@ def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
             start += len(part) + 1
         # Constants may be declared anywhere in the file; parse templates after.
         entries_pending.append((words, template_part, lineno, len(head_part) + 1))
+    signature = lexicon.signature
+    shapes: dict[tuple, GlueFormula] = {}  # shape -> its first template, if kept
     for words, template_part, lineno, offset in entries_pending:
-        template = _parse_template(template_part, lineno, offset, lexicon.signature, source)
+        ts = tokenize(template_part, source, lineno, offset + 1)
+        texts = ts.texts
+        masked = [i for i, token in enumerate(texts) if token in signature]
+        # The token kinds and texts, each constant's text replaced by its type.
+        shape = (tuple(ts.kinds), tuple(map(signature.get, texts, texts)))
+        template = shapes.get(shape)
+        if template is not None:
+            template = _rename(template, map(texts.__getitem__, masked))
+        else:
+            parser = _TemplateParser(ts, signature)
+            template = parser.parse_template()
+            # Kept only if each token naming a constant was read as one, not
+            # as a binder, keyword, type or path attribute.
+            if parser.consts == masked:
+                shapes[shape] = template
         entry = LexicalEntry(headword=words[0][0], template=template)
         for word, column in words:
             key = word.casefold()
@@ -96,7 +125,7 @@ def _column(line: str, start: int) -> int:
     return len(line) - len(line[start:].lstrip()) + 1
 
 
-def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, source):
+def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, types, source):
     after = line.index("constant") + len("constant")
     column = _column(line, after)  # the name's
     if ":" not in line:
@@ -107,10 +136,13 @@ def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, source):
         raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, column, source)
     if name in lexicon.signature:
         raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, column, source)
-    ts = tokenize(type_part, source, lineno, len(line) - len(type_part) + 1)
-    ty = parse_type_at(ts)
-    if not ts.at_end():
-        ts.fail("trailing input after type")
+    ty = types.get(type_part)
+    if ty is None:
+        ts = tokenize(type_part, source, lineno, len(line) - len(type_part) + 1)
+        ty = parse_type_at(ts)
+        if not ts.at_end():
+            ts.fail("trailing input after type")
+        types[type_part] = ty
     lexicon.signature[name] = ty
 
 
@@ -120,6 +152,13 @@ class _TemplateParser:
         self.signature = signature
         self.meaning_scope: dict[str, SemType] = {}
         self.sem_scope: set[str] = set()
+        self.consts: list[int] = []  # token indices read as signature constants
+
+    def parse_template(self) -> GlueFormula:
+        template = self.parse_formula()
+        if not self.ts.at_end():
+            self.ts.fail(f"unexpected {self.ts.text()!r} after template")
+        return template
 
     def parse_formula(self) -> GlueFormula:
         if self.ts.peek() == "IDENT" and self.ts.text() == "forall":
@@ -204,7 +243,9 @@ class _TemplateParser:
         explicit: SemType | None = None
         if self.ts.accept("_"):
             explicit = parse_type_at(self.ts)
-        meaning, meaning_ty = parse_term_at(self.ts, self.signature, self.meaning_scope)
+        meaning, meaning_ty = parse_term_at(
+            self.ts, self.signature, self.meaning_scope, self.consts
+        )
         if explicit is not None and explicit != meaning_ty:
             self.ts.fail(
                 f"type index {explicit} conflicts with meaning type {meaning_ty}"
@@ -221,13 +262,22 @@ class _TemplateParser:
         return SemVar(name)
 
 
-def _parse_template(text, lineno, column_offset, signature, source):
-    ts = tokenize(text, source, lineno, column_offset + 1)
-    parser = _TemplateParser(ts, signature)
-    template = parser.parse_formula()
-    if not ts.at_end():
-        ts.fail(f"unexpected {ts.text()!r} after template")
-    return template
+def _rename(node, names):
+    """`node` with each `Const` leaf renamed to the next of `names`. The walk
+    reads a function before its argument and a left operand before its
+    right one, so it meets the constants in the order of their tokens."""
+    kind = type(node)
+    if kind is Const:
+        return Const(next(names), node[2])
+    if kind is Atom:
+        return Atom(node[1], node[2], _rename(node[3], names))
+    if kind is Forall:
+        return Forall(node[1], _rename(node[2], names))
+    if kind is Lam:
+        return Lam(node[1], _rename(node[2], names), node[3])
+    if kind is App or kind is Tensor or kind is Limp:
+        return kind(_rename(node[1], names), _rename(node[2], names))
+    return node  # a variable
 
 
 def instantiate(entry: LexicalEntry, node: FStructure) -> GlueFormula:

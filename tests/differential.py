@@ -21,10 +21,12 @@ built from the working tree's inputs, so only the package differs:
   derive resources (`[d4]`): every trace line;
 - the `corpus`, `scope_grid` and `failures` workloads of
   `perfbench/workloads.py` at seeds 1-3: the same, and on `corpus` and
-  `failures` also with every derivation's trace (`all_traces`);
-- malformed input: every fixture and `core.lex` cut at every 7th character
-  and parsed: the parsed f-structure or lexicon, or the error's class and
-  text, which holds its line and column.
+  `failures` also with every derivation's trace (`all_traces`); and each
+  `corpus` lexicon, parsed and printed;
+- malformed input: every f-structure fixture, and `core.lex` with
+  `same_shape.lex` appended (many templates of one shape), cut at every 7th
+  character and parsed: the parsed f-structure or lexicon, or the error's
+  class and text, which holds its line and column.
 
 Prints the first differing case and exits 1 on any difference; otherwise
 prints "no difference" and the number of cases, and exits 0.
@@ -93,6 +95,8 @@ def cases():
         for seed in SEEDS:
             workload = build(seed)
             lexicon = parse_lexicon(workload.lexicon_text)
+            if name == "corpus":
+                yield f"corpus seed {seed} lexicon", _parsed(".lex", workload.lexicon_text)
             for s in workload.sentences:
                 root = parse_fstructure(s.text)
                 yield f"{name} seed {seed} #{s.sid}", _diagnosis(root, lexicon, False)
@@ -103,10 +107,13 @@ def cases():
                     )
 
     fixtures = ROOT / "tests" / "fixtures"
-    for path in [*sorted(fixtures.glob("*.fs")), fixtures / "core.lex"]:
-        text = path.read_text(encoding="utf-8")
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(fixtures.glob("*.fs"))}
+    texts["core.lex + same_shape.lex"] = "".join(
+        (fixtures / name).read_text(encoding="utf-8") for name in ("core.lex", "same_shape.lex")
+    )
+    for name, text in texts.items():
         for cut in range(0, len(text), CUT_EVERY):
-            yield f"{path.name} cut at {cut}", _parsed(path.suffix, text[:cut])
+            yield f"{name} cut at {cut}", _parsed(Path(name).suffix, text[:cut])
 
 
 def _with_redexes(lexicon):

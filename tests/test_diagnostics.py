@@ -14,7 +14,6 @@ from gluesem.diagnostics import (
     UNINSTANTIABLE,
     diagnose,
 )
-from gluesem.formulas import GlueFormula
 from gluesem.fstruct import parse_fstructure
 from gluesem.lexicon import parse_lexicon, premises
 
@@ -150,7 +149,7 @@ def test_diagnose_runs_one_proof_search(lexicon, monkeypatch, case, status, all_
 def test_set_up_reads_each_premise_once(lexicon, monkeypatch, name):
     # Set-up reads each premise in one walk and rebuilds it in one more; the
     # failure is classified from what that walk and the search recorded.
-    walks = {"read": 0, "set_up": 0, "atoms": 0}
+    walks = {"read": 0, "set_up": 0}
     depth = [0]
 
     def top_level(kind, walk):
@@ -166,11 +165,10 @@ def test_set_up_reads_each_premise_once(lexicon, monkeypatch, name):
 
     for kind in ("read", "set_up"):
         monkeypatch.setattr(prover, f"_{kind}", top_level(kind, getattr(prover, f"_{kind}")))
-    monkeypatch.setattr(GlueFormula, "atoms", top_level("atoms", GlueFormula.atoms))
     fs = load_fs(name)
     diagnose(fs, lexicon)
     count = len(premises(fs, lexicon))
-    assert walks == {"read": count, "set_up": count, "atoms": 0}
+    assert walks == {"read": count, "set_up": count}
 
 
 @pytest.mark.parametrize("case", FAILING)

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
+from gluesem import lexicon as lexicon_module
 from gluesem import prover
 from gluesem.errors import (
     MissingEntryError,
@@ -14,8 +20,10 @@ from gluesem.errors import (
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor
 from gluesem.fstruct import parse_fstructure, sigma
 from gluesem.lexicon import Premise, instantiate, parse_lexicon, premises
-from gluesem.semtypes import E, T, arrow
+from gluesem.semtypes import E, T, arrow, parse_type_at
 from gluesem.terms import Const, Var, apply
+
+from conftest import FIXTURES
 
 
 def shape(formula):
@@ -232,3 +240,112 @@ def test_duplicate_entry_rejected():
 def test_formula_formatting_round_trips_shape(lexicon, bah):
     text = str(instantiate(lexicon["appointed"], bah))
     assert text == "forall X:e, Y:e. (g_σ ~>_e X * h_σ ~>_e Y) -o f_σ ~>_t appoint(X, Y)"
+
+
+# --- one parse per template shape --------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_CONSTANT = re.compile(r"\s*constant\s+(\w+)")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [("corpus", 1), ("corpus", 2), ("corpus", 3), ("core.lex",), ("core.lex", "same_shape.lex")],
+    ids=["corpus-1", "corpus-2", "corpus-3", "core", "core+same_shape"],
+)
+def test_each_template_parses_as_it_does_alone(workloads, sources):
+    """Every template of a lexicon reads the same, binder hints included
+    (`Lam` equality ignores them, `repr` does not), as in a lexicon of that
+    line and the constants it names, where no other template shares its
+    shape."""
+    if sources[0] == "corpus":
+        text = workloads.corpus(sources[1]).lexicon_text
+    else:
+        text = "".join((FIXTURES / name).read_text(encoding="utf-8") for name in sources)
+    lexicon = parse_lexicon(text)
+    constants = {}
+    entries = []
+    for raw_line in text.splitlines():
+        line = raw_line.split("#", 1)[0]
+        if match := _CONSTANT.match(line):
+            constants[match[1]] = line
+        elif line.strip():
+            entries.append(line)
+    assert len(entries) > 10
+    for line in entries:
+        head, template = line.split(":", 1)
+        names = dict.fromkeys(n for n in re.findall(r"\w+", template) if n in constants)
+        alone = parse_lexicon("\n".join([*(constants[n] for n in names), line]))
+        for word in head.split(","):
+            key = word.strip().casefold()
+            assert repr(lexicon[key].template) == repr(alone[key].template), line
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        (
+            "constant Bill : e\nconstant sleep : e -> t\n"
+            "sleeps: ^ ~> sleep(Bill)\n  snores: ^ ~> sleep(Nobody)\n",
+            "UnboundVariableError: unknown name 'Nobody' at line 4, column 22",
+        ),
+        (
+            "constant Bill : e\nconstant sleep : e -> t\nconstant surely : t -> t\n"
+            "sleeps: ^ ~> sleep(Bill)\nsnores: ^ ~> sleep(surely)\n",
+            "TermTypeError: ill-typed application at line 5, column 19: type mismatch: e vs t -> t",
+        ),
+        (
+            "constant Bill : e\nconstant Sue : e\nbill: ^ ~> Bill\nsue, bill: ^ ~> Sue\n",
+            "SyntaxErrorAt: in.lex:4:6: duplicate entry for 'bill'",
+        ),
+        (
+            "constant Bill : e\nconstant likes : (e -> t) -> t\nconstant sleep : e -> t\n"
+            "a: ^ ~> likes(\\x. sleep(x))\nb: ^ ~> likes(\\y. sleep(x))\n",
+            "UnboundVariableError: unknown name 'x' at line 5, column 25",
+        ),
+        (
+            "constant Bill : e\nconstant Sue : e ->\nconstant Ann : e ->\n",
+            "SyntaxErrorAt: in.lex:2:20: expected a type, found end of input",
+        ),
+    ],
+    ids=["undeclared-constant", "ill-typed", "duplicate-entry", "unbound-variable", "constant-type"],
+)
+def test_a_template_after_a_parsed_class_mate_fails_at_its_own_place(text, error):
+    """The error of a template whose near twin parsed earlier, and of a
+    constant type whose text failed nowhere before, names its own line and
+    column."""
+    with pytest.raises(Exception) as err:
+        parse_lexicon(text, "in.lex")
+    assert f"{type(err.value).__name__}: {err.value}" == error
+
+
+def test_the_corpus_lexicon_parses_each_template_shape_once(workloads, monkeypatch):
+    """The seed-1 `corpus` lexicon's 2354 templates fall into 12 shapes, and
+    its 1957 constants have a few type texts: the parsers run once per shape
+    and once per type text (plus the binder types of those 12 parses)."""
+    counts = {"templates": 0, "types": 0}
+
+    class CountingParser(lexicon_module._TemplateParser):
+        def __init__(self, *args):
+            counts["templates"] += 1
+            super().__init__(*args)
+
+    def counting_parse_type_at(ts):
+        counts["types"] += 1
+        return parse_type_at(ts)
+
+    monkeypatch.setattr(lexicon_module, "_TemplateParser", CountingParser)
+    monkeypatch.setattr(lexicon_module, "parse_type_at", counting_parse_type_at)
+    lexicon = parse_lexicon(workloads.corpus(1).lexicon_text)
+    assert len({id(entry) for entry in lexicon.values()}) == 2354
+    assert len(lexicon.signature) == 1957
+    assert counts == {"templates": 12, "types": 41}

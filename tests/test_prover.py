@@ -619,16 +619,18 @@ def test_derive_is_deterministic(lexicon, scope_fs):
 
 def oracle_meanings(premise_set, goal):
     formulas = tuple(p.formula for p in premise_set)
-    universe = sorted(
-        {
-            a.sem
-            for p in premise_set
-            for a, _ in p.formula.atoms()
-            if isinstance(a.sem, SemStructure)
-        }
-        | {goal.sem},
-        key=lambda s: s.label,
-    )
+    universe = {goal.sem}  # and every structure an atom of a premise names
+    stack = list(formulas)
+    while stack:
+        match stack.pop():
+            case Atom(sem):
+                if isinstance(sem, SemStructure):
+                    universe.add(sem)
+            case Tensor(left, right) | Limp(left, right):
+                stack += (left, right)
+            case Forall(_, body):
+                stack.append(body)
+    universe = sorted(universe, key=lambda s: s.label)
     return enumerate_readings(formulas, goal.sem, goal.ty, universe)
 
 
