@@ -15,16 +15,21 @@ index, `*` is multiplicative conjunction, `-o` linear implication
 `forall H.` a structure variable. `^` is the word's own node, `(^ SUBJ)` a
 path from it, `(mod ^)` the node whose MODS set contains it.
 
-A lexicon's templates fall into a few shapes: two templates share one when
-their tokens differ only in constants of the same types. Within one
-`parse_lexicon` call the first template of each shape is parsed, and every
-later one is built from that result by renaming its constants in token
-order. The first is kept for this only if the term parser read as signature
-constants exactly the tokens whose text names one; a constant shadowed by a
-binder, or spelled like a keyword, a type or a path attribute, fails that
-check, so templates of its shape are all parsed. Errors therefore come only
-from the parser, with their own line and column. Each constant line's type
-is parsed once per type text.
+A lexicon's templates fall into a few shapes, read off their text: split
+into words (the tokenizer's identifiers; the `o` of `-o` is none) and the
+text between them, two templates share a shape when they differ only in
+words that name constants of the same types. Within one `parse_lexicon`
+call only the first template of each shape is tokenized and parsed, and
+every later one is built from that result by renaming its constants in word
+order, rebuilding only the nodes above them. The first is kept for this
+only if its words are its identifier tokens and the term parser read each
+that names a constant as one; a quoted word, or a constant shadowed by a
+binder or spelled like a keyword, a type or a path attribute, fails that
+check, so templates of its shape are all parsed. Since a word runs to the
+first character that cannot continue an identifier, class-mates' tokens
+differ only at those words. Errors therefore come only from the parser, with
+their own line and column, which are worked out only for an error. Each
+constant line's type is parsed once per type text.
 """
 
 from __future__ import annotations
@@ -46,7 +51,11 @@ from .terms import App, Const, Lam
 from .termsyntax import parse_term_at
 
 _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
+# A word of a template's text: an identifier, as the tokenizer reads one,
+# except after a `-`, so the `o` of `-o` is no word.
+_SPLIT = re.compile(r"(?<!-)([^\W\d_]\w*)")
 _CONSTANT_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_UNREAD = object()  # the constant paths of a shape not yet reused
 # A constant line: the part before its first `:`, right-stripped, starts with
 # the keyword and a blank (a headword named `constant` stands alone there).
 _CONSTANT_KEYWORD = re.compile(r"\s*constant\s")
@@ -72,49 +81,61 @@ class Lexicon(dict):
 def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
     lexicon = Lexicon()
     types: dict[str, SemType] = {}  # each constant line's type, by its text
-    entries_pending: list[tuple[list[tuple[str, int]], str, int, int]] = []
+    entries_pending: list[tuple[list[str], str, str, int]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if not line:
             continue
-        if _CONSTANT_KEYWORD.match(line.split(":", 1)[0].rstrip()):
+        head_part, colon, template_part = line.partition(":")
+        if _CONSTANT_KEYWORD.match(head_part.rstrip()):
             _parse_constant_line(line, lineno, lexicon, types, source)
             continue
-        if ":" not in line:
+        if not colon:
             raise SyntaxErrorAt("expected 'headword: template'", lineno, 1, source)
-        head_part, template_part = line.split(":", 1)
-        words = []  # (headword, column)
-        start = 0
-        for part in head_part.split(","):
-            word, column = part.strip(), _column(head_part, start)
-            if not _HEADWORD.match(word):
-                raise SyntaxErrorAt(f"bad headword {word!r}", lineno, column, source)
-            words.append((word, column))
-            start += len(part) + 1
+        words = [part.strip() for part in head_part.split(",")]
+        if not all(map(_HEADWORD.match, words)):
+            k = next(k for k, word in enumerate(words) if not _HEADWORD.match(word))
+            column = _headword_column(line, k)
+            raise SyntaxErrorAt(f"bad headword {words[k]!r}", lineno, column, source)
         # Constants may be declared anywhere in the file; parse templates after.
-        entries_pending.append((words, template_part, lineno, len(head_part) + 1))
+        entries_pending.append((words, template_part, line, lineno))
     signature = lexicon.signature
-    shapes: dict[tuple, GlueFormula] = {}  # shape -> its first template, if kept
-    for words, template_part, lineno, offset in entries_pending:
-        ts = tokenize(template_part, source, lineno, offset + 1)
-        texts = ts.texts
-        masked = [i for i, token in enumerate(texts) if token in signature]
-        # The token kinds and texts, each constant's text replaced by its type.
-        shape = (tuple(ts.kinds), tuple(map(signature.get, texts, texts)))
-        template = shapes.get(shape)
-        if template is not None:
-            template = _rename(template, map(texts.__getitem__, masked))
+    # shape -> [its first template, if kept; where that holds its constants,
+    # found at the first reuse]
+    shapes: dict[tuple, list] = {}
+    for words, template_part, line, lineno in entries_pending:
+        parts = _SPLIT.split(template_part)
+        # The text, each word that names a constant replaced by its type.
+        shape = tuple(map(signature.get, parts, parts))
+        kept = shapes.get(shape)
+        if kept is not None:
+            template, paths = kept
+            if paths is _UNREAD:
+                paths = kept[1] = _const_paths(template)
+            if paths is not None:
+                constants = iter([word for word in parts[1::2] if word in signature])
+                template = _rename(template, paths, constants)
         else:
+            ts = tokenize(template_part, source, lineno, len(line) - len(template_part) + 1)
             parser = _TemplateParser(ts, signature)
             template = parser.parse_template()
-            # Kept only if each token naming a constant was read as one, not
-            # as a binder, keyword, type or path attribute.
-            if parser.consts == masked:
-                shapes[shape] = template
-        entry = LexicalEntry(headword=words[0][0], template=template)
-        for word, column in words:
+            # Kept only if the words are the identifier tokens, and each word
+            # naming a constant was read as one, not as a binder, keyword,
+            # type or path attribute. Counts tell both: every identifier
+            # token is a word at its place (the token before it ends in a
+            # character no identifier continues, or is `-o` or `_`), so only
+            # a quoted word makes more words; and the parser records only
+            # words naming constants.
+            names = parts[1::2]
+            if ts.kinds.count("IDENT") == len(names) and len(parser.consts) == sum(
+                map(signature.__contains__, names)
+            ):
+                shapes[shape] = [template, _UNREAD]
+        entry = LexicalEntry(words[0], template)
+        for k, word in enumerate(words):
             key = word.casefold()
             if key in lexicon:
+                column = _headword_column(line, k)
                 raise SyntaxErrorAt(f"duplicate entry for '{word}'", lineno, column, source)
             lexicon[key] = entry
     return lexicon
@@ -125,17 +146,23 @@ def _column(line: str, start: int) -> int:
     return len(line) - len(line[start:].lstrip()) + 1
 
 
+def _headword_column(line: str, k: int) -> int:
+    """The column of the `k`th headword (from 0) of an entry line."""
+    parts = line.partition(":")[0].split(",")
+    return _column(line, sum(len(part) + 1 for part in parts[:k]))
+
+
 def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, types, source):
-    after = line.index("constant") + len("constant")
-    column = _column(line, after)  # the name's
+    after = line.index("constant") + len("constant")  # errors stand at the name
     if ":" not in line:
-        raise SyntaxErrorAt("expected 'constant name : type'", lineno, column, source)
+        message = "expected 'constant name : type'"
+        raise SyntaxErrorAt(message, lineno, _column(line, after), source)
     name_part, type_part = line[after:].split(":", 1)
     name = name_part.strip()
     if not _CONSTANT_NAME.match(name):
-        raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, column, source)
+        raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, _column(line, after), source)
     if name in lexicon.signature:
-        raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, column, source)
+        raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, _column(line, after), source)
     ty = types.get(type_part)
     if ty is None:
         ts = tokenize(type_part, source, lineno, len(line) - len(type_part) + 1)
@@ -262,22 +289,40 @@ class _TemplateParser:
         return SemVar(name)
 
 
-def _rename(node, names):
-    """`node` with each `Const` leaf renamed to the next of `names`. The walk
-    reads a function before its argument and a left operand before its
-    right one, so it meets the constants in the order of their tokens."""
+def _const_paths(node):
+    """Where `node` holds `Const` leaves: () at one, None where there is
+    none, else a (field index, paths) pair for each field holding one, a
+    function before its argument and a left operand before its right one,
+    which is the order of their tokens."""
     kind = type(node)
     if kind is Const:
-        return Const(next(names), node[2])
-    if kind is Atom:
-        return Atom(node[1], node[2], _rename(node[3], names))
-    if kind is Forall:
-        return Forall(node[1], _rename(node[2], names))
-    if kind is Lam:
-        return Lam(node[1], _rename(node[2], names), node[3])
+        return ()
     if kind is App or kind is Tensor or kind is Limp:
-        return kind(_rename(node[1], names), _rename(node[2], names))
-    return node  # a variable
+        fields = (1, 2)
+    elif kind is Atom:
+        fields = (3,)
+    elif kind is Forall or kind is Lam:
+        fields = (2,)
+    else:
+        return None  # a variable
+    paths = []
+    for i in fields:
+        inner = _const_paths(node[i])
+        if inner is not None:
+            paths.append((i, inner))
+    return tuple(paths) or None
+
+
+def _rename(node, paths, names):
+    """`node` with each `Const` leaf on `paths` (see `_const_paths`)
+    renamed to the next of `names`; only the nodes on those paths are
+    rebuilt, the rest is shared."""
+    if not paths:
+        return Const(next(names), node[2])
+    fields = list(node)  # the tag, then the fields
+    for i, inner in paths:
+        fields[i] = _rename(node[i], inner, names)
+    return type(node)(*fields[1:])
 
 
 def instantiate(entry: LexicalEntry, node: FStructure) -> GlueFormula:

@@ -53,7 +53,8 @@ Premises with equal formulas and words (twins, such as k identical modifiers)
 are interchangeable: by default they are consumed in index order, so the k!
 derivations that differ only by swapping twins are explored once and the
 search pays per reading rather than per derivation. `all_traces` explores
-every order once the canonical order has found a reading.
+every order once the canonical order has found a reading, on that search's
+set-up.
 
 A derivation that leaves a premise unused is worth something only as
 evidence when the sentence has no reading. So once the search has found a
@@ -81,6 +82,7 @@ search (see `_set_up`).
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 from .errors import (
@@ -330,12 +332,12 @@ class _Search:
     `registry`: (formula, word, the premise's index or the kind "h" or "d",
     bit of the premise it comes from or 0, bits of its earlier twins).
 
-    Premises with equal formulas and words are *twins*. Unless `all_orders`
-    is set, a premise is focused only once every earlier twin is consumed, so
-    twins are used in index order and derivations that differ only by
-    swapping twins are explored once."""
+    Premises with equal formulas and words are *twins*. A premise is focused
+    only once every earlier twin is consumed, so twins are used in index
+    order and derivations that differ only by swapping twins are explored
+    once; `in_every_order` gives the search that explores every order."""
 
-    def __init__(self, premise_list, goal_sems, all_orders=False):
+    def __init__(self, premise_list, goal_sems):
         premise_list = sorted(premise_list, key=lambda p: p.index)
         for p, q in zip(premise_list, premise_list[1:]):
             if p.index == q.index:
@@ -355,17 +357,32 @@ class _Search:
             twins = classes.get((p.formula, p.word), 0)
             classes[p.formula, p.word] = twins | 1 << i
             formula = _set_up(p.formula, True, claimed, taken)
-            self.registry.append((formula, p.word, p.index, 1 << i, 0 if all_orders else twins))
+            self.registry.append((formula, p.word, p.index, 1 << i, twins))
         self.premise_mask = (1 << len(premise_list)) - 1
         self.universe = sorted(sems, key=lambda s: s.label)
-        self.all_orders = all_orders
+        self.all_orders = False
         # Once a reading is known, a derivation that leaves resources unused
         # is worth nothing: `_run_search` sets this at its first reading, and
         # the all-orders search runs only after the canonical one found one.
-        self.strict = all_orders
+        self.strict = False
         self.frontier: dict[tuple, int] = {}
         self.stamps = itertools.count(1)
         self.focus_tables: dict[int, dict] = {}
+
+    def in_every_order(self) -> _Search:
+        """A fresh search over the same premises that tries every order of
+        every goal list and every twin, strict from the start. It keeps this
+        search's set-up: the premises' registry entries (with no earlier
+        twins), the structure universe, the polarity table and the premises'
+        focus tables."""
+        other = copy.copy(self)
+        count = self.premise_mask.bit_length()
+        other.registry = [entry[:4] + (0,) for entry in self.registry[:count]]
+        other.focus_tables = {rid: table for rid, table in self.focus_tables.items() if rid < count}
+        other.all_orders = other.strict = True
+        other.frontier = {}
+        other.stamps = itertools.count(1)
+        return other
 
     # -- goals ----------------------------------------------------------------
 
@@ -647,18 +664,18 @@ def search(premise_set, goal: Goal, all_traces: bool = False) -> Diagnosis:
     stack raises `SearchBoundError`."""
     if not isinstance(goal.sem, SemStructure):
         raise GlueError(f"goal structure {goal.sem!r} is not a semantic structure")
-    premise_list = _as_premises(premise_set)
     try:
-        result = _run_search(premise_list, goal, False, probe=all_traces)
+        engine = _Search(_as_premises(premise_set), [goal.sem])
+        result = _run_search(engine, goal, probe=all_traces)
         if result is None:  # the canonical search found a reading
-            result = _run_search(premise_list, goal, True)
+            result = _run_search(engine.in_every_order(), goal)
     except RecursionError:
         raise SearchBoundError("derivation too deep for the interpreter's stack") from None
     return result
 
 
-def _run_search(premise_list, goal, all_traces, probe=False) -> Diagnosis | None:
-    engine = _Search(premise_list, [goal.sem], all_traces)
+def _run_search(engine, goal, probe=False) -> Diagnosis | None:
+    all_traces = engine.all_orders
 
     # canonical meaning -> (meaning, {trace, or () by default: trace})
     found: dict[MeaningTerm, tuple[MeaningTerm, dict]] = {}
@@ -705,7 +722,7 @@ def _run_search(premise_list, goal, all_traces, probe=False) -> Diagnosis | None
         engine.record_failure(goal.sem, goal.ty, engine.premise_mask)
     # The search skipped the derivations that swap twins, so the pool is
     # widened by every twin class it meets.
-    for _, _, _, own, earlier in engine.registry[: len(premise_list)]:
+    for _, _, _, own, earlier in engine.registry[: engine.premise_mask.bit_length()]:
         if pooled & (own | earlier):  # a twin-class prefix, whole at its last premise
             pooled |= own | earlier
     return _classify(engine, goal, fewest is not None, pooled)

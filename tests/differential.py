@@ -26,7 +26,11 @@ built from the working tree's inputs, so only the package differs:
 - malformed input: every f-structure fixture, and `core.lex` with
   `same_shape.lex` appended (many templates of one shape), cut at every 7th
   character and parsed: the parsed f-structure or lexicon, or the error's
-  class and text, which holds its line and column.
+  class and text, which holds its line and column;
+- respaced templates: `core.lex` with `same_shape.lex` appended, plus a copy
+  of each entry under new headwords with the spaces around one of `(`, `,`,
+  `*`, `-o` or `~>` dropped, or doubled, in its template: the parsed lexicon,
+  which holds templates that only their spacing tells apart.
 
 Prints the first differing case and exits 1 on any difference; otherwise
 prints "no difference" and the number of cases, and exits 0.
@@ -38,6 +42,7 @@ import difflib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -57,6 +62,7 @@ MODES = (
 SEEDS = (1, 2, 3)
 ALL_TRACES = ("corpus", "failures")  # workloads also run with `all_traces`
 CUT_EVERY = 7  # characters between the cuts of a malformed-input case
+RESPACED = ("(", ",", "*", "-o", "~>")  # the symbols a respaced case spaces anew
 
 
 def cases():
@@ -114,6 +120,29 @@ def cases():
     for name, text in texts.items():
         for cut in range(0, len(text), CUT_EVERY):
             yield f"{name} cut at {cut}", _parsed(Path(name).suffix, text[:cut])
+
+    lexicon_text = texts["core.lex + same_shape.lex"]
+    for symbol in RESPACED:
+        for spacing in ("dropped", "doubled"):
+            text = _respaced(lexicon_text, symbol, spacing)
+            yield f"spaces around {symbol!r} {spacing}", _parsed(".lex", text)
+
+
+def _respaced(text: str, symbol: str, spacing: str) -> str:
+    """`text` followed by a copy of each entry line, its headwords prefixed
+    with `re-` and the spaces around each `symbol` in its template dropped
+    or doubled."""
+    around = re.compile(rf"( *){re.escape(symbol)}( *)")
+    factor = 0 if spacing == "dropped" else 2
+    copies = []
+    for raw_line in text.splitlines():
+        head, colon, template = raw_line.split("#", 1)[0].partition(":")
+        if not colon or re.match(r"\s*constant\s", head.rstrip()):
+            continue
+        heads = ", ".join(f"re-{word.strip()}" for word in head.split(","))
+        template = around.sub(lambda m: f"{m[1] * factor}{symbol}{m[2] * factor}", template)
+        copies.append(f"{heads}:{template}\n")
+    return text + "".join(copies)
 
 
 def _with_redexes(lexicon):

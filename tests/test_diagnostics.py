@@ -131,24 +131,30 @@ def test_ok_carries_all_readings(lexicon, scope_fs):
     ],
 )
 def test_diagnose_runs_one_proof_search(lexicon, monkeypatch, case, status, all_traces):
-    searches = []  # the all_orders flag of each search
+    searches = []  # the all_orders flag of each search run
+    run_search = prover._run_search
 
-    class CountingSearch(prover._Search):
-        def __init__(self, premise_list, goal_sems, all_orders=False, *rest):
-            searches.append(all_orders)
-            super().__init__(premise_list, goal_sems, all_orders, *rest)
+    def counting(engine, *args, **kwargs):
+        searches.append(engine.all_orders)
+        return run_search(engine, *args, **kwargs)
 
-    monkeypatch.setattr(prover, "_Search", CountingSearch)
+    monkeypatch.setattr(prover, "_run_search", counting)
     assert diagnose(load_case(case), lexicon, all_traces=all_traces).status == status
     assert searches == [False]
 
 
+SET_UP_CASES = ["scope.fs", "john_devoured.fs", "john_arrived_extras.fs", "modified.fs"]
+
+
 @pytest.mark.parametrize(
-    "name", ["scope.fs", "john_devoured.fs", "john_arrived_extras.fs", "modified.fs"]
+    "name,all_traces",
+    [(name, all_traces) for all_traces in (False, True) for name in SET_UP_CASES],
+    ids=SET_UP_CASES + [f"{name}-all-traces" for name in SET_UP_CASES],
 )
-def test_set_up_reads_each_premise_once(lexicon, monkeypatch, name):
+def test_set_up_reads_each_premise_once(lexicon, monkeypatch, name, all_traces):
     # Set-up reads each premise in one walk and rebuilds it in one more; the
-    # failure is classified from what that walk and the search recorded.
+    # failure is classified from what that walk and the search recorded, and
+    # the search in every order starts from the canonical search's set-up.
     walks = {"read": 0, "set_up": 0}
     depth = [0]
 
@@ -166,7 +172,7 @@ def test_set_up_reads_each_premise_once(lexicon, monkeypatch, name):
     for kind in ("read", "set_up"):
         monkeypatch.setattr(prover, f"_{kind}", top_level(kind, getattr(prover, f"_{kind}")))
     fs = load_fs(name)
-    diagnose(fs, lexicon)
+    diagnose(fs, lexicon, all_traces=all_traces)
     count = len(premises(fs, lexicon))
     assert walks == {"read": count, "set_up": count}
 

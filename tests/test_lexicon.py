@@ -19,6 +19,7 @@ from gluesem.errors import (
 )
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor
 from gluesem.fstruct import parse_fstructure, sigma
+from gluesem.lexer import tokenize
 from gluesem.lexicon import Premise, instantiate, parse_lexicon, premises
 from gluesem.semtypes import E, T, arrow, parse_type_at
 from gluesem.terms import Const, Var, apply
@@ -257,10 +258,37 @@ def workloads():
         sys.path.remove(str(PERFBENCH))
 
 
+TEXT_CLASS_MATES = """\
+constant Bill : e
+constant Sue : e
+constant sleep : e -> t
+constant tall : e -> t
+constant tall_2 : e -> t
+constant likes : (e -> t) -> t
+constant maybe : t -> t
+constant never : t -> t
+spaced: ^ ~> likes(\\x. sleep(x))
+spaced-too: ^ ~> likes(\\x. tall(x))
+unspaced: ^~>likes(\\x.sleep(x))
+unspaced-too: ^~>likes(\\x.tall(x))
+glued: forall H, P:t. H~>_t P -oH~>_t maybe(P)
+glued-too: forall H, P:t. H~>_t P -oH~>_t never(P)
+glued-type: ^~>_t sleep(Sue)
+glued-type-too: ^~>_t tall(Bill)
+digits: ^ ~> likes(\\x_1. tall_2(x_1))
+digits-too: ^ ~> likes(\\x_1. sleep(x_1))
+lambda: ^ ~> likes(\\λ. sleep(λ))
+lambda-too: ^ ~> likes(\\λ. tall(λ))
+"""
+
+
 @pytest.mark.parametrize(
     "sources",
-    [("corpus", 1), ("corpus", 2), ("corpus", 3), ("core.lex",), ("core.lex", "same_shape.lex")],
-    ids=["corpus-1", "corpus-2", "corpus-3", "core", "core+same_shape"],
+    [
+        ("corpus", 1), ("corpus", 2), ("corpus", 3), ("core.lex",),
+        ("core.lex", "same_shape.lex"), ("class-mates",),
+    ],
+    ids=["corpus-1", "corpus-2", "corpus-3", "core", "core+same_shape", "class-mates"],
 )
 def test_each_template_parses_as_it_does_alone(workloads, sources):
     """Every template of a lexicon reads the same, binder hints included
@@ -269,6 +297,8 @@ def test_each_template_parses_as_it_does_alone(workloads, sources):
     shape."""
     if sources[0] == "corpus":
         text = workloads.corpus(sources[1]).lexicon_text
+    elif sources[0] == "class-mates":
+        text = TEXT_CLASS_MATES
     else:
         text = "".join((FIXTURES / name).read_text(encoding="utf-8") for name in sources)
     lexicon = parse_lexicon(text)
@@ -283,7 +313,7 @@ def test_each_template_parses_as_it_does_alone(workloads, sources):
     assert len(entries) > 10
     for line in entries:
         head, template = line.split(":", 1)
-        names = dict.fromkeys(n for n in re.findall(r"\w+", template) if n in constants)
+        names = dict.fromkeys(n for n in tokenize(template).texts if n in constants)
         alone = parse_lexicon("\n".join([*(constants[n] for n in names), line]))
         for word in head.split(","):
             key = word.strip().casefold()
@@ -316,8 +346,27 @@ def test_each_template_parses_as_it_does_alone(workloads, sources):
             "constant Bill : e\nconstant Sue : e ->\nconstant Ann : e ->\n",
             "SyntaxErrorAt: in.lex:2:20: expected a type, found end of input",
         ),
+        (
+            "constant Bill : e\nconstant Sue : e\nbill: ^ ~> Bill\nsue: ^ ~> ²Bill\n",
+            "SyntaxErrorAt: in.lex:4:11: unexpected character '²'",
+        ),
+        (
+            "constant Bill : e\nconstant sleep : e -> t\n"
+            "sleeps: forall X:e. (^ SUBJ) ~> X -o ^ ~> sleep(X)\n"
+            "snores: forall X:e. (^ SUBJ) ~> X - ^ ~> sleep(X)\n",
+            "SyntaxErrorAt: in.lex:4:35: unexpected character '-'",
+        ),
+        (
+            "constant Bill : e\nconstant surely : t -> t\n"
+            "glued: forall H, P:t. H ~>_t P -oH ~>_t surely(P)\n"
+            "glued2: forall H, P:t. H ~>_t P -osurely(P)\n",
+            "SyntaxErrorAt: in.lex:4:35: unbound structure variable 'surely'",
+        ),
     ],
-    ids=["undeclared-constant", "ill-typed", "duplicate-entry", "unbound-variable", "constant-type"],
+    ids=[
+        "undeclared-constant", "ill-typed", "duplicate-entry", "unbound-variable",
+        "constant-type", "numeric-word", "lone-minus", "glued-implication",
+    ],
 )
 def test_a_template_after_a_parsed_class_mate_fails_at_its_own_place(text, error):
     """The error of a template whose near twin parsed earlier, and of a
@@ -330,9 +379,10 @@ def test_a_template_after_a_parsed_class_mate_fails_at_its_own_place(text, error
 
 def test_the_corpus_lexicon_parses_each_template_shape_once(workloads, monkeypatch):
     """The seed-1 `corpus` lexicon's 2354 templates fall into 12 shapes, and
-    its 1957 constants have a few type texts: the parsers run once per shape
-    and once per type text (plus the binder types of those 12 parses)."""
-    counts = {"templates": 0, "types": 0}
+    its 1957 constants have 6 type texts: the parsers run once per shape and
+    once per type text (plus the binder types of those 12 parses), and only
+    those 18 texts are tokenized."""
+    counts = {"templates": 0, "types": 0, "tokenize": 0}
 
     class CountingParser(lexicon_module._TemplateParser):
         def __init__(self, *args):
@@ -343,9 +393,31 @@ def test_the_corpus_lexicon_parses_each_template_shape_once(workloads, monkeypat
         counts["types"] += 1
         return parse_type_at(ts)
 
+    def counting_tokenize(*args):
+        counts["tokenize"] += 1
+        return tokenize(*args)
+
     monkeypatch.setattr(lexicon_module, "_TemplateParser", CountingParser)
     monkeypatch.setattr(lexicon_module, "parse_type_at", counting_parse_type_at)
+    monkeypatch.setattr(lexicon_module, "tokenize", counting_tokenize)
     lexicon = parse_lexicon(workloads.corpus(1).lexicon_text)
     assert len({id(entry) for entry in lexicon.values()}) == 2354
     assert len(lexicon.signature) == 1957
-    assert counts == {"templates": 12, "types": 41}
+    assert counts == {"templates": 12, "types": 41, "tokenize": 18}
+
+
+def test_class_mates_are_read_off_the_text(monkeypatch):
+    """The templates of `TEXT_CLASS_MATES` come in pairs that differ only in
+    a constant of one type, with `-o` and `~>_t` glued to names and with
+    identifiers of digits, `_` or non-ASCII letters: each pair is one shape,
+    parsed once, but the two spaced and unspaced pairs are four shapes."""
+    parsed = []
+
+    class CountingParser(lexicon_module._TemplateParser):
+        def __init__(self, *args):
+            parsed.append(args[0].texts)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lexicon_module, "_TemplateParser", CountingParser)
+    assert len(parse_lexicon(TEXT_CLASS_MATES)) == 12
+    assert len(parsed) == 6

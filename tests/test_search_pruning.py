@@ -8,6 +8,7 @@ them."""
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -152,3 +153,28 @@ def test_all_traces_unrolls_only_the_traces_it_keeps(lexicon, monkeypatch):
     root = parse_fstructure(grid_fstructure(2, 3))
     readings = derive(premises(root, lexicon), Goal(sigma(root)), all_traces=True)
     assert len(calls) == sum(len(r.traces) for r in readings) == 720
+
+
+def test_the_all_orders_search_keeps_only_the_premises_focus_tables(monkeypatch):
+    # The search in every order starts from the canonical search's set-up,
+    # but not from its hypotheses and derived resources: with `m1` the only
+    # modifier, the canonical search derives r at the id where the search in
+    # every order derives l. Each focus table the latter used is the one its
+    # own resource gives.
+    searches = []
+    in_every_order = prover._Search.in_every_order
+
+    def recording(self):
+        searches.append(in_every_order(self))
+        return searches[-1]
+
+    monkeypatch.setattr(prover._Search, "in_every_order", recording)
+    (every, split, join, m1, _), goal = tensor_head_premises()
+    assert derive([every, split, join, m1], goal, all_traces=True)
+    (engine,) = searches
+    premise_count = engine.premise_mask.bit_length()
+    assert any(rid >= premise_count for rid in engine.focus_tables)
+    for rid, table in engine.focus_tables.items():
+        fresh = copy.copy(engine)
+        fresh.focus_tables = {}
+        assert table == fresh._focus_table(rid), engine.registry[rid]
