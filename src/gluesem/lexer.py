@@ -7,57 +7,52 @@ Symbols are tried before identifiers, so `_a` is `_`, `a`.
 
 One compiled scan reads a text: a single `findall`, run in C, returns each
 token with the blanks and comments before it skipped inside the match, and
-the kinds and texts go into two parallel lists. No position is computed
-then. A token's line and column are worked out only when something asks for
-one (an error message, or a `Token` read from the result), from the same
-scan run match by match: each match's token offset, turned into a line and
-column by counting newlines. A text with no tokenization (a stray character,
-a word that starts with a digit or another numeric character like `²`, an
-unterminated quote) raises the error at its first bad token.
+the kinds and texts go into two parallel lists. No position is computed.
+Only an error asks for a token's line and column, and they are worked out
+then from the same scan, run again match by match up to that token: its
+offset, turned into a line and column by counting newlines. A text with no
+tokenization (a stray character, a word that starts with a digit or another
+numeric character like `²`, an unterminated quote) raises the error at its
+first bad token.
 
-Every parser reads `tokenize`'s result directly, as its cursor.
+The result, `Tokens`, is every parser's cursor and nothing else.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import NoReturn
 
 from .errors import SyntaxErrorAt
-from .node import Node
 
 # Input nested deeper than this is rejected as a syntax error rather than left
 # to exhaust the interpreter's stack in the recursive parsers and walkers.
 MAX_NESTING = 100
 
 _SYMBOL = r"->|-o|~>|[()\[\]{};:,.\\*^_]"
+# An identifier: a letter, then letters, digits and `_`. The lexicon splits a
+# template into words with it too.
+IDENTIFIER = r"[^\W\d_]\w*"
 
 # One match per token, after the blanks and comments before it. A token lands
 # in the group of its kind: a symbol, the inside of a quoted symbol, an
 # identifier, or any other single character (an error, or the end marker).
-_SCAN = re.compile(rf"\s*(?:#[^\n]*\s*)*(?:({_SYMBOL})|'([^'\n]*)'|([^\W\d_]\w*)|([\s\S]))")
+_SCAN = re.compile(rf"\s*(?:#[^\n]*\s*)*(?:({_SYMBOL})|'([^'\n]*)'|({IDENTIFIER})|([\s\S]))")
 # Appended to every scanned text: the newline ends a comment on the last
 # line, and the NUL is the last match, so every match before it is contiguous.
 _END = "\n\0"
 _KINDS = frozenset(("->", "-o", "~>", *r"()[]{};:,.\*^_", "IDENT", "QUOTED", "EOF"))
 
 
-class Token(Node):
-    __slots__ = ()
-    # kind: IDENT | QUOTED | symbol text | EOF
-    __match_args__ = ("kind", "text", "line", "column")
-
-
 class Tokens:
     """The tokens of one text as parallel `kinds` and `texts` lists that end
-    in EOF, and the parsers' cursor over them (`pos`, `depth`). Indexing or
-    iterating yields every `Token` with its position, wherever the cursor
-    stands; positions are computed for the whole text on the first request.
-    `accept` and `expect` compare kinds and return the token's text. The
-    parsers look past the current token only when it is not EOF and advance
-    only past tokens they have matched, so every index stays in bounds."""
+    in EOF, and the parsers' cursor over them (`pos`, `depth`). `accept` and
+    `expect` compare kinds and return the token's text. The parsers look past
+    the current token only when it is not EOF and advance only past tokens
+    they have matched, so every index stays in bounds."""
 
-    __slots__ = ("kinds", "texts", "source", "pos", "depth", "_text", "_start", "_positions")
+    __slots__ = ("kinds", "texts", "source", "pos", "depth", "_text", "_start")
 
     def __init__(self, kinds, texts, text, source, start):
         self.kinds = kinds
@@ -67,16 +62,11 @@ class Tokens:
         self.depth = 0
         self._text = text
         self._start = start  # (line, column) at which the text begins
-        self._positions = None
 
     def __len__(self) -> int:
+        """The number of tokens, EOF included (the count `perfbench`'s
+        tracer reports as `lexer.tokens`)."""
         return len(self.kinds)
-
-    def __getitem__(self, index: int) -> Token:
-        return Token(self.kinds[index], self.texts[index], *self.position(index))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.kinds)))
 
     def peek(self, offset: int = 0) -> str:
         """The kind of the token `offset` places ahead."""
@@ -120,26 +110,19 @@ class Tokens:
 
     def position(self, at: int | None = None) -> tuple[int, int]:
         """The line and column of the token at index `at` (default: the
-        current one)."""
-        if self._positions is None:
-            text = self._text
-            line, col = self._start
-            line_start = 1 - col  # offset of the current line's column 1
-            last = 0
-            self._positions = []
-            for match in _SCAN.finditer(text + _END):
-                # A token starts where its group does, a quoted one at the
-                # quote before its group; EOF at the end of the text, past
-                # any trailing blanks and comment, not at the end marker.
-                group = match.lastindex
-                offset = min(match.start(group) - (group == 2), len(text))
-                newlines = text.count("\n", last, offset)
-                if newlines:
-                    line += newlines
-                    line_start = text.rfind("\n", last, offset) + 1
-                self._positions.append((line, offset - line_start + 1))
-                last = offset
-        return self._positions[self.pos if at is None else at]
+        current one), from the scan run again up to it."""
+        text = self._text
+        match = next(islice(_SCAN.finditer(text + _END), self.pos if at is None else at, None))
+        # A token starts where its group does, a quoted one at the quote
+        # before its group; EOF at the end of the text, past any trailing
+        # blanks and comment, not at the end marker.
+        group = match.lastindex
+        offset = min(match.start(group) - (group == 2), len(text))
+        line, col = self._start
+        newlines = text.count("\n", 0, offset)
+        if not newlines:
+            return line, col + offset
+        return line + newlines, offset - text.rfind("\n", 0, offset)
 
     def fail(self, message: str, at: int | None = None) -> NoReturn:
         raise SyntaxErrorAt(message, *self.position(at), self.source)

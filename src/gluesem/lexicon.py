@@ -18,18 +18,20 @@ path from it, `(mod ^)` the node whose MODS set contains it.
 A lexicon's templates fall into a few shapes, read off their text: split
 into words (the tokenizer's identifiers; the `o` of `-o` is none) and the
 text between them, two templates share a shape when they differ only in
-words that name constants of the same types. Within one `parse_lexicon`
-call only the first template of each shape is tokenized and parsed, and
-every later one is built from that result by renaming its constants in word
-order, rebuilding only the nodes above them. The first is kept for this
-only if its words are its identifier tokens and the term parser read each
-that names a constant as one; a quoted word, or a constant shadowed by a
-binder or spelled like a keyword, a type or a path attribute, fails that
-check, so templates of its shape are all parsed. Since a word runs to the
-first character that cannot continue an identifier, class-mates' tokens
-differ only at those words. Errors therefore come only from the parser, with
-their own line and column, which are worked out only for an error. Each
-constant line's type is parsed once per type text.
+words that name constants of the same types. Since a word runs to the first
+character that cannot continue an identifier, class-mates' tokens differ
+only at those words, and since no template position takes a quoted symbol,
+a template that parses has its words as its identifier tokens. Within one
+`parse_lexicon` call only the first template of each shape is tokenized and
+parsed. At the shape's first reuse, its `Const` leaves are counted: if there
+are as many as words that name constants, every later class-mate is that
+result with its constants renamed in word order, rebuilding only the nodes
+above them. Fewer leaves mean a word naming a constant was read as a binder,
+keyword, type or path attribute, or under a binder of its name; each
+class-mate has such a word at the same place, so every later one is parsed
+in full. Errors therefore come only from the parser, with their own line and
+column, which are worked out only for an error. Each constant line's type is
+parsed once per type text.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
 )
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, PathRef, SemVar, Tensor
 from .fstruct import FStructure, resolve_path, sigma
-from .lexer import Tokens, tokenize
+from .lexer import IDENTIFIER, Tokens, tokenize
 from .node import Node
 from .semtypes import SemType, parse_type_at
 from .terms import App, Const, Lam
@@ -53,7 +55,7 @@ from .termsyntax import parse_term_at
 _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 # A word of a template's text: an identifier, as the tokenizer reads one,
 # except after a `-`, so the `o` of `-o` is no word.
-_SPLIT = re.compile(r"(?<!-)([^\W\d_]\w*)")
+_SPLIT = re.compile(rf"(?<!-)({IDENTIFIER})")
 _CONSTANT_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _UNREAD = object()  # the constant paths of a shape not yet reused
 # A constant line: the part before its first `:`, right-stripped, starts with
@@ -100,37 +102,30 @@ def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
         # Constants may be declared anywhere in the file; parse templates after.
         entries_pending.append((words, template_part, line, lineno))
     signature = lexicon.signature
-    # shape -> [its first template, if kept; where that holds its constants,
-    # found at the first reuse]
-    shapes: dict[tuple, list] = {}
+    # shape -> [its first template, where that holds its constants (read at
+    # the first reuse)], or None once every template of it is parsed
+    shapes: dict[tuple, list | None] = {}
     for words, template_part, line, lineno in entries_pending:
         parts = _SPLIT.split(template_part)
         # The text, each word that names a constant replaced by its type.
         shape = tuple(map(signature.get, parts, parts))
         kept = shapes.get(shape)
-        if kept is not None:
+        if kept is not None and kept[1] is _UNREAD:
+            # The first reuse: is each word naming a constant a `Const` leaf?
+            paths = _const_paths(kept[0])
+            if _leaves(paths) == sum(map(signature.__contains__, parts[1::2])):
+                kept[1] = paths
+            else:
+                kept = shapes[shape] = None
+        if kept is None:
+            ts = tokenize(template_part, source, lineno, len(line) - len(template_part) + 1)
+            template = _TemplateParser(ts, signature).parse_template()
+            shapes.setdefault(shape, [template, _UNREAD])
+        else:
             template, paths = kept
-            if paths is _UNREAD:
-                paths = kept[1] = _const_paths(template)
             if paths is not None:
                 constants = iter([word for word in parts[1::2] if word in signature])
                 template = _rename(template, paths, constants)
-        else:
-            ts = tokenize(template_part, source, lineno, len(line) - len(template_part) + 1)
-            parser = _TemplateParser(ts, signature)
-            template = parser.parse_template()
-            # Kept only if the words are the identifier tokens, and each word
-            # naming a constant was read as one, not as a binder, keyword,
-            # type or path attribute. Counts tell both: every identifier
-            # token is a word at its place (the token before it ends in a
-            # character no identifier continues, or is `-o` or `_`), so only
-            # a quoted word makes more words; and the parser records only
-            # words naming constants.
-            names = parts[1::2]
-            if ts.kinds.count("IDENT") == len(names) and len(parser.consts) == sum(
-                map(signature.__contains__, names)
-            ):
-                shapes[shape] = [template, _UNREAD]
         entry = LexicalEntry(words[0], template)
         for k, word in enumerate(words):
             key = word.casefold()
@@ -179,7 +174,6 @@ class _TemplateParser:
         self.signature = signature
         self.meaning_scope: dict[str, SemType] = {}
         self.sem_scope: set[str] = set()
-        self.consts: list[int] = []  # token indices read as signature constants
 
     def parse_template(self) -> GlueFormula:
         template = self.parse_formula()
@@ -270,9 +264,7 @@ class _TemplateParser:
         explicit: SemType | None = None
         if self.ts.accept("_"):
             explicit = parse_type_at(self.ts)
-        meaning, meaning_ty = parse_term_at(
-            self.ts, self.signature, self.meaning_scope, self.consts
-        )
+        meaning, meaning_ty = parse_term_at(self.ts, self.signature, self.meaning_scope)
         if explicit is not None and explicit != meaning_ty:
             self.ts.fail(
                 f"type index {explicit} conflicts with meaning type {meaning_ty}"
@@ -311,6 +303,13 @@ def _const_paths(node):
         if inner is not None:
             paths.append((i, inner))
     return tuple(paths) or None
+
+
+def _leaves(paths) -> int:
+    """The number of `Const` leaves on `paths` (see `_const_paths`)."""
+    if paths is None:
+        return 0
+    return sum(_leaves(inner) for _, inner in paths) if paths else 1
 
 
 def _rename(node, paths, names):

@@ -1,5 +1,5 @@
 """Immutable records as tagged tuples: every immutable value in the package
-(types, terms, formulas, tokens, premises, trace steps, readings, diagnoses).
+(types, terms, formulas, premises, trace steps, readings, diagnoses).
 
 A node is a tuple whose first item is a tag naming its class and whose other
 items are its fields, so construction, equality and hashing run in C and

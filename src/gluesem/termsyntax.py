@@ -46,11 +46,9 @@ def parse_term_at(
     ts: Tokens,
     signature: dict[str, SemType],
     env: dict[str, SemType] | None = None,
-    consts: list[int] | None = None,
 ) -> tuple[MeaningTerm, SemType]:
-    """The term at the current position and its type. The index of each
-    token read as a signature constant is appended to `consts`, if given."""
-    parser = _TermParser(ts, signature, env or {}, [] if consts is None else consts)
+    """The term at the current position and its type."""
+    parser = _TermParser(ts, signature, env or {})
     term, ty = parser.parse()
     if parser.binder_at:  # annotated binders already hold their final types
         term = parser.zonk_term(term)
@@ -58,11 +56,10 @@ def parse_term_at(
 
 
 class _TermParser:
-    def __init__(self, ts: Tokens, signature, env, consts):
+    def __init__(self, ts: Tokens, signature, env):
         self.ts = ts
         self.signature = signature
         self.env = env
-        self.consts = consts  # token indices read as signature constants
         self.binders: list[tuple[str, SemType]] = []  # innermost last
         self.bindings: dict[int, SemType] = {}
         self.counter = 0
@@ -126,7 +123,6 @@ class _TermParser:
         if name in self.env:
             return Var(name, self.env[name]), self.env[name]
         if name in self.signature:
-            self.consts.append(ts.pos - 1)
             return Const(name, self.signature[name]), self.signature[name]
         line, column = ts.position(ts.pos - 1)
         raise UnboundVariableError(f"unknown name '{name}' at line {line}, column {column}")

@@ -539,3 +539,16 @@ def test_crlf_line_ends_read_like_lf_ones(tmp_path):
         out, err = io.StringIO(), io.StringIO()
         assert run(RunConfig(str(path), str(lexicon)), out, err) == GOLDEN_CODES[stem], stem
         assert out.getvalue().encode("utf-8") == (GOLDEN / f"{stem}.txt").read_bytes(), stem
+
+
+def test_the_readme_library_example_prints_the_recorded_trace():
+    """The README's Python block, run from the repository root, prints
+    `scope.fs`'s readings and canonical traces as `derive --trace` does."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (block,) = readme.split("```python\n")[1:]
+    code = block.split("```", 1)[0]
+    argv = [sys.executable, "-c", code]
+    done = subprocess.run(argv, cwd=root, env=FRESH_ENV, capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "scope.trace.txt").read_bytes()

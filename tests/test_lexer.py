@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from gluesem.errors import SyntaxErrorAt
-from gluesem.lexer import Token, tokenize
+from gluesem.lexer import tokenize
 
 # (text, start line, start column, tokens as (kind, text, line, column));
 # the last token is always EOF.
@@ -67,7 +67,10 @@ POSITIONS = [
 @pytest.mark.parametrize("text,line,col,expected", POSITIONS)
 def test_token_kinds_texts_and_positions(text, line, col, expected):
     tokens = tokenize(text, "t", line, col)
-    assert [(t.kind, t.text, t.line, t.column) for t in tokens] == expected
+    assert [
+        (kind, token, *tokens.position(i))
+        for i, (kind, token) in enumerate(zip(tokens.kinds, tokens.texts))
+    ] == expected
 
 
 # (text, start line, start column, error message including its position).
@@ -88,17 +91,3 @@ def test_rejected_characters_are_reported_where_they_stand(text, line, col, mess
         tokenize(text, "t", line, col)
     assert str(err.value) == message
 
-
-def test_the_cursor_leaves_indexing_and_iterating_whole():
-    """`tokenize`'s result is also the parsers' cursor: stepping it past
-    tokens changes neither what indexing and iterating yield nor their
-    positions; `position()` is the current token's."""
-    text = "a\n  b (c)"
-    fresh = list(tokenize(text, "t", 3, 5))
-    tokens = tokenize(text, "t", 3, 5)
-    assert tokens.next() == "a"
-    assert tokens.accept("IDENT") == "b"
-    assert tokens.accept(")") is None
-    assert tokens.position() == (fresh[2].line, fresh[2].column) == (4, 5)
-    assert [tokens[i] for i in range(len(tokens))] == list(tokens) == fresh
-    assert fresh[0] == Token("IDENT", "a", 3, 5)

@@ -282,6 +282,16 @@ lambda-too: ^ ~> likes(\\λ. tall(λ))
 """
 
 
+def lexicon_text(workloads, sources) -> str:
+    """A `corpus` lexicon at a seed, `TEXT_CLASS_MATES`, or fixture files
+    joined."""
+    if sources[0] == "corpus":
+        return workloads.corpus(sources[1]).lexicon_text
+    if sources[0] == "class-mates":
+        return TEXT_CLASS_MATES
+    return "".join((FIXTURES / name).read_text(encoding="utf-8") for name in sources)
+
+
 @pytest.mark.parametrize(
     "sources",
     [
@@ -295,12 +305,7 @@ def test_each_template_parses_as_it_does_alone(workloads, sources):
     (`Lam` equality ignores them, `repr` does not), as in a lexicon of that
     line and the constants it names, where no other template shares its
     shape."""
-    if sources[0] == "corpus":
-        text = workloads.corpus(sources[1]).lexicon_text
-    elif sources[0] == "class-mates":
-        text = TEXT_CLASS_MATES
-    else:
-        text = "".join((FIXTURES / name).read_text(encoding="utf-8") for name in sources)
+    text = lexicon_text(workloads, sources)
     lexicon = parse_lexicon(text)
     constants = {}
     entries = []
@@ -421,3 +426,84 @@ def test_class_mates_are_read_off_the_text(monkeypatch):
     monkeypatch.setattr(lexicon_module, "_TemplateParser", CountingParser)
     assert len(parse_lexicon(TEXT_CLASS_MATES)) == 12
     assert len(parsed) == 6
+
+
+TEXT_SHADOWED = """\
+constant Bill : e
+constant Sue : e
+constant Ann : e
+constant sleep : e -> t
+constant tall : e -> t
+constant old : e -> t
+constant likes : (e -> t) -> t
+shadowed: ^ ~> likes(\\Bill. sleep(Bill))
+shadowed-sue: ^ ~> likes(\\Sue. sleep(Sue))
+shadowed-ann: ^ ~> likes(\\Ann. sleep(Ann))
+sleeper: ^ ~> likes(\\x. sleep(x))
+tall-one: ^ ~> likes(\\x. tall(x))
+old-one: ^ ~> likes(\\x. old(x))
+"""
+
+
+def test_a_shape_whose_first_template_binds_a_constant_name_is_parsed_in_full(monkeypatch):
+    """The first `shadowed` template reads the constant-named `Bill` as a
+    binder, so its class-mates cannot be built by renaming it: all three are
+    parsed, while the three `sleeper` class-mates are parsed once."""
+    parsed = []
+
+    class CountingParser(lexicon_module._TemplateParser):
+        def __init__(self, *args):
+            parsed.append(args[0].texts[5])  # the binder after `likes(\`
+            super().__init__(*args)
+
+    monkeypatch.setattr(lexicon_module, "_TemplateParser", CountingParser)
+    lexicon = parse_lexicon(TEXT_SHADOWED)
+    assert parsed == ["Bill", "Sue", "Ann", "x"]
+    assert str(lexicon["shadowed-ann"].template) == r"^ ~>_t likes(\Ann. sleep(Ann))"
+    assert str(lexicon["old-one"].template) == r"^ ~>_t likes(\x. old(x))"
+
+
+@pytest.mark.parametrize(
+    "template,error",
+    [
+        ("'f' ~> Bill", "q.lex:3:4: expected a structure expression, found 'f'"),
+        ("forall X:e. (^ 'SUBJ') ~> X -o ^ ~> sleep(X)", "q.lex:3:19: expected ')', found 'SUBJ'"),
+        ("forall 'X':e. ^ ~> sleep(Bill)", "q.lex:3:11: expected a quantifier variable, found 'X'"),
+        ("forall 'H'. H ~> Bill", "q.lex:3:11: expected a quantifier variable, found 'H'"),
+        ("^ ~>_'e' Bill", "q.lex:3:9: expected a type, found 'e'"),
+        ("forall X:'e'. ^ ~> sleep(X)", "q.lex:3:13: expected a type, found 'e'"),
+        ("^ ~> 'Bill'", "q.lex:3:9: expected a term, found 'Bill'"),
+        ("^ ~> sleep('Bill')", "q.lex:3:15: expected a term, found 'Bill'"),
+    ],
+    ids=[
+        "structure-expression", "path-attribute", "meaning-binder", "structure-binder",
+        "type-index", "binder-type", "meaning", "argument",
+    ],
+)
+def test_no_template_position_takes_a_quoted_symbol(template, error):
+    """So a template that parses has no quoted token, and its identifier
+    tokens are exactly the words its shape is read from."""
+    with pytest.raises(SyntaxErrorAt) as err:
+        parse_lexicon(f"constant Bill : e\nconstant sleep : e -> t\nw: {template}", "q.lex")
+    assert str(err.value) == error
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [("corpus", 1), ("corpus", 2), ("corpus", 3), ("core.lex", "same_shape.lex")],
+    ids=["corpus-1", "corpus-2", "corpus-3", "core+same_shape"],
+)
+def test_a_templates_words_are_its_identifier_tokens(workloads, sources):
+    """The shape split (`_SPLIT`, built on the tokenizer's own identifier
+    pattern) finds the words that `tokenize` reads as identifiers."""
+    text = lexicon_text(workloads, sources)
+    templates = [
+        line.split(":", 1)[1]
+        for raw_line in text.splitlines()
+        if (line := raw_line.split("#", 1)[0]).strip() and not _CONSTANT.match(line)
+    ]
+    assert len(templates) > 10
+    for template in templates:
+        ts = tokenize(template)
+        identifiers = [token for kind, token in zip(ts.kinds, ts.texts) if kind == "IDENT"]
+        assert lexicon_module._SPLIT.split(template)[1::2] == identifiers, template

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 
 from gluesem.errors import SyntaxErrorAt, TermTypeError, UnboundVariableError
 from gluesem.fstruct import parse_fstructure
-from gluesem.lexer import Token, tokenize
+from gluesem.lexer import tokenize
 from gluesem.lexicon import parse_lexicon
 
 SYMBOLS = ("->", "-o", "~>", *"()[]{};:,.\\*^_")
 
 
 def reference_tokens(text: str, source: str | None, line: int, column: int):
-    """The `Token`s of `text`, EOF last, read one character at a time with no
-    regular expression; raises the tokenizer's `SyntaxErrorAt` for a
+    """The tokens of `text` as (kind, text, line, column), EOF last, read one
+    character at a time with no regular expression; raises the tokenizer's `SyntaxErrorAt` for a
     character no token can start with."""
     tokens = []
     i = 0
@@ -40,12 +40,12 @@ def reference_tokens(text: str, source: str | None, line: int, column: int):
                 end += 1
             if end == len(text) or text[end] == "\n":
                 raise SyntaxErrorAt("unterminated quoted symbol", line, column, source)
-            tokens.append(Token("QUOTED", text[i + 1:end], line, column))
+            tokens.append(("QUOTED", text[i + 1:end], line, column))
             i, column = end + 1, column + end + 1 - i
             continue
         symbol = next((s for s in SYMBOLS if text.startswith(s, i)), None)
         if symbol:
-            tokens.append(Token(symbol, symbol, line, column))
+            tokens.append((symbol, symbol, line, column))
             i, column = i + len(symbol), column + len(symbol)
             continue
         if c.isalnum():  # a word: letters, digits, numerics and `_`
@@ -53,11 +53,11 @@ def reference_tokens(text: str, source: str | None, line: int, column: int):
             while end < len(text) and (text[end].isalnum() or text[end] == "_"):
                 end += 1
             if c.isalpha():
-                tokens.append(Token("IDENT", text[i:end], line, column))
+                tokens.append(("IDENT", text[i:end], line, column))
                 i, column = end, column + end - i
                 continue
         raise SyntaxErrorAt(f"unexpected character {c!r}", line, column, source)
-    tokens.append(Token("EOF", "", line, column))
+    tokens.append(("EOF", "", line, column))
     return tokens
 
 
@@ -69,9 +69,18 @@ PIECES = [
 ]
 
 
+def scanned(text, source, line, column):
+    """`tokenize`'s result as (kind, text, line, column) tuples."""
+    tokens = tokenize(text, source, line, column)
+    return [
+        (kind, token, *tokens.position(i))
+        for i, (kind, token) in enumerate(zip(tokens.kinds, tokens.texts))
+    ]
+
+
 def outcome(scan, text, line, column):
     try:
-        return list(scan(text, "t", line, column))
+        return scan(text, "t", line, column)
     except SyntaxErrorAt as err:
         return str(err)
 
@@ -85,7 +94,7 @@ def outcome(scan, text, line, column):
 def test_tokenize_agrees_with_the_reference_scanner(text, line, column):
     """Every token's kind, text, line and column, and every rejection
     message, from any start position."""
-    assert outcome(tokenize, text, line, column) == outcome(reference_tokens, text, line, column)
+    assert outcome(scanned, text, line, column) == outcome(reference_tokens, text, line, column)
 
 
 def _generated_lexicon() -> str:

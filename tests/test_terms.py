@@ -19,7 +19,6 @@ from gluesem.diagnostics import Demand, Diagnosis, Leftover
 from gluesem.errors import GlueError, SyntaxErrorAt, TermTypeError, UnboundVariableError
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor
 from gluesem.fstruct import SemStructure
-from gluesem.lexer import Token
 from gluesem.lexicon import LexicalEntry, Premise
 from gluesem.node import Node
 from gluesem.prover import Goal, Reading, TraceStep
@@ -489,7 +488,6 @@ NODES += [
     Limp(_ATOM, _ATOM),
     Forall(SemVar("H"), Atom(SemVar("H"), E, Const("Bill", E))),
     _F,
-    Token("IDENT", "Bill", 1, 3),
     LexicalEntry("bill", Atom(PathRef("up"), E, Const("Bill", E))),
     Premise(1, _ATOM, "bill", "f"),
     Goal(_F, E),
@@ -635,7 +633,6 @@ SIGNATURES = {
     SemVar: "(name)",
     Tensor: "(left, right)",
     SemStructure: "(label)",
-    Token: "(kind, text, line, column)",
     LexicalEntry: "(headword, template)",
     Premise: "(index, formula, word, label)",
     Goal: "(sem, ty=BaseType(name='t'))",
