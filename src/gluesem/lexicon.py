@@ -327,40 +327,41 @@ def _rename(node, paths, names):
 def instantiate(entry: LexicalEntry, node: FStructure) -> GlueFormula:
     """Resolve the template's paths at `node` and sigma-project them; the
     result is a closed formula with the template's connective shape."""
+    return _resolved(entry.template, entry, node)
 
-    def resolve(formula: GlueFormula) -> GlueFormula:
-        match formula:
-            case Atom(sem, ty, meaning):
-                if isinstance(sem, PathRef):
-                    return Atom(_resolve_ref(sem), ty, meaning)
-                return formula
-            case Tensor(left, right):
-                return Tensor(resolve(left), resolve(right))
-            case Limp(antecedent, consequent):
-                return Limp(resolve(antecedent), resolve(consequent))
-            case Forall(var, body):
-                return Forall(var, resolve(body))
-        return formula
 
-    def _resolve_ref(ref: PathRef):
-        if ref.anchor == "mod":
-            container = node.mod_container
-            if container is None:
-                raise UninstantiableEntryError(entry.headword, node.label, "(mod ^)")
-            return sigma(container)
-        if not ref.path:
-            return sigma(node)
-        try:
-            target = resolve_path(node, ref.path)
-        except MissingAttributeError as exc:
-            raise UninstantiableEntryError(
-                entry.headword, node.label, exc.attribute
-            ) from exc
-        if not isinstance(target, FStructure):
-            raise UninstantiableEntryError(entry.headword, node.label, ref.path[-1])
-        return sigma(target)
+def _resolved(formula: GlueFormula, entry: LexicalEntry, node: FStructure) -> GlueFormula:
+    match formula:
+        case Atom(sem, ty, meaning):
+            if isinstance(sem, PathRef):
+                return Atom(_resolve_ref(sem, entry, node), ty, meaning)
+            return formula
+        case Tensor(left, right):
+            return Tensor(_resolved(left, entry, node), _resolved(right, entry, node))
+        case Limp(antecedent, consequent):
+            return Limp(_resolved(antecedent, entry, node), _resolved(consequent, entry, node))
+        case Forall(var, body):
+            return Forall(var, _resolved(body, entry, node))
+    return formula
 
-    return resolve(entry.template)
+
+def _resolve_ref(ref: PathRef, entry: LexicalEntry, node: FStructure):
+    if ref.anchor == "mod":
+        container = node.mod_container
+        if container is None:
+            raise UninstantiableEntryError(entry.headword, node.label, "(mod ^)")
+        return sigma(container)
+    if not ref.path:
+        return sigma(node)
+    try:
+        target = resolve_path(node, ref.path)
+    except MissingAttributeError as exc:
+        raise UninstantiableEntryError(
+            entry.headword, node.label, exc.attribute
+        ) from exc
+    if not isinstance(target, FStructure):
+        raise UninstantiableEntryError(entry.headword, node.label, ref.path[-1])
+    return sigma(target)
 
 
 class Premise(Node):

@@ -6,8 +6,8 @@ resources the ones before it left, with one case per goal form: an atom's
 pattern is unified with each meaning `prove_atom` supplies; a tensor's
 components join the list; an implication assumes its antecedent's parts,
 which its consequent must consume exactly once; a universal meaning variable
-is proved of a fresh tagged constant, which must not leak, then discharged
-by abstraction. `prove_atom`, the one focusing step, picks an available
+is proved of its binder's hypothesis constant, which must not leak, then
+discharged by abstraction. `prove_atom`, the one focusing step, picks an available
 resource, proves the antecedents along its implication spine as one goal
 list and hands the head's meaning back, so a nested focus holds two frames.
 Universal meaning variables become metavariables solved by pattern
@@ -45,10 +45,13 @@ and no chain of nested focuses is longer. The one bound left is the
 interpreter's stack, which `search` reports as `SearchBoundError`.
 
 Resources are the bits of an int availability mask: premises first, by index,
-then each hypothesis and derived resource as it is drawn; a focus tries them
-in that order. Each resource's focus table (its antecedents and head for every
-choice of structure variables, keyed by head structure and type) is built once
-per search, so an atomic goal only looks at entries whose head can match it.
+then each hypothesis and derived resource as it is first drawn; a focus tries
+them in that order. A hypothesis or derived resource has one id per search
+for its formula, word and origin, and draws another only while that one is
+available, so equal subproofs hold equal ids. Each resource's focus table
+(its antecedents and head for every choice of structure variables, keyed by
+head structure and type) is built once per search, so an atomic goal only
+looks at entries whose head can match it.
 Premises with equal formulas and words (twins, such as k identical modifiers)
 are interchangeable: by default they are consumed in index order, so the k!
 derivations that differ only by swapping twins are explored once and the
@@ -68,6 +71,19 @@ reads it off the polarity table, the failed goals and the premises the
 goal-reaching derivations left, and `search` returns one `Diagnosis`
 either way.
 
+Once strict, the canonical search (and `entails`) answers atomic goals from a
+table of its own (Hepple 1998's memoisation, exact rather than modulo
+hypothesis names): what `prove_atom` yields depends only on the goal's
+structure and type, the available resources and whether it is the last goal,
+since a focus starts from an empty substitution, each goal binder has one
+constant and each drawn formula one id. The first use of a key fills its
+entry with every answer, and later uses replay them in order. No key recurs
+while its entry fills: within a focus, the available set regains a resource
+it gave up only by drawing an equal formula, a strict subformula of some
+resource focused there; that one was given up too and must be regained the
+same way, and formulas cannot keep growing. The search in every order
+tables nothing.
+
 A derivation's trace is recorded lazily: subproofs hand up a rope (see
 `_trace`), which joins two subproofs in O(1) and holds only what the search
 already has: registry ids, hypothesis names and a focus's data. The search
@@ -76,8 +92,8 @@ builds no `TraceStep`: `_trace` builds each one once, for a derivation
 called. Derivations are told apart by their unrolled steps. Nothing a trace
 prints depends on the search's history: `_trace` numbers the hypotheses and
 derived resources of each trace by first appearance, and a hypothesis
-constant is named after its binder, which set-up renames apart once per
-search (see `_set_up`).
+constant is its binder's, named after it, and set-up renames the binders
+apart once per search (see `_set_up`).
 """
 
 from __future__ import annotations
@@ -319,18 +335,22 @@ class _Search:
     structure the premises or `goal_sems` mention. Set-up reads each premise
     once (`_read`), filling the polarity table `polarity`, then sets it up
     once (`_set_up`): normalizes its meanings and renames its goal-position
-    meaning binders apart, so a hypothesis constant takes its binder's name
-    as is and has that name in every reading; stamps, numbered by this
-    search alone, keep hypotheses apart. Metavariables keep their declared
-    names, since each focus solves its own in a substitution of its own.
-    `prove` is the goal routine and `prove_atom` the focus routine; nothing
-    else proves a goal. Until `strict` is set, each atomic goal whose
-    pattern no supplied meaning matched is kept in `frontier`, under its
-    (structure label, type), with the most premises consumed when it failed.
+    meaning binders apart, each with one hypothesis constant (`hyps`, by
+    name), which has the binder's name in every reading. A binder is proved
+    at most once on a branch, each occurrence in a premise that is focused
+    at most once, so one constant per binder keeps hypotheses apart.
+    Metavariables keep their declared names, since each focus solves its own
+    in a substitution of its own. `prove` is the goal routine and
+    `prove_atom` the focus routine; nothing else proves a goal. Until
+    `strict` is set, each atomic goal whose pattern no supplied meaning
+    matched is kept in `frontier`, under its (structure label, type), with
+    the most premises consumed when it failed; once it is set, `prove`
+    serves atomic goals from `table` (None in the search in every order).
     A resource's id is its bit in the availability masks (premises first, by
-    index: `premise_mask`; then each resource as it is drawn) and indexes
-    `registry`: (formula, word, the premise's index or the kind "h" or "d",
-    bit of the premise it comes from or 0, bits of its earlier twins).
+    index: `premise_mask`; then each resource as it is first drawn, its ids
+    listed in `drawn`) and indexes `registry`: (formula, word, the premise's
+    index or the kind "h" or "d", bit of the premise it comes from or 0,
+    bits of its earlier twins).
 
     Premises with equal formulas and words are *twins*. A premise is focused
     only once every earlier twin is consumed, so twins are used in index
@@ -352,11 +372,11 @@ class _Search:
         self.registry: list[tuple[GlueFormula, str, int | str, int, int]] = []
         # Twin classes come from the formulas as written, before set-up.
         classes: dict[tuple, int] = {}  # (formula, word) -> bits of its premises
-        claimed: set[str] = set()
+        self.hyps: dict[str, HypConst] = {}  # goal binder name -> its constant
         for i, p in enumerate(premise_list):
             twins = classes.get((p.formula, p.word), 0)
             classes[p.formula, p.word] = twins | 1 << i
-            formula = _set_up(p.formula, True, claimed, taken)
+            formula = _set_up(p.formula, True, self.hyps, taken)
             self.registry.append((formula, p.word, p.index, 1 << i, twins))
         self.premise_mask = (1 << len(premise_list)) - 1
         self.universe = sorted(sems, key=lambda s: s.label)
@@ -366,8 +386,11 @@ class _Search:
         # the all-orders search runs only after the canonical one found one.
         self.strict = False
         self.frontier: dict[tuple, int] = {}
-        self.stamps = itertools.count(1)
         self.focus_tables: dict[int, dict] = {}
+        self.drawn: dict[tuple, list[int]] = {}  # registry entry -> its ids
+        # (structure, type, available mask, last-goal flag) -> the answers
+        # of `prove_atom`
+        self.table: dict[tuple, list] | None = {}
 
     def in_every_order(self) -> _Search:
         """A fresh search over the same premises that tries every order of
@@ -381,7 +404,8 @@ class _Search:
         other.focus_tables = {rid: table for rid, table in self.focus_tables.items() if rid < count}
         other.all_orders = other.strict = True
         other.frontier = {}
-        other.stamps = itertools.count(1)
+        other.drawn = {}
+        other.table = None
         return other
 
     # -- goals ----------------------------------------------------------------
@@ -399,8 +423,15 @@ class _Search:
         goal, rest = goals[0], goals[1:]
         match goal:
             case Atom():
+                key = (goal.sem, goal.ty, avail, tail and not rest)
+                if self.strict and self.table is not None:
+                    answers = self.table.get(key)
+                    if answers is None:
+                        answers = self.table[key] = list(self.prove_atom(*key))
+                else:
+                    answers = self.prove_atom(*key)
                 matched = False
-                for meaning, a2, e2 in self.prove_atom(goal.sem, goal.ty, avail, tail and not rest):
+                for meaning, a2, e2 in answers:
                     s2 = _unify(goal.meaning, meaning, subst, False)
                     if s2 is None:
                         continue
@@ -416,9 +447,8 @@ class _Search:
                 assumed = None
                 for part in flatten_tensor(goal.antecedent):
                     part = part.substitute_meanings(subst)
-                    rid, word = len(self.registry), self._hyp_word(part)
+                    rid = self._draw((part, self._hyp_word(part), "h", 0, 0), avail | new)
                     new |= 1 << rid
-                    self.registry.append((part, word, "h", 0, 0))
                     assumed = (assumed, rid)
                 avail |= new
                 for s2, a2, e2 in self.prove([goal.consequent], avail, subst, tail and not rest):
@@ -426,7 +456,7 @@ class _Search:
                         continue  # the hypothesis must be consumed exactly once
                     yield from self._then(rest, a2, s2, (assumed, e2), tail)
             case Forall(var, body) if isinstance(var, MeaningVar):
-                hyp = HypConst(var.name, var.ty, next(self.stamps))
+                hyp = self.hyps[var.name]
                 body = body.substitute_meanings({Var(var.name, var.ty): hyp})
                 for s2, a2, e2 in self.prove([body], avail, subst, tail and not rest):
                     # The owning focus's bindings are visible outside the
@@ -457,11 +487,25 @@ class _Search:
         self.frontier[key] = max(consumed, self.frontier.get(key, -1))
 
     def _hyp_word(self, formula) -> str:
+        """The name of the hypothesis constant in an atom's meaning whose
+        binder set-up claimed last (an inner binder after its outer ones),
+        else "hyp"."""
         if isinstance(formula, Atom):
-            consts = sorted(hyp_consts(formula.meaning), key=lambda c: c.stamp)
+            consts = hyp_consts(formula.meaning)
             if consts:
-                return consts[-1].name
+                return max(consts, key=lambda c: c.stamp).name
         return "hyp"
+
+    def _draw(self, entry, avail) -> int:
+        """The id of the hypothesis or derived resource `entry`: the first id
+        of an equal entry whose bit `avail` does not hold, else a new one."""
+        ids = self.drawn.setdefault(entry, [])
+        for rid in ids:
+            if not avail >> rid & 1:
+                return rid
+        ids.append(len(self.registry))
+        self.registry.append(entry)
+        return ids[-1]
 
     # -- atomic goals: focus a resource --------------------------------------
 
@@ -490,9 +534,8 @@ class _Search:
                             )
                         for extra in others:
                             extra = extra.substitute_meanings(s1)
-                            derived = len(self.registry)
+                            derived = self._draw((extra, word, "d", origin, 0), a1)
                             a1 |= 1 << derived
-                            self.registry.append((extra, word, "d", origin, 0))
                             e1 = (e1, derived)
                         yield meaning, a1, (e1, rid, head, meaning, displays, s1)
 
@@ -602,14 +645,15 @@ def _read(root, who, bit, sems: set, binders: set, polarity):
             stack.append((formula[2], positive, bound | {var}))
 
 
-def _set_up(formula, positive, claimed: set, taken: set):
+def _set_up(formula, positive, claimed: dict, taken: set):
     """`formula` with each atom's meaning normalized and each meaning binder
     the search proves as a goal (in an odd number of antecedents: not
     `positive`) renamed apart: a name already in `claimed` becomes the first
     of `<base>2`, `<base>3`, ... not in `taken`, `<base>` being the name
-    without trailing digits. Kept and given names join `claimed`; given ones
-    join `taken`. A formula that this changes nowhere comes back as it
-    is."""
+    without trailing digits. Kept and given names join `claimed`, each
+    mapped to the binder's one hypothesis constant, stamped in the order
+    claimed; given ones join `taken`. A formula that this changes nowhere
+    comes back as it is."""
     kind = type(formula)
     if kind is Forall:
         var, body = formula[1], formula[2]
@@ -621,7 +665,7 @@ def _set_up(formula, positive, claimed: set, taken: set):
                 taken.add(name)
                 body = body.substitute_meanings({Var(var.name, var.ty): Var(name, var.ty)})
                 var = MeaningVar(name, var.ty)
-            claimed.add(name)
+            claimed[name] = HypConst(name, var.ty, len(claimed) + 1)
         renamed = _set_up(body, positive, claimed, taken)
         return formula if var is formula[1] and renamed is formula[2] else Forall(var, renamed)
     if kind is Limp or kind is Tensor:
@@ -847,12 +891,13 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     sems: set = set()
     taken: set[str] = set()
     _read(consequent, None, 0, sems, taken, None)
-    # Normal from set-up on, as the premises are.
-    consequent = _set_up(consequent, False, set(), taken)
     try:
         engine = _Search(_as_premises(flatten_tensor(antecedent)), sems)
     except _NotClosed:
         raise GlueError(f"formula {antecedent} is not closed") from None
+    # Normal from set-up on, as the premises are, and its goal binders
+    # renamed apart from theirs.
+    consequent = _set_up(consequent, False, engine.hyps, taken | engine.hyps.keys())
     engine.strict = True  # only a proof that uses every premise counts
     return any(
         not avail

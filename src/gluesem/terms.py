@@ -40,10 +40,11 @@ class Const(MeaningTerm):
 
 
 class HypConst(MeaningTerm):
-    """Fresh constant standing for a hypothetical referent in a derivation.
+    """Constant standing for a hypothetical referent in a derivation.
 
     A distinct node kind so a finished reading can be audited not to leak one.
-    The stamp makes each introduction unique; the name is for display.
+    The prover makes one per goal binder and search, named after the binder
+    and stamped in the order set-up claims it.
     """
 
     __slots__ = ()
@@ -270,16 +271,16 @@ def _subst_index(t, replacement, depth):
 
 def abstract_over(term: MeaningTerm, target: Var | HypConst) -> Lam:
     """Lambda-abstract `term` over every occurrence of `target`."""
+    return Lam(target.ty, _abstract(term, target, 0), target.name)
 
-    def go(t, depth):
-        kind = type(t)
-        if kind is App:
-            return _app(t, go(t[1], depth), go(t[2], depth))
-        if kind is Lam:
-            return _lam(t, go(t[2], depth + 1))
-        return BoundVar(depth) if t == target else t
 
-    return Lam(target.ty, go(term, 0), target.name)
+def _abstract(t, target, depth):
+    kind = type(t)
+    if kind is App:
+        return _app(t, _abstract(t[1], target, depth), _abstract(t[2], target, depth))
+    if kind is Lam:
+        return _lam(t, _abstract(t[2], target, depth + 1))
+    return BoundVar(depth) if t == target else t
 
 
 def _occurs_index(t, target) -> bool:

@@ -15,8 +15,11 @@ built from the working tree's inputs, so only the package differs:
   meaning and its trace lines, canonical and with every derivation's trace
   (`all_traces`), so the templates reach the search with redexes to
   normalize;
-- every grid cell of `test_grid_golden.py`: `str(diagnose(...))`, each
-  reading's meaning and its trace lines;
+- every grid cell of `test_grid_golden.py`, and the larger cells in
+  `LARGE_GRID`, where the search's table serves most: `str(diagnose(...))`,
+  each reading's meaning and its trace lines;
+- `RANDOM_SETS` of the seeded random premise sets of
+  `test_search_pruning.py`: the same, from `search` for the goal f;
 - the cases pinned in `fixtures/golden/trace_pins.json`, whose tensor heads
   derive resources (`[d4]`): every trace line;
 - the `corpus`, `scope_grid` and `failures` workloads of
@@ -42,6 +45,7 @@ import difflib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -63,11 +67,14 @@ SEEDS = (1, 2, 3)
 ALL_TRACES = ("corpus", "failures")  # workloads also run with `all_traces`
 CUT_EVERY = 7  # characters between the cuts of a malformed-input case
 RESPACED = ("(", ",", "*", "-o", "~>")  # the symbols a respaced case spaces anew
+LARGE_GRID = ((2, 5), (2, 6), (3, 4), (3, 5))
+RANDOM_SETS = 300  # random premise sets, by `random.Random` seed
 
 
 def cases():
     """Yield (case id, output) for every case, with the gluesem on sys.path."""
     from gluesem import cli, parse_fstructure, parse_lexicon
+    from gluesem.prover import search
 
     for fs in sorted((ROOT / "tests" / "fixtures").glob("*.fs")):
         for mode in MODES:
@@ -82,7 +89,7 @@ def cases():
             )
 
     from test_grid_golden import grid_cells, grid_fstructure
-    from test_search_pruning import PINS, pinned_case
+    from test_search_pruning import PINS, RANDOM_GOAL, pinned_case, premise_set
     import workloads
 
     lexicon = parse_lexicon((ROOT / "tests" / "fixtures" / "core.lex").read_text(encoding="utf-8"))
@@ -91,9 +98,12 @@ def cases():
         root = parse_fstructure(fs.read_text(encoding="utf-8"))
         yield f"redex {fs.name}", _diagnosis(root, redexes, False)
         yield f"redex {fs.name} all traces", _diagnosis(root, redexes, True)
-    for q, k in grid_cells():
+    for q, k in [*grid_cells(), *LARGE_GRID]:
         root = parse_fstructure(grid_fstructure(q, k))
         yield f"grid q={q} k={k}", _diagnosis(root, lexicon, False)
+    for n in range(RANDOM_SETS):
+        premise_list = premise_set(random.Random(n).choice)
+        yield f"random premise set {n}", _lines(lambda: search(premise_list, RANDOM_GOAL), False)
     for name in sorted(PINS):
         yield f"pin {name}", json.dumps(pinned_case(name, lexicon), ensure_ascii=False, indent=1)
 
@@ -185,8 +195,14 @@ def _parsed(suffix: str, text: str) -> str:
 def _diagnosis(root, lexicon, all_traces) -> str:
     from gluesem import diagnose
 
+    return _lines(lambda: diagnose(root, lexicon, all_traces=all_traces), all_traces)
+
+
+def _lines(run, all_traces) -> str:
+    """The diagnosis `run()` returns, each reading's meaning and its trace
+    lines (every trace with `all_traces`), or the error it raises."""
     try:
-        diagnosis = diagnose(root, lexicon, all_traces=all_traces)
+        diagnosis = run()
     except Exception as exc:  # a difference in what is raised is a difference too
         return f"{type(exc).__name__}: {exc}"
     lines = [str(diagnosis)]

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from gluesem import prover
@@ -17,7 +22,7 @@ from gluesem.diagnostics import (
 from gluesem.fstruct import parse_fstructure
 from gluesem.lexicon import parse_lexicon, premises
 
-from conftest import load_fs
+from conftest import FIXTURES, load_fs
 
 UNRELATED_PREMISE = (
     "f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary'];"
@@ -265,3 +270,25 @@ def test_a_structure_variable_matches_any_label_of_its_type(fstructure, expected
     diagnosis = diagnose(parse_fstructure(fstructure), parse_lexicon(WILDCARD_LEXICON))
     assert str(diagnosis) == expected
 
+
+
+def test_diagnosing_leaves_no_garbage_for_the_cycle_collector(lexicon):
+    # No walk builds a self-recursive closure per call, so a diagnosis frees
+    # everything it made by reference counting alone.
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        corpus = importlib.import_module("workloads").corpus(1)
+    finally:
+        sys.path.remove(perfbench)
+    corpus_lexicon = parse_lexicon(corpus.lexicon_text)
+    cases = [(load_fs(path.name), lexicon) for path in sorted(FIXTURES.glob("*.fs"))]
+    cases += [(parse_fstructure(s.text), corpus_lexicon) for s in corpus.sentences]
+    gc.collect()
+    gc.disable()
+    try:
+        for root, words in cases:
+            diagnose(root, words)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
