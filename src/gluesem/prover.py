@@ -5,11 +5,13 @@ routines. `prove` proves a list of goals left to right, each from the
 resources the ones before it left, with one case per goal form: an atom's
 pattern is unified with each meaning `prove_atom` supplies; a tensor's
 components join the list; an implication assumes its antecedent's parts,
-which its consequent must consume exactly once; a universal meaning variable
-is proved of its binder's hypothesis constant, which must not leak, then
-discharged by abstraction. `prove_atom`, the one focusing step, picks an available
-resource, proves the antecedents along its implication spine as one goal
-list and hands the head's meaning back, so a nested focus holds two frames.
+which its consequent must consume exactly once, along with whatever depends
+on them (see below); a universal meaning variable is proved of its binder's
+hypothesis constant, which set-up put in its body and which must not leak,
+then discharged by abstraction. `prove_atom`, the one focusing step, picks
+an available resource, proves the antecedents along its implication spine
+as one goal list and hands the head's meaning back, so a nested focus holds
+two frames.
 Universal meaning variables become metavariables solved by pattern
 unification; each premise is consumed once, so a focus's metavariables are
 its own, solved in a substitution of its own, and its head meaning comes
@@ -19,7 +21,8 @@ universe of the analysis.
 Set-up reads each premise (and `entails` its consequent) in one walk,
 `_read`, which checks that it is closed and well typed and collects the
 structure universe, the binder names and the polarity table; `_set_up` then
-normalizes its meanings, and after that the search normalizes nothing.
+normalizes its meanings and puts each goal binder's hypothesis constant into
+the binder's body, and after that the search normalizes nothing.
 Every substitution it makes is hereditary (Watkins, Cervesato, Pfenning &
 Walker 2002): closed normal values put into a normal meaning can only make
 a redex where a solved metavariable is applied, so only such a spine is
@@ -50,8 +53,9 @@ them in that order. A hypothesis or derived resource has one id per search
 for its formula, word and origin, and draws another only while that one is
 available, so equal subproofs hold equal ids. Each resource's focus table
 (its antecedents and head for every choice of structure variables, keyed by
-head structure and type) is built once per search, so an atomic goal only
-looks at entries whose head can match it.
+head structure and type) is built when the resource gets its id: a
+premise's at set-up, a hypothesis's or derived resource's when it is first
+drawn. So an atomic goal only looks at entries whose head can match it.
 Premises with equal formulas and words (twins, such as k identical modifiers)
 are interchangeable: by default they are consumed in index order, so the k!
 derivations that differ only by swapping twins are explored once and the
@@ -71,8 +75,9 @@ reads it off the polarity table, the failed goals and the premises the
 goal-reaching derivations left, and `search` returns one `Diagnosis`
 either way.
 
-Once strict, the canonical search (and `entails`) answers atomic goals from a
-table of its own (Hepple 1998's memoisation, exact rather than modulo
+Every strict search answers atomic goals from a table of its own: the
+canonical one after its first reading, the search in every order and
+`entails` from the start (Hepple 1998's memoisation, exact rather than modulo
 hypothesis names): what `prove_atom` yields depends only on the goal's
 structure and type, the available resources and whether it is the last goal,
 since a focus starts from an empty substitution, each goal binder has one
@@ -81,8 +86,17 @@ entry with every answer, and later uses replay them in order. No key recurs
 while its entry fills: within a focus, the available set regains a resource
 it gave up only by drawing an equal formula, a strict subformula of some
 resource focused there; that one was given up too and must be regained the
-same way, and formulas cannot keep growing. The search in every order
-tables nothing.
+same way, and formulas cannot keep growing.
+
+A resource that depends on a `-o` goal's hypotheses may not outlive the
+consequent's proof, or it would carry the hypothesis out of its scope. A
+focus inside the scope depends on them when its resource or anything its
+antecedents consumed does, and then so do the tensor components it derives
+(`_dependents` walks the proof's rope to find them). What a focus that
+consumed nothing dependent derives may outlive the scope: in linear logic
+that focus could as well have been made before the scope opened. An id
+drawn inside the scope may be one that a resource consumed there held
+before it, so ids alone cannot tell what the scope derived.
 
 A derivation's trace is recorded lazily: subproofs hand up a rope (see
 `_trace`), which joins two subproofs in O(1) and holds only what the search
@@ -336,21 +350,22 @@ class _Search:
     once (`_read`), filling the polarity table `polarity`, then sets it up
     once (`_set_up`): normalizes its meanings and renames its goal-position
     meaning binders apart, each with one hypothesis constant (`hyps`, by
-    name), which has the binder's name in every reading. A binder is proved
-    at most once on a branch, each occurrence in a premise that is focused
-    at most once, so one constant per binder keeps hypotheses apart.
+    name) put into its body, which has the binder's name in every reading.
+    A binder is proved at most once on a branch, each occurrence in a
+    premise that is focused at most once, so one constant per binder keeps
+    hypotheses apart.
     Metavariables keep their declared names, since each focus solves its own
     in a substitution of its own. `prove` is the goal routine and
     `prove_atom` the focus routine; nothing else proves a goal. Until
     `strict` is set, each atomic goal whose pattern no supplied meaning
     matched is kept in `frontier`, under its (structure label, type), with
     the most premises consumed when it failed; once it is set, `prove`
-    serves atomic goals from `table` (None in the search in every order).
-    A resource's id is its bit in the availability masks (premises first, by
-    index: `premise_mask`; then each resource as it is first drawn, its ids
-    listed in `drawn`) and indexes `registry`: (formula, word, the premise's
-    index or the kind "h" or "d", bit of the premise it comes from or 0,
-    bits of its earlier twins).
+    serves atomic goals from `table`. A resource's id is its bit in the
+    availability masks (premises first, by index: `premise_mask`; then each
+    resource as it is first drawn, its ids listed in `drawn`) and indexes
+    `registry`: (formula, word, the premise's index or the kind "h" or "d",
+    bit of the premise it comes from or 0, bits of its earlier twins), and
+    `focus_tables`, the focus table `_focus` built when it got the id.
 
     Premises with equal formulas and words are *twins*. A premise is focused
     only once every earlier twin is consumed, so twins are used in index
@@ -369,7 +384,9 @@ class _Search:
         self.polarity: dict[tuple, list] = {}
         for i, p in enumerate(premise_list):
             _read(p.formula, p, 1 << i, sems, taken, self.polarity)
+        self.universe = sorted(sems, key=lambda s: s.label)
         self.registry: list[tuple[GlueFormula, str, int | str, int, int]] = []
+        self.focus_tables: list[dict] = []  # by id, as `registry`
         # Twin classes come from the formulas as written, before set-up.
         classes: dict[tuple, int] = {}  # (formula, word) -> bits of its premises
         self.hyps: dict[str, HypConst] = {}  # goal binder name -> its constant
@@ -378,34 +395,33 @@ class _Search:
             classes[p.formula, p.word] = twins | 1 << i
             formula = _set_up(p.formula, True, self.hyps, taken)
             self.registry.append((formula, p.word, p.index, 1 << i, twins))
+            self.focus_tables.append(self._focus(formula, {}))
         self.premise_mask = (1 << len(premise_list)) - 1
-        self.universe = sorted(sems, key=lambda s: s.label)
         self.all_orders = False
         # Once a reading is known, a derivation that leaves resources unused
         # is worth nothing: `_run_search` sets this at its first reading, and
         # the all-orders search runs only after the canonical one found one.
         self.strict = False
         self.frontier: dict[tuple, int] = {}
-        self.focus_tables: dict[int, dict] = {}
         self.drawn: dict[tuple, list[int]] = {}  # registry entry -> its ids
         # (structure, type, available mask, last-goal flag) -> the answers
         # of `prove_atom`
-        self.table: dict[tuple, list] | None = {}
+        self.table: dict[tuple, list] = {}
 
     def in_every_order(self) -> _Search:
         """A fresh search over the same premises that tries every order of
-        every goal list and every twin, strict from the start. It keeps this
-        search's set-up: the premises' registry entries (with no earlier
-        twins), the structure universe, the polarity table and the premises'
-        focus tables."""
+        every goal list and every twin, strict from the start, with a table
+        of its own. It keeps this search's set-up: the premises' registry
+        entries (with no earlier twins), the structure universe, the
+        polarity table and the premises' focus tables."""
         other = copy.copy(self)
         count = self.premise_mask.bit_length()
         other.registry = [entry[:4] + (0,) for entry in self.registry[:count]]
-        other.focus_tables = {rid: table for rid, table in self.focus_tables.items() if rid < count}
+        other.focus_tables = self.focus_tables[:count]
         other.all_orders = other.strict = True
         other.frontier = {}
         other.drawn = {}
-        other.table = None
+        other.table = {}
         return other
 
     # -- goals ----------------------------------------------------------------
@@ -424,7 +440,7 @@ class _Search:
         match goal:
             case Atom():
                 key = (goal.sem, goal.ty, avail, tail and not rest)
-                if self.strict and self.table is not None:
+                if self.strict:
                     answers = self.table.get(key)
                     if answers is None:
                         answers = self.table[key] = list(self.prove_atom(*key))
@@ -452,12 +468,13 @@ class _Search:
                     assumed = (assumed, rid)
                 avail |= new
                 for s2, a2, e2 in self.prove([goal.consequent], avail, subst, tail and not rest):
-                    if a2 & new:
-                        continue  # the hypothesis must be consumed exactly once
+                    # Premises never depend on a hypothesis: only walk the
+                    # proof when it leaves a hypothesis or derived resource.
+                    if a2 & ~self.premise_mask and a2 & _dependents(e2, new, self.registry)[0]:
+                        continue
                     yield from self._then(rest, a2, s2, (assumed, e2), tail)
             case Forall(var, body) if isinstance(var, MeaningVar):
                 hyp = self.hyps[var.name]
-                body = body.substitute_meanings({Var(var.name, var.ty): hyp})
                 for s2, a2, e2 in self.prove([body], avail, subst, tail and not rest):
                     # The owning focus's bindings are visible outside the
                     # hypothesis's scope, so none of them may mention it.
@@ -505,6 +522,7 @@ class _Search:
                 return rid
         ids.append(len(self.registry))
         self.registry.append(entry)
+        self.focus_tables.append(self._focus(entry[0], {}))
         return ids[-1]
 
     # -- atomic goals: focus a resource --------------------------------------
@@ -520,7 +538,7 @@ class _Search:
             _, word, _, origin, earlier = self.registry[rid]
             if avail & earlier:
                 continue  # twins go in index order: an earlier one is available
-            entries = self._focus_table(rid).get((sem, ty), ())
+            entries = self.focus_tables[rid].get((sem, ty), ())
             for antecedents, head, head_vars, others, displays in entries:
                 for goals in self._orders(antecedents):
                     for s1, a1, e1 in self.prove(goals, avail ^ 1 << rid, {}, tail):
@@ -539,28 +557,13 @@ class _Search:
                             e1 = (e1, derived)
                         yield meaning, a1, (e1, rid, head, meaning, displays, s1)
 
-    def _focus_table(self, rid):
-        """The focus entries of resource `rid`, built on its first use and
-        keyed by head (structure, type): (antecedents, head, its meaning's
-        free variables, other head components, display bindings), in universe
-        then component order."""
-        table = self.focus_tables.get(rid)
-        if table is None:
-            table = {}
-            for antecedents, components, displays in self._focus(self.registry[rid][0]):
-                for k, head in enumerate(components):
-                    if isinstance(head, Atom):
-                        rest = components[:k] + components[k + 1 :]
-                        table.setdefault((head.sem, head.ty), []).append(
-                            (antecedents, head, free_vars(head.meaning), rest, displays)
-                        )
-            self.focus_tables[rid] = table
-        return table
-
-    def _focus(self, formula, displays=()):
-        """Strip quantifiers and implications: yield (antecedents, head
-        components, display bindings) for every finite-domain choice of
-        structure variables."""
+    def _focus(self, formula, table, displays=(), antecedents=()):
+        """`table`, with the focus entries of a resource with `formula` added:
+        for every finite-domain choice of structure variables, its
+        quantifiers and implications stripped and each atomic head component
+        keyed by (structure, type): (antecedents, head, its meaning's free
+        variables, other head components, display bindings), in universe then
+        component order."""
         match formula:
             case Forall(var, body):
                 if isinstance(var, MeaningVar):
@@ -570,18 +573,23 @@ class _Search:
                     meta = Var(var.name, var.ty)
                     if any(v == meta for _, v in displays):
                         raise GlueError(f"a premise rebinds the meaning variable {var}")
-                    yield from self._focus(body, displays + ((var.name, meta),))
+                    self._focus(body, table, displays + ((var.name, meta),), antecedents)
                 else:
                     for sem in self.universe:
-                        yield from self._focus(
-                            body.substitute_sem(var.name, sem),
-                            displays + ((var.name, sem),),
-                        )
+                        instance = body.substitute_sem(var.name, sem)
+                        self._focus(instance, table, displays + ((var.name, sem),), antecedents)
             case Limp(antecedent, consequent):
-                for antecedents, components, disp in self._focus(consequent, displays):
-                    yield flatten_tensor(antecedent) + antecedents, components, disp
+                antecedents = [*antecedents, *flatten_tensor(antecedent)]
+                self._focus(consequent, table, displays, antecedents)
             case _:
-                yield [], flatten_tensor(formula), displays
+                components = flatten_tensor(formula)
+                for k, head in enumerate(components):
+                    if isinstance(head, Atom):
+                        rest = components[:k] + components[k + 1 :]
+                        table.setdefault((head.sem, head.ty), []).append(
+                            (antecedents, head, free_vars(head.meaning), rest, displays)
+                        )
+        return table
 
 
 class _NotClosed(GlueError):
@@ -652,8 +660,9 @@ def _set_up(formula, positive, claimed: dict, taken: set):
     of `<base>2`, `<base>3`, ... not in `taken`, `<base>` being the name
     without trailing digits. Kept and given names join `claimed`, each
     mapped to the binder's one hypothesis constant, stamped in the order
-    claimed; given ones join `taken`. A formula that this changes nowhere
-    comes back as it is."""
+    claimed, which replaces the binder's variable in its body; given ones
+    join `taken`. A formula that this changes nowhere comes back as it
+    is."""
     kind = type(formula)
     if kind is Forall:
         var, body = formula[1], formula[2]
@@ -663,9 +672,9 @@ def _set_up(formula, positive, claimed: dict, taken: set):
                 base = name.rstrip("0123456789") or name
                 name = next(f"{base}{n}" for n in itertools.count(2) if f"{base}{n}" not in taken)
                 taken.add(name)
-                body = body.substitute_meanings({Var(var.name, var.ty): Var(name, var.ty)})
-                var = MeaningVar(name, var.ty)
-            claimed[name] = HypConst(name, var.ty, len(claimed) + 1)
+            hyp = claimed[name] = HypConst(name, var.ty, len(claimed) + 1)
+            body = body.substitute_meanings({Var(var.name, var.ty): hyp})
+            var = MeaningVar(name, var.ty)
         renamed = _set_up(body, positive, claimed, taken)
         return formula if var is formula[1] and renamed is formula[2] else Forall(var, renamed)
     if kind is Limp or kind is Tensor:
@@ -817,6 +826,26 @@ def _met(key, table, side) -> bool:
     if sem is None:
         return any(entry[side] for (_, other), entry in table.items() if other == ty)
     return any(table.get(k, ((), 0))[side] for k in (key, (None, ty)))
+
+
+def _dependents(rope, live, registry, dependent=False):
+    """The mask `live` of the resources that depend on a scope's hypotheses,
+    after the subproof `rope` (see `_trace`), walked in derivation order,
+    and `dependent`, which turns true once the focus the walk is in depends
+    on them. A focus depends on them when its resource or anything its
+    antecedents consumed does, and then so does what it derives. An id
+    leaves `live` when it is consumed, so one drawn again later holds a new
+    resource."""
+    if type(rope) is not tuple:  # none, a discharge, or a hypothesis or derived id
+        if dependent and type(rope) is int and registry[rope][2] == "d":
+            live |= 1 << rope
+        return live, dependent
+    if len(rope) == 2:
+        live, dependent = _dependents(rope[0], live, registry, dependent)
+        return _dependents(rope[1], live, registry, dependent)
+    rid = rope[1]  # a focus consumes its resource before its antecedents
+    live, used = _dependents(rope[0], live & ~(1 << rid), registry, bool(live >> rid & 1))
+    return live, dependent or used
 
 
 def _trace(rope, registry) -> Trace:

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
 from gluesem.fstruct import parse_fstructure
 from gluesem.lexicon import parse_lexicon
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+from search_inputs import FIXTURES
 
 # The acceptance criteria's PASS/FAIL lines, printed after the run whatever
 # the capture mode.

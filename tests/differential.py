@@ -15,11 +15,11 @@ built from the working tree's inputs, so only the package differs:
   meaning and its trace lines, canonical and with every derivation's trace
   (`all_traces`), so the templates reach the search with redexes to
   normalize;
-- every grid cell of `test_grid_golden.py`, and the larger cells in
+- every grid cell of `search_inputs.py`, and the larger cells in
   `LARGE_GRID`, where the search's table serves most: `str(diagnose(...))`,
   each reading's meaning and its trace lines;
-- `RANDOM_SETS` of the seeded random premise sets of
-  `test_search_pruning.py`: the same, from `search` for the goal f;
+- `RANDOM_SETS` of the seeded random premise sets of `search_inputs.py`:
+  the same, from `search` for the goal f;
 - the cases pinned in `fixtures/golden/trace_pins.json`, whose tensor heads
   derive resources (`[d4]`): every trace line;
 - the `corpus`, `scope_grid` and `failures` workloads of
@@ -36,7 +36,10 @@ built from the working tree's inputs, so only the package differs:
   which holds templates that only their spacing tells apart.
 
 Prints the first differing case and exits 1 on any difference; otherwise
-prints "no difference" and the number of cases, and exits 0.
+prints "no difference" and the number of cases, and exits 0. Each side runs
+`python tests/differential.py --dump SRC OUT`, which writes the matrix built
+with the package under SRC to OUT; it imports neither pytest nor
+Hypothesis, so it runs under any interpreter gluesem supports.
 """
 
 from __future__ import annotations
@@ -88,8 +91,9 @@ def cases():
                 f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}",
             )
 
-    from test_grid_golden import grid_cells, grid_fstructure
-    from test_search_pruning import PINS, RANDOM_GOAL, pinned_case, premise_set
+    from search_inputs import (
+        PINS, RANDOM_GOAL, grid_cells, grid_fstructure, pinned_case, premise_set,
+    )
     import workloads
 
     lexicon = parse_lexicon((ROOT / "tests" / "fixtures" / "core.lex").read_text(encoding="utf-8"))

@@ -204,12 +204,13 @@ def random_named_term(rng: random.Random, ty: SemType, env=(), depth: int = 6):
 # ---------------------------------------------------------------------------
 # Forward-chaining enumerator for linear deductions.
 #
-# State: a multiset of closed formulas. A step picks an implication, matches
-# its flattened antecedent atoms against atomic formulas in the rest of the
-# state (binding template variables by plain first-order matching), satisfies
-# any nested-implication antecedent by a hypothetical sub-derivation, and
-# replaces everything consumed with the instantiated head. A meaning is
-# derived when the state shrinks to exactly the goal atom.
+# State: a multiset of closed formulas. A step picks an implication (or a
+# tensor), matches its flattened antecedent atoms against atomic formulas in
+# the rest of the state (binding template variables by plain first-order
+# matching), satisfies any nested-implication antecedent by a hypothetical
+# sub-derivation, and replaces everything consumed with the instantiated
+# head's tensor components. A meaning is derived when the state shrinks to
+# exactly the goal atom.
 
 
 def _strip_quantifiers(formula, universe):
@@ -273,13 +274,11 @@ def enumerate_readings(premises, goal_sem, goal_ty, universe, _depth=0):
             continue
         for body, _sem_binds in _strip_quantifiers(formula, universe):
             antecedents, head = _collect_antecedents(body)
-            if not isinstance(head, Atom):
-                continue
             for new_states in _satisfy(antecedents, rest, {}, universe, _depth):
                 for binds, remaining in new_states:
-                    new_head = head.substitute_meanings(binds)
+                    heads = tuple(part.substitute_meanings(binds) for part in _flatten_tensor(head))
                     out |= enumerate_readings(
-                        remaining + (new_head,), goal_sem, goal_ty, universe, _depth + 1
+                        remaining + heads, goal_sem, goal_ty, universe, _depth + 1
                     )
     return out
 
@@ -332,6 +331,25 @@ def _satisfy(antecedents, state, binds, universe, depth):
                 new_binds = dict(binds)
                 new_binds[head_var] = terms.abstract_over(meaning, hyp)
                 yield from _satisfy(rest_ants, remaining, new_binds, universe, depth)
+    elif isinstance(first, Limp):
+        # Hypothetical sub-derivation whose assumptions have closed meanings:
+        # assume them, derive the consequent from a subset of the state plus
+        # the assumptions, consuming all of them, and match its pattern.
+        assumptions = tuple(_flatten_tensor(first.antecedent))
+        target = first.consequent
+        if not (isinstance(target, Atom) and all(
+            isinstance(a, Atom) and not terms.free_vars(a.meaning) for a in assumptions
+        )):
+            raise AssertionError("oracle limited to closed atomic assumptions and consequents")
+        for consumed_ids in _sublists(range(len(state))):
+            consumed = tuple(state[k] for k in consumed_ids)
+            remaining = tuple(s for k, s in enumerate(state) if k not in consumed_ids)
+            for meaning in enumerate_readings(
+                consumed + assumptions, target.sem, target.ty, universe, depth + 1
+            ):
+                new_binds = _match_meaning(target.meaning, meaning, binds)
+                if new_binds is not None:
+                    yield from _satisfy(rest_ants, remaining, new_binds, universe, depth)
     else:
         raise AssertionError(f"oracle cannot satisfy antecedent {first!r}")
 

@@ -16,30 +16,9 @@ from gluesem.prover import Goal, derive
 
 from conftest import FIXTURES
 from oracles import grid_readings_closed_form
+from search_inputs import grid_cells, grid_fstructure
 
 GOLDEN = json.loads((FIXTURES / "grid_readings.json").read_text(encoding="utf-8"))
-
-_ARGUMENTS = (  # (function, quantified node attributes, named node attributes)
-    ("SUBJ", "SPEC every; PRED 'candidate'", "PRED 'Bill'"),
-    ("OBJ", "SPEC a; PRED 'manager'", "PRED 'Hillary'"),
-    ("OBJ2", "SPEC some; PRED 'brief'", "PRED 'John'"),
-)
-
-
-def grid_fstructure(q: int, k: int) -> str:
-    """`give` whose first q arguments are quantified, modified k times."""
-    parts = ["PRED 'give'"] + [
-        f"{fn} a{i}:[{quantified if i < q else named}]"
-        for i, (fn, quantified, named) in enumerate(_ARGUMENTS)
-    ]
-    if k:
-        mods = "; ".join(f"m{j}:[PRED 'obviously']" for j in range(k))
-        parts.append(f"MODS {{ {mods} }}")
-    return "f:[" + "; ".join(parts) + "]"
-
-
-def grid_cells():
-    return [(q, k) for q in range(4) for k in range(4) if q + k >= 2]
 
 
 def grid_readings(lexicon, q: int, k: int) -> list[str]:

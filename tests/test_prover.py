@@ -47,7 +47,7 @@ from gluesem.terms import (
 
 from conftest import FIXTURES
 from oracles import enumerate_readings
-from test_grid_golden import grid_cells, grid_fstructure
+from search_inputs import grid_cells, grid_fstructure
 
 CORE = (FIXTURES / "core.lex").read_text(encoding="utf-8")
 
@@ -1041,7 +1041,7 @@ def test_default_mode_formats_no_formula_until_a_trace_is_read(lexicon, scope_fs
     # The search records trace steps; only `line()` formats them. With
     # `all_traces` too: derivations are told apart by their steps.
     from gluesem import formulas
-    from test_grid_golden import grid_fstructure
+    from search_inputs import grid_fstructure
 
     calls = []
     format_formula = formulas.format_formula

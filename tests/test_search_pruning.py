@@ -5,15 +5,14 @@ and a repeated atomic goal is served from the search's table. The trace
 lines pinned in `fixtures/golden/trace_pins.json` hold hypotheses and derived
 resources (`[h1] x`, `[d1]`), which each trace numbers by first appearance
 and names after their binders, so no branch the search cut or tried first
-shows in them. Random premise sets check the tabled search against the
-search in every order, which tables nothing."""
+shows in them. Random premise sets check the canonical search against the
+search in every order and both against the forward-chaining enumerator of
+`oracles.py`, which imports nothing from `prover`."""
 
 from __future__ import annotations
 
-import copy
-import itertools
-import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from hypothesis import strategies as st
 import gluesem
 from gluesem import prover
 from gluesem.diagnostics import OK
-from gluesem.formulas import Atom, Forall, Limp, MeaningVar, Tensor
+from gluesem.formulas import Atom, Limp, Tensor
 from gluesem.fstruct import SemStructure, parse_fstructure, sigma
 from gluesem.lexicon import Premise, parse_lexicon, premises
 from gluesem.prover import Goal, derive, entails, search
@@ -33,74 +32,16 @@ from gluesem.semtypes import E, T, arrow
 from gluesem.terms import App, BoundVar, Const, Lam, Var, apply
 
 from conftest import FIXTURES, load_fs
-from test_grid_golden import grid_fstructure
-
-PINS = json.loads((FIXTURES / "golden" / "trace_pins.json").read_text(encoding="utf-8"))
-
-
-def tensor_head_premises():
-    """`every` scoping over a `split`/`join` pair and two distinct modifiers
-    of f: 6 readings, each with a tensor head that derives a resource inside
-    a hypothetical."""
-    a, l, r, f = (SemStructure(name) for name in "alrf")
-    X, P, Q, S = Var("X", E), Var("P", E), Var("Q", E), Var("S", arrow(E, T))
-    lf, rf = Const("lf", arrow(E, E)), Const("rf", arrow(E, E))
-    split = Forall(
-        MeaningVar("X", E),
-        Limp(Atom(a, E, X), Tensor(Atom(l, E, App(lf, X)), Atom(r, E, App(rf, X)))),
-    )
-    join = Forall(MeaningVar("P", E), Forall(MeaningVar("Q", E), Limp(
-        Tensor(Atom(l, E, P), Atom(r, E, Q)),
-        Atom(f, T, apply(Const("j", arrow(E, E, T)), P, Q)),
-    )))
-    x = Var("x", E)
-    every = Forall(MeaningVar("S", arrow(E, T)), Limp(
-        Forall(MeaningVar("x", E), Limp(Atom(a, E, x), Atom(f, T, App(S, x)))),
-        Atom(f, T, App(Const("every", arrow(arrow(E, T), T)), S)),
-    ))
-
-    def modifier(name):
-        M = Var("M", T)
-        return Forall(MeaningVar("M", T), Limp(
-            Atom(f, T, M), Atom(f, T, App(Const(name, arrow(T, T)), M))
-        ))
-
-    return [every, split, join, modifier("m1"), modifier("m2")], Goal(f)
-
-
-def tensor_tail_premises():
-    """`twof` supplies f and derives r; `cons` consumes both and `mod`
-    modifies f. After the first reading, `twof` is focused for the sentence
-    goal itself, where its derived r can only be left over: that branch is
-    cut inside `twof`'s antecedents, and no later trace shows it."""
-    a, f, r = (SemStructure(name) for name in "afr")
-    X, P, Q, M = Var("X", E), Var("P", T), Var("Q", E), Var("M", T)
-    w = Const("w", arrow(T, E, T))
-    cons = Forall(MeaningVar("P", T), Forall(MeaningVar("Q", E), Limp(
-        Atom(f, T, P), Limp(Atom(r, E, Q), Atom(f, T, apply(w, P, Q)))
-    )))
-    twof = Forall(MeaningVar("X", E), Limp(Atom(a, E, X), Tensor(
-        Atom(f, T, App(Const("u", arrow(E, T)), X)), Atom(r, E, App(Const("v", arrow(E, E)), X))
-    )))
-    mod = Forall(MeaningVar("M", T), Limp(
-        Atom(f, T, M), Atom(f, T, App(Const("m", arrow(T, T)), M))
-    ))
-    return [cons, twof, Atom(a, E, Const("c", E)), mod], Goal(f)
-
-
-def trace_lines(readings):
-    """Every line of every trace, keyed by the reading's printed meaning."""
-    return {str(r): [[step.line() for step in trace] for trace in r.traces] for r in readings}
-
-
-def pinned_case(name, lexicon):
-    if name.startswith("tensor"):
-        build = tensor_head_premises if name.startswith("tensor_head") else tensor_tail_premises
-        premise_list, goal = build()
-        return trace_lines(derive(premise_list, goal, all_traces=name.endswith("all_traces")))
-    q, k = int(name[6]), int(name[8])  # grid_q<q>k<k>
-    root = parse_fstructure(grid_fstructure(q, k))
-    return trace_lines(derive(premises(root, lexicon), Goal(sigma(root))))
+from search_inputs import (
+    PINS,
+    RANDOM_GOAL,
+    forall,
+    grid_fstructure,
+    pinned_case,
+    premise_set,
+    tensor_head_premises,
+)
+from test_prover import meanings, oracle_meanings
 
 
 def test_pins_cover_the_cases():
@@ -165,29 +106,54 @@ def test_all_traces_unrolls_only_the_traces_it_keeps(lexicon, monkeypatch):
     assert len(calls) == sum(len(r.traces) for r in readings) == 720
 
 
+def both_searches(monkeypatch, premise_list, goal):
+    """The canonical search and the search in every order that `derive`
+    runs with `all_traces`, after it; and the formulas `_focus` was called
+    on at the top, in order."""
+    searches, focused, depth = [], [], [0]
+    in_every_order, focus = prover._Search.in_every_order, prover._Search._focus
+
+    def recording(self):
+        searches.extend((self, in_every_order(self)))
+        return searches[-1]
+
+    def counting(self, formula, *args):
+        if not depth[0]:
+            focused.append(formula)
+        depth[0] += 1
+        try:
+            return focus(self, formula, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(prover._Search, "in_every_order", recording)
+    monkeypatch.setattr(prover._Search, "_focus", counting)
+    assert derive(premise_list, goal, all_traces=True)
+    return searches, focused
+
+
 def test_the_all_orders_search_keeps_only_the_premises_focus_tables(monkeypatch):
     # The search in every order starts from the canonical search's set-up,
     # but not from its hypotheses and derived resources: with `m1` the only
     # modifier, the canonical search derives r at the id where the search in
-    # every order derives l. Each focus table the latter used is the one its
-    # own resource gives.
-    searches = []
-    in_every_order = prover._Search.in_every_order
-
-    def recording(self):
-        searches.append(in_every_order(self))
-        return searches[-1]
-
-    monkeypatch.setattr(prover._Search, "in_every_order", recording)
+    # every order derives l. Each focus table either search reads is the one
+    # its own registry entry gives.
     (every, split, join, m1, _), goal = tensor_head_premises()
-    assert derive([every, split, join, m1], goal, all_traces=True)
-    (engine,) = searches
-    premise_count = engine.premise_mask.bit_length()
-    assert any(rid >= premise_count for rid in engine.focus_tables)
-    for rid, table in engine.focus_tables.items():
-        fresh = copy.copy(engine)
-        fresh.focus_tables = {}
-        assert table == fresh._focus_table(rid), engine.registry[rid]
+    searches, _ = both_searches(monkeypatch, [every, split, join, m1], goal)
+    for engine in searches:
+        assert len(engine.focus_tables) == len(engine.registry) > engine.premise_mask.bit_length()
+        for (formula, *_), table in zip(engine.registry, engine.focus_tables):
+            assert table == engine._focus(formula, {}), formula
+
+
+def test_each_resource_is_focused_once_when_it_gets_its_id(monkeypatch):
+    # Premises are focused at set-up, hypotheses and derived resources when
+    # they are drawn; the search in every order focuses only what it draws.
+    premise_list, goal = tensor_head_premises()
+    (canonical, every_order), focused = both_searches(monkeypatch, premise_list, goal)
+    count = canonical.premise_mask.bit_length()
+    assert len(canonical.registry) > count and len(every_order.registry) > count
+    assert focused == [entry[0] for entry in canonical.registry + every_order.registry[count:]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +167,6 @@ r = Const("r", arrow(E, E, T))
 c = Const("c", E)
 k1, k2 = Const("k1", arrow(T, T)), Const("k2", arrow(T, T))
 M, N, X, Y = Var("M", T), Var("N", T), Var("X", E), Var("Y", E)
-
-
-def forall(name, ty, body):
-    return Forall(MeaningVar(name, ty), body)
 
 
 def test_entails_keeps_the_consequents_binder_apart_from_a_premises():
@@ -336,9 +298,14 @@ def test_a_hypothesis_of_two_binders_is_named_after_the_inner_one():
 # executions when every goal was proved anew).
 GRID_CALLS = {(2, 2): 45, (3, 3): 108, (3, 5): 160, (2, 6): 105}
 
+# With `all_traces`, in both searches: the search in every order tables its
+# atomic goals too (1070, 5141, 33426 and 31730 executions when it proved
+# every goal anew).
+EVERY_ORDER_CALLS = {(2, 2): 165, (3, 2): 269, (2, 4): 617, (3, 3): 521}
 
-def grid_calls() -> dict:
-    """`prove_atom` executions for each cell of `GRID_CALLS`."""
+
+def grid_calls(pins=GRID_CALLS, all_traces=False) -> dict:
+    """`prove_atom` executions for each cell of `pins`."""
     lexicon = parse_lexicon((FIXTURES / "core.lex").read_text(encoding="utf-8"))
     calls = []
     prove_atom = prover._Search.prove_atom
@@ -350,10 +317,10 @@ def grid_calls() -> dict:
     counts = {}
     prover._Search.prove_atom = counting
     try:
-        for q, k in GRID_CALLS:
+        for q, k in pins:
             root = parse_fstructure(grid_fstructure(q, k))
             calls.clear()
-            derive(premises(root, lexicon), Goal(sigma(root)))
+            derive(premises(root, lexicon), Goal(sigma(root)), all_traces)
             counts[q, k] = len(calls)
     finally:
         prover._Search.prove_atom = prove_atom
@@ -364,125 +331,33 @@ def test_the_table_serves_repeated_atomic_goals():
     assert grid_calls() == GRID_CALLS
 
 
-@pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
-def test_the_tabled_counts_do_not_depend_on_the_hash_seed(hash_seed):
+def test_the_search_in_every_order_tables_atomic_goals():
+    assert grid_calls(EVERY_ORDER_CALLS, all_traces=True) == EVERY_ORDER_CALLS
+
+
+def printed_in_a_process(hash_seed, expression):
+    """What `expression`, over this module as `t`, prints in a fresh
+    interpreter under `PYTHONHASHSEED=hash_seed`."""
     src = Path(gluesem.__file__).resolve().parent.parent
     tests = Path(__file__).resolve().parent
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": f"{src}{os.pathsep}{tests}"}
     done = subprocess.run(
-        [sys.executable, "-c", "import test_search_pruning as t; print(sorted(t.grid_calls().items()))"],
+        [sys.executable, "-c", f"import test_search_pruning as t; print({expression})"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert done.stdout == f"{sorted(GRID_CALLS.items())}\n"
+    return done.stdout
 
 
-# Random premise sets: small, closed and well typed, over the structures f, g
-# and h and the types e and t, drawn goal first from f:t so that about half
-# have a reading. Shapes: atoms, curried and tensor antecedents, modifiers (twins
-# when two share a constant), quantifiers whose scope assumes a hypothesis
-# over a meaning `forall` over e, hypotheticals nested to depth 2 and tensor
-# heads whose other component is derived.
-STRUCTURES = (f, g, h)
-RANDOM_GOAL = Goal(f)
-KEYS = [(sem, ty) for sem in STRUCTURES for ty in (E, T)]
-MAX_PREMISES = 5
+@pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
+def test_the_tabled_counts_do_not_depend_on_the_hash_seed(hash_seed):
+    printed = printed_in_a_process(hash_seed, "sorted(t.grid_calls().items())")
+    assert printed == f"{sorted(GRID_CALLS.items())}\n"
 
 
-def premise_set(choose) -> list[Premise]:
-    """A premise multiset for `Goal(f)`; `choose` picks an item of a
-    sequence (Hypothesis's draw, or a seeded `random.Random`'s `choice`)."""
-    made: list[tuple[str, object]] = []
-    names = itertools.count(1)
-    supplies: list[tuple] = []  # hypotheses and derived components not yet used
-    demanded: list[tuple] = []
-
-    def const(base, ty):
-        return Const(f"{base}{next(names)}", ty)
-
-    def premise(word, formula):
-        made.append((word, formula))
-
-    def atom(sem, ty):
-        head = const("c", ty)
-        premise(head.name, Atom(sem, ty, head))
-
-    def modifier(sem, ty, name):
-        fun, meta = Const(name, arrow(ty, ty)), Var("M", ty)
-        premise(name, forall("M", ty, Limp(Atom(sem, ty, meta), Atom(sem, ty, App(fun, meta)))))
-
-    def supply(sem, ty, depth):
-        demanded.append((sem, ty))
-        if (sem, ty) in supplies and choose([True, True, False]):
-            supplies.remove((sem, ty))
-            return
-        shapes = ["atom"]
-        if len(made) < MAX_PREMISES - 1 and depth < 3:
-            shapes = ["curried", "tensor"]  # these can use up a pending supply
-            if not supplies:
-                shapes += ["atom", "modifier", "hypothetical", "split"]
-                if ty == T:
-                    shapes.append("quantifier")
-        shape = choose(shapes)
-        if shape == "atom":
-            atom(sem, ty)
-        elif shape in ("curried", "tensor"):
-            count = choose([1, 2]) if shape == "curried" else 2
-            args = [choose(supplies or KEYS)] + [choose(KEYS) for _ in range(count - 1)]
-            fun = const("r", arrow(*[arg_ty for _, arg_ty in args], ty))
-            metas = [Var(f"X{i}", arg_ty) for i, (_, arg_ty) in enumerate(args)]
-            parts = [Atom(arg_sem, var.ty, var) for (arg_sem, _), var in zip(args, metas)]
-            body = Atom(sem, ty, apply(fun, *metas))
-            if shape == "tensor":
-                body = Limp(Tensor(*parts), body)
-            else:
-                for part in reversed(parts):
-                    body = Limp(part, body)
-            for var in reversed(metas):
-                body = forall(var.name, var.ty, body)
-            premise(fun.name, body)
-            for arg in args:
-                supply(*arg, depth + 1)
-        elif shape == "modifier":
-            modifier(sem, ty, choose(["m1", "m2"]))
-            supply(sem, ty, depth + 1)
-        elif shape == "quantifier":
-            restriction, scope = choose(STRUCTURES), Var("S", arrow(E, T))
-            fun, x = const("q", arrow(arrow(E, T), T)), Var("x", E)
-            premise(fun.name, forall("S", scope.ty, Limp(
-                forall("x", E, Limp(Atom(restriction, E, x), Atom(sem, T, App(scope, x)))),
-                Atom(sem, T, App(fun, scope)),
-            )))
-            supplies.append((restriction, E))
-            supply(sem, T, depth + 1)
-        elif shape == "hypothetical":
-            (assumed, assumed_ty), (inner, _) = choose(KEYS), choose(KEYS)
-            fun, meta = const("h", arrow(T, ty)), Var("P", T)
-            premise(fun.name, forall("P", T, Limp(
-                Limp(Atom(assumed, assumed_ty, const("c", assumed_ty)), Atom(inner, T, meta)),
-                Atom(sem, ty, App(fun, meta)),
-            )))
-            supplies.append((assumed, assumed_ty))
-            supply(inner, T, depth + 1)
-        else:  # split: a tensor head, whose other component is derived
-            (source, source_ty), (other, other_ty) = choose(KEYS), choose(KEYS)
-            left, right = const("l", arrow(source_ty, ty)), const("d", arrow(source_ty, other_ty))
-            meta = Var("X", source_ty)
-            premise(left.name, forall("X", source_ty, Limp(
-                Atom(source, source_ty, meta),
-                Tensor(Atom(sem, ty, App(left, meta)), Atom(other, other_ty, App(right, meta))),
-            )))
-            supplies.append((other, other_ty))
-            supply(source, source_ty, depth + 1)
-
-    supply(f, T, 0)
-    extra = choose(["none", "none", "none", "atom", "modifier", "modifier"])
-    if extra != "none":
-        sem, ty = choose(demanded)
-        if extra == "modifier":
-            modifier(sem, ty, "m1")
-        else:
-            atom(sem, ty)
-    return [Premise(i, formula, word, "") for i, (word, formula) in enumerate(made, 1)]
+@pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
+def test_the_all_orders_counts_do_not_depend_on_the_hash_seed(hash_seed):
+    expression = "sorted(t.grid_calls(t.EVERY_ORDER_CALLS, all_traces=True).items())"
+    assert printed_in_a_process(hash_seed, expression) == f"{sorted(EVERY_ORDER_CALLS.items())}\n"
 
 
 @st.composite
@@ -499,3 +374,98 @@ def test_the_tabled_search_finds_what_the_search_in_every_order_finds(premise_li
     assert [str(r) for r in tabled] == [str(r) for r in every_order]
     for reading, other in zip(tabled, every_order):
         assert reading.trace in other.traces
+
+
+@seed(31)
+@settings(max_examples=150, deadline=None, database=None)
+@given(premise_sets())
+def test_the_search_finds_what_the_oracle_finds(premise_list):
+    assert meanings(derive(premise_list, RANDOM_GOAL)) == oracle_meanings(premise_list, RANDOM_GOAL)
+
+
+def test_the_search_finds_what_the_oracle_finds_on_the_seeded_sets():
+    # Set 470 holds a derived resource that escaped a hypothetical's scope.
+    for n in range(1000):
+        premise_list = premise_set(random.Random(n).choice)
+        found = meanings(derive(premise_list, RANDOM_GOAL))
+        assert found == oracle_meanings(premise_list, RANDOM_GOAL), n
+
+
+# ---------------------------------------------------------------------------
+# A hypothetical's scope. What a focus inside it derives may outlive it only
+# if that focus consumed nothing that depends on the hypothesis, directly or
+# through what another focus derived from it.
+
+
+@pytest.mark.parametrize("n,diagnosis", [
+    # h2's scope assumes h ~> c3; l4, focused inside it, derives f ~> l4(...)
+    # from r6(m1(c3), c7), which r1 consumed outside the scope.
+    (470, "incoherent\nleftover: l4[3], r6[4]"),
+    # l4, focused inside h1's scope on the premise c6 alone, derives
+    # f ~> d5(c6), which may outlive the scope: the derivation that reaches
+    # the goal leaves only it over.
+    (5, "incoherent\nleftover: l4[3]"),
+])
+def test_a_resource_derived_inside_a_scope_outlives_it_only_without_its_hypothesis(n, diagnosis):
+    assert str(search(premise_set(random.Random(n).choice), RANDOM_GOAL)) == diagnosis
+
+
+def catalyst_premises():
+    """`p` derives x ~> k and `rx`, which turns x and a into x and c. Inside
+    `q`'s scope, which assumes a ~> c0, `rx` consumes the x that was there
+    before the scope and derives an equal one, under the same id; `cons`
+    would consume that one outside the scope. No linear-logic proof exists."""
+    b, e, x, a, c = (SemStructure(name) for name in ("b", "e", "x", "a", "c"))
+    B, Z, M, K, A, P = Var("B", E), Var("Z", E), Var("M", T), Var("K", E), Var("A", E), Var("P", T)
+    rx = forall("K", E, forall("A", E, Limp(
+        Tensor(Atom(x, E, K), Atom(a, E, A)),
+        Tensor(Atom(x, E, K), Atom(c, T, App(Const("g", arrow(E, T)), A))),
+    )))
+    p = forall("B", E, Limp(Atom(b, E, B), Tensor(
+        Atom(e, E, App(Const("z", arrow(E, E)), B)), Tensor(Atom(x, E, Const("k", E)), rx)
+    )))
+    q = forall("P", T, Limp(
+        Limp(Atom(a, E, Const("c0", E)), Atom(c, T, P)), Atom(f, T, App(Const("h", arrow(T, T)), P))
+    ))
+    cons = forall("M", T, forall("K", E, Limp(Atom(f, T, M), Limp(
+        Atom(x, E, K), Atom(f, T, apply(Const("w", arrow(T, E, T)), M, K))
+    ))))
+    top = forall("Z", E, forall("M", T, Limp(Atom(e, E, Z), Limp(
+        Atom(f, T, M), Atom(f, T, apply(Const("t", arrow(E, T, T)), Z, M))
+    ))))
+    premise_list = [top, p, q, cons, Atom(b, E, Const("b1", E))]
+    return [Premise(i, formula, word, "") for i, (word, formula) in enumerate(
+        zip(["top", "p", "q", "cons", "b1"], premise_list), 1
+    )]
+
+
+def independent_premises():
+    """Inside `q`'s scope, which assumes a ~> c0, `p` is focused for c and
+    derives y ~> j from nothing; `top` consumes it after the scope. `p`
+    could as well be used before the scope, so the reading is sound."""
+    f1, y, a, c = (SemStructure(name) for name in ("f1", "y", "a", "c"))
+    M, Y, P, A, C = Var("M", T), Var("Y", E), Var("P", T), Var("A", E), Var("C", T)
+    top = forall("M", T, forall("Y", E, Limp(Atom(f1, T, M), Limp(
+        Atom(y, E, Y), Atom(f, T, apply(Const("t", arrow(T, E, T)), M, Y))
+    ))))
+    q = forall("P", T, Limp(
+        Limp(Atom(a, E, Const("c0", E)), Atom(c, T, P)), Atom(f1, T, App(Const("h", arrow(T, T)), P))
+    ))
+    p = Tensor(Atom(c, T, Const("k", T)), Atom(y, E, Const("j", E)))
+    r = forall("A", E, forall("C", T, Limp(Atom(a, E, A), Limp(
+        Atom(c, T, C), Atom(c, T, apply(Const("r", arrow(E, T, T)), A, C))
+    ))))
+    return [Premise(i, formula, word, "") for i, (word, formula) in enumerate(
+        zip(["top", "q", "p", "r"], [top, q, p, r]), 1
+    )]
+
+
+@pytest.mark.parametrize("build,readings", [
+    (catalyst_premises, []),
+    (independent_premises, ["t(h(r(c0, k)), j)"]),
+])
+@pytest.mark.parametrize("all_traces", [False, True])
+def test_a_scope_is_checked_by_what_depends_on_its_hypothesis(build, readings, all_traces):
+    premise_list = build()
+    assert [str(r) for r in derive(premise_list, RANDOM_GOAL, all_traces)] == readings
+    assert oracle_meanings(premise_list, RANDOM_GOAL) == meanings(derive(premise_list, RANDOM_GOAL))
