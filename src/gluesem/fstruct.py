@@ -17,10 +17,10 @@ from __future__ import annotations
 import re
 
 from .errors import MissingAttributeError
-from .lexer import Tokens, tokenize
+from .lexer import IDENTIFIER, Tokens, tokenize
 from .node import Node
 
-_WORD = re.compile(r"\w+")
+_IDENTIFIER = re.compile(IDENTIFIER)
 
 
 class SemStructure(Node):
@@ -226,8 +226,9 @@ def format_fstructure(root: FStructure) -> str:
                 parts.append(" }" if value else "}")
             else:
                 # A symbol is printed bare only where it reads back as itself:
-                # an identifier (as the tokenizer reads one) that names no node.
-                bare = value[:1].isalpha() and _WORD.fullmatch(value) and value not in labels
+                # an identifier that starts with a letter, as the tokenizer
+                # reads one, and names no node.
+                bare = value[:1].isalpha() and _IDENTIFIER.fullmatch(value) and value not in labels
                 parts.append(value if bare and attribute != "PRED" else f"'{value}'")
         parts.append("]")
         stack.extend(reversed(parts))

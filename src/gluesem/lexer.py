@@ -72,8 +72,8 @@ class Tokens:
         """The kind of the token `offset` places ahead."""
         return self.kinds[self.pos + offset]
 
-    def text(self, offset: int = 0) -> str:
-        return self.texts[self.pos + offset]
+    def text(self) -> str:
+        return self.texts[self.pos]
 
     def next(self) -> str:
         self.pos += 1

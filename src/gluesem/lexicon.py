@@ -182,9 +182,24 @@ class _TemplateParser:
         return template
 
     def parse_formula(self) -> GlueFormula:
-        if self.ts.peek() == "IDENT" and self.ts.text() == "forall":
+        """A `forall`, or units joined by `*` (right-associative), then an
+        optional `-o` and the formula it implies."""
+        ts = self.ts
+        if ts.peek() == "IDENT" and ts.text() == "forall":
             return self.parse_forall()
-        return self.parse_limp()
+        units = [self.parse_unit()]
+        while ts.accept("*"):
+            ts.descend("formulas", ts.pos - 1)
+            units.append(self.parse_unit())
+        ts.ascend(len(units) - 1)
+        formula = units.pop()
+        while units:
+            formula = Tensor(units.pop(), formula)
+        if ts.accept("-o"):
+            ts.descend("formulas", ts.pos - 1)
+            formula = Limp(formula, self.parse_formula())
+            ts.ascend()
+        return formula
 
     def parse_forall(self) -> GlueFormula:
         self.ts.next()  # 'forall'
@@ -215,70 +230,45 @@ class _TemplateParser:
                 self.sem_scope.discard(binder.name)
         return body
 
-    def parse_limp(self) -> GlueFormula:
-        left = self.parse_tensor()
-        if self.ts.accept("-o"):
-            self.ts.descend("formulas", self.ts.pos - 1)
-            right = self.parse_formula()
-            self.ts.ascend()
-            return Limp(left, right)
-        return left
-
-    def parse_tensor(self) -> GlueFormula:
-        left = self.parse_unit()
-        if self.ts.accept("*"):
-            self.ts.descend("formulas", self.ts.pos - 1)
-            right = self.parse_tensor()
-            self.ts.ascend()
-            return Tensor(left, right)
-        return left
-
     def parse_unit(self) -> GlueFormula:
-        """An atom, or a formula in parentheses; a `(` opens `(^ PATH)`,
-        `(mod ^)` or a group, told apart by the tokens after it (`(^ ~>`
-        opens a group whose first atom is on `^`)."""
+        """An atom, or a formula in parentheses. An atom's structure
+        expression is `^`, a bound structure variable, `(^ PATH)` or
+        `(mod ^)`; a `(` opens one of the last two or a group, told apart by
+        the tokens after it (`(^ ~>` opens a group whose first atom is on
+        `^`)."""
         ts = self.ts
-        if not ts.accept("("):
-            return self.parse_atom(self.parse_sem_expr())
-        open_at = ts.pos - 1
-        if ts.peek() == "^" and ts.peek(1) != "~>":
+        if ts.accept("^"):
+            sem = PathRef("up")
+        elif not ts.accept("("):
+            name = ts.expect("IDENT", "a structure expression")
+            if name not in self.sem_scope:
+                ts.fail(f"unbound structure variable '{name}'", ts.pos - 1)
+            sem = SemVar(name)
+        elif ts.peek() == "^" and ts.peek(1) != "~>":
             ts.pos += 1
             path = []
             while name := ts.accept("IDENT"):
                 path.append(name.upper())
             ts.expect(")")
-            return self.parse_atom(PathRef("up", tuple(path)))
-        if ts.peek() == "IDENT" and ts.text() == "mod" and ts.peek(1) == "^":
+            sem = PathRef("up", tuple(path))
+        elif ts.peek() == "IDENT" and ts.text() == "mod" and ts.peek(1) == "^":
             ts.pos += 2  # 'mod' '^'
             ts.expect(")")
-            return self.parse_atom(PathRef("mod"))
-        ts.descend("formulas", open_at)
-        inner = self.parse_formula()
-        ts.ascend()
-        ts.expect(")")
-        return inner
-
-    def parse_atom(self, sem) -> Atom:
-        """The rest of an atom whose structure expression `sem` is read."""
-        self.ts.expect("~>")
+            sem = PathRef("mod")
+        else:
+            ts.descend("formulas", ts.pos - 1)
+            inner = self.parse_formula()
+            ts.ascend()
+            ts.expect(")")
+            return inner
+        ts.expect("~>")
         explicit: SemType | None = None
-        if self.ts.accept("_"):
-            explicit = parse_type_at(self.ts)
-        meaning, meaning_ty = parse_term_at(self.ts, self.signature, self.meaning_scope)
+        if ts.accept("_"):
+            explicit = parse_type_at(ts)
+        meaning, meaning_ty = parse_term_at(ts, self.signature, self.meaning_scope)
         if explicit is not None and explicit != meaning_ty:
-            self.ts.fail(
-                f"type index {explicit} conflicts with meaning type {meaning_ty}"
-            )
+            ts.fail(f"type index {explicit} conflicts with meaning type {meaning_ty}")
         return Atom(sem, explicit if explicit is not None else meaning_ty, meaning)
-
-    def parse_sem_expr(self):
-        """`^` or a bound structure variable."""
-        if self.ts.accept("^"):
-            return PathRef("up")
-        name = self.ts.expect("IDENT", "a structure expression")
-        if name not in self.sem_scope:
-            self.ts.fail(f"unbound structure variable '{name}'", self.ts.pos - 1)
-        return SemVar(name)
 
 
 def _const_paths(node):

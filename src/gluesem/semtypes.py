@@ -51,21 +51,18 @@ def parse_type(text: str) -> SemType:
 
 
 def parse_type_at(ts: Tokens) -> SemType:
-    """Parse a type at the current position (arrows right-associative)."""
-    left = _parse_type_atom(ts)
+    """Parse a type at the current position: a base type or a parenthesised
+    type, then an optional `->` and the type it points to."""
+    if ts.accept("("):
+        ts.descend("types", ts.pos - 1)
+        left = parse_type_at(ts)
+        ts.ascend()
+        ts.expect(")")
+    else:
+        left = BaseType(ts.expect("IDENT", "a type"))
     if ts.accept("->"):
         ts.descend("types", ts.pos - 1)
         right = parse_type_at(ts)
         ts.ascend()
         return ArrowType(left, right)
     return left
-
-
-def _parse_type_atom(ts: Tokens) -> SemType:
-    if ts.accept("("):
-        ts.descend("types", ts.pos - 1)
-        ty = parse_type_at(ts)
-        ts.ascend()
-        ts.expect(")")
-        return ty
-    return BaseType(ts.expect("IDENT", "a type"))

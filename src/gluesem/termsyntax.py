@@ -66,27 +66,31 @@ class _TermParser:
         self.binder_at = {}  # type-variable ident -> its unannotated binder's token index
 
     def parse(self) -> tuple[MeaningTerm, SemType]:
+        """A lambda, or a parenthesised term or a name applied to each of the
+        argument lists after it."""
         ts = self.ts
-        if not ts.accept("\\"):
-            return self._parse_applied()
-        lam_at = ts.pos - 1
-        name = ts.expect("IDENT", "a variable name")
-        if ts.accept(":"):
-            var_ty = parse_type_at(ts)
+        if ts.accept("\\"):
+            lam_at = ts.pos - 1
+            name = ts.expect("IDENT", "a variable name")
+            if ts.accept(":"):
+                var_ty = parse_type_at(ts)
+            else:
+                var_ty = self.fresh()
+                self.binder_at[var_ty.ident] = lam_at + 1  # the name's token
+            ts.expect(".")
+            ts.descend("meaning terms", lam_at)
+            self.binders.append((name, var_ty))
+            body, body_ty = self.parse()
+            self.binders.pop()
+            ts.ascend()
+            return Lam(var_ty, body, name), ArrowType(var_ty, body_ty)
+        if ts.accept("("):
+            ts.descend("meaning terms", ts.pos - 1)
+            fun, fun_ty = self.parse()
+            ts.ascend()
+            ts.expect(")")
         else:
-            var_ty = self.fresh()
-            self.binder_at[var_ty.ident] = lam_at + 1  # the name's token
-        ts.expect(".")
-        ts.descend("meaning terms", lam_at)
-        self.binders.append((name, var_ty))
-        body, body_ty = self.parse()
-        self.binders.pop()
-        ts.ascend()
-        return Lam(var_ty, body, name), ArrowType(var_ty, body_ty)
-
-    def _parse_applied(self) -> tuple[MeaningTerm, SemType]:
-        ts = self.ts
-        fun, fun_ty = self._parse_atom()
+            fun, fun_ty = self._lookup(ts.expect("IDENT", "a term"))
         levels = 0  # each argument list nests the application one level deeper
         while ts.accept("("):
             open_at = ts.pos - 1
@@ -108,15 +112,9 @@ class _TermParser:
         ts.ascend(levels)
         return fun, fun_ty
 
-    def _parse_atom(self) -> tuple[MeaningTerm, SemType]:
-        ts = self.ts
-        if ts.accept("("):
-            ts.descend("meaning terms", ts.pos - 1)
-            inner = self.parse()
-            ts.ascend()
-            ts.expect(")")
-            return inner
-        name = ts.expect("IDENT", "a term")
+    def _lookup(self, name: str) -> tuple[MeaningTerm, SemType]:
+        """The variable or constant `name`, just read, stands for: a binder,
+        then `env`, then the signature."""
         for index, (bound, ty) in enumerate(reversed(self.binders)):
             if bound == name:
                 return BoundVar(index), ty
@@ -124,7 +122,7 @@ class _TermParser:
             return Var(name, self.env[name]), self.env[name]
         if name in self.signature:
             return Const(name, self.signature[name]), self.signature[name]
-        line, column = ts.position(ts.pos - 1)
+        line, column = self.ts.position(self.ts.pos - 1)
         raise UnboundVariableError(f"unknown name '{name}' at line {line}, column {column}")
 
     def apply(self, fun_ty: SemType, arg_ty: SemType) -> SemType:

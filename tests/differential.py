@@ -1,4 +1,5 @@
-"""Compare what gluesem prints at the working tree and at a git revision.
+"""Compare what gluesem prints at the working tree and at a git revision, or
+under several interpreters.
 
     python tests/differential.py REV
 
@@ -35,9 +36,14 @@ built from the working tree's inputs, so only the package differs:
   `*`, `-o` or `~>` dropped, or doubled, in its template: the parsed lexicon,
   which holds templates that only their spacing tells apart.
 
+    python tests/differential.py --interpreters PY [PY ...]
+
+builds the working tree's matrix once under each interpreter PY and compares
+each with the first one's, byte for byte.
+
 Prints the first differing case and exits 1 on any difference; otherwise
 prints "no difference" and the number of cases, and exits 0. Each side runs
-`python tests/differential.py --dump SRC OUT`, which writes the matrix built
+`PY tests/differential.py --dump SRC OUT`, which writes the matrix built
 with the package under SRC to OUT; it imports neither pytest nor
 Hypothesis, so it runs under any interpreter gluesem supports.
 """
@@ -50,6 +56,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -233,53 +240,87 @@ def main(argv: list[str]) -> int:
     if len(argv) == 4 and argv[1] == "--dump":
         dump(argv[2], argv[3])
         return 0
-    if len(argv) != 2 or argv[1].startswith("-"):
-        print("usage: python tests/differential.py REV", file=sys.stderr)
+    across = len(argv) > 2 and argv[1] == "--interpreters"
+    if not across and (len(argv) != 2 or argv[1].startswith("-")):
+        print("usage: python tests/differential.py REV\n"
+              "       python tests/differential.py --interpreters PY [PY ...]", file=sys.stderr)
         return 2
-    rev = argv[1]
+    missing = [python for python in argv[2:] if across and not shutil.which(python)]
+    if missing:
+        print(f"error: no interpreter {missing[0]}", file=sys.stderr)
+        return 2
+    src = str(ROOT / "src")
     with tempfile.TemporaryDirectory(prefix="gluesem-differential-") as tmp:
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True
-        )
-        if archive.returncode:
-            print(f"error: git archive {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
-            return 2
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            if hasattr(tarfile, "data_filter"):
-                tar.extractall(tmp, filter="data")
-            else:
-                tar.extractall(tmp)
-        env = {**os.environ, "PYTHONHASHSEED": "0"}
-        sides = {"working tree": str(ROOT / "src"), rev: os.path.join(tmp, "src")}
-        runs = {}
-        for side, src in sides.items():
-            out = os.path.join(tmp, f"{len(runs)}.json")
-            command = [sys.executable, __file__, "--dump", src, out]
-            runs[side] = (out, subprocess.Popen(command, env=env, stderr=subprocess.PIPE))
-        errors = {side: process.communicate()[1] for side, (_, process) in runs.items()}
-        matrices = {}
-        for side, (out, process) in runs.items():
-            if process.returncode:
-                print(f"error: building the matrix of {side} failed:\n{errors[side].decode()}",
+        if across:
+            # (name, interpreter, package), the first being the reference
+            sides = [(python, python, src) for python in argv[2:]]
+        else:
+            rev = argv[1]
+            archive = subprocess.run(
+                ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True
+            )
+            if archive.returncode:
+                print(f"error: git archive {rev}: {archive.stderr.decode().strip()}",
                       file=sys.stderr)
                 return 2
-            matrices[side] = json.loads(Path(out).read_text(encoding="utf-8"))
-    ours, theirs = matrices["working tree"], matrices[rev]
-    for n, (mine, other) in enumerate(zip(ours, theirs)):
+            with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+                if hasattr(tarfile, "data_filter"):
+                    tar.extractall(tmp, filter="data")
+                else:
+                    tar.extractall(tmp)
+            sides = [(rev, sys.executable, os.path.join(tmp, "src")),
+                     ("working tree", sys.executable, src)]
+        matrices = _build(sides, tmp)
+    if matrices is None:
+        return 2
+    (base, reference), *others = matrices
+    for name, matrix in others:
+        if _differs(base, reference, name, matrix):
+            return 1
+    if across:
+        print(f"no difference in {len(reference)} cases across {len(sides)} interpreters")
+    else:
+        print(f"no difference in {len(reference)} cases between the working tree and {rev}")
+    return 0
+
+
+def _build(sides, tmp):
+    """[(name, matrix)] for each (name, interpreter, package) of `sides`,
+    each built by `--dump` in a process of its own, all at once; None, with
+    the error printed, if one fails."""
+    env = {**os.environ, "PYTHONHASHSEED": "0"}
+    runs = []
+    for n, (name, python, src) in enumerate(sides):
+        out = os.path.join(tmp, f"{n}.json")
+        command = [python, __file__, "--dump", src, out]
+        runs.append((name, out, subprocess.Popen(command, env=env, stderr=subprocess.PIPE)))
+    errors = [process.communicate()[1] for _, _, process in runs]
+    for (name, _, process), error in zip(runs, errors):
+        if process.returncode:
+            print(f"error: building the matrix of {name} failed:\n{error.decode()}",
+                  file=sys.stderr)
+            return None
+    return [(name, json.loads(Path(out).read_text(encoding="utf-8"))) for name, out, _ in runs]
+
+
+def _differs(base: str, reference, name: str, matrix) -> bool:
+    """Whether `matrix`, built by `name`, differs from `reference`, built
+    by `base`; if so, prints the first difference as a diff from `base`."""
+    for n, (mine, other) in enumerate(zip(matrix, reference)):
         if mine != other:
             print(f"difference in case {n}: {mine[0]}" + (
-                "" if mine[0] == other[0] else f" (at {rev}: {other[0]})"
+                "" if mine[0] == other[0] else f" (at {base}: {other[0]})"
             ))
             for line in difflib.unified_diff(
-                other[1].splitlines(), mine[1].splitlines(), rev, "working tree", lineterm=""
+                other[1].splitlines(), mine[1].splitlines(), base, name, lineterm=""
             ):
                 print(line)
-            return 1
-    if len(ours) != len(theirs):
-        print(f"difference in the number of cases: {len(ours)} here, {len(theirs)} at {rev}")
-        return 1
-    print(f"no difference in {len(ours)} cases between the working tree and {rev}")
-    return 0
+            return True
+    if len(matrix) != len(reference):
+        print(f"difference in the number of cases: {len(matrix)} at {name}, "
+              f"{len(reference)} at {base}")
+        return True
+    return False
 
 
 if __name__ == "__main__":

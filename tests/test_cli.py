@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -266,45 +267,66 @@ def test_a_3000_link_reference_chain_derives(tmp_path):
     assert (code, out.getvalue(), err.getvalue()) == (0, "arrive(Bill)\n", "")
 
 
-def deep_lexicon_line(kind: str, depth: int) -> str:
-    """A lexicon line whose type, meaning term or formula nests `depth`
-    parentheses; at any depth the line would leave `bah.fs` unchanged."""
+def deep_lexicon_lines(kind: str, depth: int) -> tuple[str, str]:
+    """Lexicon lines whose type, meaning term or formula nests `depth`
+    levels, by parentheses or by a chain of one operator, and the token that
+    opens each level; at any depth the lines would leave `bah.fs` unchanged."""
     opened, closed = "(" * depth, ")" * depth
+    atoms = ["^ ~>_e Bill"] * (depth + 1)
+    binders = ", ".join(f"X{i}:e" for i in range(depth))
     return {
-        "type": f"constant deep : {opened}e{closed}",
-        "term": f"deep: ^ ~>_e {opened}Bill{closed}",
-        "formula": f"deep: {opened}(^) ~>_e Bill{closed}",
+        "type": (f"constant deep : {opened}e{closed}", "("),
+        "term": (f"deep: ^ ~>_e {opened}Bill{closed}", "("),
+        "formula": (f"deep: {opened}(^) ~>_e Bill{closed}", "("),
+        "tensor": (f"deep: {' * '.join(atoms)}", "*"),
+        "implication": (f"deep: {' -o '.join(atoms)}", "-o"),
+        "arrow": (f"constant deep : {' -> '.join(['e'] * (depth + 1))}", "->"),
+        "application": (f"constant same : e -> e\ndeep: ^ ~>_e {'same(' * depth}Bill{closed}", "("),
+        "binders": (f"deep: forall {binders}. ^ ~>_e Bill", "X"),
     }[kind]
 
 
-def run_deep_lexicon(tmp_path, kind: str, depth: int):
+def run_deep_lexicon(tmp_path, lines: str):
     path = tmp_path / "deep.lex"
     core = (FIXTURES / "core.lex").read_text(encoding="utf-8")
-    path.write_text(core + deep_lexicon_line(kind, depth) + "\n", encoding="utf-8")
+    path.write_text(core + lines + "\n", encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     code = run(RunConfig(str(FIXTURES / "bah.fs"), str(path)), out, err)
     return code, out.getvalue(), err.getvalue()
 
 
-LEXICON_KINDS = {"type": "types", "term": "meaning terms", "formula": "formulas"}
+LEXICON_KINDS = {
+    "type": "types",
+    "term": "meaning terms",
+    "formula": "formulas",
+    "tensor": "formulas",
+    "implication": "formulas",
+    "arrow": "types",
+    "application": "meaning terms",
+    "binders": "formulas",
+}
 
 
 @pytest.mark.parametrize("kind", LEXICON_KINDS)
 def test_lexicon_nesting_at_the_limit_parses(tmp_path, kind):
-    code, out, err = run_deep_lexicon(tmp_path, kind, MAX_NESTING)
+    lines, _ = deep_lexicon_lines(kind, MAX_NESTING)
+    code, out, err = run_deep_lexicon(tmp_path, lines)
     assert (code, out, err) == (0, "appoint(Bill, Hillary)\n", "")
 
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
 @pytest.mark.parametrize("kind", LEXICON_KINDS)
 def test_lexicon_nesting_past_the_limit_is_an_input_error(tmp_path, kind, depth):
-    code, out, err = run_deep_lexicon(tmp_path, kind, depth)
+    lines, opener = deep_lexicon_lines(kind, depth)
+    code, out, err = run_deep_lexicon(tmp_path, lines)
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
     assert err.count("\n") == 1
-    line = len((FIXTURES / "core.lex").read_text(encoding="utf-8").splitlines()) + 1
-    # The parenthesis that opens level MAX_NESTING + 1.
-    column = deep_lexicon_line(kind, depth).index("(") + MAX_NESTING + 1
+    core = (FIXTURES / "core.lex").read_text(encoding="utf-8")
+    line = len((core + lines).splitlines())
+    # The parenthesis, operator or binder that opens level MAX_NESTING + 1.
+    openers = [m.start() for m in re.finditer(re.escape(opener), lines.splitlines()[-1])]
+    column = openers[MAX_NESTING] + 1
     assert f":{line}:{column}: {LEXICON_KINDS[kind]} nest deeper than {MAX_NESTING} levels" in err
 
 

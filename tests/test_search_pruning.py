@@ -360,6 +360,19 @@ def test_the_all_orders_counts_do_not_depend_on_the_hash_seed(hash_seed):
     assert printed_in_a_process(hash_seed, expression) == f"{sorted(EVERY_ORDER_CALLS.items())}\n"
 
 
+def test_the_table_keeps_a_last_goal_apart_from_the_same_goal_elsewhere():
+    # In set 394 the goal g ~>_e, with c6 and m1 available, has no answer as
+    # the last goal (m1 would be left over) and one elsewhere. A table keyed
+    # without the last-goal flag serves one for the other, and the third
+    # reading keeps only three of its four traces.
+    diagnosis = search(premise_set(random.Random(394).choice), RANDOM_GOAL, all_traces=True)
+    assert [(str(r), len(r.traces)) for r in diagnosis.readings] == [
+        ("r1(r4(m1(d3(c5)), l2(c5)), c6)", 4),
+        ("r4(m1(d3(c5)), r1(l2(c5), c6))", 4),
+        ("r4(m1(d3(r1(c5, c6))), l2(r1(c5, c6)))", 4),
+    ]
+
+
 @st.composite
 def premise_sets(draw):
     return premise_set(lambda options: draw(st.sampled_from(options)))
