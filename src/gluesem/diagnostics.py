@@ -1,7 +1,8 @@
 """Diagnose a sentence: completeness and coherence come for free from exact
 resource usage, so a failed derivation is diagnosed by what broke.
 
-`diagnose` instantiates the premises and runs one proof search, which
+`diagnose` instantiates the premises and runs one proof search (two when
+a failed sentence's atom count balances, see `prover.search`), which
 classifies its own failure from what it saw (see `prover._classify`): an
 incomplete sentence has a demand that nothing can supply, an incoherent one
 leaves premises unconsumed. An entry that cannot be instantiated is

@@ -64,21 +64,27 @@ every order once the canonical order has found a reading, on that search's
 set-up.
 
 A derivation that leaves a premise unused is worth something only as
-evidence when the sentence has no reading. So once the search has found a
-reading (and from the start in the all-orders search and in `entails`), a
-proof of the last goal a derivation has left, where nothing after it can
-consume a resource, is cut when it leaves resources unused (the strictness
-of the input/output resource model of Cervesato, Hodas & Pfenning 2000),
-and a failed atomic goal is no longer recorded. A failed search never finds
-a reading, so it cuts nothing and its evidence is complete: `_classify`
-reads it off the polarity table, the failed goals and the premises the
-goal-reaching derivations left, and `search` returns one `Diagnosis`
-either way.
+evidence when the sentence has no reading. So a strict search cuts a proof
+of the last goal a derivation has left, where nothing after it can consume a
+resource, when it leaves resources unused (the strictness of the
+input/output resource model of Cervesato, Hodas & Pfenning 2000), and
+records no failed atomic goal. The search in every order and `entails` are
+strict from the start. So is the canonical search when the atom count
+balances: `_read` counts each atom +1 where a premise supplies it and -1
+where one demands it, the goal counts -1, and a derivation that uses each
+premise once exists only if every count is 0 (van Benthem's 1991 count
+invariant). Otherwise it turns strict at its first reading, and one that
+finds none has cut nothing, so its evidence is complete: `_classify` reads
+it off the polarity table, the failed goals and the premises the
+goal-reaching derivations left, and `search` returns one `Diagnosis` either
+way. A search strict from the start that finds no reading kept no evidence,
+so a balanced failure runs two searches: that one, then one that is not
+strict on the same set-up (`_Search.fresh`). The count decides only how to
+search, never what is found: a wrong count costs time alone.
 
-Every strict search answers atomic goals from a table of its own: the
-canonical one after its first reading, the search in every order and
-`entails` from the start (Hepple 1998's memoisation, exact rather than modulo
-hypothesis names): what `prove_atom` yields depends only on the goal's
+Every strict search answers atomic goals from a table of its own, from the
+goal it turns strict at on (Hepple 1998's memoisation, exact rather than
+modulo hypothesis names): what `prove_atom` yields depends only on the goal's
 structure and type, the available resources and whether it is the last goal,
 since a focus starts from an empty substitution, each goal binder has one
 constant and each drawn formula one id. The first use of a key fills its
@@ -360,11 +366,12 @@ class _Search:
     `strict` is set, each atomic goal whose pattern no supplied meaning
     matched is kept in `frontier`, under its (structure label, type), with
     the most premises consumed when it failed; once it is set, `prove`
-    serves atomic goals from `table`. A resource's id is its bit in the
-    availability masks (premises first, by index: `premise_mask`; then each
-    resource as it is first drawn, its ids listed in `drawn`) and indexes
-    `registry`: (formula, word, the premise's index or the kind "h" or "d",
-    bit of the premise it comes from or 0, bits of its earlier twins), and
+    serves atomic goals from `table`. `counts` holds the atom count
+    `balances` reads. A resource's id is its bit in the availability masks
+    (premises first, by index: `premise_mask`; then each resource as it is
+    first drawn, its ids listed in `drawn`) and indexes `registry`:
+    (formula, word, the premise's index or the kind "h" or "d", bit of the
+    premise it comes from or 0, bits of its earlier twins), and
     `focus_tables`, the focus table `_focus` built when it got the id.
 
     Premises with equal formulas and words are *twins*. A premise is focused
@@ -382,8 +389,9 @@ class _Search:
         # (structure label, or None for a structure variable; type) ->
         # [tags of the premises that demand it, bits of those that supply it]
         self.polarity: dict[tuple, list] = {}
+        self.counts: dict[tuple, int] = {}  # see `_read`
         for i, p in enumerate(premise_list):
-            _read(p.formula, p, 1 << i, sems, taken, self.polarity)
+            _read(p.formula, p, 1 << i, sems, taken, self.polarity, self.counts)
         self.universe = sorted(sems, key=lambda s: s.label)
         self.registry: list[tuple[GlueFormula, str, int | str, int, int]] = []
         self.focus_tables: list[dict] = []  # by id, as `registry`
@@ -398,9 +406,10 @@ class _Search:
             self.focus_tables.append(self._focus(formula, {}))
         self.premise_mask = (1 << len(premise_list)) - 1
         self.all_orders = False
-        # Once a reading is known, a derivation that leaves resources unused
-        # is worth nothing: `_run_search` sets this at its first reading, and
-        # the all-orders search runs only after the canonical one found one.
+        # A derivation that leaves resources unused is worth something only
+        # as a failure's evidence: `search` sets this from the start when
+        # the count balances, `_run_search` at the first reading, and the
+        # all-orders search runs only after the canonical one found one.
         self.strict = False
         self.frontier: dict[tuple, int] = {}
         self.drawn: dict[tuple, list[int]] = {}  # registry entry -> its ids
@@ -408,20 +417,35 @@ class _Search:
         # of `prove_atom`
         self.table: dict[tuple, list] = {}
 
-    def in_every_order(self) -> _Search:
-        """A fresh search over the same premises that tries every order of
-        every goal list and every twin, strict from the start, with a table
-        of its own. It keeps this search's set-up: the premises' registry
-        entries (with no earlier twins), the structure universe, the
-        polarity table and the premises' focus tables."""
+    def balances(self, goal: Goal) -> bool:
+        """Whether every atom count (see `_read`) is 0 once `goal` counts
+        -1: van Benthem's (1991) count invariant, which every derivation that
+        uses each premise once satisfies. It decides only how to search."""
+        return {k: n for k, n in self.counts.items() if n} == {(goal.sem.label, goal.ty): 1}
+
+    def fresh(self) -> _Search:
+        """A search over the same premises from the start, not strict, on
+        this search's set-up: the premises' registry entries and focus
+        tables, the structure universe, the goal binders' constants, the
+        polarity table and the counts. It has drawn nothing, recorded no
+        failure and tabled no goal."""
         other = copy.copy(self)
         count = self.premise_mask.bit_length()
-        other.registry = [entry[:4] + (0,) for entry in self.registry[:count]]
+        other.registry = self.registry[:count]
         other.focus_tables = self.focus_tables[:count]
-        other.all_orders = other.strict = True
+        other.strict = False
         other.frontier = {}
         other.drawn = {}
         other.table = {}
+        return other
+
+    def in_every_order(self) -> _Search:
+        """A fresh search (see `fresh`) that tries every order of every goal
+        list and every twin, strict from the start: its premises have no
+        earlier twins."""
+        other = self.fresh()
+        other.registry = [entry[:4] + (0,) for entry in other.registry]
+        other.all_orders = other.strict = True
         return other
 
     # -- goals ----------------------------------------------------------------
@@ -596,7 +620,7 @@ class _NotClosed(GlueError):
     """A formula holds a template path or a variable no quantifier binds."""
 
 
-def _read(root, who, bit, sems: set, binders: set, polarity):
+def _read(root, who, bit, sems: set, binders: set, polarity, counts):
     """The one walk set-up makes over the premise `who` (None: the consequent
     of `entails`), before anything is normalized: an ill-typed term may not
     halt. Raise `GlueError` at the first atom, left to right, whose structure
@@ -608,7 +632,9 @@ def _read(root, who, bit, sems: set, binders: set, polarity):
     the meaning binders to `binders`; a premise's atoms go in `polarity`,
     keyed by (structure label, or None for a variable; type): a supply
     (positive) by `bit`, a demand (in an odd number of antecedents) by the
-    premise's tag."""
+    premise's tag. They are also counted in `counts`, +1 for a supply and -1
+    for a demand, keyed by (structure label, type), or by (`bit`, variable,
+    type) on a structure variable, which each premise binds apart."""
     stack = [(root, True, frozenset())]
     while stack:
         formula, positive, bound = stack.pop()
@@ -642,6 +668,8 @@ def _read(root, who, bit, sems: set, binders: set, polarity):
                     entry[1] |= bit
                 else:
                     entry[0].append(who.tag())
+                key = (bit, sem, ty) if label is None else (label, ty)
+                counts[key] = counts.get(key, 0) + (1 if positive else -1)
         elif kind is Tensor or kind is Limp:
             left = positive if kind is Tensor else not positive
             stack += ((formula[2], positive, bound), (formula[1], left, bound))
@@ -706,22 +734,31 @@ def _as_premises(items) -> list[Premise]:
 
 
 def search(premise_set, goal: Goal, all_traces: bool = False) -> Diagnosis:
-    """One proof search for `goal` from the premises: its readings, or the
-    classified failure (see `_classify`). With `all_traces`, the search in
-    every order runs only once the canonical-order search has found a
-    reading: a failure is that search's, so its diagnosis does not depend on
-    `all_traces`. A goal structure that is not a semantic structure, premises
-    that share an index, and then, in index order, the first premise that is
-    not closed or holds a meaning not of its atom's type index (see `_read`)
-    raise `GlueError`; a derivation nested too deeply for the interpreter's
-    stack raises `SearchBoundError`."""
+    """A proof search for `goal` from the premises: its readings, or the
+    classified failure (see `_classify`). Without `all_traces`, the search
+    is strict from the start when the atom count balances (see
+    `_Search.balances`); if it then finds no reading, it kept no evidence,
+    and a search that is not strict gathers it on the same set-up. With
+    `all_traces`, the search in every order runs only once the
+    canonical-order search has found a reading: a failure is that search's,
+    so its diagnosis does not depend on `all_traces`. A goal structure that
+    is not a semantic structure, premises that share an index, and then, in
+    index order, the first premise that is not closed or holds a meaning not
+    of its atom's type index (see `_read`) raise `GlueError`; a derivation
+    nested too deeply for the interpreter's stack raises
+    `SearchBoundError`."""
     if not isinstance(goal.sem, SemStructure):
         raise GlueError(f"goal structure {goal.sem!r} is not a semantic structure")
     try:
         engine = _Search(_as_premises(premise_set), [goal.sem])
+        # The probe `all_traces` runs stops at its first reading, before
+        # which a strict table would fill whole entries.
+        engine.strict = not all_traces and engine.balances(goal)
         result = _run_search(engine, goal, probe=all_traces)
         if result is None:  # the canonical search found a reading
             result = _run_search(engine.in_every_order(), goal)
+        elif engine.strict and result.status != OK:
+            result = _run_search(engine.fresh(), goal)
     except RecursionError:
         raise SearchBoundError("derivation too deep for the interpreter's stack") from None
     return result
@@ -919,7 +956,7 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     first, then the antecedent's (see `_read`)."""
     sems: set = set()
     taken: set[str] = set()
-    _read(consequent, None, 0, sems, taken, None)
+    _read(consequent, None, 0, sems, taken, None, None)
     try:
         engine = _Search(_as_premises(flatten_tensor(antecedent)), sems)
     except _NotClosed:

@@ -11,6 +11,9 @@ built from the working tree's inputs, so only the package differs:
 - every fixture under `gluesem derive` in six modes (default, `--trace`,
   `--all-traces`, `--json`, `--json --trace`, `--json --all-traces`):
   stdout, stderr and exit status;
+- the modifier chain of `search_inputs.py` (`appoint` with k `obviously`
+  modifiers) at each k in `CHAINS`, under `gluesem derive` in the modes
+  `CHAIN_MODES`: the same;
 - every fixture derived with a copy of `core.lex` in which each template
   meaning M is written `(\\r. r)(M)`: `str(diagnose(...))`, each reading's
   meaning and its trace lines, canonical and with every derivation's trace
@@ -78,30 +81,29 @@ ALL_TRACES = ("corpus", "failures")  # workloads also run with `all_traces`
 CUT_EVERY = 7  # characters between the cuts of a malformed-input case
 RESPACED = ("(", ",", "*", "-o", "~>")  # the symbols a respaced case spaces anew
 LARGE_GRID = ((2, 5), (2, 6), (3, 4), (3, 5))
-RANDOM_SETS = 300  # random premise sets, by `random.Random` seed
+RANDOM_SETS = 1000  # random premise sets, by `random.Random` seed
+CHAINS = (12, 40)  # modifier chain lengths
+CHAIN_MODES = ((), ("--trace",), ("--json", "--trace"))
 
 
 def cases():
     """Yield (case id, output) for every case, with the gluesem on sys.path."""
-    from gluesem import cli, parse_fstructure, parse_lexicon
+    from gluesem import parse_fstructure, parse_lexicon
     from gluesem.prover import search
+    from search_inputs import (
+        PINS, RANDOM_GOAL, deep_clause, grid_cells, grid_fstructure, pinned_case, premise_set,
+    )
+    import workloads
 
     for fs in sorted((ROOT / "tests" / "fixtures").glob("*.fs")):
         for mode in MODES:
-            argv = ["derive", "--fstructure", f"tests/fixtures/{fs.name}",
-                    "--lexicon", "tests/fixtures/core.lex", *mode]
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli.main(argv)
-            yield (
-                " ".join(["derive", fs.name, *mode]),
-                f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}",
-            )
-
-    from search_inputs import (
-        PINS, RANDOM_GOAL, grid_cells, grid_fstructure, pinned_case, premise_set,
-    )
-    import workloads
+            yield " ".join(["derive", fs.name, *mode]), _derived(f"tests/fixtures/{fs.name}", mode)
+    with tempfile.TemporaryDirectory(prefix="gluesem-chain-") as tmp:
+        for k in CHAINS:
+            path = Path(tmp, "chain.fs")
+            path.write_text(deep_clause(k), encoding="utf-8")
+            for mode in CHAIN_MODES:
+                yield " ".join(["derive", f"chain k={k}", *mode]), _derived(str(path), mode)
 
     lexicon = parse_lexicon((ROOT / "tests" / "fixtures" / "core.lex").read_text(encoding="utf-8"))
     redexes = _with_redexes(lexicon)
@@ -147,6 +149,18 @@ def cases():
         for spacing in ("dropped", "doubled"):
             text = _respaced(lexicon_text, symbol, spacing)
             yield f"spaces around {symbol!r} {spacing}", _parsed(".lex", text)
+
+
+def _derived(fstructure: str, mode) -> str:
+    """What `gluesem derive` prints for `fstructure` with `core.lex` in
+    `mode`: stdout, stderr and exit status."""
+    from gluesem import cli
+
+    argv = ["derive", "--fstructure", fstructure, "--lexicon", "tests/fixtures/core.lex", *mode]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}"
 
 
 def _respaced(text: str, symbol: str, spacing: str) -> str:

@@ -1,8 +1,8 @@
 """Search inputs that the tests and `differential.py` share: the scope grid's
-f-structures, the premise sets pinned in `fixtures/golden/trace_pins.json`
-and the seeded random premise sets. It imports neither pytest nor
-Hypothesis, so the differential's matrix builds under any interpreter that
-runs gluesem."""
+and the modifier chain's f-structures, the premise sets pinned in
+`fixtures/golden/trace_pins.json` and the seeded random premise sets. It
+imports neither pytest nor Hypothesis, so the differential's matrix builds
+under any interpreter that runs gluesem."""
 
 from __future__ import annotations
 
@@ -44,6 +44,13 @@ def grid_fstructure(q: int, k: int) -> str:
 
 def grid_cells():
     return [(q, k) for q in range(4) for k in range(4) if q + k >= 2]
+
+
+def deep_clause(k: int) -> str:
+    """`appoint` with `k` `obviously` modifiers (the modifier chain): a flat
+    clause (nesting depth 2) whose derivation is `k` + 1 focuses deep."""
+    mods = "; ".join(f"m{i}:[PRED 'obviously']" for i in range(k))
+    return f"f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary']; MODS {{ {mods} }}]\n"
 
 
 # ---------------------------------------------------------------------------

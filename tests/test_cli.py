@@ -17,6 +17,7 @@ from gluesem.cli import RunConfig, main, run
 from gluesem.lexer import MAX_NESTING
 
 from conftest import FIXTURES
+from search_inputs import deep_clause
 from test_fstruct import reference_chain
 
 
@@ -512,13 +513,6 @@ def test_closed_output_pipe_exits_1_without_a_traceback(fs_name):
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
-
-
-def deep_clause(k: int) -> str:
-    """`appoint` with `k` `obviously` modifiers: a flat clause (nesting
-    depth 2) whose derivation is `k` + 1 focuses deep."""
-    mods = "; ".join(f"m{i}:[PRED 'obviously']" for i in range(k))
-    return f"f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary']; MODS {{ {mods} }}]\n"
 
 
 def derive_in_a_fresh_interpreter(tmp_path, fstructure: str, *extra):

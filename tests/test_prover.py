@@ -47,7 +47,7 @@ from gluesem.terms import (
 
 from conftest import FIXTURES
 from oracles import enumerate_readings
-from search_inputs import grid_cells, grid_fstructure
+from search_inputs import deep_clause, grid_cells, grid_fstructure
 
 CORE = (FIXTURES / "core.lex").read_text(encoding="utf-8")
 
@@ -812,10 +812,7 @@ def test_unify_consistent_with_derived_scope(lexicon, everyone_fs):
 
 
 def obviously_appoint(k: int):
-    mods = "; ".join(f"m{i}:[PRED 'obviously']" for i in range(k))
-    return parse_fstructure(
-        f"f:[PRED 'appoint'; SUBJ g:[PRED 'Bill']; OBJ h:[PRED 'Hillary']; MODS {{ {mods} }}]"
-    )
+    return parse_fstructure(deep_clause(k))
 
 
 def counted_prove_atom_calls(monkeypatch) -> list:
