@@ -10,6 +10,11 @@ are nested f-structures, quoted symbols (`'appoint'`), bare identifiers
 (`every`), or sets `{ m:[...]; n:[...] }`. A bare identifier that names a
 label defined elsewhere in the same document is a re-entrant reference to
 that node; re-entrancy is carried through but nothing in scope exploits it.
+
+The parser reads the tokenizer's kind and text lists directly: each routine
+takes the index of its first token and its nesting depth, and returns the
+index after what it read. A bare identifier's slot is filled once every
+label is known.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .errors import MissingAttributeError
-from .lexer import IDENTIFIER, Tokens, tokenize
+from .lexer import IDENTIFIER, MAX_NESTING, Tokens, expected, too_deep, tokenize
 from .node import Node
 
 _IDENTIFIER = re.compile(IDENTIFIER)
@@ -101,87 +106,103 @@ def resolve_path(root: FStructure, path) -> object:
 
 def parse_fstructure(text: str, source: str | None = None) -> FStructure:
     ts = tokenize(text, source)
+    if ts.kinds[0] != "IDENT":
+        expected(ts, 0, "an f-structure label")
     parser = _Parser(ts)
-    ts.expect("IDENT", "an f-structure label")
-    root = parser.parse_node(0)
-    if not ts.at_end():
-        ts.fail(f"unexpected {ts.text()!r} after f-structure")
+    root, pos = parser.parse_node(0, 0)
+    if ts.kinds[pos] != "EOF":
+        ts.fail(f"unexpected {ts.texts[pos]!r} after f-structure", pos)
     parser.resolve_references()
     return root
 
 
 class _Parser:
+    """Reads nodes at token indices it is given, and returns the index after
+    what it read."""
+
     def __init__(self, ts: Tokens):
         self.ts = ts
+        self.kinds = ts.kinds
+        self.texts = ts.texts
         self.labels: dict[str, FStructure] = {}
         # (container, attribute, set index or None, token index) for each
         # bare identifier, which stands in its slot until every label is known
         self.deferred: list[tuple[FStructure, str, int | None, int]] = []
 
-    def items(self, close: str):
-        """Yield the index of each `;`-separated item of a list ending in
-        `close` (a trailing `;` is allowed); the caller parses the item."""
-        ts = self.ts
-        index = 0
-        while not ts.accept(close):
-            yield index
-            if not ts.accept(";"):
-                ts.expect(close)
-                return
-            index += 1
-
-    def parse_node(self, at: int) -> FStructure:
+    def parse_node(self, at: int, depth: int) -> tuple[FStructure, int]:
         """The node labelled by the token at index `at`, read from the `:`
-        that follows it."""
-        ts = self.ts
-        label = ts.texts[at]
-        ts.descend("f-structures", at)
-        ts.expect(":")
+        that follows it, `depth` levels deep; its attributes are `;`-separated
+        (a trailing `;` is allowed)."""
+        ts, kinds = self.ts, self.kinds
+        label = self.texts[at]
+        if depth == MAX_NESTING:
+            too_deep(ts, at, "f-structures")
+        if kinds[at + 1] != ":":
+            expected(ts, at + 1, "':'")
         if label in self.labels:
             ts.fail(f"duplicate label '{label}'", at)
         node = self.labels[label] = FStructure(label)
-        ts.expect("[")
-        for _ in self.items("]"):
-            self.parse_attr(node)
-        ts.ascend()
-        return node
+        if kinds[at + 2] != "[":
+            expected(ts, at + 2, "'['")
+        pos = at + 3
+        while kinds[pos] != "]":
+            pos = self.parse_attr(node, pos, depth)
+            if kinds[pos] == ";":
+                pos += 1
+            elif kinds[pos] != "]":
+                expected(ts, pos, "']'")
+        return node, pos + 1
 
-    def parse_attr(self, node: FStructure):
-        ts = self.ts
-        attribute = ts.expect("IDENT", "an attribute name").upper()
+    def parse_attr(self, node: FStructure, pos: int, depth: int) -> int:
+        ts, kinds = self.ts, self.kinds
+        if kinds[pos] != "IDENT":
+            expected(ts, pos, "an attribute name")
+        attribute = self.texts[pos].upper()
         if attribute in node.attrs:
-            ts.fail(f"duplicate attribute {attribute} in '{node.label}'", ts.pos - 1)
-        if ts.peek() == "QUOTED":
-            value = ts.next()
-        elif ts.accept("{"):
+            ts.fail(f"duplicate attribute {attribute} in '{node.label}'", pos)
+        pos += 1
+        kind = kinds[pos]
+        if kind == "QUOTED":
+            value = self.texts[pos]
+            pos += 1
+        elif kind == "IDENT":
+            value, pos = self.parse_ident(node, attribute, None, pos, depth)
+        elif kind == "{":
             members = []
-            for index in self.items("}"):
-                if not ts.accept("IDENT"):
-                    ts.fail("set members must be f-structures or label references")
-                members.append(self.parse_ident(node, attribute, index))
+            pos += 1
+            while kinds[pos] != "}":
+                if kinds[pos] != "IDENT":
+                    ts.fail("set members must be f-structures or label references", pos)
+                member, pos = self.parse_ident(node, attribute, len(members), pos, depth)
+                members.append(member)
+                if kinds[pos] == ";":
+                    pos += 1
+                elif kinds[pos] != "}":
+                    expected(ts, pos, "'}'")
             value = tuple(members)
-        elif ts.accept("IDENT"):
-            value = self.parse_ident(node, attribute, None)
+            pos += 1
         else:
-            ts.fail(f"expected a value for attribute {attribute}")
+            ts.fail(f"expected a value for attribute {attribute}", pos)
         node.attrs[attribute] = value
+        return pos
 
-    def parse_ident(self, container: FStructure, attribute: str, index: int | None):
-        """A node if `:` follows the identifier just read; else None, which
-        holds the slot of a deferred reference. `index` places a set member
-        in its set."""
-        at = self.ts.pos - 1
-        if self.ts.peek() == ":":
-            node = self.parse_node(at)
+    def parse_ident(
+        self, container: FStructure, attribute: str, index: int | None, at: int, depth: int
+    ) -> tuple[FStructure | None, int]:
+        """A node if `:` follows the identifier at index `at`; else None,
+        which holds the slot of a deferred reference. `index` places a set
+        member in its set."""
+        if self.kinds[at + 1] == ":":
+            node, pos = self.parse_node(at, depth + 1)
             if index is not None:
                 node.mod_container = container
-            return node
+            return node, pos
         self.deferred.append((container, attribute, index, at))
-        return None
+        return None, at + 1
 
     def resolve_references(self):
         for container, attribute, index, at in self.deferred:
-            name = self.ts.texts[at]
+            name = self.texts[at]
             if index is None:
                 # Attribute position: a known label is a re-entrant reference,
                 # anything else is an atomic symbol (e.g. SPEC every).

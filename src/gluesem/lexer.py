@@ -5,23 +5,31 @@ punctuation marks, and identifiers (a letter, then letters, digits and `_`).
 Spaces, newlines and `#` comments to the end of the line separate them.
 Symbols are tried before identifiers, so `_a` is `_`, `a`.
 
-One compiled scan reads a text: a single `findall`, run in C, returns each
-token with the blanks and comments before it skipped inside the match, and
-the kinds and texts go into two parallel lists. No position is computed.
-Only an error asks for a token's line and column, and they are worked out
-then from the same scan, run again match by match up to that token: its
-offset, turned into a line and column by counting newlines. A text with no
+One compiled scan reads a text: a single `findall`, run in C, returns the
+text of each token, with the blanks and comments before it skipped inside
+the match. The scan has one group, so that list is the texts themselves,
+and a character outside every token comes back as "". A symbol's kind is its
+text, looked up in one `map` run in C, and any other token is an identifier,
+except in a text holding a quote: there the tokens that start with one are
+marked quoted and lose their quotes. No position is computed. Only an
+error asks for a token's line and column, and they are worked out then from
+the same scan, run again match by match up to that token: its offset,
+turned into a line and column by counting newlines. A text with no
 tokenization (a stray character, a word that starts with a digit or another
 numeric character like `²`, an unterminated quote) raises the error at its
 first bad token.
 
-The result, `Tokens`, is every parser's cursor and nothing else.
+The result, `Tokens`, holds the kind and text lists and works out positions
+for errors; it has no cursor. Each parser keeps its place in a local index,
+which it takes and returns, and passes its nesting depth down the same way.
+`expected` and `too_deep` raise the errors every parser shares.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import NoReturn
 
 from .errors import SyntaxErrorAt
@@ -35,31 +43,31 @@ _SYMBOL = r"->|-o|~>|[()\[\]{};:,.\\*^_]"
 # template into words with it too.
 IDENTIFIER = r"[^\W\d_]\w*"
 
-# One match per token, after the blanks and comments before it. A token lands
-# in the group of its kind: a symbol, the inside of a quoted symbol, an
-# identifier, or any other single character (an error, or the end marker).
-_SCAN = re.compile(rf"\s*(?:#[^\n]*\s*)*(?:({_SYMBOL})|'([^'\n]*)'|({IDENTIFIER})|([\s\S]))")
+# One match per token, after the blanks and comments before it. The one
+# group holds a symbol, a quoted symbol with its quotes, or an identifier; any
+# other single character (an error, or the end marker) is matched outside it,
+# so `findall` gives it as "", which no token's text is.
+_SCAN = re.compile(rf"\s*(?:#[^\n]*\s*)*(?:({_SYMBOL}|'[^'\n]*'|{IDENTIFIER})|[\s\S])")
 # Appended to every scanned text: the newline ends a comment on the last
 # line, and the NUL is the last match, so every match before it is contiguous.
 _END = "\n\0"
-_KINDS = frozenset(("->", "-o", "~>", *r"()[]{};:,.\*^_", "IDENT", "QUOTED", "EOF"))
+# The kind of each token text that is a symbol; any other text is an
+# identifier or, if it starts with a quote, a quoted symbol.
+_KINDS = {symbol: symbol for symbol in ("->", "-o", "~>", *r"()[]{};:,.\*^_")}
+_FIRST = itemgetter(slice(1))  # a text's first character, "" for ""
 
 
 class Tokens:
     """The tokens of one text as parallel `kinds` and `texts` lists that end
-    in EOF, and the parsers' cursor over them (`pos`, `depth`). `accept` and
-    `expect` compare kinds and return the token's text. The parsers look past
-    the current token only when it is not EOF and advance only past tokens
-    they have matched, so every index stays in bounds."""
+    in EOF. Each parser keeps its own index into them and looks past a token
+    only when it is not EOF, so every index stays in bounds."""
 
-    __slots__ = ("kinds", "texts", "source", "pos", "depth", "_text", "_start")
+    __slots__ = ("kinds", "texts", "source", "_text", "_start")
 
     def __init__(self, kinds, texts, text, source, start):
         self.kinds = kinds
         self.texts = texts
         self.source = source
-        self.pos = 0
-        self.depth = 0
         self._text = text
         self._start = start  # (line, column) at which the text begins
 
@@ -68,83 +76,60 @@ class Tokens:
         tracer reports as `lexer.tokens`)."""
         return len(self.kinds)
 
-    def peek(self, offset: int = 0) -> str:
-        """The kind of the token `offset` places ahead."""
-        return self.kinds[self.pos + offset]
-
-    def text(self) -> str:
-        return self.texts[self.pos]
-
-    def next(self) -> str:
-        self.pos += 1
-        return self.texts[self.pos - 1]
-
-    def accept(self, kind: str) -> str | None:
-        """The current token's text, stepping past it, if it is a `kind`;
-        else None. Only a QUOTED text can be empty."""
-        if self.kinds[self.pos] != kind:
-            return None
-        self.pos += 1
-        return self.texts[self.pos - 1]
-
-    def expect(self, kind: str, what: str | None = None) -> str:
-        if self.kinds[self.pos] != kind:
-            found = "end of input" if self.kinds[self.pos] == "EOF" else repr(self.texts[self.pos])
-            self.fail(f"expected {what or repr(kind)}, found {found}")
-        self.pos += 1
-        return self.texts[self.pos - 1]
-
-    def at_end(self) -> bool:
-        return self.kinds[self.pos] == "EOF"
-
-    def descend(self, what: str, at: int | None = None):
-        """Open one nesting level (a group, an operand, a binder) at the token
-        index `at`; `what` names the construct in the error raised past
-        MAX_NESTING levels."""
-        if self.depth == MAX_NESTING:
-            self.fail(f"{what} nest deeper than {MAX_NESTING} levels", at)
-        self.depth += 1
-
-    def ascend(self, levels: int = 1):
-        self.depth -= levels
-
-    def position(self, at: int | None = None) -> tuple[int, int]:
-        """The line and column of the token at index `at` (default: the
-        current one), from the scan run again up to it."""
+    def position(self, at: int) -> tuple[int, int]:
+        """The line and column of the token at index `at`, from the scan run
+        again up to it."""
         text = self._text
-        match = next(islice(_SCAN.finditer(text + _END), self.pos if at is None else at, None))
-        # A token starts where its group does, a quoted one at the quote
-        # before its group; EOF at the end of the text, past any trailing
-        # blanks and comment, not at the end marker.
-        group = match.lastindex
-        offset = min(match.start(group) - (group == 2), len(text))
+        match = next(islice(_SCAN.finditer(text + _END), at, None))
+        # A token starts where its group does, a quoted one at its quote; a
+        # character outside the group at its own place, EOF at the end of the
+        # text, past any trailing blanks and comment, not at the end marker.
+        offset = match.start(1)
+        if offset < 0:
+            offset = min(match.end() - 1, len(text))
         line, col = self._start
         newlines = text.count("\n", 0, offset)
         if not newlines:
             return line, col + offset
         return line + newlines, offset - text.rfind("\n", 0, offset)
 
-    def fail(self, message: str, at: int | None = None) -> NoReturn:
+    def fail(self, message: str, at: int) -> NoReturn:
         raise SyntaxErrorAt(message, *self.position(at), self.source)
+
+
+def expected(ts: Tokens, at: int, what: str) -> NoReturn:
+    """Fail at the token at index `at`, which is not the `what` expected."""
+    found = "end of input" if ts.kinds[at] == "EOF" else repr(ts.texts[at])
+    ts.fail(f"expected {what}, found {found}", at)
+
+
+def too_deep(ts: Tokens, at: int, what: str) -> NoReturn:
+    """Fail at the token at index `at`, which opens a construct (named by
+    `what`) one level deeper than MAX_NESTING."""
+    ts.fail(f"{what} nest deeper than {MAX_NESTING} levels", at)
 
 
 def tokenize(text: str, source: str | None = None, line: int = 1, col: int = 1) -> Tokens:
     """Tokens of `text`, positioned as if it began at `line`:`col` of `source`."""
-    found = _SCAN.findall(text + _END)
-    kinds = [symbol or (word and "IDENT") or other or "QUOTED" for symbol, _, word, other in found]
+    texts = _SCAN.findall(text + _END)
+    kinds = list(map(_KINDS.get, texts, repeat("IDENT")))
     kinds[-1] = "EOF"  # the end marker
-    texts = [symbol or word or quoted for symbol, quoted, word, _ in found]
     tokens = Tokens(kinds, texts, text, source, (line, col))
-    if not _KINDS.issuperset(kinds) or (
-        not text.isascii() and not all(word[0].isalpha() for _, _, word, _ in found if word)
-    ):
-        # A stray character or quote, or a numeric that `[^\W\d_]` lets
-        # start a word: the error stands at the first.
-        index, bad = next(
-            (i, kind if kind not in _KINDS else texts[i][0])
-            for i, kind in enumerate(kinds)
-            if kind not in _KINDS or kind == "IDENT" and not texts[i][0].isalpha()
-        )
-        message = "unterminated quoted symbol" if bad == "'" else f"unexpected character {bad!r}"
-        tokens.fail(message, index)
+    # A stray character or quote, outside the group, or a numeric that
+    # `[^\W\d_]` lets start a word: the error stands at the first.
+    bad = texts.index("")
+    if not text.isascii():
+        bad = next((i for i, word in enumerate(texts[:bad]) if word[0].isnumeric()), bad)
+    if bad < len(texts) - 1:
+        # a character outside the group ends its match
+        char = texts[bad][:1] or next(islice(_SCAN.finditer(text + _END), bad, None))[0][-1]
+        message = "unterminated quoted symbol" if char == "'" else f"unexpected character {char!r}"
+        tokens.fail(message, bad)
+    if "'" in text:
+        firsts = "".join(map(_FIRST, texts))
+        quoted = firsts.find("'")
+        while quoted >= 0:
+            kinds[quoted] = "QUOTED"
+            texts[quoted] = texts[quoted][1:-1]
+            quoted = firsts.find("'", quoted + 1)
     return tokens

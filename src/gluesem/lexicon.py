@@ -30,13 +30,20 @@ above them. Fewer leaves mean a word naming a constant was read as a binder,
 keyword, type or path attribute, or under a binder of its name; each
 class-mate has such a word at the same place, so every later one is parsed
 in full. Errors therefore come only from the parser, with their own line and
-column, which are worked out only for an error. Each constant line's type is
-parsed once per type text.
+column, which are worked out only for an error. The template parser reads
+the tokenizer's kind and text lists at an index it takes and returns, and
+hands that index and its nesting depth to the type and term parsers.
+
+A constant line is read by one regular-expression match into its name and
+its type text; a line that starts with the keyword and does not match is
+an error, reported at the name. Each type text is tokenized and parsed once
+per `parse_lexicon` call, and shared by every constant declared with it.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
 from .errors import (
     MissingAttributeError,
@@ -46,7 +53,7 @@ from .errors import (
 )
 from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, PathRef, SemVar, Tensor
 from .fstruct import FStructure, resolve_path, sigma
-from .lexer import IDENTIFIER, Tokens, tokenize
+from .lexer import IDENTIFIER, MAX_NESTING, Tokens, expected, too_deep, tokenize
 from .node import Node
 from .semtypes import SemType, parse_type_at
 from .terms import App, Const, Lam
@@ -56,11 +63,13 @@ _HEADWORD = re.compile(r"^[A-Za-z][A-Za-z0-9_-]*$")
 # A word of a template's text: an identifier, as the tokenizer reads one,
 # except after a `-`, so the `o` of `-o` is no word.
 _SPLIT = re.compile(rf"(?<!-)({IDENTIFIER})")
-_CONSTANT_NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _UNREAD = object()  # the constant paths of a shape not yet reused
 # A constant line: the part before its first `:`, right-stripped, starts with
 # the keyword and a blank (a headword named `constant` stands alone there).
 _CONSTANT_KEYWORD = re.compile(r"\s*constant\s")
+# A constant line that is well formed up to its type text: the keyword, the
+# constant's name, and the first `:`, after which the type text starts.
+_CONSTANT = re.compile(r"\s*constant\s+([A-Za-z][A-Za-z0-9_]*)\s*:")
 
 
 class LexicalEntry(Node):
@@ -82,16 +91,32 @@ class Lexicon(dict):
 
 def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
     lexicon = Lexicon()
+    signature = lexicon.signature
     types: dict[str, SemType] = {}  # each constant line's type, by its text
     entries_pending: list[tuple[list[str], str, str, int]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line:
             continue
+        constant = _CONSTANT.match(line)
+        if constant:
+            name = constant[1]
+            if name in signature:
+                message = f"duplicate constant '{name}'"
+                raise SyntaxErrorAt(message, lineno, constant.start(1) + 1, source)
+            type_part = line[constant.end():]
+            ty = types.get(type_part)
+            if ty is None:
+                ts = tokenize(type_part, source, lineno, constant.end() + 1)
+                ty, pos = parse_type_at(ts, 0)
+                if ts.kinds[pos] != "EOF":
+                    ts.fail("trailing input after type", pos)
+                types[type_part] = ty
+            signature[name] = ty
+            continue
         head_part, colon, template_part = line.partition(":")
         if _CONSTANT_KEYWORD.match(head_part.rstrip()):
-            _parse_constant_line(line, lineno, lexicon, types, source)
-            continue
+            _constant_line_error(line, lineno, source)
         if not colon:
             raise SyntaxErrorAt("expected 'headword: template'", lineno, 1, source)
         words = [part.strip() for part in head_part.split(",")]
@@ -101,7 +126,6 @@ def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
             raise SyntaxErrorAt(f"bad headword {words[k]!r}", lineno, column, source)
         # Constants may be declared anywhere in the file; parse templates after.
         entries_pending.append((words, template_part, line, lineno))
-    signature = lexicon.signature
     # shape -> [its first template, where that holds its constants (read at
     # the first reuse)], or None once every template of it is parsed
     shapes: dict[tuple, list | None] = {}
@@ -147,128 +171,147 @@ def _headword_column(line: str, k: int) -> int:
     return _column(line, sum(len(part) + 1 for part in parts[:k]))
 
 
-def _parse_constant_line(line: str, lineno: int, lexicon: Lexicon, types, source):
+def _constant_line_error(line: str, lineno: int, source: str | None) -> NoReturn:
+    """Raise the error of a constant line that `_CONSTANT` does not read:
+    it has no `:`, or no constant name before its first."""
     after = line.index("constant") + len("constant")  # errors stand at the name
     if ":" not in line:
         message = "expected 'constant name : type'"
         raise SyntaxErrorAt(message, lineno, _column(line, after), source)
-    name_part, type_part = line[after:].split(":", 1)
-    name = name_part.strip()
-    if not _CONSTANT_NAME.match(name):
-        raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, _column(line, after), source)
-    if name in lexicon.signature:
-        raise SyntaxErrorAt(f"duplicate constant '{name}'", lineno, _column(line, after), source)
-    ty = types.get(type_part)
-    if ty is None:
-        ts = tokenize(type_part, source, lineno, len(line) - len(type_part) + 1)
-        ty = parse_type_at(ts)
-        if not ts.at_end():
-            ts.fail("trailing input after type")
-        types[type_part] = ty
-    lexicon.signature[name] = ty
+    name = line[after:].split(":", 1)[0].strip()
+    raise SyntaxErrorAt(f"bad constant name {name!r}", lineno, _column(line, after), source)
 
 
 class _TemplateParser:
+    """Reads a template's formulas at token indices it is given, each
+    `depth` levels deep, and returns the index after what it read."""
+
     def __init__(self, ts: Tokens, signature: dict[str, SemType]):
         self.ts = ts
+        self.kinds = ts.kinds
+        self.texts = ts.texts
         self.signature = signature
         self.meaning_scope: dict[str, SemType] = {}
         self.sem_scope: set[str] = set()
 
     def parse_template(self) -> GlueFormula:
-        template = self.parse_formula()
-        if not self.ts.at_end():
-            self.ts.fail(f"unexpected {self.ts.text()!r} after template")
+        template, pos = self.parse_formula(0, 0)
+        if self.kinds[pos] != "EOF":
+            self.ts.fail(f"unexpected {self.texts[pos]!r} after template", pos)
         return template
 
-    def parse_formula(self) -> GlueFormula:
+    def parse_formula(self, pos: int, depth: int) -> tuple[GlueFormula, int]:
         """A `forall`, or units joined by `*` (right-associative), then an
         optional `-o` and the formula it implies."""
-        ts = self.ts
-        if ts.peek() == "IDENT" and ts.text() == "forall":
-            return self.parse_forall()
-        units = [self.parse_unit()]
-        while ts.accept("*"):
-            ts.descend("formulas", ts.pos - 1)
-            units.append(self.parse_unit())
-        ts.ascend(len(units) - 1)
-        formula = units.pop()
+        kinds = self.kinds
+        if kinds[pos] == "IDENT" and self.texts[pos] == "forall":
+            return self.parse_forall(pos + 1, depth)
+        formula, pos = self.parse_unit(pos, depth)
+        units = []  # the units before the last
+        inner = depth
+        while kinds[pos] == "*":
+            if inner == MAX_NESTING:
+                too_deep(self.ts, pos, "formulas")
+            inner += 1
+            units.append(formula)
+            formula, pos = self.parse_unit(pos + 1, inner)
         while units:
             formula = Tensor(units.pop(), formula)
-        if ts.accept("-o"):
-            ts.descend("formulas", ts.pos - 1)
-            formula = Limp(formula, self.parse_formula())
-            ts.ascend()
-        return formula
+        if kinds[pos] != "-o":
+            return formula, pos
+        if depth == MAX_NESTING:
+            too_deep(self.ts, pos, "formulas")
+        consequent, pos = self.parse_formula(pos + 1, depth + 1)
+        return Limp(formula, consequent), pos
 
-    def parse_forall(self) -> GlueFormula:
-        self.ts.next()  # 'forall'
+    def parse_forall(self, pos: int, depth: int) -> tuple[GlueFormula, int]:
+        """The binders after a `forall` at `pos - 1`, then its body."""
+        ts, kinds = self.ts, self.kinds
         binders: list[object] = []
         while True:
-            name = self.ts.expect("IDENT", "a quantifier variable")
-            at = self.ts.pos - 1
+            if kinds[pos] != "IDENT":
+                expected(ts, pos, "a quantifier variable")
+            name = self.texts[pos]
+            at = pos
             if name in self.meaning_scope or name in self.sem_scope:
-                self.ts.fail(f"variable '{name}' already bound", at)
-            if self.ts.accept(":"):
-                ty = parse_type_at(self.ts)
+                ts.fail(f"variable '{name}' already bound", at)
+            if kinds[pos + 1] == ":":
+                ty, pos = parse_type_at(ts, pos + 2, depth)
                 binders.append(MeaningVar(name, ty))
                 self.meaning_scope[name] = ty
             else:
+                pos += 1
                 binders.append(SemVar(name))
                 self.sem_scope.add(name)
-            self.ts.descend("formulas", at)
-            if not self.ts.accept(","):
+            if depth == MAX_NESTING:
+                too_deep(ts, at, "formulas")
+            depth += 1
+            if kinds[pos] != ",":
                 break
-        self.ts.expect(".")
-        body = self.parse_formula()
-        self.ts.ascend(len(binders))
+            pos += 1
+        if kinds[pos] != ".":
+            expected(ts, pos, "'.'")
+        body, pos = self.parse_formula(pos + 1, depth)
         for binder in reversed(binders):
             body = Forall(binder, body)
             if isinstance(binder, MeaningVar):
                 del self.meaning_scope[binder.name]
             else:
                 self.sem_scope.discard(binder.name)
-        return body
+        return body, pos
 
-    def parse_unit(self) -> GlueFormula:
+    def parse_unit(self, pos: int, depth: int) -> tuple[GlueFormula, int]:
         """An atom, or a formula in parentheses. An atom's structure
         expression is `^`, a bound structure variable, `(^ PATH)` or
         `(mod ^)`; a `(` opens one of the last two or a group, told apart by
         the tokens after it (`(^ ~>` opens a group whose first atom is on
         `^`)."""
-        ts = self.ts
-        if ts.accept("^"):
+        ts, kinds = self.ts, self.kinds
+        kind = kinds[pos]
+        if kind == "^":
             sem = PathRef("up")
-        elif not ts.accept("("):
-            name = ts.expect("IDENT", "a structure expression")
+            pos += 1
+        elif kind != "(":
+            if kind != "IDENT":
+                expected(ts, pos, "a structure expression")
+            name = self.texts[pos]
             if name not in self.sem_scope:
-                ts.fail(f"unbound structure variable '{name}'", ts.pos - 1)
+                ts.fail(f"unbound structure variable '{name}'", pos)
             sem = SemVar(name)
-        elif ts.peek() == "^" and ts.peek(1) != "~>":
-            ts.pos += 1
+            pos += 1
+        elif kinds[pos + 1] == "^" and kinds[pos + 2] != "~>":
+            pos += 2
             path = []
-            while name := ts.accept("IDENT"):
-                path.append(name.upper())
-            ts.expect(")")
+            while kinds[pos] == "IDENT":
+                path.append(self.texts[pos].upper())
+                pos += 1
+            if kinds[pos] != ")":
+                expected(ts, pos, "')'")
             sem = PathRef("up", tuple(path))
-        elif ts.peek() == "IDENT" and ts.text() == "mod" and ts.peek(1) == "^":
-            ts.pos += 2  # 'mod' '^'
-            ts.expect(")")
+            pos += 1
+        elif kinds[pos + 1] == "IDENT" and self.texts[pos + 1] == "mod" and kinds[pos + 2] == "^":
+            if kinds[pos + 3] != ")":
+                expected(ts, pos + 3, "')'")
             sem = PathRef("mod")
+            pos += 4
         else:
-            ts.descend("formulas", ts.pos - 1)
-            inner = self.parse_formula()
-            ts.ascend()
-            ts.expect(")")
-            return inner
-        ts.expect("~>")
+            if depth == MAX_NESTING:
+                too_deep(ts, pos, "formulas")
+            inner, pos = self.parse_formula(pos + 1, depth + 1)
+            if kinds[pos] != ")":
+                expected(ts, pos, "')'")
+            return inner, pos + 1
+        if kinds[pos] != "~>":
+            expected(ts, pos, "'~>'")
         explicit: SemType | None = None
-        if ts.accept("_"):
-            explicit = parse_type_at(ts)
-        meaning, meaning_ty = parse_term_at(ts, self.signature, self.meaning_scope)
+        if kinds[pos + 1] == "_":
+            explicit, pos = parse_type_at(ts, pos + 2, depth)
+        else:
+            pos += 1
+        meaning, meaning_ty, pos = parse_term_at(ts, pos, depth, self.signature, self.meaning_scope)
         if explicit is not None and explicit != meaning_ty:
-            ts.fail(f"type index {explicit} conflicts with meaning type {meaning_ty}")
-        return Atom(sem, explicit if explicit is not None else meaning_ty, meaning)
+            ts.fail(f"type index {explicit} conflicts with meaning type {meaning_ty}", pos)
+        return Atom(sem, explicit if explicit is not None else meaning_ty, meaning), pos
 
 
 def _const_paths(node):

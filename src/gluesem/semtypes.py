@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .lexer import Tokens, tokenize
+from .lexer import MAX_NESTING, Tokens, expected, too_deep, tokenize
 from .node import Node
 
 
@@ -44,25 +44,32 @@ def arrow(*types: SemType) -> SemType:
 def parse_type(text: str) -> SemType:
     """Parse `e`, `t`, `e -> t`, `(e -> t) -> t` (arrows right-associative)."""
     ts = tokenize(text)
-    ty = parse_type_at(ts)
-    if not ts.at_end():
-        ts.fail(f"unexpected {ts.text()!r} in type")
+    ty, pos = parse_type_at(ts, 0)
+    if ts.kinds[pos] != "EOF":
+        ts.fail(f"unexpected {ts.texts[pos]!r} in type", pos)
     return ty
 
 
-def parse_type_at(ts: Tokens) -> SemType:
-    """Parse a type at the current position: a base type or a parenthesised
-    type, then an optional `->` and the type it points to."""
-    if ts.accept("("):
-        ts.descend("types", ts.pos - 1)
-        left = parse_type_at(ts)
-        ts.ascend()
-        ts.expect(")")
+def parse_type_at(ts: Tokens, pos: int, depth: int = 0) -> tuple[SemType, int]:
+    """The type at token index `pos`, `depth` levels deep, and the index
+    after it: a base type or a parenthesised type, then an optional `->` and
+    the type it points to."""
+    kinds = ts.kinds
+    if kinds[pos] == "(":
+        if depth == MAX_NESTING:
+            too_deep(ts, pos, "types")
+        left, pos = parse_type_at(ts, pos + 1, depth + 1)
+        if kinds[pos] != ")":
+            expected(ts, pos, "')'")
+        pos += 1
+    elif kinds[pos] == "IDENT":
+        left = BaseType(ts.texts[pos])
+        pos += 1
     else:
-        left = BaseType(ts.expect("IDENT", "a type"))
-    if ts.accept("->"):
-        ts.descend("types", ts.pos - 1)
-        right = parse_type_at(ts)
-        ts.ascend()
-        return ArrowType(left, right)
-    return left
+        expected(ts, pos, "a type")
+    if kinds[pos] != "->":
+        return left, pos
+    if depth == MAX_NESTING:
+        too_deep(ts, pos, "types")
+    right, pos = parse_type_at(ts, pos + 1, depth + 1)
+    return ArrowType(left, right), pos

@@ -8,13 +8,16 @@ One recursive descent reads, resolves and types a term: each identifier is
 resolved at its token (binders, then `env`, then the signature), an
 unannotated binder gets a type variable, and each argument is unified with
 its function's type as soon as it is read. Once the whole term is read, the
-solved type variables are substituted into the binders (zonking).
+solved type variables are substituted into the binders (zonking). Like
+every parser, it reads the tokenizer's kind and text lists at an index it
+takes and returns, and takes its nesting depth from its caller, so a term
+inside a template counts the template's levels too.
 """
 
 from __future__ import annotations
 
 from .errors import TermTypeError, UnboundVariableError
-from .lexer import Tokens, tokenize
+from .lexer import MAX_NESTING, Tokens, expected, too_deep, tokenize
 from .semtypes import ArrowType, SemType, parse_type_at
 from .terms import App, BoundVar, Const, Lam, MeaningTerm, Var
 
@@ -36,28 +39,33 @@ def parse_term(
     """Parse and type a term; free names resolve via env (variables) then
     signature (constants)."""
     ts = tokenize(text, source)
-    term, _ = parse_term_at(ts, signature, env)
-    if not ts.at_end():
-        ts.fail(f"unexpected {ts.text()!r} after term")
+    term, _, pos = parse_term_at(ts, 0, 0, signature, env)
+    if ts.kinds[pos] != "EOF":
+        ts.fail(f"unexpected {ts.texts[pos]!r} after term", pos)
     return term
 
 
 def parse_term_at(
     ts: Tokens,
+    pos: int,
+    depth: int,
     signature: dict[str, SemType],
     env: dict[str, SemType] | None = None,
-) -> tuple[MeaningTerm, SemType]:
-    """The term at the current position and its type."""
+) -> tuple[MeaningTerm, SemType, int]:
+    """The term at token index `pos`, `depth` levels deep, its type, and the
+    index after it."""
     parser = _TermParser(ts, signature, env or {})
-    term, ty = parser.parse()
+    term, ty, pos = parser.parse(pos, depth)
     if parser.binder_at:  # annotated binders already hold their final types
         term = parser.zonk_term(term)
-    return term, parser.zonk_type(ty)
+    return term, parser.zonk_type(ty), pos
 
 
 class _TermParser:
     def __init__(self, ts: Tokens, signature, env):
         self.ts = ts
+        self.kinds = ts.kinds
+        self.texts = ts.texts
         self.signature = signature
         self.env = env
         self.binders: list[tuple[str, SemType]] = []  # innermost last
@@ -65,39 +73,47 @@ class _TermParser:
         self.counter = 0
         self.binder_at = {}  # type-variable ident -> its unannotated binder's token index
 
-    def parse(self) -> tuple[MeaningTerm, SemType]:
+    def parse(self, pos: int, depth: int) -> tuple[MeaningTerm, SemType, int]:
         """A lambda, or a parenthesised term or a name applied to each of the
         argument lists after it."""
-        ts = self.ts
-        if ts.accept("\\"):
-            lam_at = ts.pos - 1
-            name = ts.expect("IDENT", "a variable name")
-            if ts.accept(":"):
-                var_ty = parse_type_at(ts)
+        ts, kinds = self.ts, self.kinds
+        if kinds[pos] == "\\":
+            lam_at = pos
+            if kinds[pos + 1] != "IDENT":
+                expected(ts, pos + 1, "a variable name")
+            name = self.texts[pos + 1]
+            if kinds[pos + 2] == ":":
+                var_ty, pos = parse_type_at(ts, pos + 3, depth)
             else:
                 var_ty = self.fresh()
                 self.binder_at[var_ty.ident] = lam_at + 1  # the name's token
-            ts.expect(".")
-            ts.descend("meaning terms", lam_at)
+                pos += 2
+            if kinds[pos] != ".":
+                expected(ts, pos, "'.'")
+            if depth == MAX_NESTING:
+                too_deep(ts, lam_at, "meaning terms")
             self.binders.append((name, var_ty))
-            body, body_ty = self.parse()
+            body, body_ty, pos = self.parse(pos + 1, depth + 1)
             self.binders.pop()
-            ts.ascend()
-            return Lam(var_ty, body, name), ArrowType(var_ty, body_ty)
-        if ts.accept("("):
-            ts.descend("meaning terms", ts.pos - 1)
-            fun, fun_ty = self.parse()
-            ts.ascend()
-            ts.expect(")")
+            return Lam(var_ty, body, name), ArrowType(var_ty, body_ty), pos
+        if kinds[pos] == "(":
+            if depth == MAX_NESTING:
+                too_deep(ts, pos, "meaning terms")
+            fun, fun_ty, pos = self.parse(pos + 1, depth + 1)
+            if kinds[pos] != ")":
+                expected(ts, pos, "')'")
+        elif kinds[pos] == "IDENT":
+            fun, fun_ty = self._lookup(pos)
         else:
-            fun, fun_ty = self._lookup(ts.expect("IDENT", "a term"))
-        levels = 0  # each argument list nests the application one level deeper
-        while ts.accept("("):
-            open_at = ts.pos - 1
-            ts.descend("meaning terms", open_at)
-            levels += 1
+            expected(ts, pos, "a term")
+        pos += 1
+        while kinds[pos] == "(":  # each argument list nests the application one level deeper
+            open_at = pos
+            if depth == MAX_NESTING:
+                too_deep(ts, open_at, "meaning terms")
+            depth += 1
             while True:
-                arg, arg_ty = self.parse()
+                arg, arg_ty, pos = self.parse(pos + 1, depth)
                 try:
                     fun_ty = self.apply(fun_ty, arg_ty)
                 except TermTypeError as exc:
@@ -106,15 +122,17 @@ class _TermParser:
                         f"ill-typed application at line {line}, column {column}: {exc}"
                     ) from exc
                 fun = App(fun, arg)
-                if not ts.accept(","):
+                if kinds[pos] != ",":
                     break
-            ts.expect(")")
-        ts.ascend(levels)
-        return fun, fun_ty
+            if kinds[pos] != ")":
+                expected(ts, pos, "')'")
+            pos += 1
+        return fun, fun_ty, pos
 
-    def _lookup(self, name: str) -> tuple[MeaningTerm, SemType]:
-        """The variable or constant `name`, just read, stands for: a binder,
-        then `env`, then the signature."""
+    def _lookup(self, at: int) -> tuple[MeaningTerm, SemType]:
+        """The variable or constant the name at token index `at` stands for:
+        a binder, then `env`, then the signature."""
+        name = self.texts[at]
         for index, (bound, ty) in enumerate(reversed(self.binders)):
             if bound == name:
                 return BoundVar(index), ty
@@ -122,7 +140,7 @@ class _TermParser:
             return Var(name, self.env[name]), self.env[name]
         if name in self.signature:
             return Const(name, self.signature[name]), self.signature[name]
-        line, column = self.ts.position(self.ts.pos - 1)
+        line, column = self.ts.position(at)
         raise UnboundVariableError(f"unknown name '{name}' at line {line}, column {column}")
 
     def apply(self, fun_ty: SemType, arg_ty: SemType) -> SemType:

@@ -34,6 +34,11 @@ built from the working tree's inputs, so only the package differs:
   `same_shape.lex` appended (many templates of one shape), cut at every 7th
   character and parsed: the parsed f-structure or lexicon, or the error's
   class and text, which holds its line and column;
+- token deletions: the same texts and two seed-1 `corpus` f-structures (a
+  3-place verb with two quantifiers and a modifier, a 1-place verb with
+  neither), each with one token deleted, at every 5th token: the same. A
+  deletion leaves the text around it, so the error comes from the middle of
+  the input, not from its end;
 - respaced templates: `core.lex` with `same_shape.lex` appended, plus a copy
   of each entry under new headwords with the spaces around one of `(`, `,`,
   `*`, `-o` or `~>` dropped, or doubled, in its template: the parsed lexicon,
@@ -79,6 +84,13 @@ MODES = (
 SEEDS = (1, 2, 3)
 ALL_TRACES = ("corpus", "failures")  # workloads also run with `all_traces`
 CUT_EVERY = 7  # characters between the cuts of a malformed-input case
+DELETE_EVERY = 5  # tokens between the deletions of a token-deletion case
+# The headers of the seed-1 `corpus` f-structures a token-deletion case reads
+DELETED_CORPUS = ("# corpus 3-place, q=2, k=1", "# corpus 1-place, q=0, k=0")
+# A token of the inputs, found here so that both sides delete the same text:
+# a quoted symbol, a two-character symbol, a word, or any other character;
+# a comment is matched to be skipped.
+_TOKEN = re.compile(r"#[^\n]*|'[^'\n]*'|->|-o|~>|\w+|\S")
 RESPACED = ("(", ",", "*", "-o", "~>")  # the symbols a respaced case spaces anew
 LARGE_GRID = ((2, 5), (2, 6), (3, 4), (3, 5))
 RANDOM_SETS = 1000  # random premise sets, by `random.Random` seed
@@ -143,6 +155,17 @@ def cases():
     for name, text in texts.items():
         for cut in range(0, len(text), CUT_EVERY):
             yield f"{name} cut at {cut}", _parsed(Path(name).suffix, text[:cut])
+    sentences = workloads.corpus(1).sentences
+    for header in DELETED_CORPUS:
+        texts[f"corpus seed 1 {header[2:]}.fs"] = next(
+            s.text for s in sentences if s.text.startswith(header)
+        )
+    for name, text in texts.items():
+        spans = [m.span() for m in _TOKEN.finditer(text) if m[0][0] != "#"]
+        for n in range(0, len(spans), DELETE_EVERY):
+            start, end = spans[n]
+            deleted = text[:start] + text[end:]
+            yield f"{name} token {n} deleted", _parsed(Path(name).suffix, deleted)
 
     lexicon_text = texts["core.lex + same_shape.lex"]
     for symbol in RESPACED:

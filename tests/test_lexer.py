@@ -1,11 +1,16 @@
-"""Tokenizer: kinds, texts and positions, and the characters it rejects."""
+"""Tokenizer: kinds, texts and positions, and the characters it rejects;
+and the position of each parser's errors."""
 
 from __future__ import annotations
 
 import pytest
 
 from gluesem.errors import SyntaxErrorAt
+from gluesem.fstruct import parse_fstructure
 from gluesem.lexer import tokenize
+from gluesem.lexicon import parse_lexicon
+from gluesem.semtypes import E, T, arrow, parse_type
+from gluesem.termsyntax import parse_term
 
 # (text, start line, start column, tokens as (kind, text, line, column));
 # the last token is always EOF.
@@ -91,3 +96,45 @@ def test_rejected_characters_are_reported_where_they_stand(text, line, col, mess
         tokenize(text, "t", line, col)
     assert str(err.value) == message
 
+
+
+# (parser, text, error including its position): an error each parser raises
+# at a token index of its own, in a branch that deleting one token from a
+# well-formed input does not reach. Every text is parsed with the source
+# name "in".
+PARSER_ERRORS = [
+    (parse_fstructure, "f:[PRED 'a';\n  SUBJ g:[PRED 'b'];\n  OBJ g:[PRED 'c']]",
+     "in:3:7: duplicate label 'g'"),
+    (parse_fstructure, "f:[PRED 'a';\n  SUBJ g:[PRED 'b'; pred 'c']]",
+     "in:2:21: duplicate attribute PRED in 'g'"),
+    (parse_fstructure, "f:[PRED 'a'] ]", "in:1:14: unexpected ']' after f-structure"),
+    (parse_fstructure, "f:[PRED 'a'; MODS { m:[PRED 'b']; 'c' }]",
+     "in:1:35: set members must be f-structures or label references"),
+    (parse_fstructure, "f:[PRED 'a'; SUBJ ;]", "in:1:19: expected a value for attribute SUBJ"),
+    (parse_lexicon,
+     "constant Bill : e\nconstant see : e -> e -> t\nsee: forall X:e, Y:e, X:e. ^ ~> see(X, Y)",
+     "in:3:23: variable 'X' already bound"),
+    (parse_lexicon, "constant Bill : e\nb: forall H. forall H. H ~> Bill",
+     "in:2:21: variable 'H' already bound"),
+    (parse_lexicon, "constant Bill : e\nb: G ~> Bill", "in:2:4: unbound structure variable 'G'"),
+    (parse_lexicon, "constant Bill : e\nb: ^ ~>_t Bill -o ^ ~> Bill",
+     "in:2:16: type index t conflicts with meaning type e"),
+    (parse_lexicon, "constant Bill : e\n  constant sleep : e -> t) -> t\nb: ^ ~> Bill",
+     "in:2:26: trailing input after type"),
+    (lambda text, source: parse_term(text, {"f": arrow(E, T), "a": E}, source=source),
+     "f(a) a", "in:1:6: unexpected 'a' after term"),
+    (lambda text, _: parse_type(text), "e -> t)", "1:7: unexpected ')' in type"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,text,message",
+    PARSER_ERRORS,
+    ids=["duplicate-label", "duplicate-attribute", "after-f-structure", "set-member",
+         "missing-value", "rebound-meaning", "rebound-structure", "unbound-structure",
+         "type-index", "after-type", "after-term", "in-type"],
+)
+def test_parser_errors_stand_at_their_tokens(parse, text, message):
+    with pytest.raises(SyntaxErrorAt) as err:
+        parse(text, "in")
+    assert str(err.value) == message

@@ -394,9 +394,9 @@ def test_the_corpus_lexicon_parses_each_template_shape_once(workloads, monkeypat
             counts["templates"] += 1
             super().__init__(*args)
 
-    def counting_parse_type_at(ts):
+    def counting_parse_type_at(*args):
         counts["types"] += 1
-        return parse_type_at(ts)
+        return parse_type_at(*args)
 
     def counting_tokenize(*args):
         counts["tokenize"] += 1
