@@ -47,7 +47,18 @@ from .lexicon import (
 )
 from .prover import Goal, Reading, TraceStep, derive, entails, prop, unify
 from .diagnostics import Demand, Diagnosis, Leftover, diagnose
-from .cli import RunConfig, run
 from . import errors
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The command-line driver's names; it imports argparse and json, which a
+# library caller never needs, so it is imported when one is first read.
+_CLI_NAMES = ("RunConfig", "run")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + [*_CLI_NAMES, "cli"])
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import terms
 from .fstruct import SemStructure
 from .node import Node
-from .semtypes import SemType
+from .semtypes import BaseType
 from .terms import MeaningTerm, Var
 
 
@@ -133,7 +133,10 @@ def flatten_tensor(formula: GlueFormula) -> list[GlueFormula]:
 def format_formula(formula: GlueFormula) -> str:
     kind = type(formula)
     if kind is Atom:
-        return f"{formula[1]} ~>_{_fmt_index(formula[2])} {terms.format_term(formula[3])}"
+        _, sem, ty, meaning = formula
+        sem = sem[1] + "_σ" if type(sem) is SemStructure else str(sem)  # as its __str__
+        ty = ty[1] if type(ty) is BaseType else f"({ty})"  # an arrow
+        return sem + " ~>_" + ty + " " + terms.format_term(meaning)
     if kind is Tensor:
         return f"{_wrap(formula[1])} * {_wrap(formula[2])}"
     if kind is Limp:
@@ -145,11 +148,6 @@ def format_formula(formula: GlueFormula) -> str:
             formula = formula[2]
         return f"forall {', '.join(binders)}. {format_formula(formula)}"
     return repr(formula)
-
-
-def _fmt_index(ty: SemType) -> str:
-    text = str(ty)
-    return f"({text})" if " " in text else text
 
 
 def _wrap(formula: GlueFormula) -> str:

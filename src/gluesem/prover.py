@@ -121,6 +121,7 @@ from __future__ import annotations
 import copy
 import itertools
 
+from . import formulas
 from .errors import (
     GlueError,
     NonPatternError,
@@ -184,7 +185,7 @@ class TraceStep(Node, atom=None, bindings=()):
         if word:
             text += f" {word}"
         if atom is not None:
-            text += f": {atom}"
+            text += ": " + formulas.format_formula(atom)
         if bindings:
             # Bindings are already beta-normal: subterms of normal closed
             # meanings, or abstractions of them that create no redex.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import TermTypeError, UnboundVariableError
 from .node import Node
-from .semtypes import ArrowType, SemType
+from .semtypes import ArrowType, BaseType, SemType
 
 
 class MeaningTerm(Node):
@@ -356,7 +356,14 @@ _FORMATTED_BOUND = 512
 def format_term(term: MeaningTerm) -> str:
     """The term as text. A binder is annotated with its type (`\\x:e. x`)
     unless its variable occurs as an argument of an application headed by a
-    name, whose type then fixes the binder's when the text is read back.
+    name, whose type then fixes the binder's when the text is read back. A
+    binder prints as its hint, or else as the first of hint1, hint2, ...
+    that is no name of the term and no enclosing binder's name; a bound
+    variable with no binder in the term prints as `#index`.
+
+    One walk prints the term, learning the term's names as it meets them; a
+    second walk, with every name known, runs only when a binder took a name
+    met later in the first.
 
     The text of the last few hundred term objects printed is remembered,
     keyed by the object's identity, so a term printed again (a reading's
@@ -369,65 +376,63 @@ def format_term(term: MeaningTerm) -> str:
         return entry[1]
     used: set[str] = set()
     chosen: list[str] = []
-    text = _fmt(term, [], used, chosen)
+    text = _fmt(term, [], [], used, chosen)
     if not used.isdisjoint(chosen):
         # A binder took a name met only later in the walk: print again, with
         # every name of the term in `used` from the start.
-        text = _fmt(term, [], used, chosen)
+        text = _fmt(term, [], [], used, chosen)
     if len(_FORMATTED) >= _FORMATTED_BOUND:
         _FORMATTED.clear()
     _FORMATTED[id(term)] = (term, text)
     return text
 
 
-def _pick_name(hint: str, used, binders) -> str:
-    """`hint`, or else the first of hint1, hint2, ... that is neither a name
-    in `used` nor an enclosing binder's name."""
-    name, i = hint, 0
-    while name in used or any(b[0] == name for b in binders):
-        i += 1
-        name = f"{hint}{i}"
-    return name
-
-
-def _fmt(t, binders, used, chosen, named_arg=False) -> str:
-    # `binders` holds each enclosing binder, innermost last, as [name, whether
-    # its variable occurred as an argument of a name-headed application];
-    # `named_arg` says whether `t` is such an argument. Each name printed is
-    # added to `used` and each binder name picked to `chosen`. A name that
-    # `used` rejects is a name of the term, so the picks are those of the
-    # whole term's names unless some pick is met later in the walk.
+def _fmt(t, names, flags, used, chosen, named_arg=False) -> str:
+    # `names` holds the enclosing binders' names, innermost last, and
+    # `flags`, beside it, whether each binder's variable occurred as an
+    # argument of a name-headed application; `named_arg` says whether `t` is
+    # such an argument. Each name printed is added to `used` and each binder
+    # name picked to `chosen`. A name that `used` rejects is a name of the
+    # term, so the picks are those of the whole term's names unless some pick
+    # is met later in the walk.
     kind = type(t)
     if kind is App:
         args = []
         while type(t) is App:
             args.append(t[2])
             t = t[1]
-        args.reverse()
-        head_s = _fmt(t, binders, used, chosen)
-        head_kind = type(t)
-        if head_kind is Lam:
-            head_s = f"({head_s})"
-        named = head_kind is not Lam and head_kind is not BoundVar
-        return f"{head_s}({', '.join([_fmt(a, binders, used, chosen, named) for a in args])})"
+        kind = type(t)
+        text = _fmt(t, names, flags, used, chosen)
+        if kind is Lam:
+            text = "(" + text + ")"
+        named = kind is not Lam and kind is not BoundVar
+        sep = "("
+        for arg in reversed(args):
+            text += sep + _fmt(arg, names, flags, used, chosen, named)
+            sep = ", "
+        return text + ")"
     if kind is Lam:
-        name = _pick_name(t[3], used, binders)
+        hint = name = t[3]
+        i = 0
+        while name in used or name in names:
+            i += 1
+            name = hint + str(i)
         chosen.append(name)
-        binder = [name, False]
-        binders.append(binder)
-        body_s = _fmt(t[2], binders, used, chosen)
-        binders.pop()
-        if not binder[1]:
-            name += f":{t[1]}"
-        return f"\\{name}. {body_s}"
+        names.append(name)
+        flags.append(False)
+        body = _fmt(t[2], names, flags, used, chosen)
+        names.pop()
+        if not flags.pop():
+            ty = t[1]
+            name += ":" + (ty[1] if type(ty) is BaseType else str(ty))
+        return "\\" + name + ". " + body
     if kind is BoundVar:
         index = t[1]
-        if index < len(binders):
-            binder = binders[-1 - index]
+        if index < len(names):
             if named_arg:
-                binder[1] = True
-            return binder[0]
-        return f"#{index}"
+                flags[-1 - index] = True
+            return names[-1 - index]
+        return "#" + str(index)
     if kind is Const or kind is Var or kind is HypConst:
         used.add(t[1])
         return t[1]

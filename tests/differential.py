@@ -24,6 +24,11 @@ built from the working tree's inputs, so only the package differs:
   each reading's meaning and its trace lines;
 - `RANDOM_SETS` of the seeded random premise sets of `search_inputs.py`:
   the same, from `search` for the goal f;
+- `PRINTED_TERMS` of the seeded random meaning terms of `search_inputs.py`,
+  whose binder hints collide with each other and with the term's names:
+  `format_term` of the term and of an abstraction's body under its leading
+  binders (where their variables dangle), and `format_formula` of an atom
+  holding the term;
 - the cases pinned in `fixtures/golden/trace_pins.json`, whose tensor heads
   derive resources (`[d4]`): every trace line;
 - the `corpus`, `scope_grid` and `failures` workloads of
@@ -94,6 +99,7 @@ _TOKEN = re.compile(r"#[^\n]*|'[^'\n]*'|->|-o|~>|\w+|\S")
 RESPACED = ("(", ",", "*", "-o", "~>")  # the symbols a respaced case spaces anew
 LARGE_GRID = ((2, 5), (2, 6), (3, 4), (3, 5))
 RANDOM_SETS = 1000  # random premise sets, by `random.Random` seed
+PRINTED_TERMS = 500  # random meaning terms, by `random.Random` seed
 CHAINS = (12, 40)  # modifier chain lengths
 CHAIN_MODES = ((), ("--trace",), ("--json", "--trace"))
 
@@ -131,6 +137,8 @@ def cases():
         yield f"random premise set {n}", _lines(lambda: search(premise_list, RANDOM_GOAL), False)
     for name in sorted(PINS):
         yield f"pin {name}", json.dumps(pinned_case(name, lexicon), ensure_ascii=False, indent=1)
+    for n in range(PRINTED_TERMS):
+        yield f"random term {n}", _printed(n)
 
     for name, build in workloads.WORKLOADS.items():
         for seed in SEEDS:
@@ -184,6 +192,26 @@ def _derived(fstructure: str, mode) -> str:
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(argv)
     return f"{out.getvalue()}--- stderr\n{err.getvalue()}--- exit {code}"
+
+
+def _printed(n: int) -> str:
+    """The seed-`n` random meaning term printed alone, then, if it is an
+    abstraction, the body under its leading binders, and the term printed in
+    an atom."""
+    from gluesem.formulas import Atom, format_formula
+    from gluesem.terms import Lam, format_term
+    from search_inputs import PRINTER_STRUCTURES, printer_term
+
+    term, ty = printer_term(random.Random(n))
+    lines = [format_term(term)]
+    body = term
+    while type(body) is Lam:
+        body = body.body
+    if body is not term:
+        lines.append(format_term(body))
+    structure = PRINTER_STRUCTURES[n % len(PRINTER_STRUCTURES)]
+    lines.append(format_formula(Atom(structure, ty, term)))
+    return "\n".join(lines)
 
 
 def _respaced(text: str, symbol: str, spacing: str) -> str:

@@ -1,8 +1,9 @@
 """Search inputs that the tests and `differential.py` share: the scope grid's
 and the modifier chain's f-structures, the premise sets pinned in
-`fixtures/golden/trace_pins.json` and the seeded random premise sets. It
-imports neither pytest nor Hypothesis, so the differential's matrix builds
-under any interpreter that runs gluesem."""
+`fixtures/golden/trace_pins.json`, the seeded random premise sets and the
+seeded random meaning terms for the printer. It imports neither pytest nor
+Hypothesis, so the differential's matrix builds under any interpreter that
+runs gluesem."""
 
 from __future__ import annotations
 
@@ -10,12 +11,14 @@ import itertools
 import json
 from pathlib import Path
 
-from gluesem.formulas import Atom, Forall, Limp, MeaningVar, Tensor
+from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor
 from gluesem.fstruct import SemStructure, parse_fstructure, sigma
 from gluesem.lexicon import Premise, premises
 from gluesem.prover import Goal, derive
 from gluesem.semtypes import E, T, arrow
-from gluesem.terms import App, Const, Var, apply
+from gluesem.terms import App, Const, Lam, Var, apply
+
+from oracles import named_to_core, random_named_term, random_type
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -238,3 +241,32 @@ def premise_set(choose) -> list[Premise]:
         else:
             atom(sem, ty)
     return [Premise(i, formula, word, "") for i, (word, formula) in enumerate(made, 1)]
+
+
+# Random meaning terms for the printer: well typed over the oracle's
+# signature, with free variables named like binders, and binder hints drawn
+# from a small pool that holds constant names of that signature, names with
+# digit suffixes (the names the printer freshens to) and, more than once,
+# the hint `x`, so that binders collide with each other, with free names and
+# with names met only after them.
+PRINTER_HINTS = ("x", "x", "x1", "x2", "y", "a0", "f1", "p0")
+PRINTER_FREE = (("x", E), ("x1", T), ("y", arrow(E, T)))
+PRINTER_STRUCTURES = (f, SemVar("H"), PathRef("up", ("SUBJ",)), PathRef("mod"))
+
+
+def printer_term(rng):
+    """A meaning term drawn by the seeded `random.Random` `rng`, whose free
+    variables are among `PRINTER_FREE`, and its type."""
+    ty = rng.choice([random_type(rng, 2), arrow(E, T), arrow(E, E, T), arrow(T, T)])
+    named = random_named_term(rng, ty, PRINTER_FREE, depth=6)
+    return _hinted(named_to_core(named), rng.choice), ty
+
+
+def _hinted(t, choose):
+    """`t` with each binder's hint drawn by `choose` from `PRINTER_HINTS`."""
+    kind = type(t)
+    if kind is App:
+        return App(_hinted(t.fun, choose), _hinted(t.arg, choose))
+    if kind is Lam:
+        return Lam(t.var_type, _hinted(t.body, choose), choose(PRINTER_HINTS))
+    return t

@@ -17,7 +17,7 @@ import pytest
 from gluesem.cli import RunConfig
 from gluesem.diagnostics import Demand, Diagnosis, Leftover
 from gluesem.errors import GlueError, SyntaxErrorAt, TermTypeError, UnboundVariableError
-from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor
+from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor, format_formula
 from gluesem.fstruct import SemStructure
 from gluesem.lexicon import LexicalEntry, Premise
 from gluesem.node import Node
@@ -235,6 +235,63 @@ MET_AFTER_BINDER = [
 @pytest.mark.parametrize("term, text", MET_AFTER_BINDER, ids=["in-body", "later-argument", "hint1-taken"])
 def test_format_binder_avoids_a_name_met_after_it(term, text):
     assert terms.format_term(term) == text
+
+
+_P, _G = Const("p", arrow(E, T)), Const("g", arrow(E, E, T))
+
+# A binder keeps its type annotation unless its variable occurs as an
+# argument of an application headed by a name, even if it also occurs
+# elsewhere; an index with no binder in the term prints as `#index`.
+PRINTER_CORNERS = [
+    (App(Lam(E, App(_P, BoundVar(0)), "x"), Const("a", E)), "(\\x. p(x))(a)"),
+    (Lam(E, BoundVar(0), "x"), "\\x:e. x"),
+    (Lam(arrow(E, T), App(BoundVar(0), Const("a", E)), "P"), "\\P:e -> t. P(a)"),
+    (
+        Lam(E, Lam(arrow(E, T), App(BoundVar(0), BoundVar(1)), "P"), "x"),
+        "\\x:e. \\P:e -> t. P(x)",
+    ),
+    (Lam(E, App(Lam(E, App(_P, BoundVar(0)), "y"), BoundVar(0)), "x"), "\\x:e. (\\y. p(y))(x)"),
+    (
+        Lam(E, Lam(arrow(E, T), App(_P, App(BoundVar(0), BoundVar(1))), "P"), "x"),
+        "\\x:e. \\P:e -> t. p(P(x))",
+    ),
+    (
+        Lam(E, Lam(arrow(E, T), apply(_G, BoundVar(1), App(BoundVar(0), BoundVar(1))), "P"), "x"),
+        "\\x. \\P:e -> t. g(x, P(x))",
+    ),
+    (App(_P, BoundVar(0)), "p(#0)"),
+    (Lam(E, apply(_G, BoundVar(0), BoundVar(2)), "x"), "\\x. g(x, #2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "term, text",
+    PRINTER_CORNERS,
+    ids=[
+        "abstraction-head", "bare", "head-only", "bound-headed-argument",
+        "abstraction-headed-argument", "under-bound-head", "named-and-bound-headed-argument",
+        "dangling", "dangling-under-binder",
+    ],
+)
+def test_format_annotations_and_dangling_indices(term, text):
+    assert terms.format_term(term) == text
+
+
+@pytest.mark.parametrize(
+    "structure, ty, text",
+    [
+        (SemStructure("f"), arrow(E, T), "f_σ ~>_(e -> t) \\x. p(x)"),
+        (SemStructure("f"), arrow(arrow(E, T), T), "f_σ ~>_((e -> t) -> t) \\x. p(x)"),
+        (SemVar("H"), E, "H ~>_e \\x. p(x)"),
+        (PathRef("up"), T, "^ ~>_t \\x. p(x)"),
+        (PathRef("up", ("SUBJ", "OBJ")), T, "(^ SUBJ OBJ) ~>_t \\x. p(x)"),
+        (PathRef("mod"), T, "(mod ^) ~>_t \\x. p(x)"),
+    ],
+)
+def test_format_formula_prints_an_atoms_structure_and_index(structure, ty, text):
+    # The index and structure are printed whatever the meaning's type.
+    atom = Atom(structure, ty, Lam(E, App(_P, BoundVar(0)), "x"))
+    assert format_formula(atom) == str(atom) == text
 
 
 @pytest.mark.parametrize("first", ["x", "y"])
@@ -698,6 +755,21 @@ def test_importing_the_package_does_not_import_dataclasses():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "False\n"
+
+
+def test_importing_the_package_leaves_the_command_line_driver_unimported():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import gluesem; "
+        "assert gluesem.__file__.startswith(sys.path[0]), gluesem.__file__; "
+        "print(sorted({'argparse', 'gluesem.cli'} & set(sys.modules))); "
+        "from gluesem.cli import RunConfig, run; "
+        "print(gluesem.run is run, gluesem.RunConfig is RunConfig, 'run' in gluesem.__all__)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\nTrue True True\n"
 
 
 def test_the_package_holds_nothing_that_python_O_strips():
