@@ -38,6 +38,13 @@ A constant line is read by one regular-expression match into its name and
 its type text; a line that starts with the keyword and does not match is
 an error, reported at the name. Each type text is tokenized and parsed once
 per `parse_lexicon` call, and shared by every constant declared with it.
+
+Parsing compiles nothing. `premises` compiles each entry's template at its
+first instantiation through a lexicon (see `formulas.compile_formula`),
+with its paths as slots, and keeps it in the lexicon; every instantiation
+resolves the slots at its node and fills them. A template's faults are
+found by that compile but raised only by the search, for the first faulty
+premise in index order, so a lexicon with an unused faulty entry works.
 """
 
 from __future__ import annotations
@@ -51,7 +58,19 @@ from .errors import (
     SyntaxErrorAt,
     UninstantiableEntryError,
 )
-from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, PathRef, SemVar, Tensor
+from .formulas import (
+    Atom,
+    Compiled,
+    Forall,
+    GlueFormula,
+    Limp,
+    MeaningVar,
+    PathRef,
+    SemVar,
+    Tensor,
+    compile_formula,
+    fill,
+)
 from .fstruct import FStructure, resolve_path, sigma
 from .lexer import IDENTIFIER, MAX_NESTING, Tokens, expected, too_deep, tokenize
 from .node import Node
@@ -82,11 +101,14 @@ class LexicalEntry(Node):
 
 class Lexicon(dict):
     """Map from each headword of an entry line to its LexicalEntry, plus the
-    constant signature used to type meaning terms."""
+    constant signature used to type meaning terms, and `compiled`: for each
+    entry instantiated so far, by its headword, its template and the
+    template compiled at its first instantiation (see `premises`)."""
 
     def __init__(self):
         super().__init__()
         self.signature: dict[str, SemType] = {}
+        self.compiled: dict[str, tuple[GlueFormula, Compiled]] = {}
 
 
 def parse_lexicon(text: str, source: str | None = None) -> Lexicon:
@@ -360,22 +382,14 @@ def _rename(node, paths, names):
 def instantiate(entry: LexicalEntry, node: FStructure) -> GlueFormula:
     """Resolve the template's paths at `node` and sigma-project them; the
     result is a closed formula with the template's connective shape."""
-    return _resolved(entry.template, entry, node)
+    compiled = compile_formula(entry.template, template=True)
+    return fill(entry.template, _slot_values(compiled, entry, node))
 
 
-def _resolved(formula: GlueFormula, entry: LexicalEntry, node: FStructure) -> GlueFormula:
-    match formula:
-        case Atom(sem, ty, meaning):
-            if isinstance(sem, PathRef):
-                return Atom(_resolve_ref(sem, entry, node), ty, meaning)
-            return formula
-        case Tensor(left, right):
-            return Tensor(_resolved(left, entry, node), _resolved(right, entry, node))
-        case Limp(antecedent, consequent):
-            return Limp(_resolved(antecedent, entry, node), _resolved(consequent, entry, node))
-        case Forall(var, body):
-            return Forall(var, _resolved(body, entry, node))
-    return formula
+def _slot_values(compiled: Compiled, entry: LexicalEntry, node: FStructure) -> dict:
+    """Each slot of the compiled template of `entry` resolved at `node`;
+    the first that cannot be raises `UninstantiableEntryError`."""
+    return {ref: _resolve_ref(ref, entry, node) for ref in compiled.slots}
 
 
 def _resolve_ref(ref: PathRef, entry: LexicalEntry, node: FStructure):
@@ -424,8 +438,16 @@ def entry_key(node: FStructure) -> str | None:
 
 def premises(root: FStructure, lexicon: Lexicon) -> tuple[Premise, ...]:
     """One instantiated premise per word occurrence (PRED-bearing node,
-    including each MODS member), in document order."""
+    including each MODS member), in document order. Each template is
+    compiled at its first instantiation through `lexicon` and kept in
+    `lexicon.compiled`, under its headword with the template, which a later
+    entry of that headword must be to share it; after that, instantiating
+    it only resolves its slots and fills them. The tuple also holds, for
+    the search, each premise with its compiled template and slot values
+    (see `Premises`)."""
     out: list[Premise] = []
+    instances = []
+    compiled_entries = lexicon.compiled
     for node in root.nodes():
         key = entry_key(node)
         if key is None:
@@ -433,6 +455,26 @@ def premises(root: FStructure, lexicon: Lexicon) -> tuple[Premise, ...]:
         entry = lexicon.get(key)
         if entry is None:
             raise MissingEntryError(key, node.label)
-        formula = instantiate(entry, node)
-        out.append(Premise(len(out) + 1, formula, entry.headword, node.label))
-    return tuple(out)
+        template = entry.template
+        kept = compiled_entries.get(entry.headword)
+        if kept is not None and kept[0] is template:
+            compiled = kept[1]
+        else:
+            # A compile is idempotent and one store is atomic, so threads
+            # that compile the same template at once store equal values.
+            compiled = compile_formula(template, template=True)
+            compiled_entries[entry.headword] = (template, compiled)
+        values = _slot_values(compiled, entry, node)
+        premise = Premise(len(out) + 1, fill(template, values), entry.headword, node.label)
+        out.append(premise)
+        instances.append((premise, compiled, values))
+    result = Premises(out)
+    result.instances = instances
+    return result
+
+
+class Premises(tuple):
+    """The premises `premises` instantiated, and in `instances`, for each
+    one, (premise, its template's compiled form, the structure each slot
+    names), which the search reads rather than compiling the premise
+    again."""

@@ -18,11 +18,20 @@ its own, solved in a substitution of its own, and its head meaning comes
 back closed. Universal structure variables range over the finite structure
 universe of the analysis.
 
-Set-up reads each premise (and `entails` its consequent) in one walk,
-`_read`, which checks that it is closed and well typed and collects the
-structure universe, the binder names and the polarity table; `_set_up` then
-normalizes its meanings and puts each goal binder's hypothesis constant into
-the binder's body, and after that the search normalizes nothing.
+Set-up walks no premise. What the search reads of a formula that does not
+depend on the sentence is compiled once (`formulas.compile_formula`, after
+Hepple 1996's compilation before search): whether it is closed and well
+typed, its atoms with their polarity, its binder names, its meanings
+normalized with each goal binder's hypothesis constant in the binder's
+body, and its focus skeleton, whose structures are slots. A lexicon
+compiles each template at its first instantiation and keeps it, so
+instantiating it only resolves and fills its path slots; a premise made
+any other way (and `entails`'s consequent) is compiled at search time, as
+a formula with no slots. Set-up reads the compiled forms: it raises the
+first premise's fault, collects the structure universe and the polarity
+table, renames goal binders apart across the sentence (recompiling a
+premise whose binder it renames) and fills each focus skeleton, and after
+that the search normalizes nothing.
 Every substitution it makes is hereditary (Watkins, Cervesato, Pfenning &
 Walker 2002): closed normal values put into a normal meaning can only make
 a redex where a solved metavariable is applied, so only such a spine is
@@ -70,7 +79,7 @@ resource, when it leaves resources unused (the strictness of the
 input/output resource model of Cervesato, Hodas & Pfenning 2000), and
 records no failed atomic goal. The search in every order and `entails` are
 strict from the start. So is the canonical search when the atom count
-balances: `_read` counts each atom +1 where a premise supplies it and -1
+balances: set-up counts each atom +1 where a premise supplies it and -1
 where one demands it, the goal counts -1, and a derivation that uses each
 premise once exists only if every count is 0 (van Benthem's 1991 count
 invariant). Otherwise it turns strict at its first reading, and one that
@@ -113,7 +122,7 @@ called. Derivations are told apart by their unrolled steps. Nothing a trace
 prints depends on the search's history: `_trace` numbers the hypotheses and
 derived resources of each trace by first appearance, and a hypothesis
 constant is its binder's, named after it, and set-up renames the binders
-apart once per search (see `_set_up`).
+apart once per search (see `_Search._claim`).
 """
 
 from __future__ import annotations
@@ -126,12 +135,24 @@ from .errors import (
     GlueError,
     NonPatternError,
     SearchBoundError,
-    TermTypeError,
     UnboundVariableError,
 )
-from .formulas import Atom, Forall, GlueFormula, Limp, MeaningVar, Tensor, flatten_tensor
+from .formulas import (
+    NOT_CLOSED,
+    Atom,
+    Forall,
+    GlueFormula,
+    Limp,
+    MeaningVar,
+    Tensor,
+    at_path,
+    compile_formula,
+    fill,
+    flatten_tensor,
+    focus_skeleton,
+)
 from .fstruct import SemStructure
-from .lexicon import Premise
+from .lexicon import Premise, Premises
 from .node import Node
 from .semtypes import T
 from .terms import (
@@ -143,7 +164,6 @@ from .terms import (
     Var,
     _app,
     _eta,
-    _leaves,
     abstract_over,
     format_term,
     free_vars,
@@ -352,12 +372,13 @@ def _bind(subst, var: Var, term: MeaningTerm, under_binder):
 
 
 class _Search:
-    """One search over `premise_list`. Structure variables range over every
-    structure the premises or `goal_sems` mention. Set-up reads each premise
-    once (`_read`), filling the polarity table `polarity`, then sets it up
-    once (`_set_up`): normalizes its meanings and renames its goal-position
-    meaning binders apart, each with one hypothesis constant (`hyps`, by
-    name) put into its body, which has the binder's name in every reading.
+    """One search over the premises of `premise_set` (see `_instances`).
+    Structure variables range over every structure the premises or
+    `goal_sems` mention. Set-up reads each premise's compiled form once,
+    filling the polarity table `polarity`, and claims its goal-position
+    meaning binders, renamed apart, each with one hypothesis constant
+    (`hyps`, by name, in claim order) in its body, which has the binder's
+    name in every reading.
     A binder is proved at most once on a branch, each occurrence in a
     premise that is focused at most once, so one constant per binder keeps
     hypotheses apart.
@@ -380,32 +401,57 @@ class _Search:
     order and derivations that differ only by swapping twins are explored
     once; `in_every_order` gives the search that explores every order."""
 
-    def __init__(self, premise_list, goal_sems):
-        premise_list = sorted(premise_list, key=lambda p: p.index)
-        for p, q in zip(premise_list, premise_list[1:]):
+    def __init__(self, premise_set, goal_sems):
+        instances = _instances(premise_set)
+        for (p, _, _), (q, _, _) in zip(instances, instances[1:]):
             if p.index == q.index:
                 raise GlueError(f"premises {p.tag()} and {q.tag()} share the index {p.index}")
         sems = set(goal_sems)
-        taken: set[str] = set()
+        taken: set[str] = set()  # every meaning binder's name
         # (structure label, or None for a structure variable; type) ->
         # [tags of the premises that demand it, bits of those that supply it]
         self.polarity: dict[tuple, list] = {}
-        self.counts: dict[tuple, int] = {}  # see `_read`
-        for i, p in enumerate(premise_list):
-            _read(p.formula, p, 1 << i, sems, taken, self.polarity, self.counts)
+        # +1 per supply, -1 per demand, by (structure label, type), or by
+        # (bit, variable, type) on a structure variable, which each premise
+        # binds apart
+        self.counts: dict[tuple, int] = {}
+        for i, (p, compiled, values) in enumerate(instances):
+            if compiled.fault:
+                error = _NotClosed if compiled.fault == NOT_CLOSED else GlueError
+                raise error(f"premise {p.tag()} {compiled.fault}")
+            taken.update(compiled.binders)
+            for sem, ty, positive in compiled.atoms:
+                sem = values.get(sem, sem)
+                label = None
+                if type(sem) is SemStructure:
+                    sems.add(sem)
+                    label = sem.label
+                entry = self.polarity.setdefault((label, ty), [[], 0])
+                if positive:
+                    entry[1] |= 1 << i
+                else:
+                    entry[0].append(p.tag())
+                key = (1 << i, sem, ty) if label is None else (label, ty)
+                self.counts[key] = self.counts.get(key, 0) + (1 if positive else -1)
         self.universe = sorted(sems, key=lambda s: s.label)
         self.registry: list[tuple[GlueFormula, str, int | str, int, int]] = []
         self.focus_tables: list[dict] = []  # by id, as `registry`
-        # Twin classes come from the formulas as written, before set-up.
         classes: dict[tuple, int] = {}  # (formula, word) -> bits of its premises
         self.hyps: dict[str, HypConst] = {}  # goal binder name -> its constant
-        for i, p in enumerate(premise_list):
+        for i, (p, compiled, values) in enumerate(instances):
             twins = classes.get((p.formula, p.word), 0)
             classes[p.formula, p.word] = twins | 1 << i
-            formula = _set_up(p.formula, True, self.hyps, taken)
-            self.registry.append((formula, p.word, p.index, 1 << i, twins))
-            self.focus_tables.append(self._focus(formula, {}))
-        self.premise_mask = (1 << len(premise_list)) - 1
+            names = self._claim(compiled, taken)
+            if names:  # its formula with the binders renamed apart
+                compiled, values = compile_formula(p.formula, names=names), {}
+            if compiled.rebinds:
+                raise GlueError(compiled.rebinds)
+            base = compiled.formula
+            if base is None:  # set up as it is: the premise has its slots filled
+                base, values = p.formula, {}
+            self.registry.append((p.formula, p.word, p.index, 1 << i, twins))
+            self.focus_tables.append(self._focus(compiled.skeleton, base, values))
+        self.premise_mask = (1 << len(instances)) - 1
         self.all_orders = False
         # A derivation that leaves resources unused is worth something only
         # as a failure's evidence: `search` sets this from the start when
@@ -418,8 +464,25 @@ class _Search:
         # of `prove_atom`
         self.table: dict[tuple, list] = {}
 
+    def _claim(self, compiled, taken: set):
+        """Claim the goal binders of `compiled` in `hyps`, in order: a name
+        already claimed becomes the first of `<base>2`, `<base>3`, ... not
+        in `taken`, which it joins, `<base>` being the name without trailing
+        digits. The names claimed, if one was renamed, else None."""
+        names, renamed = [], False
+        for hyp in compiled.claims:
+            name = hyp.name
+            if name in self.hyps:
+                base = name.rstrip("0123456789") or name
+                name = next(f"{base}{n}" for n in itertools.count(2) if f"{base}{n}" not in taken)
+                taken.add(name)
+                hyp, renamed = HypConst(name, hyp.ty, hyp.stamp), True
+            self.hyps[name] = hyp
+            names.append(name)
+        return names if renamed else None
+
     def balances(self, goal: Goal) -> bool:
-        """Whether every atom count (see `_read`) is 0 once `goal` counts
+        """Whether every atom count (see `counts`) is 0 once `goal` counts
         -1: van Benthem's (1991) count invariant, which every derivation that
         uses each premise once satisfies. It decides only how to search."""
         return {k: n for k, n in self.counts.items() if n} == {(goal.sem.label, goal.ty): 1}
@@ -534,8 +597,11 @@ class _Search:
         else "hyp"."""
         if isinstance(formula, Atom):
             consts = hyp_consts(formula.meaning)
-            if consts:
-                return max(consts, key=lambda c: c.stamp).name
+            if len(consts) > 1:
+                order = {name: k for k, name in enumerate(self.hyps)}
+                return max(consts, key=lambda c: (order.get(c.name, -1), c.stamp)).name
+            for const in consts:
+                return const.name
         return "hyp"
 
     def _draw(self, entry, avail) -> int:
@@ -547,7 +613,8 @@ class _Search:
                 return rid
         ids.append(len(self.registry))
         self.registry.append(entry)
-        self.focus_tables.append(self._focus(entry[0], {}))
+        base, skeleton = focus_skeleton(entry[0])
+        self.focus_tables.append(self._focus(skeleton, base, {}))
         return ids[-1]
 
     # -- atomic goals: focus a resource --------------------------------------
@@ -564,12 +631,13 @@ class _Search:
             if avail & earlier:
                 continue  # twins go in index order: an earlier one is available
             entries = self.focus_tables[rid].get((sem, ty), ())
-            for antecedents, head, head_vars, others, displays in entries:
+            for antecedents, head, metas, others, displays in entries:
                 for goals in self._orders(antecedents):
                     for s1, a1, e1 in self.prove(goals, avail ^ 1 << rid, {}, tail):
                         meaning = substitute_normal(head.meaning, s1)
-                        # Bindings are closed: so is a head with every variable bound.
-                        if not s1.keys() >= head_vars and has_leaf(meaning, Var):
+                        # Bindings are closed: so is a head once every
+                        # metavariable is bound.
+                        if not s1.keys() >= metas and has_leaf(meaning, Var):
                             names = ", ".join(sorted(v.name for v in free_vars(meaning)))
                             raise NonPatternError(
                                 f"head of '{word}' still contains metavariable(s) "
@@ -582,137 +650,39 @@ class _Search:
                             e1 = (e1, derived)
                         yield meaning, a1, (e1, rid, head, meaning, displays, s1)
 
-    def _focus(self, formula, table, displays=(), antecedents=()):
-        """`table`, with the focus entries of a resource with `formula` added:
-        for every finite-domain choice of structure variables, its
-        quantifiers and implications stripped and each atomic head component
-        keyed by (structure, type): (antecedents, head, its meaning's free
-        variables, other head components, display bindings), in universe then
-        component order."""
-        match formula:
-            case Forall(var, body):
-                if isinstance(var, MeaningVar):
-                    # A focus solves its metavariables in a substitution of
-                    # its own, so the declared variable serves as one as is,
-                    # provided no inner quantifier shadows it.
-                    meta = Var(var.name, var.ty)
-                    if any(v == meta for _, v in displays):
-                        raise GlueError(f"a premise rebinds the meaning variable {var}")
-                    self._focus(body, table, displays + ((var.name, meta),), antecedents)
-                else:
-                    for sem in self.universe:
-                        instance = body.substitute_sem(var.name, sem)
-                        self._focus(instance, table, displays + ((var.name, sem),), antecedents)
-            case Limp(antecedent, consequent):
-                antecedents = [*antecedents, *flatten_tensor(antecedent)]
-                self._focus(consequent, table, displays, antecedents)
-            case _:
-                components = flatten_tensor(formula)
-                for k, head in enumerate(components):
-                    if isinstance(head, Atom):
-                        rest = components[:k] + components[k + 1 :]
-                        table.setdefault((head.sem, head.ty), []).append(
-                            (antecedents, head, free_vars(head.meaning), rest, displays)
-                        )
+    def _focus(self, skeleton, base, values) -> dict:
+        """The focus table of a resource with the focus `skeleton` over the
+        formula `base` (see `formulas.focus_skeleton`), its slots filled
+        from `values` and its structure variables from every choice of
+        structures in the universe: (antecedents, head, metavariables, other
+        head components, display bindings), keyed by the head's (structure,
+        type), in universe then component order."""
+        semvars, entries = skeleton
+        table: dict[tuple, list] = {}
+        for choice in itertools.product(self.universe, repeat=len(semvars)) if semvars else [()]:
+            slots = values
+            if choice:
+                slots = dict(values)
+                slots.update(zip(semvars, choice))
+            for antecedents, head, metas, others, displays in entries:
+                antecedents = [at_path(base, path) for path in antecedents]
+                head = at_path(base, head)
+                if others:
+                    others = tuple([at_path(base, path) for path in others])
+                if slots:
+                    antecedents = [fill(part, slots) for part in antecedents]
+                    head = fill(head, slots)
+                    others = tuple([fill(part, slots) for part in others])
+                    if choice:
+                        displays = tuple([(n, slots.get(v, v)) for n, v in displays])
+                table.setdefault((head[1], head[2]), []).append(
+                    (antecedents, head, metas, others, displays)
+                )
         return table
 
 
 class _NotClosed(GlueError):
     """A formula holds a template path or a variable no quantifier binds."""
-
-
-def _read(root, who, bit, sems: set, binders: set, polarity, counts):
-    """The one walk set-up makes over the premise `who` (None: the consequent
-    of `entails`), before anything is normalized: an ill-typed term may not
-    halt. Raise `GlueError` at the first atom, left to right, whose structure
-    is neither a semantic structure nor a bound structure variable, whose
-    meaning holds a variable not bound (by name and type) around it, or whose
-    meaning does not have the atom's type index; the search relies on the
-    last, binding a metavariable outside every binder without typechecking
-    the value. Add the structures the atoms name to `sems` and the names of
-    the meaning binders to `binders`; a premise's atoms go in `polarity`,
-    keyed by (structure label, or None for a variable; type): a supply
-    (positive) by `bit`, a demand (in an odd number of antecedents) by the
-    premise's tag. They are also counted in `counts`, +1 for a supply and -1
-    for a demand, keyed by (structure label, type), or by (`bit`, variable,
-    type) on a structure variable, which each premise binds apart."""
-    stack = [(root, True, frozenset())]
-    while stack:
-        formula, positive, bound = stack.pop()
-        kind = type(formula)
-        if kind is Atom:
-            _, sem, ty, meaning = formula
-            label = None
-            if type(sem) is SemStructure:
-                sems.add(sem)
-                label = sem.label
-            if label is None and sem not in bound or any(
-                type(t) is Var and t not in bound for t in _leaves(meaning)
-            ):
-                raise _NotClosed(
-                    f"formula {root} is not closed" if who is None
-                    else f"premise {who.tag()} is not closed"
-                )
-            try:
-                found = typecheck(meaning)
-                problem = None if found == ty else (
-                    f"{format_term(meaning)} has type {found}, not its index type {ty}"
-                )
-            except (TermTypeError, UnboundVariableError) as exc:
-                problem = str(exc)
-            if problem is not None:
-                owner = "the consequent" if who is None else f"premise {who.tag()}"
-                raise GlueError(f"{owner} is ill-typed: {problem}")
-            if who is not None:
-                entry = polarity.setdefault((label, ty), [[], 0])
-                if positive:
-                    entry[1] |= bit
-                else:
-                    entry[0].append(who.tag())
-                key = (bit, sem, ty) if label is None else (label, ty)
-                counts[key] = counts.get(key, 0) + (1 if positive else -1)
-        elif kind is Tensor or kind is Limp:
-            left = positive if kind is Tensor else not positive
-            stack += ((formula[2], positive, bound), (formula[1], left, bound))
-        elif kind is Forall:
-            var = formula[1]
-            if type(var) is MeaningVar:
-                binders.add(var.name)
-                var = Var(var.name, var.ty)
-            stack.append((formula[2], positive, bound | {var}))
-
-
-def _set_up(formula, positive, claimed: dict, taken: set):
-    """`formula` with each atom's meaning normalized and each meaning binder
-    the search proves as a goal (in an odd number of antecedents: not
-    `positive`) renamed apart: a name already in `claimed` becomes the first
-    of `<base>2`, `<base>3`, ... not in `taken`, `<base>` being the name
-    without trailing digits. Kept and given names join `claimed`, each
-    mapped to the binder's one hypothesis constant, stamped in the order
-    claimed, which replaces the binder's variable in its body; given ones
-    join `taken`. A formula that this changes nowhere comes back as it
-    is."""
-    kind = type(formula)
-    if kind is Forall:
-        var, body = formula[1], formula[2]
-        if not positive and type(var) is MeaningVar:
-            name = var.name
-            if name in claimed:
-                base = name.rstrip("0123456789") or name
-                name = next(f"{base}{n}" for n in itertools.count(2) if f"{base}{n}" not in taken)
-                taken.add(name)
-            hyp = claimed[name] = HypConst(name, var.ty, len(claimed) + 1)
-            body = body.substitute_meanings({Var(var.name, var.ty): hyp})
-            var = MeaningVar(name, var.ty)
-        renamed = _set_up(body, positive, claimed, taken)
-        return formula if var is formula[1] and renamed is formula[2] else Forall(var, renamed)
-    if kind is Limp or kind is Tensor:
-        polarity = positive if kind is Tensor else not positive
-        left = _set_up(formula[1], polarity, claimed, taken)
-        right = _set_up(formula[2], positive, claimed, taken)
-        return formula if left is formula[1] and right is formula[2] else kind(left, right)
-    meaning = normalize(formula[3])
-    return formula if meaning is formula[3] else Atom(formula[1], formula[2], meaning)
 
 
 def _ids(mask):
@@ -725,6 +695,17 @@ def _ids(mask):
 
 # ---------------------------------------------------------------------------
 # Public operations.
+
+
+def _instances(premise_set):
+    """(premise, compiled form, slot values) for each premise, in index
+    order: as `premises` made them, or for any other premise (a bare
+    formula is numbered by its position), compiled here as a formula with
+    no slots."""
+    if type(premise_set) is Premises:
+        return premise_set.instances
+    premise_list = sorted(_as_premises(premise_set), key=lambda p: p.index)
+    return [(p, compile_formula(p.formula), {}) for p in premise_list]
 
 
 def _as_premises(items) -> list[Premise]:
@@ -745,13 +726,13 @@ def search(premise_set, goal: Goal, all_traces: bool = False) -> Diagnosis:
     so its diagnosis does not depend on `all_traces`. A goal structure that
     is not a semantic structure, premises that share an index, and then, in
     index order, the first premise that is not closed or holds a meaning not
-    of its atom's type index (see `_read`) raise `GlueError`; a derivation
-    nested too deeply for the interpreter's stack raises
-    `SearchBoundError`."""
+    of its atom's type index (see `formulas.compile_formula`) raise
+    `GlueError`; a derivation nested too deeply for the interpreter's stack
+    raises `SearchBoundError`."""
     if not isinstance(goal.sem, SemStructure):
         raise GlueError(f"goal structure {goal.sem!r} is not a semantic structure")
     try:
-        engine = _Search(_as_premises(premise_set), [goal.sem])
+        engine = _Search(premise_set, [goal.sem])
         # The probe `all_traces` runs stops at its first reading, before
         # which a strict table would fill whole entries.
         engine.strict = not all_traces and engine.balances(goal)
@@ -954,21 +935,27 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     """Linear entailment with exact resource usage for propositional
     tensor-fragment formulas. A formula that is not closed, or one atom's
     meaning not of its type index, raises `GlueError`: the consequent's
-    first, then the antecedent's (see `_read`)."""
-    sems: set = set()
-    taken: set[str] = set()
-    _read(consequent, None, 0, sems, taken, None, None)
+    first, then the antecedent's (see `formulas.compile_formula`)."""
+    goal = compile_formula(consequent, positive=False)
+    if goal.fault == NOT_CLOSED:
+        raise _NotClosed(f"formula {consequent} is not closed")
+    if goal.fault:
+        raise GlueError(f"the consequent {goal.fault}")
+    sems = [sem for sem, _, _ in goal.atoms if type(sem) is SemStructure]
     try:
-        engine = _Search(_as_premises(flatten_tensor(antecedent)), sems)
+        engine = _Search(flatten_tensor(antecedent), sems)
     except _NotClosed:
         raise GlueError(f"formula {antecedent} is not closed") from None
     # Normal from set-up on, as the premises are, and its goal binders
     # renamed apart from theirs.
-    consequent = _set_up(consequent, False, engine.hyps, taken | engine.hyps.keys())
+    names = engine._claim(goal, {*goal.binders, *engine.hyps})
+    if names:
+        goal = compile_formula(consequent, positive=False, names=names)
+    formula = consequent if goal.formula is None else goal.formula
     engine.strict = True  # only a proof that uses every premise counts
     return any(
         not avail
-        for _subst, avail, _steps in engine.prove([consequent], engine.premise_mask, {}, True)
+        for _subst, avail, _steps in engine.prove([formula], engine.premise_mask, {}, True)
     )
 
 

@@ -44,7 +44,7 @@ class HypConst(MeaningTerm):
 
     A distinct node kind so a finished reading can be audited not to leak one.
     The prover makes one per goal binder and search, named after the binder
-    and stamped in the order set-up claims it.
+    and stamped with its place among the goal binders of its formula.
     """
 
     __slots__ = ()

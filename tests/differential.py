@@ -35,6 +35,9 @@ built from the working tree's inputs, so only the package differs:
   `perfbench/workloads.py` at seeds 1-3: the same, and on `corpus` and
   `failures` also with every derivation's trace (`all_traces`); and each
   `corpus` lexicon, parsed and printed;
+- the seed-1 `corpus` sentences in reverse order through one new lexicon:
+  the same as in document order, under the same case ids with `reversed`
+  added, so a lexicon's output shows no trace of what it served before;
 - malformed input: every f-structure fixture, and `core.lex` with
   `same_shape.lex` appended (many templates of one shape), cut at every 7th
   character and parsed: the parsed f-structure or lexicon, or the error's
@@ -154,6 +157,11 @@ def cases():
                         f"{name} seed {seed} #{s.sid} all traces",
                         _diagnosis(root, lexicon, True),
                     )
+    workload = workloads.corpus(1)
+    lexicon = parse_lexicon(workload.lexicon_text)
+    for s in reversed(workload.sentences):
+        root = parse_fstructure(s.text)
+        yield f"corpus seed 1 #{s.sid} reversed", _diagnosis(root, lexicon, False)
 
     fixtures = ROOT / "tests" / "fixtures"
     texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(fixtures.glob("*.fs"))}

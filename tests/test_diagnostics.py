@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from gluesem import prover
+from gluesem import formulas, prover
+from gluesem import lexicon as lexicon_module
 from gluesem.errors import MissingEntryError
 from gluesem.diagnostics import (
     INCOHERENT,
@@ -19,8 +20,9 @@ from gluesem.diagnostics import (
     UNINSTANTIABLE,
     diagnose,
 )
-from gluesem.fstruct import parse_fstructure
-from gluesem.lexicon import parse_lexicon, premises
+from gluesem.fstruct import parse_fstructure, sigma
+from gluesem.lexicon import entry_key, parse_lexicon, premises
+from gluesem.prover import Goal, search
 
 from conftest import FIXTURES, load_fs
 
@@ -156,30 +158,39 @@ SET_UP_CASES = ["scope.fs", "john_devoured.fs", "john_arrived_extras.fs", "modif
     [(name, all_traces) for all_traces in (False, True) for name in SET_UP_CASES],
     ids=SET_UP_CASES + [f"{name}-all-traces" for name in SET_UP_CASES],
 )
-def test_set_up_reads_each_premise_once(lexicon, monkeypatch, name, all_traces):
-    # Set-up reads each premise in one walk and rebuilds it in one more; the
-    # failure is classified from what that walk and the search recorded, and
-    # the search in every order starts from the canonical search's set-up.
-    walks = {"read": 0, "set_up": 0}
-    depth = [0]
-
-    def top_level(kind, walk):
-        def counting(formula, *args):
-            walks[kind] += not depth[0]
-            depth[0] += 1
-            try:
-                return walk(formula, *args)
-            finally:
-                depth[0] -= 1
-
-        return counting
-
-    for kind in ("read", "set_up"):
-        monkeypatch.setattr(prover, f"_{kind}", top_level(kind, getattr(prover, f"_{kind}")))
+def test_set_up_reads_each_premise_once(monkeypatch, name, all_traces):
+    # Set-up reads each premise's compiled form once and compiles nothing
+    # that a lexicon compiled before: each template compiles at its first
+    # instantiation through a lexicon, which keeps it, so a failure's
+    # second search, the search in every order and a second diagnosis
+    # compile nothing. A premise made any other way compiles at search time.
+    compiled = compile_calls(monkeypatch)
+    lexicon = parse_lexicon((FIXTURES / "core.lex").read_text(encoding="utf-8"))
     fs = load_fs(name)
     diagnose(fs, lexicon, all_traces=all_traces)
-    count = len(premises(fs, lexicon))
-    assert walks == {"read": count, "set_up": count}
+    used = [lexicon[entry_key(node)].template for node in fs.nodes() if entry_key(node)]
+    assert compiled == list(dict.fromkeys(used))
+    compiled.clear()
+    diagnose(fs, lexicon, all_traces=all_traces)
+    diagnose(fs, lexicon, all_traces=not all_traces)
+    assert compiled == []
+    premise_list = list(premises(fs, lexicon))
+    search(premise_list, Goal(sigma(fs)), all_traces=all_traces)
+    assert compiled == [p.formula for p in premise_list]
+
+
+def compile_calls(monkeypatch) -> list:
+    """A list that gains each formula compiled from now on."""
+    compiled = []
+    compile_formula = formulas.compile_formula
+
+    def recording(formula, *args, **kwargs):
+        compiled.append(formula)
+        return compile_formula(formula, *args, **kwargs)
+
+    for module in (lexicon_module, prover):
+        monkeypatch.setattr(module, "compile_formula", recording)
+    return compiled
 
 
 @pytest.mark.parametrize("case", FAILING)

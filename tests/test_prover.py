@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gluesem import cli, prover, terms
+from gluesem import lexicon as lexicon_module
 from gluesem.cli import RunConfig, run
 from gluesem.diagnostics import (
     INCOHERENT,
@@ -28,7 +29,7 @@ from gluesem.diagnostics import (
 from gluesem.errors import GlueError, NonPatternError, SearchBoundError
 from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor
 from gluesem.fstruct import SemStructure, format_fstructure, parse_fstructure, sigma
-from gluesem.lexicon import Premise, parse_lexicon, premises
+from gluesem.lexicon import Lexicon, Premise, parse_lexicon, premises
 from gluesem.prover import Goal, derive, entails, prop, unify
 from gluesem.semtypes import E, T, arrow
 from gluesem.terms import (
@@ -923,7 +924,9 @@ def test_modifier_chain_term_work_grows_less_than_fourfold_per_doubling(lexicon,
     # Each modifier hands the clause meaning back. Substituting it into
     # `obviously(P)` makes no redex and `P` takes its type from the goal atom,
     # so no level re-normalizes or re-typechecks the meaning it was given;
-    # when every level did, the work grew about sevenfold per doubling.
+    # when every level did, the work grew about sevenfold per doubling. The
+    # work counted runs from instantiation on, each template's compile
+    # included.
     counts = {"_beta": 0, "_typecheck": 0}
     for name in counts:
         walk = getattr(terms, name)
@@ -936,9 +939,13 @@ def test_modifier_chain_term_work_grows_less_than_fourfold_per_doubling(lexicon,
     work = []
     for k in (40, 80):
         fs = obviously_appoint(k)
-        premise_set = premises(fs, lexicon)
         for name in counts:
             counts[name] = 0
+        # Through a lexicon that has compiled nothing, so that each
+        # template's one compile counts too.
+        fresh = Lexicon()
+        fresh.update(lexicon)
+        premise_set = premises(fs, fresh)
         (reading,) = derive(premise_set, Goal(sigma(fs)))
         work.append(dict(counts))
     for name in counts:
@@ -1112,6 +1119,16 @@ def test_premise_rebinding_a_meaning_variable_is_an_explicit_error():
         derive([shadowing, *names], Goal(f))
 
 
+def test_an_inner_structure_quantifier_on_the_spine_shadows_the_outer_one():
+    # The outer H reaches the antecedent before the inner quantifier, the
+    # inner one the antecedent and head after it; the apply line shows both.
+    g, a, f = SemStructure("g"), SemStructure("a"), SemStructure("f")
+    H, c, done = SemVar("H"), Const("c", E), Const("done", T)
+    shadowing = Forall(H, Limp(Atom(H, E, c), Forall(H, Limp(Atom(a, E, c), Atom(H, T, done)))))
+    (reading,) = derive([Atom(g, E, c), Atom(a, E, c), shadowing], Goal(f))
+    assert reading.trace[-1].line() == "apply [3] p3: f_σ ~>_t done  H ↦ g_σ, H ↦ f_σ"
+
+
 # --- set-up normalizes once; the search never again -----------------------------
 
 
@@ -1119,9 +1136,11 @@ FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.fs"))
 
 
 def test_the_search_normalizes_nothing_after_set_up(lexicon, monkeypatch):
-    # Set-up normalizes every premise meaning; every substitution after it
-    # is hereditary, so no goal, head, trace step or reading is normalized.
-    calls = {"normalize": 0, "canonical_form": 0}
+    # A template's meanings are normalized once, when it compiles; set-up
+    # fills compiled forms, and every substitution after it is hereditary,
+    # so no goal, head, trace step or reading is normalized, and nothing is
+    # compiled, whether a lexicon compiled the premises or the search did.
+    calls = {"normalize": 0, "canonical_form": 0, "compile_formula": 0}
     set_up = [False]
     init = prover._Search.__init__
 
@@ -1131,22 +1150,32 @@ def test_the_search_normalizes_nothing_after_set_up(lexicon, monkeypatch):
         set_up[0] = True
 
     monkeypatch.setattr(prover._Search, "__init__", initialize)
-    for name in calls:
-        walk = getattr(terms, name)
+    for name, owners in [
+        ("normalize", (prover, terms)),
+        ("canonical_form", (prover, terms)),
+        ("compile_formula", (prover, lexicon_module)),
+    ]:
+        walk = getattr(owners[0], name, None) or getattr(owners[1], name)
 
-        def counting(term, name=name, walk=walk):
+        def counting(*args, name=name, walk=walk, **kwargs):
             calls[name] += set_up[0]
-            return walk(term)
+            return walk(*args, **kwargs)
 
-        monkeypatch.setattr(prover, name, counting, raising=False)
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counting, raising=False)
     for name in FIXTURE_NAMES:
         fs = parse_fstructure((FIXTURES / name).read_text(encoding="utf-8"))
         for all_traces in (False, True):
+            set_up[0] = False  # instantiation compiles what is new
             diagnosis = diagnose(fs, lexicon, all_traces=all_traces)
             for reading in diagnosis.readings:
                 for trace in reading.traces:
                     assert all(step.line() for step in trace)
-    assert set_up[0] and calls == {"normalize": 0, "canonical_form": 0}
+            with contextlib.suppress(GlueError):
+                premise_list = list(premises(fs, lexicon))
+                set_up[0] = False
+                derive(premise_list, Goal(sigma(fs)), all_traces)
+    assert set_up[0] and calls == {"normalize": 0, "canonical_form": 0, "compile_formula": 0}
 
 
 @pytest.mark.parametrize("name", ["scope.fs", "twin_scope.fs", "ditransitive_scope.fs"])

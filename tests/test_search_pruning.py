@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import gluesem
 from gluesem import prover
 from gluesem.diagnostics import OK
-from gluesem.formulas import Atom, Forall, Limp, SemVar, Tensor
+from gluesem.formulas import Atom, Forall, Limp, SemVar, Tensor, compile_formula, focus_skeleton
 from gluesem.fstruct import SemStructure, parse_fstructure, sigma
 from gluesem.lexicon import Premise, parse_lexicon, premises
 from gluesem.prover import Goal, derive, entails, search
@@ -109,28 +109,39 @@ def test_all_traces_unrolls_only_the_traces_it_keeps(lexicon, monkeypatch):
 
 def both_searches(monkeypatch, premise_list, goal):
     """The canonical search and the search in every order that `derive`
-    runs with `all_traces`, after it; and the formulas `_focus` was called
-    on at the top, in order."""
-    searches, focused, depth = [], [], [0]
+    runs with `all_traces`, after it; and the (focus skeleton, formula)
+    pairs `_focus` built a table from, in order."""
+    searches, focused = [], []
     in_every_order, focus = prover._Search.in_every_order, prover._Search._focus
 
     def recording(self):
         searches.extend((self, in_every_order(self)))
         return searches[-1]
 
-    def counting(self, formula, *args):
-        if not depth[0]:
-            focused.append(formula)
-        depth[0] += 1
-        try:
-            return focus(self, formula, *args)
-        finally:
-            depth[0] -= 1
+    def counting(self, skeleton, base, values):
+        focused.append((skeleton, base))
+        return focus(self, skeleton, base, values)
 
     monkeypatch.setattr(prover._Search, "in_every_order", recording)
     monkeypatch.setattr(prover._Search, "_focus", counting)
     assert derive(premise_list, goal, all_traces=True)
     return searches, focused
+
+
+def skeletons(engine, start=0):
+    """(focus skeleton, formula) for each registry entry of `engine` from
+    `start` on: a premise's skeleton is its compiled form's, over its
+    set-up formula, and a hypothesis's or derived resource's is built from
+    its formula."""
+    count = engine.premise_mask.bit_length()
+    pairs = []
+    for k, (formula, *_) in enumerate(engine.registry[start:], start):
+        if k < count:
+            compiled = compile_formula(formula)
+            pairs.append((compiled.skeleton, compiled.formula or formula))
+        else:
+            pairs.append(focus_skeleton(formula)[::-1])
+    return pairs
 
 
 def test_the_all_orders_search_keeps_only_the_premises_focus_tables(monkeypatch):
@@ -143,8 +154,8 @@ def test_the_all_orders_search_keeps_only_the_premises_focus_tables(monkeypatch)
     searches, _ = both_searches(monkeypatch, [every, split, join, m1], goal)
     for engine in searches:
         assert len(engine.focus_tables) == len(engine.registry) > engine.premise_mask.bit_length()
-        for (formula, *_), table in zip(engine.registry, engine.focus_tables):
-            assert table == engine._focus(formula, {}), formula
+        for (skeleton, base), table in zip(skeletons(engine), engine.focus_tables):
+            assert table == engine._focus(skeleton, base, {}), base
 
 
 def test_each_resource_is_focused_once_when_it_gets_its_id(monkeypatch):
@@ -154,7 +165,7 @@ def test_each_resource_is_focused_once_when_it_gets_its_id(monkeypatch):
     (canonical, every_order), focused = both_searches(monkeypatch, premise_list, goal)
     count = canonical.premise_mask.bit_length()
     assert len(canonical.registry) > count and len(every_order.registry) > count
-    assert focused == [entry[0] for entry in canonical.registry + every_order.registry[count:]]
+    assert focused == skeletons(canonical) + skeletons(every_order, count)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,18 @@ import pytest
 from gluesem.cli import RunConfig
 from gluesem.diagnostics import Demand, Diagnosis, Leftover
 from gluesem.errors import GlueError, SyntaxErrorAt, TermTypeError, UnboundVariableError
-from gluesem.formulas import Atom, Forall, Limp, MeaningVar, PathRef, SemVar, Tensor, format_formula
+from gluesem.formulas import (
+    Atom,
+    Compiled,
+    Forall,
+    Limp,
+    MeaningVar,
+    PathRef,
+    SemVar,
+    Tensor,
+    compile_formula,
+    format_formula,
+)
 from gluesem.fstruct import SemStructure
 from gluesem.lexicon import LexicalEntry, Premise
 from gluesem.node import Node
@@ -546,6 +557,7 @@ NODES += [
     Forall(SemVar("H"), Atom(SemVar("H"), E, Const("Bill", E))),
     _F,
     LexicalEntry("bill", Atom(PathRef("up"), E, Const("Bill", E))),
+    compile_formula(Atom(PathRef("up"), E, Const("Bill", E)), template=True),
     Premise(1, _ATOM, "bill", "f"),
     Goal(_F, E),
     _STEP,
@@ -691,6 +703,7 @@ SIGNATURES = {
     Tensor: "(left, right)",
     SemStructure: "(label)",
     LexicalEntry: "(headword, template)",
+    Compiled: "(slots, fault, atoms, binders, formula, claims, skeleton, rebinds)",
     Premise: "(index, formula, word, label)",
     Goal: "(sem, ty=BaseType(name='t'))",
     Reading: "(meaning, ty, traces)",
