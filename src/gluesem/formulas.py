@@ -8,9 +8,11 @@ quantifier-bound structure variables remain.
 
 What the proof search reads of a formula that does not depend on the
 sentence is worked out once, by `compile_formula`: a lexicon does so once
-per template, the search for a premise made any other way. Its structures
-are slots, which `fill` fills per sentence, and per choice of structure
-variables when the search builds a focus table.
+per template, the search for a premise made any other way. That includes
+its focus skeleton (`focus_skeleton`), which holds the subformulas a focus
+on it uses. Their structures are slots, which `fill` fills per sentence,
+and per choice of structure variables when the search builds a focus
+table.
 """
 
 from __future__ import annotations
@@ -145,11 +147,12 @@ class Compiled(Node):
     sentence (see `compile_formula`): its `slots`, the distinct template
     paths its atoms name, in walk order; its first `fault`, or ""; its
     `atoms`, each as (structure, type, whether it is positive), in walk
-    order; the names of its meaning `binders`; its set-up `formula`, or
-    None where set-up left the formula as it was; the hypothesis constants
-    it `claims`, in claim order; and a premise's focus `skeleton` over the
-    set-up formula, or the error building it raised (`rebinds`). A faulty
-    formula is compiled no further than its atoms."""
+    order; the names of its meaning `binders`; its set-up `formula`, which
+    is the formula itself where set-up changed nothing; the hypothesis
+    constants it `claims`, in claim order; and a premise's focus `skeleton`
+    (see `focus_skeleton`), whose entries hold subformulas of the set-up
+    formula, or the error building it raised (`rebinds`). A faulty formula
+    is compiled no further than its atoms: its `formula` is the one given."""
 
     __slots__ = ()
     __match_args__ = (
@@ -178,15 +181,14 @@ def compile_formula(formula, template=False, positive=True, names=()) -> Compile
     set_up = walk.set_up(formula, positive, frozenset(), {})
     read = (tuple(walk.slots), walk.fault, tuple(walk.atoms), tuple(walk.binders))
     if walk.fault:
-        return Compiled(*read, None, (), None, "")
+        return Compiled(*read, formula, (), None, "")
     skeleton, rebinds = None, ""
     if positive:
         try:
-            set_up, skeleton = focus_skeleton(set_up)
+            skeleton = focus_skeleton(set_up)
         except GlueError as exc:
             rebinds = str(exc)
-    claims = tuple(walk.claims)
-    return Compiled(*read, None if set_up is formula else set_up, claims, skeleton, rebinds)
+    return Compiled(*read, set_up, tuple(walk.claims), skeleton, rebinds)
 
 
 class _Walk:
@@ -260,27 +262,25 @@ class _Walk:
 
 
 def focus_skeleton(formula):
-    """(`formula`, (structure variables, entries)): what a focus on a
-    resource with `formula` can use, its quantifiers and implications
-    stripped. An entry is (the paths of its antecedents, the path of an
-    atomic head component, the focus's metavariables, the paths of the
-    other head components, display bindings), for each atomic head
-    component in component order; a path leads from `formula` to a
-    subformula (see `at_path`). A structure variable's structure is a slot,
-    filled per choice of it (see `prover._Search._focus`); an inner
-    quantifier on the spine that rebinds one is renamed apart in the
-    `formula` returned. A meaning variable serves as the focus's
-    metavariable as is, since a focus solves its metavariables in a
-    substitution of its own, so a premise whose spine rebinds one raises
-    `GlueError`."""
+    """(structure variables, entries): what a focus on a resource with
+    `formula` can use, its quantifiers and implications stripped. An entry
+    is (its antecedents, an atomic head component, the focus's
+    metavariables, the other head components, display bindings), each a
+    subformula of `formula`, for each atomic head component in component
+    order. A structure variable stays in them as a slot, filled per choice
+    of it (see `prover._Search._focus`); an inner quantifier on the spine
+    that rebinds one is renamed apart in its body, which the walk goes on
+    with. A meaning variable serves as the focus's metavariable as is, since
+    a focus solves its metavariables in a substitution of its own, so a
+    premise whose spine rebinds one raises `GlueError`."""
     semvars: list[SemVar] = []
     displays: tuple = ()
-    antecedents: list[tuple] = []
-    part, path = formula, ()
+    antecedents: list[GlueFormula] = []
+    part = formula
     while True:
         kind = type(part)
         if kind is Forall:
-            var = part[1]
+            var, part = part[1], part[2]
             if isinstance(var, MeaningVar):
                 meta = Var(var.name, var.ty)
                 if any(v == meta for _, v in displays):
@@ -290,50 +290,23 @@ def focus_skeleton(formula):
                 slot = var
                 if var in semvars:
                     slot = SemVar(len(semvars))  # no name a quantifier binds
-                    part = Forall(slot, fill(part[2], {var: slot}))
-                    formula = _replaced(formula, path, part)
+                    part = fill(part, {var: slot})
                 semvars.append(slot)
                 displays += ((var.name, slot),)
         elif kind is Limp:
-            antecedents = [*antecedents, *_components(part[1], path + (1,))]
+            antecedents += flatten_tensor(part[1])
+            part = part[2]
         else:
             break
-        part, path = part[2], path + (2,)
     metas = frozenset([v for _, v in displays if type(v) is Var]) if displays else None
     metas = metas or _NO_METAS
-    if type(part) is Atom:  # the one head component
-        return formula, (tuple(semvars), [(antecedents, path, metas, (), displays)])
-    components = _components(part, path)
+    components = flatten_tensor(part)
     entries = [
         (antecedents, head, metas, (*components[:k], *components[k + 1 :]), displays)
         for k, head in enumerate(components)
-        if isinstance(at_path(formula, head), Atom)
+        if type(head) is Atom
     ]
-    return formula, (tuple(semvars), entries)
-
-
-def at_path(formula, path):
-    """The subformula of `formula` that `path` (field indices) leads to."""
-    for i in path:
-        formula = formula[i]
-    return formula
-
-
-def _components(formula, path) -> list[tuple]:
-    """The paths of the tensor components of `formula`, which is at `path`,
-    in the order `flatten_tensor` lists them."""
-    if isinstance(formula, Tensor):
-        return _components(formula[1], path + (1,)) + _components(formula[2], path + (2,))
-    return [path]
-
-
-def _replaced(formula, path, part):
-    """`formula` with its subformula at `path` replaced by `part`."""
-    if not path:
-        return part
-    fields = list(formula[1:])
-    fields[path[0] - 1] = _replaced(formula[path[0]], path[1:], part)
-    return type(formula)(*fields)
+    return tuple(semvars), entries
 
 
 def flatten_tensor(formula: GlueFormula) -> list[GlueFormula]:

@@ -23,15 +23,17 @@ depend on the sentence is compiled once (`formulas.compile_formula`, after
 Hepple 1996's compilation before search): whether it is closed and well
 typed, its atoms with their polarity, its binder names, its meanings
 normalized with each goal binder's hypothesis constant in the binder's
-body, and its focus skeleton, whose structures are slots. A lexicon
+body, and its focus skeleton: the antecedents and head components a focus
+on it uses, as subformulas, whose structures are slots. A lexicon
 compiles each template at its first instantiation and keeps it, so
 instantiating it only resolves and fills its path slots; a premise made
 any other way (and `entails`'s consequent) is compiled at search time, as
 a formula with no slots. Set-up reads the compiled forms: it raises the
 first premise's fault, collects the structure universe and the polarity
 table, renames goal binders apart across the sentence (recompiling a
-premise whose binder it renames) and fills each focus skeleton, and after
-that the search normalizes nothing.
+premise whose binder it renames) and fills the parts of each focus
+skeleton with the premise's slot values and each choice of its structure
+variables, and after that the search normalizes nothing.
 Every substitution it makes is hereditary (Watkins, Cervesato, Pfenning &
 Walker 2002): closed normal values put into a normal meaning can only make
 a redex where a solved metavariable is applied, so only such a spine is
@@ -145,7 +147,6 @@ from .formulas import (
     Limp,
     MeaningVar,
     Tensor,
-    at_path,
     compile_formula,
     fill,
     flatten_tensor,
@@ -446,11 +447,8 @@ class _Search:
                 compiled, values = compile_formula(p.formula, names=names), {}
             if compiled.rebinds:
                 raise GlueError(compiled.rebinds)
-            base = compiled.formula
-            if base is None:  # set up as it is: the premise has its slots filled
-                base, values = p.formula, {}
             self.registry.append((p.formula, p.word, p.index, 1 << i, twins))
-            self.focus_tables.append(self._focus(compiled.skeleton, base, values))
+            self.focus_tables.append(self._focus(compiled.skeleton, values))
         self.premise_mask = (1 << len(instances)) - 1
         self.all_orders = False
         # A derivation that leaves resources unused is worth something only
@@ -613,8 +611,7 @@ class _Search:
                 return rid
         ids.append(len(self.registry))
         self.registry.append(entry)
-        base, skeleton = focus_skeleton(entry[0])
-        self.focus_tables.append(self._focus(skeleton, base, {}))
+        self.focus_tables.append(self._focus(focus_skeleton(entry[0]), {}))
         return ids[-1]
 
     # -- atomic goals: focus a resource --------------------------------------
@@ -650,13 +647,13 @@ class _Search:
                             e1 = (e1, derived)
                         yield meaning, a1, (e1, rid, head, meaning, displays, s1)
 
-    def _focus(self, skeleton, base, values) -> dict:
-        """The focus table of a resource with the focus `skeleton` over the
-        formula `base` (see `formulas.focus_skeleton`), its slots filled
-        from `values` and its structure variables from every choice of
-        structures in the universe: (antecedents, head, metavariables, other
-        head components, display bindings), keyed by the head's (structure,
-        type), in universe then component order."""
+    def _focus(self, skeleton, values) -> dict:
+        """The focus table of a resource with the focus `skeleton` (see
+        `formulas.focus_skeleton`), its slots filled from `values` and its
+        structure variables from every choice of structures in the universe:
+        (antecedents, head, metavariables, other head components, display
+        bindings), keyed by the head's (structure, type), in universe then
+        component order."""
         semvars, entries = skeleton
         table: dict[tuple, list] = {}
         for choice in itertools.product(self.universe, repeat=len(semvars)) if semvars else [()]:
@@ -665,10 +662,6 @@ class _Search:
                 slots = dict(values)
                 slots.update(zip(semvars, choice))
             for antecedents, head, metas, others, displays in entries:
-                antecedents = [at_path(base, path) for path in antecedents]
-                head = at_path(base, head)
-                if others:
-                    others = tuple([at_path(base, path) for path in others])
                 if slots:
                     antecedents = [fill(part, slots) for part in antecedents]
                     head = fill(head, slots)
@@ -951,11 +944,10 @@ def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:
     names = engine._claim(goal, {*goal.binders, *engine.hyps})
     if names:
         goal = compile_formula(consequent, positive=False, names=names)
-    formula = consequent if goal.formula is None else goal.formula
     engine.strict = True  # only a proof that uses every premise counts
     return any(
         not avail
-        for _subst, avail, _steps in engine.prove([formula], engine.premise_mask, {}, True)
+        for _subst, avail, _steps in engine.prove([goal.formula], engine.premise_mask, {}, True)
     )
 
 

@@ -24,6 +24,11 @@ built from the working tree's inputs, so only the package differs:
   each reading's meaning and its trace lines;
 - `RANDOM_SETS` of the seeded random premise sets of `search_inputs.py`:
   the same, from `search` for the goal f;
+- the hand-built premise sets over structure variables of
+  `search_inputs.py`, which the random sets never draw (a shadowing spine
+  quantifier, in a tensor head too, and a quantifier scoping over a
+  structure variable): the same, from `search`, canonical and with every
+  derivation's trace (`all_traces`);
 - `PRINTED_TERMS` of the seeded random meaning terms of `search_inputs.py`,
   whose binder hints collide with each other and with the term's names:
   `format_term` of the term and of an abstraction's body under its leading
@@ -113,6 +118,7 @@ def cases():
     from gluesem.prover import search
     from search_inputs import (
         PINS, RANDOM_GOAL, deep_clause, grid_cells, grid_fstructure, pinned_case, premise_set,
+        structure_variable_sets,
     )
     import workloads
 
@@ -138,6 +144,12 @@ def cases():
     for n in range(RANDOM_SETS):
         premise_list = premise_set(random.Random(n).choice)
         yield f"random premise set {n}", _lines(lambda: search(premise_list, RANDOM_GOAL), False)
+    for name, premise_list, goal in structure_variable_sets():
+        for all_traces in (False, True):
+            yield (
+                f"structure variables: {name}" + (" all traces" if all_traces else ""),
+                _lines(lambda: search(premise_list, goal, all_traces), all_traces),
+            )
     for name in sorted(PINS):
         yield f"pin {name}", json.dumps(pinned_case(name, lexicon), ensure_ascii=False, indent=1)
     for n in range(PRINTED_TERMS):

@@ -112,6 +112,45 @@ def tensor_tail_premises():
     return [cons, twof, Atom(a, E, Const("c", E)), mod], Goal(f)
 
 
+def structure_variable_sets():
+    """(name, premises, goal) for hand-built premise sets over structure
+    variables, which `premise_set` never draws: a spine quantifier that
+    shadows an outer one, alone and in a tensor head, whose other component
+    the focus derives with the inner variable's structure; and a quantifier
+    whose scope is a structure variable H, once with its head on H and once
+    with its hypothesis on H, each hypothesis feeding a relation."""
+    g, a, f = (SemStructure(name) for name in "gaf")
+    H, c, d, done = SemVar("H"), Const("c", E), Const("d", E), Const("done", T)
+    X, P, S, x = Var("X", E), Var("P", T), Var("S", arrow(E, T)), Var("x", E)
+    every, sleeps = Const("every", arrow(arrow(E, T), T)), Const("sleeps", arrow(E, T))
+
+    def shadowing(head):
+        return Forall(H, Limp(Atom(H, E, c), Forall(H, Limp(Atom(a, E, c), head))))
+
+    both = forall("X", E, forall("P", T, Limp(
+        Atom(f, E, X), Limp(Atom(f, T, P), Atom(f, T, apply(Const("both", arrow(E, T, T)), X, P)))
+    )))
+
+    def quantifier(restriction, scope):
+        return Forall(H, forall("S", arrow(E, T), Limp(
+            forall("x", E, Limp(Atom(restriction, E, x), Atom(scope, T, App(S, x)))),
+            Atom(scope, T, App(every, S)),
+        )))
+
+    def relation(sem):
+        return forall("X", E, Limp(Atom(sem, E, X), Atom(f, T, App(sleeps, X))))
+
+    given = [Atom(g, E, c), Atom(a, E, c)]
+    return [
+        ("spine shadowing", [*given, shadowing(Atom(H, T, done))], Goal(f)),
+        ("shadowed tensor head", [
+            *given, shadowing(Tensor(Atom(H, T, done), Atom(H, E, d))), both
+        ], Goal(f)),
+        ("quantifier head on H", [quantifier(a, H), relation(a)], Goal(f)),
+        ("quantifier hypothesis on H", [quantifier(H, f), relation(g)], Goal(f)),
+    ]
+
+
 def trace_lines(readings):
     """Every line of every trace, keyed by the reading's printed meaning."""
     return {str(r): [[step.line() for step in trace] for trace in r.traces] for r in readings}

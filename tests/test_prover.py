@@ -48,7 +48,7 @@ from gluesem.terms import (
 
 from conftest import FIXTURES
 from oracles import enumerate_readings
-from search_inputs import deep_clause, grid_cells, grid_fstructure
+from search_inputs import deep_clause, grid_cells, grid_fstructure, structure_variable_sets
 
 CORE = (FIXTURES / "core.lex").read_text(encoding="utf-8")
 
@@ -1127,6 +1127,25 @@ def test_an_inner_structure_quantifier_on_the_spine_shadows_the_outer_one():
     shadowing = Forall(H, Limp(Atom(H, E, c), Forall(H, Limp(Atom(a, E, c), Atom(H, T, done)))))
     (reading,) = derive([Atom(g, E, c), Atom(a, E, c), shadowing], Goal(f))
     assert reading.trace[-1].line() == "apply [3] p3: f_σ ~>_t done  H ↦ g_σ, H ↦ f_σ"
+    # In a tensor head the inner H reaches the other component too, which
+    # the focus derives at f: by default p3 applies its d head, and in
+    # every order its done head as well.
+    sets = {name: (premise_list, goal) for name, premise_list, goal in structure_variable_sets()}
+    premise_list, goal = sets["shadowed tensor head"]
+    for all_traces, count, heads in [
+        (False, 1, {"f_σ ~>_e d"}), (True, 4, {"f_σ ~>_e d", "f_σ ~>_t done"})
+    ]:
+        (reading,) = derive(premise_list, goal, all_traces)
+        assert str(reading) == "both(d, done)" and len(reading.traces) == count
+        applied = set()
+        for trace in reading.traces:
+            lines = [step.line() for step in trace]
+            assert len([line for line in lines if line.startswith("derive [d1] p3: f_σ ~>_")]) == 1
+            (line,) = [line for line in lines if line.startswith("apply [3] p3: ")]
+            head, bindings = line.removeprefix("apply [3] p3: ").split("  ")
+            assert bindings == "H ↦ g_σ, H ↦ f_σ"
+            applied.add(head)
+        assert applied == heads
 
 
 # --- set-up normalizes once; the search never again -----------------------------

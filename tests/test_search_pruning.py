@@ -109,8 +109,8 @@ def test_all_traces_unrolls_only_the_traces_it_keeps(lexicon, monkeypatch):
 
 def both_searches(monkeypatch, premise_list, goal):
     """The canonical search and the search in every order that `derive`
-    runs with `all_traces`, after it; and the (focus skeleton, formula)
-    pairs `_focus` built a table from, in order."""
+    runs with `all_traces`, after it; and the focus skeletons `_focus`
+    built a table from, in order."""
     searches, focused = [], []
     in_every_order, focus = prover._Search.in_every_order, prover._Search._focus
 
@@ -118,9 +118,9 @@ def both_searches(monkeypatch, premise_list, goal):
         searches.extend((self, in_every_order(self)))
         return searches[-1]
 
-    def counting(self, skeleton, base, values):
-        focused.append((skeleton, base))
-        return focus(self, skeleton, base, values)
+    def counting(self, skeleton, values):
+        focused.append(skeleton)
+        return focus(self, skeleton, values)
 
     monkeypatch.setattr(prover._Search, "in_every_order", recording)
     monkeypatch.setattr(prover._Search, "_focus", counting)
@@ -129,19 +129,14 @@ def both_searches(monkeypatch, premise_list, goal):
 
 
 def skeletons(engine, start=0):
-    """(focus skeleton, formula) for each registry entry of `engine` from
-    `start` on: a premise's skeleton is its compiled form's, over its
-    set-up formula, and a hypothesis's or derived resource's is built from
-    its formula."""
+    """The focus skeleton of each registry entry of `engine` from `start`
+    on: a premise's is its compiled form's, built from its set-up formula,
+    and a hypothesis's or derived resource's is built from its formula."""
     count = engine.premise_mask.bit_length()
-    pairs = []
-    for k, (formula, *_) in enumerate(engine.registry[start:], start):
-        if k < count:
-            compiled = compile_formula(formula)
-            pairs.append((compiled.skeleton, compiled.formula or formula))
-        else:
-            pairs.append(focus_skeleton(formula)[::-1])
-    return pairs
+    return [
+        compile_formula(formula).skeleton if k < count else focus_skeleton(formula)
+        for k, (formula, *_) in enumerate(engine.registry[start:], start)
+    ]
 
 
 def test_the_all_orders_search_keeps_only_the_premises_focus_tables(monkeypatch):
@@ -154,8 +149,8 @@ def test_the_all_orders_search_keeps_only_the_premises_focus_tables(monkeypatch)
     searches, _ = both_searches(monkeypatch, [every, split, join, m1], goal)
     for engine in searches:
         assert len(engine.focus_tables) == len(engine.registry) > engine.premise_mask.bit_length()
-        for (skeleton, base), table in zip(skeletons(engine), engine.focus_tables):
-            assert table == engine._focus(skeleton, base, {}), base
+        for skeleton, table in zip(skeletons(engine), engine.focus_tables):
+            assert table == engine._focus(skeleton, {}), skeleton
 
 
 def test_each_resource_is_focused_once_when_it_gets_its_id(monkeypatch):
