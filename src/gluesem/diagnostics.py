@@ -2,8 +2,9 @@
 resource usage, so a failed derivation is diagnosed by what broke.
 
 `diagnose` instantiates the premises and runs one proof search (two when
-a failed sentence's atom count balances, see `prover.search`), which
-classifies its own failure from what it saw (see `prover._classify`): an
+a failed sentence's atom count balances, or, with `all_traces`, when an
+unbalanced sentence has a reading: see `prover.search`), which classifies
+its own failure from what it saw (see `prover._classify`): an
 incomplete sentence has a demand that nothing can supply, an incoherent one
 leaves premises unconsumed. An entry that cannot be instantiated is
 diagnosed here, since no search runs. The diagnosis types and statuses are
@@ -35,7 +36,7 @@ def diagnose(
     goal: Goal | None = None,
     all_traces: bool = False,
 ) -> Diagnosis:
-    """Search once: ok with readings, or a failure diagnosis naming the
+    """Run the search: ok with readings, or a failure diagnosis naming the
     offending resources. Missing lexicon entries propagate as errors."""
     try:
         premise_list = premises(root, lexicon)

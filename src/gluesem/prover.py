@@ -11,7 +11,9 @@ hypothesis constant, which set-up put in its body and which must not leak,
 then discharged by abstraction. `prove_atom`, the one focusing step, picks
 an available resource, proves the antecedents along its implication spine
 as one goal list and hands the head's meaning back, so a nested focus holds
-two frames.
+two frames. Both routines are eager: each returns the list of its answers
+(the input/output resource passing of Hodas & Miller 1994), and a goal list
+appends each answer of its first goal's continuation to its own.
 Universal meaning variables become metavariables solved by pattern
 unification; each premise is consumed once, so a focus's metavariables are
 its own, solved in a substitution of its own, and its head meaning comes
@@ -59,20 +61,22 @@ and no chain of nested focuses is longer. The one bound left is the
 interpreter's stack, which `search` reports as `SearchBoundError`.
 
 Resources are the bits of an int availability mask: premises first, by index,
-then each hypothesis and derived resource as it is first drawn; a focus tries
-them in that order. A hypothesis or derived resource has one id per search
-for its formula, word and origin, and draws another only while that one is
-available, so equal subproofs hold equal ids. Each resource's focus table
-(its antecedents and head for every choice of structure variables, keyed by
-head structure and type) is built when the resource gets its id: a
-premise's at set-up, a hypothesis's or derived resource's when it is first
-drawn. So an atomic goal only looks at entries whose head can match it.
-Premises with equal formulas and words (twins, such as k identical modifiers)
-are interchangeable: by default they are consumed in index order, so the k!
-derivations that differ only by swapping twins are explored once and the
-search pays per reading rather than per derivation. `all_traces` explores
-every order once the canonical order has found a reading, on that search's
-set-up.
+then each hypothesis and derived resource as it is first drawn. A
+hypothesis or derived resource has one id per search for its formula, word
+and origin, and draws another only while that one is available, so equal
+subproofs hold equal ids. Each resource's focus table (its antecedents and
+head for every choice of structure variables, keyed by head structure and
+type) is built when the resource gets its id: a premise's at set-up, a
+hypothesis's or derived resource's when it is first drawn. Its keys then
+join the index `heads`, which maps each key to the mask of the resources
+whose table has it, so an atomic goal visits only the available resources
+that can answer it, lowest id first, and only their entries whose head can
+match it. Premises with equal formulas and words (twins, such as k
+identical modifiers) are interchangeable: by default they are consumed in
+index order, a focus dropping the later twins of the one it tries, so the
+k! derivations that differ only by swapping twins are explored once and the
+search pays per reading rather than per derivation. `all_traces` runs a
+search in every order on the same set-up (see `search`).
 
 A derivation that leaves a premise unused is worth something only as
 evidence when the sentence has no reading. So a strict search cuts a proof
@@ -84,26 +88,26 @@ strict from the start. So is the canonical search when the atom count
 balances: set-up counts each atom +1 where a premise supplies it and -1
 where one demands it, the goal counts -1, and a derivation that uses each
 premise once exists only if every count is 0 (van Benthem's 1991 count
-invariant). Otherwise it turns strict at its first reading, and one that
-finds none has cut nothing, so its evidence is complete: `_classify` reads
-it off the polarity table, the failed goals and the premises the
-goal-reaching derivations left, and `search` returns one `Diagnosis` either
-way. A search strict from the start that finds no reading kept no evidence,
-so a balanced failure runs two searches: that one, then one that is not
-strict on the same set-up (`_Search.fresh`). The count decides only how to
-search, never what is found: a wrong count costs time alone.
+invariant). Otherwise it is not strict, so one that finds no reading has cut
+nothing, and its evidence is complete: `_classify` reads it off the polarity
+table, the failed goals and the premises the goal-reaching derivations left,
+and `search` returns one `Diagnosis` either way. A search strict from the
+start that finds no reading kept no evidence, so a balanced failure runs two
+searches: that one, then one that is not strict on the same set-up
+(`_Search.fresh`). The count decides only how to search, never what is
+found: a wrong count costs time alone.
 
-Every strict search answers atomic goals from a table of its own, from the
-goal it turns strict at on (Hepple 1998's memoisation, exact rather than
-modulo hypothesis names): what `prove_atom` yields depends only on the goal's
-structure and type, the available resources and whether it is the last goal,
-since a focus starts from an empty substitution, each goal binder has one
-constant and each drawn formula one id. The first use of a key fills its
-entry with every answer, and later uses replay them in order. No key recurs
-while its entry fills: within a focus, the available set regains a resource
-it gave up only by drawing an equal formula, a strict subformula of some
-resource focused there; that one was given up too and must be regained the
-same way, and formulas cannot keep growing.
+Every strict search answers atomic goals from a table of its own (Hepple
+1998's memoisation, exact rather than modulo hypothesis names): what
+`prove_atom` returns depends only on the goal's structure and type, the
+available resources and whether it is the last goal, since a focus starts
+from an empty substitution, each goal binder has one constant and each drawn
+formula one id. The first use of a key stores the list `prove_atom` returns,
+and later uses read it. No key recurs while its entry fills: within a focus,
+the available set regains a resource it gave up only by drawing an equal
+formula, a strict subformula of some resource focused there; that one was
+given up too and must be regained the same way, and formulas cannot keep
+growing.
 
 A resource that depends on a `-o` goal's hypotheses may not outlive the
 consequent's proof, or it would carry the hypothesis out of its scope. A
@@ -120,11 +124,12 @@ A derivation's trace is recorded lazily: subproofs hand up a rope (see
 already has: registry ids, hypothesis names and a focus's data. The search
 builds no `TraceStep`: `_trace` builds each one once, for a derivation
 `_run_search` keeps, and a step is formatted only when its `line()` is
-called. Derivations are told apart by their unrolled steps. Nothing a trace
-prints depends on the search's history: `_trace` numbers the hypotheses and
-derived resources of each trace by first appearance, and a hypothesis
-constant is its binder's, named after it, and set-up renames the binders
-apart once per search (see `_Search._claim`).
+called. `_run_search` finishes each reading in one walk of its meaning
+(`_finish`). Derivations are told apart by their unrolled steps. Nothing a
+trace prints depends on the search's history: `_trace` numbers the
+hypotheses and derived resources of each trace by first appearance, and a
+hypothesis constant is its binder's, named after it, and set-up renames the
+binders apart once per search (see `_Search._claim`).
 """
 
 from __future__ import annotations
@@ -164,7 +169,7 @@ from .terms import (
     MeaningTerm,
     Var,
     _app,
-    _eta,
+    _contract,
     abstract_over,
     format_term,
     free_vars,
@@ -385,17 +390,18 @@ class _Search:
     hypotheses apart.
     Metavariables keep their declared names, since each focus solves its own
     in a substitution of its own. `prove` is the goal routine and
-    `prove_atom` the focus routine; nothing else proves a goal. Until
+    `prove_atom` the focus routine; nothing else proves a goal. Unless
     `strict` is set, each atomic goal whose pattern no supplied meaning
     matched is kept in `frontier`, under its (structure label, type), with
-    the most premises consumed when it failed; once it is set, `prove`
+    the most premises consumed when it failed; if it is set, `prove`
     serves atomic goals from `table`. `counts` holds the atom count
     `balances` reads. A resource's id is its bit in the availability masks
     (premises first, by index: `premise_mask`; then each resource as it is
     first drawn, its ids listed in `drawn`) and indexes `registry`:
     (formula, word, the premise's index or the kind "h" or "d", bit of the
-    premise it comes from or 0, bits of its earlier twins), and
-    `focus_tables`, the focus table `_focus` built when it got the id.
+    premise it comes from or 0, bits of its later twins), and
+    `focus_tables`, the focus table `_focus` built when it got the id, whose
+    keys `heads` maps to the ids' bits.
 
     Premises with equal formulas and words are *twins*. A premise is focused
     only once every earlier twin is consumed, so twins are used in index
@@ -416,7 +422,9 @@ class _Search:
         # (bit, variable, type) on a structure variable, which each premise
         # binds apart
         self.counts: dict[tuple, int] = {}
+        classes: dict[tuple, int] = {}  # (formula, word) -> bits of its premises
         for i, (p, compiled, values) in enumerate(instances):
+            classes[p.formula, p.word] = classes.get((p.formula, p.word), 0) | 1 << i
             if compiled.fault:
                 error = _NotClosed if compiled.fault == NOT_CLOSED else GlueError
                 raise error(f"premise {p.tag()} {compiled.fault}")
@@ -437,24 +445,21 @@ class _Search:
         self.universe = sorted(sems, key=lambda s: s.label)
         self.registry: list[tuple[GlueFormula, str, int | str, int, int]] = []
         self.focus_tables: list[dict] = []  # by id, as `registry`
-        classes: dict[tuple, int] = {}  # (formula, word) -> bits of its premises
+        self.heads: dict[tuple, int] = {}  # focus table key -> bits of the ids with it
         self.hyps: dict[str, HypConst] = {}  # goal binder name -> its constant
         for i, (p, compiled, values) in enumerate(instances):
-            twins = classes.get((p.formula, p.word), 0)
-            classes[p.formula, p.word] = twins | 1 << i
             names = self._claim(compiled, taken)
             if names:  # its formula with the binders renamed apart
                 compiled, values = compile_formula(p.formula, names=names), {}
             if compiled.rebinds:
                 raise GlueError(compiled.rebinds)
-            self.registry.append((p.formula, p.word, p.index, 1 << i, twins))
-            self.focus_tables.append(self._focus(compiled.skeleton, values))
+            later = classes[p.formula, p.word] & -(2 << i)  # its twins' bits above i
+            self._enter((p.formula, p.word, p.index, 1 << i, later), compiled.skeleton, values)
         self.premise_mask = (1 << len(instances)) - 1
         self.all_orders = False
         # A derivation that leaves resources unused is worth something only
-        # as a failure's evidence: `search` sets this from the start when
-        # the count balances, `_run_search` at the first reading, and the
-        # all-orders search runs only after the canonical one found one.
+        # as a failure's evidence: `search` sets this when the count
+        # balances, and the search in every order is strict from the start.
         self.strict = False
         self.frontier: dict[tuple, int] = {}
         self.drawn: dict[tuple, list[int]] = {}  # registry entry -> its ids
@@ -495,6 +500,7 @@ class _Search:
         count = self.premise_mask.bit_length()
         other.registry = self.registry[:count]
         other.focus_tables = self.focus_tables[:count]
+        other.heads = {key: ids & self.premise_mask for key, ids in self.heads.items()}
         other.strict = False
         other.frontier = {}
         other.drawn = {}
@@ -504,7 +510,7 @@ class _Search:
     def in_every_order(self) -> _Search:
         """A fresh search (see `fresh`) that tries every order of every goal
         list and every twin, strict from the start: its premises have no
-        earlier twins."""
+        later twins."""
         other = self.fresh()
         other.registry = [entry[:4] + (0,) for entry in other.registry]
         other.all_orders = other.strict = True
@@ -512,16 +518,16 @@ class _Search:
 
     # -- goals ----------------------------------------------------------------
 
-    def prove(self, goals, avail: int, subst, tail):
-        """Yield (substitution, remaining resources, steps) for each proof of
-        `goals`, proved left to right, each from what the ones before it left;
-        the steps are this subproof's own, as a rope (see `_trace`). `tail`
-        says that nothing after these goals consumes a resource: there, once
-        `strict` is set, a proof that leaves resources unused is cut."""
+    def prove(self, goals, avail: int, subst, tail) -> list:
+        """The list of (substitution, remaining resources, steps) for each
+        proof of `goals`, proved left to right, each from what the ones
+        before it left; the steps are this subproof's own, as a rope (see
+        `_trace`). `tail` says that nothing after these goals consumes a
+        resource: there, if `strict` is set, a proof that leaves resources
+        unused is cut."""
         if not goals:
-            if not (tail and avail and self.strict):
-                yield subst, avail, None
-            return
+            return [] if tail and avail and self.strict else [(subst, avail, None)]
+        out = []
         goal, rest = goals[0], goals[1:]
         match goal:
             case Atom():
@@ -529,21 +535,20 @@ class _Search:
                 if self.strict:
                     answers = self.table.get(key)
                     if answers is None:
-                        answers = self.table[key] = list(self.prove_atom(*key))
+                        answers = self.table[key] = self.prove_atom(*key)
                 else:
                     answers = self.prove_atom(*key)
                 matched = False
                 for meaning, a2, e2 in answers:
                     s2 = _unify(goal.meaning, meaning, subst, False)
-                    if s2 is None:
-                        continue
-                    matched = True
-                    yield from self._then(rest, a2, s2, e2, tail)
+                    if s2 is not None:
+                        matched = True
+                        self._then(out, rest, a2, s2, e2, tail)
                 if not matched and not self.strict:
                     self.record_failure(goal.sem, goal.ty, avail)
             case Tensor():
                 for parts in self._orders(flatten_tensor(goal)):
-                    yield from self.prove(parts + rest, avail, subst, tail)
+                    out += self.prove(parts + rest, avail, subst, tail)
             case Limp():
                 new = 0
                 assumed = None
@@ -558,7 +563,7 @@ class _Search:
                     # proof when it leaves a hypothesis or derived resource.
                     if a2 & ~self.premise_mask and a2 & _dependents(e2, new, self.registry)[0]:
                         continue
-                    yield from self._then(rest, a2, s2, (assumed, e2), tail)
+                    self._then(out, rest, a2, s2, (assumed, e2), tail)
             case Forall(var, body) if isinstance(var, MeaningVar):
                 hyp = self.hyps[var.name]
                 for s2, a2, e2 in self.prove([body], avail, subst, tail and not rest):
@@ -566,17 +571,19 @@ class _Search:
                     # hypothesis's scope, so none of them may mention it.
                     if any(occurs(hyp, term) for term in s2.values()):
                         continue
-                    yield from self._then(rest, a2, s2, (e2, hyp.name), tail)
+                    self._then(out, rest, a2, s2, (e2, hyp.name), tail)
             case _:
                 raise GlueError(f"unsupported goal form: {goal}")
+        return out
 
-    def _then(self, goals, avail, subst, steps, tail):
-        """Go on with `goals` after a proof that took `steps`."""
+    def _then(self, out, goals, avail, subst, steps, tail):
+        """Append to `out` each proof of `goals` after a proof that took
+        `steps`."""
         if not goals:
-            yield subst, avail, steps
+            out.append((subst, avail, steps))
             return
         for s2, a2, e2 in self.prove(goals, avail, subst, tail):
-            yield s2, a2, (steps, e2)
+            out.append((s2, a2, (steps, e2)))
 
     def _orders(self, goals):
         """The orders to prove `goals` in: all of them under `all_orders`."""
@@ -609,28 +616,42 @@ class _Search:
         for rid in ids:
             if not avail >> rid & 1:
                 return rid
-        ids.append(len(self.registry))
-        self.registry.append(entry)
-        self.focus_tables.append(self._focus(focus_skeleton(entry[0]), {}))
+        ids.append(self._enter(entry, focus_skeleton(entry[0]), {}))
         return ids[-1]
+
+    def _enter(self, entry, skeleton, values) -> int:
+        """Give the registry entry `entry` the next id, with the focus table
+        of `skeleton` filled from `values` (see `_focus`), and index its
+        keys in `heads`."""
+        rid = len(self.registry)
+        table = self._focus(skeleton, values)
+        self.registry.append(entry)
+        self.focus_tables.append(table)
+        for key in table:
+            self.heads[key] = self.heads.get(key, 0) | 1 << rid
+        return rid
 
     # -- atomic goals: focus a resource --------------------------------------
 
-    def prove_atom(self, sem, ty, avail, tail):
-        """Focus each available resource whose head can be `sem ~>_ty`, proving
-        its antecedents in a substitution that starts empty: yield (closed
-        meaning, remaining resources, steps), the steps ending in the focus's
-        `apply` step, handed up as data (see `_trace`). The head's other
-        tensor components become derived resources. `tail` is as for
+    def prove_atom(self, sem, ty, avail, tail) -> list:
+        """Focus each available resource whose head can be `sem ~>_ty`, lowest
+        id first, proving its antecedents in a substitution that starts
+        empty: the list of (closed meaning, remaining resources, steps), the
+        steps ending in the focus's `apply` step, handed up as data (see
+        `_trace`). Only the resources `heads` lists for the key are visited,
+        and a premise's later twins are dropped once it is tried. The head's
+        other tensor components become derived resources. `tail` is as for
         `prove`."""
-        for rid in _ids(avail):
-            _, word, _, origin, earlier = self.registry[rid]
-            if avail & earlier:
-                continue  # twins go in index order: an earlier one is available
-            entries = self.focus_tables[rid].get((sem, ty), ())
-            for antecedents, head, metas, others, displays in entries:
+        out = []
+        scan = avail & self.heads.get((sem, ty), 0)
+        while scan:
+            bit = scan & -scan
+            rid = bit.bit_length() - 1
+            _, word, _, origin, later = self.registry[rid]
+            scan &= ~(bit | later)  # twins go in index order
+            for antecedents, head, metas, others, displays in self.focus_tables[rid][sem, ty]:
                 for goals in self._orders(antecedents):
-                    for s1, a1, e1 in self.prove(goals, avail ^ 1 << rid, {}, tail):
+                    for s1, a1, e1 in self.prove(goals, avail ^ bit, {}, tail):
                         meaning = substitute_normal(head.meaning, s1)
                         # Bindings are closed: so is a head once every
                         # metavariable is bound.
@@ -645,7 +666,8 @@ class _Search:
                             derived = self._draw((extra, word, "d", origin, 0), a1)
                             a1 |= 1 << derived
                             e1 = (e1, derived)
-                        yield meaning, a1, (e1, rid, head, meaning, displays, s1)
+                        out.append((meaning, a1, (e1, rid, head, meaning, displays, s1)))
+        return out
 
     def _focus(self, skeleton, values) -> dict:
         """The focus table of a resource with the focus `skeleton` (see
@@ -710,36 +732,44 @@ def _as_premises(items) -> list[Premise]:
 
 def search(premise_set, goal: Goal, all_traces: bool = False) -> Diagnosis:
     """A proof search for `goal` from the premises: its readings, or the
-    classified failure (see `_classify`). Without `all_traces`, the search
-    is strict from the start when the atom count balances (see
-    `_Search.balances`); if it then finds no reading, it kept no evidence,
-    and a search that is not strict gathers it on the same set-up. With
-    `all_traces`, the search in every order runs only once the
-    canonical-order search has found a reading: a failure is that search's,
-    so its diagnosis does not depend on `all_traces`. A goal structure that
-    is not a semantic structure, premises that share an index, and then, in
-    index order, the first premise that is not closed or holds a meaning not
-    of its atom's type index (see `formulas.compile_formula`) raise
+    classified failure (see `_classify`). The search is strict from the
+    start when the atom count balances (see `_Search.balances`); if it then
+    finds no reading, it kept no evidence, and a search that is not strict
+    gathers it on the same set-up. With `all_traces`, a balanced set runs
+    the search in every order in place of the canonical-order one, and an
+    unbalanced set runs it only once the canonical-order search has found a
+    reading: either way a failure is the canonical-order search's, so its
+    diagnosis does not depend on `all_traces`. A goal structure that is not
+    a semantic structure, premises that share an index, and then, in index
+    order, the first premise that is not closed or holds a meaning not of
+    its atom's type index (see `formulas.compile_formula`) raise
     `GlueError`; a derivation nested too deeply for the interpreter's stack
     raises `SearchBoundError`."""
     if not isinstance(goal.sem, SemStructure):
         raise GlueError(f"goal structure {goal.sem!r} is not a semantic structure")
     try:
         engine = _Search(premise_set, [goal.sem])
-        # The probe `all_traces` runs stops at its first reading, before
-        # which a strict table would fill whole entries.
-        engine.strict = not all_traces and engine.balances(goal)
-        result = _run_search(engine, goal, probe=all_traces)
-        if result is None:  # the canonical search found a reading
+        balanced = engine.strict = engine.balances(goal)
+        if all_traces and balanced:
             result = _run_search(engine.in_every_order(), goal)
-        elif engine.strict and result.status != OK:
+        else:
+            result = _run_search(engine, goal)
+            if all_traces and result.status == OK:
+                result = _run_search(engine.in_every_order(), goal)
+        if balanced and result.status != OK:
             result = _run_search(engine.fresh(), goal)
     except RecursionError:
         raise SearchBoundError("derivation too deep for the interpreter's stack") from None
     return result
 
 
-def _run_search(engine, goal, probe=False) -> Diagnosis | None:
+def _run_search(engine, goal) -> Diagnosis:
+    """Run `engine`'s search for `goal` and read its readings off the
+    answers of the top focus, or, if none is complete, its failure. Each
+    answer is finished in one walk of its meaning (`_finish`), which drops
+    one that holds a hypothesis constant; a complete one becomes a reading,
+    keyed by its eta-contracted meaning, and its trace is unrolled only if
+    the reading keeps it."""
     all_traces = engine.all_orders
 
     # canonical meaning -> (meaning, {trace, or () by default: trace})
@@ -749,7 +779,8 @@ def _run_search(engine, goal, probe=False) -> Diagnosis | None:
     supplied = False
     for meaning, avail, steps in engine.prove_atom(goal.sem, goal.ty, engine.premise_mask, True):
         supplied = True
-        if has_leaf(meaning, HypConst):
+        finished = _finish(meaning)
+        if finished is None:
             continue
         if avail:
             unused = 0  # a derived resource counts as the premise it comes from
@@ -760,21 +791,17 @@ def _run_search(engine, goal, probe=False) -> Diagnosis | None:
             elif unused.bit_count() == fewest:
                 pooled |= unused
             continue
-        if probe:  # its caller reads only that a reading exists
-            return None
-        engine.strict = True
-        key = _eta(meaning)
+        key, meaning = finished
         entry = found.get(key)
         if entry is None:
-            entry = found[key] = (_tidy_hints(meaning), {})
+            entry = found[key] = (meaning, {})
         elif not all_traces:
             continue  # default mode keeps the canonical (first) trace only
         # Distinct derivations are those whose steps differ.
         trace = _trace(steps, engine.registry)
         entry[1].setdefault(trace if all_traces else (), trace)
     if found:
-        # After the first reading the search no longer hands partial
-        # derivations up, and its failure evidence is not read.
+        # The partial derivations' evidence is not read.
         readings = sorted(
             (
                 Reading(meaning, goal.ty, tuple(traces.values()))
@@ -787,9 +814,9 @@ def _run_search(engine, goal, probe=False) -> Diagnosis | None:
         engine.record_failure(goal.sem, goal.ty, engine.premise_mask)
     # The search skipped the derivations that swap twins, so the pool is
     # widened by every twin class it meets.
-    for _, _, _, own, earlier in engine.registry[: engine.premise_mask.bit_length()]:
-        if pooled & (own | earlier):  # a twin-class prefix, whole at its last premise
-            pooled |= own | earlier
+    for _, _, _, own, later in engine.registry[: engine.premise_mask.bit_length()]:
+        if pooled & (own | later):  # a twin-class suffix, whole at its first premise
+            pooled |= own | later
     return _classify(engine, goal, fewest is not None, pooled)
 
 
@@ -870,8 +897,10 @@ def _trace(rope, registry) -> Trace:
     only that resource's own bindings. A premise is labelled by its index, a
     hypothesis or derived resource by its kind and its number in order of
     first appearance in this trace (`h1`, `h2`, ...; `d1`, ...). The search
-    joins ropes in O(1); only a derivation `_run_search` keeps is
-    unrolled."""
+    joins ropes in O(1) and hands every answer's rope up in its answer
+    list; `_run_search` unrolls a complete derivation only when its reading
+    may keep it: the first of each reading by default, and under
+    `all_traces` every one, whose steps tell it apart from the others."""
     steps = []
     labels: dict[int, str] = {}
     counts = {"h": 0, "d": 0}
@@ -909,19 +938,31 @@ def derive(premise_set, goal: Goal, all_traces: bool = False) -> tuple[Reading, 
     return search(premise_set, goal, all_traces).readings
 
 
-def _tidy_hints(term: MeaningTerm) -> MeaningTerm:
-    """Drop the freshness suffix from binder hints; printing re-freshens only
-    on actual collisions. A subterm with no suffixed hint comes back as it
-    is."""
+def _finish(term: MeaningTerm):
+    """(eta-contracted form, tidied form) of a reading's normal meaning, in
+    one walk, or None if a hypothesis constant occurs in it. The eta form
+    keys the reading; the tidied form drops the freshness suffix from binder
+    hints, since printing re-freshens only on actual collisions. A subterm
+    that either form leaves alone comes back as it is."""
     kind = type(term)
     if kind is App:
-        return _app(term, _tidy_hints(term[1]), _tidy_hints(term[2]))
+        fun = _finish(term[1])
+        arg = None if fun is None else _finish(term[2])
+        if arg is None:
+            return None
+        return _app(term, fun[0], arg[0]), _app(term, fun[1], arg[1])
     if kind is Lam:
+        body = _finish(term[2])
+        if body is None:
+            return None
+        key, tidy = body
         hint = term[3]
-        tidy = hint.rstrip("0123456789") or hint
-        body = _tidy_hints(term[2])
-        return term if tidy == hint and body is term[2] else Lam(term[1], body, tidy)
-    return term
+        short = hint.rstrip("0123456789") or hint
+        tidied = term if short == hint and tidy is term[2] else Lam(term[1], tidy, short)
+        return _contract(term, key), tidied
+    if kind is HypConst:
+        return None
+    return term, term
 
 
 def entails(antecedent: GlueFormula, consequent: GlueFormula) -> bool:

@@ -310,15 +310,20 @@ def _eta(t):
     if kind is App:
         return _app(t, _eta(t[1]), _eta(t[2]))
     if kind is Lam:
-        body = _eta(t[2])
-        if type(body) is App:
-            fun, arg = body[1], body[2]
-            if type(arg) is BoundVar and arg[1] == 0 and not _occurs_index(fun, 0):
-                # Index 0 does not occur in the function, so opening the
-                # binder only shifts the outer indices down: the contraction.
-                return open_binder(fun, arg)
-        return _lam(t, body)
+        return _contract(t, _eta(t[2]))
     return t
+
+
+def _contract(lam, body):
+    """The abstraction `lam` over its eta-contracted `body`, itself
+    contracted when it abstracts over a last argument alone."""
+    if type(body) is App:
+        fun, arg = body[1], body[2]
+        if type(arg) is BoundVar and arg[1] == 0 and not _occurs_index(fun, 0):
+            # Index 0 does not occur in the function, so opening the
+            # binder only shifts the outer indices down: the contraction.
+            return open_binder(fun, arg)
+    return _lam(lam, body)
 
 
 def normalize(term: MeaningTerm) -> MeaningTerm:

@@ -23,7 +23,8 @@ built from the working tree's inputs, so only the package differs:
   `LARGE_GRID`, where the search's table serves most: `str(diagnose(...))`,
   each reading's meaning and its trace lines;
 - `RANDOM_SETS` of the seeded random premise sets of `search_inputs.py`:
-  the same, from `search` for the goal f;
+  the same, from `search` for the goal f, canonical and with every
+  derivation's trace (`all_traces`);
 - the hand-built premise sets over structure variables of
   `search_inputs.py`, which the random sets never draw (a shadowing spine
   quantifier, in a tensor head too, and a quantifier scoping over a
@@ -108,7 +109,7 @@ RESPACED = ("(", ",", "*", "-o", "~>")  # the symbols a respaced case spaces ane
 LARGE_GRID = ((2, 5), (2, 6), (3, 4), (3, 5))
 RANDOM_SETS = 1000  # random premise sets, by `random.Random` seed
 PRINTED_TERMS = 500  # random meaning terms, by `random.Random` seed
-CHAINS = (12, 40)  # modifier chain lengths
+CHAINS = (12, 40, 200)  # modifier chain lengths
 CHAIN_MODES = ((), ("--trace",), ("--json", "--trace"))
 
 
@@ -144,6 +145,10 @@ def cases():
     for n in range(RANDOM_SETS):
         premise_list = premise_set(random.Random(n).choice)
         yield f"random premise set {n}", _lines(lambda: search(premise_list, RANDOM_GOAL), False)
+        yield (
+            f"random premise set {n} all traces",
+            _lines(lambda: search(premise_list, RANDOM_GOAL, True), True),
+        )
     for name, premise_list, goal in structure_variable_sets():
         for all_traces in (False, True):
             yield (

@@ -561,13 +561,21 @@ def test_an_ill_typed_premise_is_an_error_before_the_search():
         )
 
 
-def test_tidy_hints_rebuilds_only_suffixed_binders():
+def test_finishing_a_reading_rebuilds_only_suffixed_binders():
     r = Const("r", arrow(E, E, T))
     tidy = Lam(E, Lam(E, apply(r, BoundVar(1), BoundVar(0)), "y"), "x")
-    assert prover._tidy_hints(tidy) is tidy
+    key, tidied = prover._finish(tidy)
+    assert tidied is tidy and key == r  # both binders eta-contracted
     suffixed = Lam(E, tidy[2], "x2")
-    tidied = prover._tidy_hints(suffixed)
-    assert tidied.hint == "x" and tidied.body is tidy.body
+    key, tidied = prover._finish(suffixed)
+    assert tidied.hint == "x" and tidied.body is tidy.body and key == r
+
+
+def test_finishing_a_reading_drops_one_that_holds_a_hypothesis():
+    r = Const("r", arrow(E, E, T))
+    x = terms.HypConst("x", E, 1)
+    assert prover._finish(Lam(E, apply(r, BoundVar(0), x), "y")) is None
+    assert prover._finish(apply(r, x, Const("c", E))) is None
 
 
 def test_a_reading_is_the_meaning_its_last_step_applied(lexicon, everyone_fs, modified):
@@ -840,6 +848,39 @@ def test_twin_modifiers_cost_grows_linearly(lexicon, monkeypatch):
         assert len(reading.traces) == 1
         counts.append(len(calls))
     assert counts == [3 * k + 3 for k in range(1, 7)]
+
+
+def test_a_focus_reads_only_the_resources_that_can_answer_it(lexicon, monkeypatch):
+    # An atomic goal visits the available resources whose focus table has
+    # its key, and a twin only when it is the first available of its class,
+    # so the modifier chain reads a bounded number of registry entries per
+    # `prove_atom` call, not one per available resource.
+    reads, calls = [], []
+
+    class Counting(list):
+        def __getitem__(self, index):
+            reads.append(None)
+            return super().__getitem__(index)
+
+    class Engine(prover._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.registry = Counting(self.registry)
+
+        def prove_atom(self, *args):
+            calls.append(None)
+            return super().prove_atom(*args)
+
+    monkeypatch.setattr(prover, "_Search", Engine)
+    ratios = []
+    for k in (50, 100, 200):
+        reads.clear()
+        calls.clear()
+        fs = obviously_appoint(k)
+        (reading,) = derive(premises(fs, lexicon), Goal(sigma(fs)))
+        assert len(calls) == 3 * k + 3
+        ratios.append(len(reads) / len(calls))
+    assert max(ratios) < 3, ratios
 
 
 AGAIN = """
