@@ -122,14 +122,15 @@ before it, so ids alone cannot tell what the scope derived.
 A derivation's trace is recorded lazily: subproofs hand up a rope (see
 `_trace`), which joins two subproofs in O(1) and holds only what the search
 already has: registry ids, hypothesis names and a focus's data. The search
-builds no `TraceStep`: `_trace` builds each one once, for a derivation
-`_run_search` keeps, and a step is formatted only when its `line()` is
-called. `_run_search` finishes each reading in one walk of its meaning
-(`_finish`). Derivations are told apart by their unrolled steps. Nothing a
-trace prints depends on the search's history: `_trace` numbers the
-hypotheses and derived resources of each trace by first appearance, and a
-hypothesis constant is its binder's, named after it, and set-up renames the
-binders apart once per search (see `_Search._claim`).
+builds no `TraceStep`: `_trace` unrolls a derivation `_run_search` keeps and
+builds each step once per search, so the traces of a sentence's readings share
+the steps of the subproofs they have in common, and a step is formatted only
+when its `line()` is called, once per search. `_run_search` finishes each
+reading in one walk of its meaning (`_finish`). Derivations are told apart by
+their unrolled steps. Nothing a trace prints depends on the search's history:
+`_trace` numbers the hypotheses and derived resources of each trace by first
+appearance, and a hypothesis constant is its binder's, named after it, and
+set-up renames the binders apart once per search (see `_Search._claim`).
 """
 
 from __future__ import annotations
@@ -168,8 +169,10 @@ from .terms import (
     Lam,
     MeaningTerm,
     Var,
+    _FORMATTED,
     _app,
     _contract,
+    _remember,
     abstract_over,
     format_term,
     free_vars,
@@ -198,7 +201,10 @@ class TraceStep(Node, atom=None, bindings=()):
     (None for a discharge) and the values (meaning terms or structures)
     bound to the focused resource's own variables. Its meanings are normal
     as the search built them, so `line()` only formats, and nothing is
-    formatted until it is called."""
+    formatted until it is called. `_trace` builds each step once per
+    search and shares it among the traces that hold it, and `line()` keeps
+    its text in `format_term`'s memo, which a search empties when it
+    starts: a step printed again since then is not formatted again."""
 
     __slots__ = ()
     # kind: assume | apply | derive | discharge; word: the premise's
@@ -206,6 +212,9 @@ class TraceStep(Node, atom=None, bindings=()):
     __match_args__ = ("kind", "resource", "word", "atom", "bindings")
 
     def line(self) -> str:
+        entry = _FORMATTED.get(id(self))
+        if entry is not None:
+            return entry[1]
         _, kind, resource, word, atom, bindings = self
         text = kind if resource is None else f"{kind} [{resource}]"
         if word:
@@ -219,7 +228,7 @@ class TraceStep(Node, atom=None, bindings=()):
                 f"{n} ↦ {format_term(v) if isinstance(v, MeaningTerm) else v}"
                 for n, v in bindings
             ])
-        return text
+        return _remember(self, text)
 
 
 Trace = tuple[TraceStep, ...]
@@ -769,8 +778,13 @@ def _run_search(engine, goal) -> Diagnosis:
     answer is finished in one walk of its meaning (`_finish`), which drops
     one that holds a hypothesis constant; a complete one becomes a reading,
     keyed by its eta-contracted meaning, and its trace is unrolled only if
-    the reading keeps it."""
+    the reading keeps it. The steps of every trace it unrolls are built
+    once per search (see `_trace`), in a memo that lives as long as this
+    call, and it empties `format_term`'s memo, so which texts a sentence
+    finds remembered does not depend on what was printed before."""
     all_traces = engine.all_orders
+    _FORMATTED.clear()
+    built: dict = {}  # the steps `_trace` built, under its keys
 
     # canonical meaning -> (meaning, {trace, or () by default: trace})
     found: dict[MeaningTerm, tuple[MeaningTerm, dict]] = {}
@@ -798,7 +812,7 @@ def _run_search(engine, goal) -> Diagnosis:
         elif not all_traces:
             continue  # default mode keeps the canonical (first) trace only
         # Distinct derivations are those whose steps differ.
-        trace = _trace(steps, engine.registry)
+        trace = _trace(steps, engine.registry, built, all_traces)
         entry[1].setdefault(trace if all_traces else (), trace)
     if found:
         # The partial derivations' evidence is not read.
@@ -887,20 +901,33 @@ def _dependents(rope, live, registry, dependent=False):
     return live, dependent or used
 
 
-def _trace(rope, registry) -> Trace:
-    """The steps of a rope, in derivation order, each built here once. A rope
-    is None (no steps); the `registry` id of a hypothesis or derived
-    resource (its `assume` or `derive` step); the name of a discharged
-    hypothesis (its `discharge` step); a (left, right) pair of ropes; or
-    (rope, resource id, head, meaning, display bindings, substitution): a
-    focused resource's antecedent steps, then its `apply` step, which shows
-    only that resource's own bindings. A premise is labelled by its index, a
+def _trace(rope, registry, built, by_value) -> Trace:
+    """The steps of a rope, in derivation order. A rope is None (no steps);
+    the `registry` id of a hypothesis or derived resource (its `assume` or
+    `derive` step); the name of a discharged hypothesis (its `discharge`
+    step); a (left, right) pair of ropes; or (rope, resource id, head,
+    meaning, display bindings, substitution): a focused resource's
+    antecedent steps, then its `apply` step, which shows only that
+    resource's own bindings. A premise is labelled by its index, a
     hypothesis or derived resource by its kind and its number in order of
     first appearance in this trace (`h1`, `h2`, ...; `d1`, ...). The search
     joins ropes in O(1) and hands every answer's rope up in its answer
     list; `_run_search` unrolls a complete derivation only when its reading
     may keep it: the first of each reading by default, and under
-    `all_traces` every one, whose steps tell it apart from the others."""
+    `all_traces` every one, whose steps tell it apart from the others.
+
+    Each step is built once per search, in `built`, the memo `_run_search`
+    keeps for it: an `apply` step under the identity of its rope node and
+    its label (the answer lists hold every node until `_run_search`
+    returns, so no other node takes that identity meanwhile), an `assume`
+    or `derive` step under its label and id, a `discharge` step under its
+    name. So the traces of one search share each step that comes from one
+    focus answer, and `line()` prints it once. With `by_value` (the search
+    in every order, whose derivations are told apart by their steps'
+    values anyway), a new step is also kept under itself and an equal one
+    kept before is taken in its place, so all equal steps are one object.
+    The canonical search does not hash its steps: there the same focus
+    reached with other resources left builds an equal step of its own."""
     steps = []
     labels: dict[int, str] = {}
     counts = {"h": 0, "d": 0}
@@ -913,11 +940,19 @@ def _trace(rope, registry) -> Trace:
         if cls is int:  # a hypothesis assumed or a resource derived
             formula, word, kind, _, _ = registry[node]
             counts[kind] += 1
-            labels[node] = f"{kind}{counts[kind]}"
-            step = "assume" if kind == "h" else "derive"
-            steps.append(TraceStep(step, labels[node], word, formula))
+            label = labels[node] = f"{kind}{counts[kind]}"
+            step = built.get((label, node))
+            if step is None:
+                step = TraceStep("assume" if kind == "h" else "derive", label, word, formula)
+                if by_value:
+                    step = built.setdefault(step, step)
+                built[label, node] = step
+            steps.append(step)
         elif cls is str:
-            steps.append(TraceStep("discharge", None, node))
+            step = built.get(node)
+            if step is None:
+                step = built[node] = TraceStep("discharge", None, node)
+            steps.append(step)
         elif cls is TraceStep:  # a focus's `apply` step, after its antecedents'
             steps.append(node)
         elif len(node) == 2:
@@ -925,9 +960,16 @@ def _trace(rope, registry) -> Trace:
         else:
             inner, rid, head, meaning, displays, s1 = node
             _, word, label, _, _ = registry[rid]
-            bindings = tuple((name, s1.get(v, v)) for name, v in displays)
-            atom = Atom(head.sem, head.ty, meaning)
-            stack += (TraceStep("apply", labels.get(rid, label), word, atom, bindings), inner)
+            label = labels.get(rid, label)
+            step = built.get((id(node), label))
+            if step is None:
+                bindings = tuple((name, s1.get(v, v)) for name, v in displays)
+                atom = Atom(head.sem, head.ty, meaning)
+                step = TraceStep("apply", label, word, atom, bindings)
+                if by_value:
+                    step = built.setdefault(step, step)
+                built[id(node), label] = step
+            stack += (step, inner)
     return tuple(steps)
 
 

@@ -352,9 +352,10 @@ def equivalent(t1: MeaningTerm, t2: MeaningTerm) -> bool:
     return canonical_form(t1) == canonical_form(t2)
 
 
-# id(term) -> (term, text) for the terms printed last. An entry holds its
-# term, so while it exists no other object can have that id.
-_FORMATTED: dict[int, tuple[MeaningTerm, str]] = {}
+# id(object) -> (object, text) for the terms and trace steps printed last.
+# An entry holds its object, so while it exists no other object can have
+# that id.
+_FORMATTED: dict[int, tuple[object, str]] = {}
 _FORMATTED_BOUND = 512
 
 
@@ -374,8 +375,11 @@ def format_term(term: MeaningTerm) -> str:
     keyed by the object's identity, so a term printed again (a reading's
     meaning on its trace's last step, a binding on every later step) is
     printed once. Equal terms are not merged: `Lam` equality ignores binder
-    hints, which the text shows. The memo is emptied whenever it reaches its
-    bound, so it stays small and never changes what is printed."""
+    hints, which the text shows. The same memo holds the lines of trace
+    steps (`prover.TraceStep.line`). It is emptied whenever it reaches its
+    bound, so it stays small and never changes what is printed, and
+    whenever a search starts (`prover._run_search`), so what a sentence
+    finds in it does not depend on what was printed before."""
     entry = _FORMATTED.get(id(term))
     if entry is not None:
         return entry[1]
@@ -386,9 +390,15 @@ def format_term(term: MeaningTerm) -> str:
         # A binder took a name met only later in the walk: print again, with
         # every name of the term in `used` from the start.
         text = _fmt(term, [], [], used, chosen)
+    return _remember(term, text)
+
+
+def _remember(obj, text: str) -> str:
+    """Keep `text` in the memo as the text of `obj`, emptying the memo first
+    if it has reached its bound; return it."""
     if len(_FORMATTED) >= _FORMATTED_BOUND:
         _FORMATTED.clear()
-    _FORMATTED[id(term)] = (term, text)
+    _FORMATTED[id(obj)] = (obj, text)
     return text
 
 

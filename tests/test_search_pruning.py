@@ -1,14 +1,14 @@
 """Where the search stops early, records lazily and answers from its table:
 once a reading is found, or from the start when the atom count balances, a
 derivation that leaves a premise unused is not carried up to the top, trace
-steps are built only for the derivations kept, and a repeated atomic goal is
-served from the search's table. The trace lines pinned in
-`fixtures/golden/trace_pins.json` hold hypotheses and derived resources
-(`[h1] x`, `[d1]`), which each trace numbers by first appearance and names
-after their binders, so no branch the search cut or tried first shows in
-them. Random premise sets check the canonical search against the
-search in every order and both against the forward-chaining enumerator of
-`oracles.py`, which imports nothing from `prover`."""
+steps are built only for the derivations kept, each distinct one once per
+search, and a repeated atomic goal is served from the search's table. The
+trace lines pinned in `fixtures/golden/trace_pins.json` hold hypotheses and
+derived resources (`[h1] x`, `[d1]`), which each trace numbers by first
+appearance and names after their binders, so no branch the search cut or
+tried first shows in them. Random premise sets check the canonical search
+against the search in every order and both against the forward-chaining
+enumerator of `oracles.py`, which imports nothing from `prover`."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import gluesem
-from gluesem import prover
+from gluesem import prover, terms
 from gluesem.diagnostics import OK
 from gluesem.formulas import Atom, Forall, Limp, SemVar, Tensor, compile_formula, focus_skeleton
 from gluesem.fstruct import SemStructure, parse_fstructure, sigma
@@ -99,12 +99,82 @@ def test_all_traces_unrolls_only_the_traces_it_keeps(lexicon, monkeypatch):
     # reading exists, so it stops at its first reading and unrolls nothing.
     calls = []
     unroll = prover._trace
-    monkeypatch.setattr(
-        prover, "_trace", lambda rope, registry: calls.append(None) or unroll(rope, registry)
-    )
+    monkeypatch.setattr(prover, "_trace", lambda *args: calls.append(None) or unroll(*args))
     root = parse_fstructure(grid_fstructure(2, 3))
     readings = derive(premises(root, lexicon), Goal(sigma(root)), all_traces=True)
     assert len(calls) == sum(len(r.traces) for r in readings) == 720
+
+
+def _steps(readings):
+    return [step for reading in readings for trace in reading.traces for step in trace]
+
+
+@pytest.mark.parametrize("all_traces", [False, True])
+@pytest.mark.parametrize("case", ["scope", "grid_q2k2"])
+def test_each_step_is_built_once_per_search(lexicon, case, all_traces):
+    # Within one search equal steps are one object (by value under
+    # `all_traces`; in the canonical search on these inputs because each
+    # comes from one focus answer); two searches share none; and a line the
+    # text memo returns is the one a fresh equal step prints.
+    root = load_fs("scope.fs") if case == "scope" else parse_fstructure(grid_fstructure(2, 2))
+    premise_set = premises(root, lexicon)
+    first, second = (
+        derive(premise_set, Goal(sigma(root)), all_traces=all_traces) for _ in range(2)
+    )
+    steps = _steps(first)
+    by_value = {}
+    for step in steps:
+        assert by_value.setdefault(step, step) is step
+    assert len(by_value) < len(steps)
+    assert {id(step) for step in steps}.isdisjoint({id(step) for step in _steps(second)})
+    for step in steps:
+        text = step.line()
+        assert terms._FORMATTED[id(step)] == (step, text)
+        fresh = prover.TraceStep(*step[1:])
+        assert fresh is not step and step.line() == fresh.line() == text
+
+
+def test_printing_a_sentence_makes_the_same_printer_calls_whatever_came_before(
+    lexicon, monkeypatch
+):
+    # The probe counts the calls through the names the prover and the
+    # formula printer look up. Texts remembered across sentences would make
+    # those counts depend on what was printed earlier: here on how full the
+    # text memo is when grid (2, 2) starts, before and after the printed
+    # texts of the fillers reach its bound.
+    calls = []
+
+    def counting(where, fn):
+        return lambda term: calls.append(where) or fn(term)
+
+    def render(text):
+        diagnosis = gluesem.diagnose(parse_fstructure(text), lexicon)
+        for reading in diagnosis.readings:
+            gluesem.format_term(reading.meaning)
+            for step in reading.trace:
+                step.line()
+
+    filler = (FIXTURES / "scope.fs").read_text(encoding="utf-8")
+    target = grid_fstructure(2, 2)
+    monkeypatch.setattr(prover, "format_term", counting("prover", prover.format_term))
+    monkeypatch.setattr(terms, "format_term", counting("formulas", terms.format_term))
+    terms._FORMATTED.clear()
+    render(filler)
+    per_filler = len(terms._FORMATTED)  # the texts one filler leaves in the memo
+    seen = []
+    # From no filler to more than twice the bound's worth (asserted below),
+    # in steps fine enough that for some k the bound falls inside grid
+    # (2, 2): a memo emptied only when full then empties mid-sentence.
+    ks = (0, 1, 4, 8, 12, 16, 17, 18, 19, 20, 24, 32, 36, 38, 40, 44)
+    for k in ks:
+        terms._FORMATTED.clear()  # as in a process that has printed nothing
+        for _ in range(k):
+            render(filler)
+        calls.clear()
+        render(target)
+        seen.append(sorted(calls))
+    assert max(ks) * per_filler > 2 * terms._FORMATTED_BOUND
+    assert seen[0] and all(counts == seen[0] for counts in seen)
 
 
 def unbalanced_tensor_head_premises():
